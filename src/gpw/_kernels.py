@@ -1,91 +1,24 @@
-"""Row-reduction kernels over a fixed word-sized prime field.
+"""Row reduction over a fixed word-sized prime field.
 
-Two interchangeable implementations of the same elimination: a numba-compiled
-loop and a vectorized numpy fallback.  Selection order:
-
-* ``GPW_PURE_NUMPY=1`` in the environment forces the numpy path;
-* otherwise the numba path is used when numba imports cleanly;
-* otherwise we silently fall back to numpy.
-
-Both operate on int64 matrices with entries already reduced mod ``PRIME``.
-``PRIME`` exceeds 2**31, so a product of two reduced entries stays below
-2**63 and native int64 arithmetic never overflows.
+The kernel operates on int64 matrices with entries already reduced mod
+``PRIME``.  ``PRIME`` exceeds 2**31, so a product of two reduced entries
+stays below 2**63 and native int64 arithmetic never overflows.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 PRIME = 2_147_483_659  # smallest prime above 2**31
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _modinv(a: int, p: int) -> int:
-    # extended Euclid; a is nonzero mod p
-    r0, r1 = p, a
-    s0, s1 = 0, 1
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
-
-
-@njit(cache=True)
-def _rank_mod_p_njit(a: np.ndarray, p: np.int64) -> int:  # pragma: no cover
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = -1
-        for r in range(rank, rows):
-            if a[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for c in range(col, cols):
-                t = a[rank, c]
-                a[rank, c] = a[piv, c]
-                a[piv, c] = t
-        # normalize the pivot row so elimination below is a single multiply
-        r0, r1 = np.int64(p), a[rank, col]
-        s0, s1 = np.int64(0), np.int64(1)
-        while r1 != 0:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        inv = s0 % p
-        for c in range(col, cols):
-            a[rank, c] = (a[rank, c] * inv) % p
-        for r in range(rank + 1, rows):
-            f = a[r, col]
-            if f != 0:
-                for c in range(col, cols):
-                    a[r, c] = (a[r, c] - f * a[rank, c]) % p
-        rank += 1
-    return rank
-
-
-def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
+def rank_mod_p(matrix: np.ndarray, prime: int = PRIME) -> int:
+    """Rank of an int64 matrix over GF(prime).  The input is consumed."""
+    if matrix.size == 0:
+        return 0
+    if matrix.dtype != np.int64:
+        raise TypeError("modular kernel expects an int64 matrix")
+    a = matrix
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
@@ -97,29 +30,11 @@ def _rank_mod_p_numpy(a: np.ndarray, p: int) -> int:
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = (a[rank] * _modinv(int(a[rank, col]), p)) % p
+        a[rank] = (a[rank] * pow(int(a[rank, col]), -1, prime)) % prime
         below = a[rank + 1 :]
         factors = below[:, col]
         hit = factors != 0
         if hit.any():
-            below[hit] = (below[hit] - factors[hit, None] * a[rank][None, :]) % p
+            below[hit] = (below[hit] - factors[hit, None] * a[rank][None, :]) % prime
         rank += 1
     return rank
-
-
-def backend_name() -> str:
-    """Which kernel the next :func:`rank_mod_p` call will use."""
-    if os.environ.get("GPW_PURE_NUMPY") == "1" or not HAS_NUMBA:
-        return "numpy"
-    return "numba"
-
-
-def rank_mod_p(matrix: np.ndarray, prime: int = PRIME) -> int:
-    """Rank of an int64 matrix over GF(prime).  The input is consumed."""
-    if matrix.size == 0:
-        return 0
-    if matrix.dtype != np.int64:
-        raise TypeError("modular kernel expects an int64 matrix")
-    if backend_name() == "numba":
-        return int(_rank_mod_p_njit(matrix, np.int64(prime)))
-    return _rank_mod_p_numpy(matrix, prime)

@@ -1,24 +1,30 @@
 """On-disk cache for rendered reports.
 
 Entries are keyed by (algebra digest, operation, parameters, output format)
-and invalidated by engine version: an entry written by a different version
-is ignored and recomputed.  A corrupt entry is never fatal — it produces a
-warning on stderr and a recompute.
+and invalidated by engine version, a fingerprint of the package's sources:
+an entry written by any other code is ignored and recomputed.  A corrupt
+entry is never fatal — it produces a warning on stderr and a recompute.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 
+@functools.cache
 def engine_version() -> str:
-    from . import __version__
-
-    return __version__
+    """sha256 over the names and contents of the package's ``.py`` files;
+    computed on first use, once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 class ResultCache:
@@ -83,10 +89,16 @@ class ResultCache:
             "payload": payload,
             "exit_code": exit_code,
         }
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True, indent=2))
-        os.replace(tmp, path)
+        # a temporary file of its own per writer, so concurrent stores of
+        # one key never interleave; os.replace makes the entry appear whole
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry, sort_keys=True, indent=2))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def cache_from_environment(explicit: str | None) -> ResultCache | None:

@@ -35,6 +35,7 @@ from .evaluator import HARD_N_CAP, cocharacter_table, is_identity, total_codimen
 from .groups import parse_group_shorthand
 from .polynomials import parse_poly
 from .reports import format_composition, format_shape, render, slot_legend
+from .shapes import multinomial
 
 DEFAULT_COCHAR_CAP = 5
 
@@ -131,12 +132,8 @@ def cmd_codim(args) -> int:
         group, mode = algebra.group, algebra.mode
         table = [["composition", "slice_codim", "weight", "contribution"]]
         entries = []
-        from math import factorial
-
         for comp, c in breakdown.items():
-            weight = factorial(args.n)
-            for part in comp:
-                weight //= factorial(part)
+            weight = multinomial(comp)
             table.append([format_composition(comp, group, mode), c, weight, weight * c])
             entries.append(
                 {

@@ -1,9 +1,18 @@
 """Evaluation of graded polynomials on algebras, and the ranks built on it.
 
-Everything here reduces to one primitive: evaluate a family of multilinear
-polynomials sharing one variable signature on every tuple of homogeneous
-basis elements, collect the coordinates into an exact rational matrix, and
-take ranks of column blocks.
+Everything here reduces to one primitive: evaluate a family of polynomials
+sharing one variable signature on every tuple of candidate values (basis
+elements of the homogeneous components, or points of a substitution grid),
+collect the coordinates into an exact matrix, and take ranks of column
+blocks or test it for zero.
+
+The primitive is an integer engine.  Structure constants, candidate values
+and coefficients are scaled to integers by their denominator lcms, so the
+matrix is one fixed positive multiple of the rational one and its ranks,
+nullspaces and zero tests are the rational answers.  Monomials are
+multiplied out for all tuples at once in numpy.  Entries are int64 only
+when an a-priori bound on every entry stays below 2**62; otherwise they are
+Python ints, so nothing wraps.
 
 * The **slice codimension** of a composition is the rank of the matrix whose
   columns are the n! arrangements of the signature's variables.
@@ -29,7 +38,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import lcm, prod
+
+import numpy as np
 
 from . import modes
 from .algebras import GradedStarAlgebra, Vector
@@ -54,6 +65,7 @@ from .shapes import (
     Multipartition,
     all_multitableaux,
     compositions,
+    multinomial,
     multipartitions,
     standard_multitableaux,
 )
@@ -124,39 +136,142 @@ def evaluate(
     return tuple(total)
 
 
-def _mono_value(
-    mono: Monomial,
+# -- the integer evaluation engine ---------------------------------------------
+
+_INT64_SAFE = 2**62
+
+
+def _max_abs(values) -> int:
+    return max(map(abs, values), default=0)
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """``scale`` times each of the rationals, ``scale`` a multiple of their
+    denominators."""
+    return [c.numerator * (scale // c.denominator) for c in values]
+
+
+def _integer_vectors(vectors, dim: int) -> np.ndarray:
+    """Rational vectors as rows of an integer (object) array, scaled by the
+    lcm of their denominators."""
+    scale = lcm(*(c.denominator for vec in vectors for c in vec))
+    return np.array(
+        [_scaled(vec, scale) for vec in vectors], dtype=object
+    ).reshape(len(vectors), dim)
+
+
+def _component_basis(algebra: GradedStarAlgebra, var: Variable) -> np.ndarray:
+    """The basis of ``var``'s component, scaled to integers."""
+    basis = algebra.homogeneous_basis(var.grade, var.kind).vectors
+    return _integer_vectors(basis, algebra.dim)
+
+
+def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
+    """Every combination sum(t_j * b_j) with integer t_j in 0..degree, in
+    ``itertools.product`` order of the t."""
+    weights = list(itertools.product(range(degree + 1), repeat=len(basis)))
+    return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
+
+
+def _monomial_values(
+    table: np.ndarray, vectors: list[np.ndarray], words: list[tuple[int, ...]]
+) -> np.ndarray:
+    """Value of every word on every substitution tuple: an array of shape
+    (words, tuples * dim), tuples in ``itertools.product`` order over
+    ``vectors`` (one array of candidate values per variable position).
+
+    Words are walked in sorted order with a stack of prefix values, one
+    row-vector times right-multiplication-matrix step per new letter, for
+    all tuples at once; a prefix that vanishes on every tuple ends its
+    whole subtree of words.
+    """
+    dim = table.shape[0]
+    count = prod(len(v) for v in vectors)
+    if count == 0:
+        return np.zeros((len(words), 0), dtype=table.dtype)
+    values, right = [], []
+    stride = count
+    for vecs in vectors:
+        stride //= len(vecs)
+        choice = np.arange(count) // stride % len(vecs)
+        values.append(vecs[choice])
+        # right[j][t, a, k]: coordinate k of e_a times variable j's value in tuple t
+        right.append(np.tensordot(vecs, table, axes=(1, 1))[choice])
+    out = np.zeros((len(words), count, dim), dtype=table.dtype)
+    stack: list[np.ndarray] = []  # stack[d] is the value of previous[: d + 1]
+    previous: tuple[int, ...] = ()
+    for w in sorted(range(len(words)), key=words.__getitem__):
+        word = words[w]
+        depth = 0
+        while depth < min(len(stack), len(word)) and word[depth] == previous[depth]:
+            depth += 1
+        del stack[depth:]
+        while len(stack) < len(word) and (not stack or stack[-1].any()):
+            j = word[len(stack)]
+            if stack:
+                stack.append(np.matmul(stack[-1][:, None, :], right[j])[:, 0, :])
+            else:
+                stack.append(values[j])
+        if len(stack) == len(word):
+            out[w] = stack[-1]
+        previous = word
+    return out.reshape(len(words), count * dim)
+
+
+def _evaluation_columns(
     algebra: GradedStarAlgebra,
-    assignment: dict[Variable, Vector],
-    memo: dict[Monomial, Vector],
-) -> Vector:
-    cached = memo.get(mono)
-    if cached is not None:
-        return cached
-    if len(mono) == 1:
-        value = assignment[mono[0]]
-    else:
-        value = algebra.multiply(
-            _mono_value(mono[:-1], algebra, assignment, memo), assignment[mono[-1]]
-        )
-    memo[mono] = value
-    return value
+    variables: tuple[Variable, ...],
+    vectors: list[np.ndarray],
+    polys: list[GradedPoly],
+) -> np.ndarray:
+    """Integer evaluation matrix: one column per polynomial, one row per
+    (substitution tuple, coordinate) pair, tuples in ``itertools.product``
+    order over ``vectors`` (integer multiples of each variable's values).
+    When all monomials share one multidegree, the result is one fixed
+    positive multiple of the rational matrix."""
+    dim = algebra.dim
+    position = {v: i for i, v in enumerate(variables)}
+    index: dict[Monomial, int] = {}
+    term_rows = [[index.setdefault(mono, len(index)) for mono in p.terms] for p in polys]
+    words = [tuple(position[v] for v in mono) for mono in index]
+    scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    coeffs = [_scaled(p.terms.values(), scale) for p in polys]
+
+    table = _integer_vectors(
+        [algebra._table[a][i] for a in range(dim) for i in range(dim)], dim
+    ).reshape(dim, dim, dim)
+    # with vector entries up to b and structure constants up to t, a word's
+    # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
+    # right-multiplication matrix at most dim * b * t
+    n = max(map(len, words), default=1)
+    b = max((_max_abs(v.flat) for v in vectors), default=0)
+    t = _max_abs(table.flat)
+    s = max((sum(map(abs, c)) for c in coeffs), default=0)
+    bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    monomials = _monomial_values(
+        table.astype(dtype), [v.astype(dtype) for v in vectors], words
+    )
+    columns = np.zeros((monomials.shape[1], len(polys)), dtype=dtype)
+    for col, (rows, c) in enumerate(zip(term_rows, coeffs)):
+        if rows:
+            columns[:, col] = np.array(c, dtype=dtype) @ monomials[rows]
+    return columns
 
 
 @dataclass
 class EvaluationMatrix:
-    """Exact evaluation matrix: one column per polynomial, one row per
-    (basis tuple, coordinate) pair."""
+    """Integer evaluation matrix: one column per polynomial, one row per
+    (basis tuple, coordinate) pair.  A fixed positive multiple of the
+    rational matrix, so ranks, nullspaces and zero tests are exact."""
 
     algebra_name: str
     variables: tuple[Variable, ...]
     column_labels: tuple[str, ...]
-    rows: list[list[Fraction]] = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
     def rank(self, columns: slice | None = None) -> int:
-        if columns is None:
-            return exact_rank(self.rows)
-        return exact_rank([row[columns] for row in self.rows])
+        return exact_rank(self.rows if columns is None else self.rows[:, columns])
 
     def nullspace(self) -> list[list[Fraction]]:
         return nullspace(self.rows, len(self.column_labels))
@@ -185,30 +300,22 @@ def build_evaluation_matrix(
             )
     if column_labels is None:
         column_labels = tuple(p.display(algebra.group) for p in polys)
-
-    bases = [
-        algebra.homogeneous_basis(v.grade, v.kind).vectors for v in variables
-    ]
-    rows: list[list[Fraction]] = []
-    dim = algebra.dim
-    for combo in itertools.product(*bases):
-        assignment = dict(zip(variables, combo))
-        memo: dict[Monomial, Vector] = {}
-        values = []
-        for p in polys:
-            acc = [Fraction(0)] * dim
-            for mono, coeff in p.terms.items():
-                vec = _mono_value(mono, algebra, assignment, memo)
-                for k, c in enumerate(vec):
-                    if c != 0:
-                        acc[k] += coeff * c
-            values.append(acc)
-        for k in range(dim):
-            rows.append([v[k] for v in values])
+    vectors = [_component_basis(algebra, v) for v in variables]
+    rows = _evaluation_columns(algebra, variables, vectors, polys)
     return EvaluationMatrix(algebra.name, variables, column_labels, rows)
 
 
 # -- identities ---------------------------------------------------------------
+
+
+def _components(poly: GradedPoly, algebra: GradedStarAlgebra) -> list[GradedPoly]:
+    if poly.mode != algebra.mode:
+        raise ModeMismatch(
+            f"{poly.mode} polynomial tested on {algebra.mode} algebra"
+        )
+    if any(not mono for mono in poly.terms):
+        raise InputError("constant terms cannot be evaluated in this algebra")
+    return poly.multihomogeneous_components()
 
 
 def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
@@ -218,29 +325,12 @@ def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     tuples of component basis vectors; in characteristic zero this is
     equivalent to vanishing everywhere.
     """
-    if poly.mode != algebra.mode:
-        raise ModeMismatch(
-            f"{poly.mode} polynomial tested on {algebra.mode} algebra"
-        )
-    if any(not mono for mono in poly.terms):
-        raise InputError("constant terms cannot be evaluated in this algebra")
-    for component in poly.multihomogeneous_components():
+    for component in _components(poly, algebra):
         linear = multilinearize(component)
         variables = canonical_variable_order(linear.variables(), algebra.mode)
-        bases = [
-            algebra.homogeneous_basis(v.grade, v.kind).vectors for v in variables
-        ]
-        for combo in itertools.product(*bases):
-            assignment = dict(zip(variables, combo))
-            memo: dict[Monomial, Vector] = {}
-            acc = [Fraction(0)] * algebra.dim
-            for mono, coeff in linear.terms.items():
-                vec = _mono_value(mono, algebra, assignment, memo)
-                for k, c in enumerate(vec):
-                    if c != 0:
-                        acc[k] += coeff * c
-            if any(acc):
-                return False
+        vectors = [_component_basis(algebra, v) for v in variables]
+        if _evaluation_columns(algebra, variables, vectors, [linear]).any():
+            return False
     return True
 
 
@@ -253,31 +343,12 @@ def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     degree at most m in each t_j, so vanishing on the whole grid forces the
     zero polynomial.
     """
-    if poly.mode != algebra.mode:
-        raise ModeMismatch(
-            f"{poly.mode} polynomial tested on {algebra.mode} algebra"
-        )
-    if any(not mono for mono in poly.terms):
-        raise InputError("constant terms cannot be evaluated in this algebra")
-    for component in poly.multihomogeneous_components():
+    for component in _components(poly, algebra):
         degree = component.multidegree()
         variables = canonical_variable_order(degree.keys(), algebra.mode)
-        grids = []
-        for v in variables:
-            basis = algebra.homogeneous_basis(v.grade, v.kind).vectors
-            points = []
-            for t in itertools.product(range(degree[v] + 1), repeat=len(basis)):
-                vec = [Fraction(0)] * algebra.dim
-                for w, b in zip(t, basis):
-                    if w:
-                        for k, c in enumerate(b):
-                            vec[k] += w * c
-                points.append(tuple(vec))
-            grids.append(points)
-        for combo in itertools.product(*grids):
-            assignment = dict(zip(variables, combo))
-            if any(evaluate(component, algebra, assignment, check=False)):
-                return False
+        vectors = [_grid(_component_basis(algebra, v), degree[v]) for v in variables]
+        if _evaluation_columns(algebra, variables, vectors, [component]).any():
+            return False
     return True
 
 
@@ -336,10 +407,7 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     for comp in compositions(n, slots):
         c = slice_codimension(algebra, comp)
         breakdown[comp] = c
-        weight = factorial(n)
-        for part in comp:
-            weight //= factorial(part)
-        total += weight * c
+        total += multinomial(comp) * c
     return total, breakdown
 
 
@@ -383,25 +451,8 @@ def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int
     variables = canonical_variable_order(degree.keys(), algebra.mode)
     if _has_empty_slot(algebra, variables):
         return 0
-    grids = []
-    for v in variables:
-        basis = algebra.homogeneous_basis(v.grade, v.kind).vectors
-        points = []
-        for t in itertools.product(range(degree[v] + 1), repeat=len(basis)):
-            vec = [Fraction(0)] * algebra.dim
-            for w, b in zip(t, basis):
-                if w:
-                    for k, c in enumerate(b):
-                        vec[k] += w * c
-            points.append(tuple(vec))
-        grids.append(points)
-    rows: list[list[Fraction]] = []
-    for combo in itertools.product(*grids):
-        assignment = dict(zip(variables, combo))
-        values = [evaluate(p, algebra, assignment, check=False) for p in polys]
-        for k in range(algebra.dim):
-            rows.append([v[k] for v in values])
-    return exact_rank(rows)
+    vectors = [_grid(_component_basis(algebra, v), degree[v]) for v in variables]
+    return exact_rank(_evaluation_columns(algebra, variables, vectors, polys))
 
 
 @dataclass
@@ -480,8 +531,5 @@ def cocharacter_table(
                 f"composition {comp} on {algebra.name}: slice codimension "
                 f"{slice_c} != multiplicity-weighted degree sum {weighted}"
             )
-        weight = factorial(n)
-        for part in comp:
-            weight //= factorial(part)
-        total += weight * slice_c
+        total += multinomial(comp) * slice_c
     return CocharacterTable(algebra.name, mode, n, slice_codims, entries, total)

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Rank uses fraction-free Bareiss elimination on integer matrices (rows are
-scaled by their denominator lcm first, which does not change rank).  An
-optional fast path computes the rank over a word-sized prime field first;
-since reduction mod p can only collapse pivots, the modular rank is a lower
-bound, and when it already equals ``min(rows, cols)`` it is certified exact
-and the Bareiss pass is skipped.  Set ``GPW_NO_MODULAR=1`` to disable the
-fast path entirely.
+``exact_rank`` takes an integer numpy array (int64 or Python ints, as the
+evaluator builds them) or a list of rational rows, which are scaled to
+integers by their denominator lcms; neither scaling changes the rank.  Zero
+rows are dropped, and the rank is computed over a word-sized prime field
+first: since reduction mod p can only collapse pivots, the modular rank is
+a lower bound, and when it already equals ``min(rows, cols)`` it is
+certified exact.  Otherwise fraction-free Bareiss elimination on Python
+ints decides.  Set ``GPW_NO_MODULAR=1`` to disable the modular path.
 
 Nullspaces and reduced row echelon forms are computed directly over
 ``Fraction``; the matrices involved there are small.
@@ -69,23 +70,24 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     return rank
 
 
-def exact_rank(rows: list[Row], use_modular: bool | None = None) -> int:
-    """Rank over the rationals of a matrix given as a list of rows."""
-    ints = _integer_rows(rows)
-    if not ints:
+def exact_rank(matrix: np.ndarray | list[Row], use_modular: bool | None = None) -> int:
+    """Rank over the rationals of an integer array or a list of rational
+    rows."""
+    if isinstance(matrix, np.ndarray):
+        ints = matrix[(matrix != 0).any(axis=1)]
+    else:
+        ints = np.array(_integer_rows(matrix), dtype=object)
+    if ints.size == 0:
         return 0
-    ncols = len(ints[0])
-    bound = min(len(ints), ncols)
     if use_modular is None:
         use_modular = os.environ.get("GPW_NO_MODULAR") != "1"
     if use_modular:
-        mat = np.array([[v % PRIME for v in row] for row in ints], dtype=np.int64)
-        modular = rank_mod_p(mat)
-        if modular == bound:
+        modular = rank_mod_p((ints % PRIME).astype(np.int64, copy=False))
+        if modular == min(ints.shape):
             # mod-p rank never exceeds the rational rank, so hitting the
             # dimension bound certifies it
             return modular
-    return _bareiss_rank(ints)
+    return _bareiss_rank(ints.tolist())
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
@@ -114,7 +116,7 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     return m[:rank], pivots
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows: np.ndarray | list[Row], ncols: int) -> list[list[Fraction]]:
     """Basis of {v : M v = 0} with columns of M as unknowns.
 
     Each basis vector is normalized so its first nonzero entry is 1; vectors
@@ -123,6 +125,8 @@ def nullspace(rows: list[Row], ncols: int) -> list[list[Fraction]]:
     """
     if ncols == 0:
         return []
+    if isinstance(rows, np.ndarray):
+        rows = rows[(rows != 0).any(axis=1)].tolist()
     if not rows:
         rows = [[Fraction(0)] * ncols]
     reduced, pivots = rref(rows)

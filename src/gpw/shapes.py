@@ -41,6 +41,15 @@ def compositions(n: int, slots: int) -> list[Composition]:
     ]
 
 
+def multinomial(comp: Composition) -> int:
+    """Number of ways to place ``comp[i]`` letters of slot i in sum(comp)
+    positions: the weight of a composition's slice in the codimension."""
+    total = factorial(sum(comp))
+    for part in comp:
+        total //= factorial(part)
+    return total
+
+
 def partitions(n: int, max_part: int | None = None) -> list[Partition]:
     """Partitions of n in descending lexicographic order, (n) first."""
     if n == 0:
@@ -105,10 +114,7 @@ class Multipartition:
     def tableau_count(self) -> int:
         """Number of standard multitableaux: the multinomial distributing
         entries among components times the per-component tableau counts."""
-        total = factorial(self.n)
-        for lam in self.components:
-            total //= factorial(sum(lam))
-        return total * self.degree()
+        return multinomial(self.weight) * self.degree()
 
 
 def multipartitions(weight: Composition) -> list[Multipartition]:

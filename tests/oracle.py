@@ -1,0 +1,92 @@
+"""Reference oracle for the evaluator: the plain Fraction loops.
+
+Every monomial is multiplied out in exact ``Fraction`` tuples by
+``GradedStarAlgebra.multiply``, once per substitution tuple.  The package's
+integer engine must give a positive multiple of these matrices, and the
+same ranks, nullspaces and identity verdicts.
+"""
+
+import itertools
+from fractions import Fraction
+
+from gpw.evaluator import canonical_variable_order, evaluate
+from gpw.polynomials import multilinearize
+
+
+def _mono_value(mono, algebra, assignment, memo):
+    cached = memo.get(mono)
+    if cached is not None:
+        return cached
+    if len(mono) == 1:
+        value = assignment[mono[0]]
+    else:
+        value = algebra.multiply(
+            _mono_value(mono[:-1], algebra, assignment, memo), assignment[mono[-1]]
+        )
+    memo[mono] = value
+    return value
+
+
+def basis_rows(algebra, polys, variables):
+    """Multilinear polynomials on every tuple of component basis vectors:
+    one row per (tuple, coordinate), one column per polynomial."""
+    bases = [algebra.homogeneous_basis(v.grade, v.kind).vectors for v in variables]
+    rows = []
+    for combo in itertools.product(*bases):
+        assignment = dict(zip(variables, combo))
+        memo = {}
+        values = []
+        for p in polys:
+            acc = [Fraction(0)] * algebra.dim
+            for mono, coeff in p.terms.items():
+                vec = _mono_value(mono, algebra, assignment, memo)
+                for k, c in enumerate(vec):
+                    if c != 0:
+                        acc[k] += coeff * c
+            values.append(acc)
+        for k in range(algebra.dim):
+            rows.append([v[k] for v in values])
+    return rows
+
+
+def grid_rows(algebra, polys):
+    """Polynomials of one multidegree on every tuple of grid points
+    sum(t_j * b_j), t in {0..m}^d, for a variable of degree m over a
+    component of dimension d."""
+    degree = polys[0].multidegree()
+    variables = canonical_variable_order(degree.keys(), algebra.mode)
+    grids = []
+    for v in variables:
+        basis = algebra.homogeneous_basis(v.grade, v.kind).vectors
+        points = []
+        for t in itertools.product(range(degree[v] + 1), repeat=len(basis)):
+            vec = [Fraction(0)] * algebra.dim
+            for w, b in zip(t, basis):
+                for k, c in enumerate(b):
+                    vec[k] += w * c
+            points.append(tuple(vec))
+        grids.append(points)
+    rows = []
+    for combo in itertools.product(*grids):
+        assignment = dict(zip(variables, combo))
+        values = [evaluate(p, algebra, assignment, check=False) for p in polys]
+        for k in range(algebra.dim):
+            rows.append([v[k] for v in values])
+    return rows
+
+
+def is_identity(poly, algebra):
+    for component in poly.multihomogeneous_components():
+        linear = multilinearize(component)
+        variables = canonical_variable_order(linear.variables(), algebra.mode)
+        if any(any(row) for row in basis_rows(algebra, [linear], variables)):
+            return False
+    return True
+
+
+def is_identity_grid(poly, algebra):
+    return not any(
+        any(row)
+        for component in poly.multihomogeneous_components()
+        for row in grid_rows(algebra, [component])
+    )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,11 @@ def test_rank_matches_reference_elimination():
         m = random_matrix(rng, nrows, ncols, rank=forced)
         expected = gauss_rank(m)
         assert linalg.exact_rank(m) == expected
+        # the same matrix as an integer array, int64 and Python ints
+        scale = math.lcm(*(v.denominator for row in m for v in row))
+        ints = [[int(v * scale) for v in row] for row in m]
+        assert linalg.exact_rank(np.array(ints, dtype=np.int64)) == expected
+        assert linalg.exact_rank(np.array(ints, dtype=object) * 2**70) == expected
         if forced is not None:
             assert expected <= forced
 
@@ -149,7 +155,26 @@ def test_modulus_is_a_prime_with_int64_safe_products():
     assert (p - 1) * (p - 1) < 2**63
 
 
+def rank_mod_p_reference(rows, p):
+    """Plain Gaussian elimination over GF(p) on Python ints."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for i in range(rank + 1, len(m)):
+            f = m[i][col]
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def test_kernel_backends_agree():
+    # the numpy kernel against plain elimination mod p on Python ints
     rng = np.random.default_rng(1234)
     p = _kernels.PRIME
     for _ in range(25):
@@ -158,17 +183,8 @@ def test_kernel_backends_agree():
         m = rng.integers(0, p, size=(nrows, ncols), dtype=np.int64)
         if rng.random() < 0.4 and nrows > 1:
             m[-1] = (m[0] * int(rng.integers(2, 50))) % p  # force a dependency
-        expected = _kernels._rank_mod_p_numpy(m.copy(), p)
+        expected = rank_mod_p_reference(m.tolist(), p)
         assert _kernels.rank_mod_p(m.copy(), p) == expected
-        if _kernels.HAS_NUMBA:
-            assert _kernels._rank_mod_p_njit(m.copy(), p) == expected
-
-
-def test_backend_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("GPW_PURE_NUMPY", "1")
-    assert _kernels.backend_name() == "numpy"
-    monkeypatch.delenv("GPW_PURE_NUMPY")
-    assert _kernels.backend_name() in ("numba", "numpy")
 
 
 def test_modular_rank_agrees_with_exact_on_integer_matrices():
