@@ -29,6 +29,7 @@ algebra:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from . import modes
@@ -336,20 +337,17 @@ class LemmaReport:
 
 
 def _one_slot_max_multiplicity(
-    algebra: GradedStarAlgebra, grade: int, kind: str, degrees
+    algebra: GradedStarAlgebra, grade: int, kind: str, n: int
 ) -> int:
-    """Max multiplicity over all shapes living in a single (grade, kind)
-    slot at the given degrees."""
+    """Max multiplicity over all degree-n shapes living in the single
+    (grade, kind) slot."""
     slot = modes.slot_of(grade, kind, algebra.mode)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     best = 0
-    for n in degrees:
-        for lam in partitions(n):
-            components = [()] * slots
-            components[slot] = lam
-            best = max(
-                best, multiplicity(algebra, Multipartition(tuple(components)))
-            )
+    for lam in partitions(n):
+        components = [()] * slots
+        components[slot] = lam
+        best = max(best, multiplicity(algebra, Multipartition(tuple(components))))
     return best
 
 
@@ -375,13 +373,16 @@ def verify_multone_lemmas(
     group = algebra.group
     findings = []
 
-    def check(criterion, grade, kind, hyp_polys, degrees):
-        holds = all(is_identity(p, algebra) for p in hyp_polys)
+    @cache
+    def slot_max(grade, kind, n):
+        return _one_slot_max_multiplicity(algebra, grade, kind, n)
+
+    def check(criterion, grade, kind, hyp_polys, holds, degrees):
         degrees = tuple(d for d in degrees if d <= n_max)
         conclusion = None
         best = None
         if holds and degrees:
-            best = _one_slot_max_multiplicity(algebra, grade, kind, degrees)
+            best = max(slot_max(grade, kind, d) for d in degrees)
             conclusion = best <= 1
         findings.append(
             LemmaFinding(
@@ -396,7 +397,11 @@ def verify_multone_lemmas(
             )
         )
 
+    def identities(polys):
+        return all(is_identity(p, algebra) for p in polys)
+
     mode = algebra.mode
+    from_three = range(3, n_max + 1)
     for g in group:
         if g == group.identity:
             continue
@@ -405,40 +410,22 @@ def verify_multone_lemmas(
             u1, u2, u3, u4 = (Variable(kind, g, i) for i in range(1, 5))
             y_bridge = GradedPoly.monomial(mode, (Variable(modes.SYM, g2, 1), u2))
             z_bridge = GradedPoly.monomial(mode, (Variable(modes.SKEW, g2, 1), u2))
-            bridge_holds = is_identity(y_bridge, algebra) or is_identity(
-                z_bridge, algebra
-            )
-            degrees = tuple(d for d in range(3, n_max + 1))
-            conclusion = None
-            best = None
-            if bridge_holds and degrees:
-                best = _one_slot_max_multiplicity(algebra, g, kind, degrees)
-                conclusion = best <= 1
-            findings.append(
-                LemmaFinding(
-                    "vanishing-bridge",
-                    g,
-                    kind,
-                    (y_bridge.display(group), z_bridge.display(group)),
-                    bridge_holds,
-                    degrees,
-                    conclusion,
-                    best,
-                )
-            )
-
+            bridge = is_identity(y_bridge, algebra) or is_identity(z_bridge, algebra)
+            check("vanishing-bridge", g, kind, [y_bridge, z_bridge], bridge, from_three)
             cyc = GradedPoly.monomial(mode, (u1, u3, u2)) + GradedPoly.monomial(
                 mode, (u2, u3, u1)
             )
-            check("cyclic-three", g, kind, [cyc], [3])
+            check("cyclic-three", g, kind, [cyc], identities([cyc]), [3])
             interlock = GradedPoly.monomial(
                 mode, (u1, u2, u4, u3)
             ) + GradedPoly.monomial(mode, (u2, u4, u3, u1))
-            check("interlock-four", g, kind, [cyc, interlock], [4])
-            check("interlock-high", g, kind, [cyc, interlock], range(5, n_max + 1))
+            pair = [cyc, interlock]
+            pair_holds = identities(pair)
+            check("interlock-four", g, kind, pair, pair_holds, [4])
+            check("interlock-high", g, kind, pair, pair_holds, range(5, n_max + 1))
             rot = GradedPoly.monomial(mode, (u1, u3, u2)) - GradedPoly.monomial(
                 mode, (u2, u1, u3)
             )
-            check("rotation", g, kind, [rot], range(3, n_max + 1))
+            check("rotation", g, kind, [rot], identities([rot]), from_three)
 
     return LemmaReport(algebra.name, n_max, tuple(findings))

@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from . import __version__, modes
+from . import __version__
 from .algebras import (
     GradedStarAlgebra,
     builtin_grassmann2,
@@ -37,8 +39,6 @@ from .polynomials import parse_poly
 from .reports import format_composition, format_shape, render, slot_legend
 from .shapes import multinomial
 
-DEFAULT_COCHAR_CAP = 5
-
 
 def _effective_cap(n_max: int | None, default: int) -> int:
     cap = default if n_max is None else n_max
@@ -58,7 +58,7 @@ def _meta(command: str, algebra: GradedStarAlgebra, **extra) -> dict:
         "algebra": algebra.name,
         "digest": algebra_digest(algebra),
     }
-    meta.update({k: v for k, v in extra.items()})
+    meta.update(extra)
     return meta
 
 
@@ -67,22 +67,6 @@ def _emit(args, payload: str) -> None:
         Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _with_cache(args, algebra, operation, params, compute):
-    """compute() -> (payload, exit_code); replayed from cache when possible."""
-    fmt = "json" if args.json else "tsv"
-    cache = cache_from_environment(getattr(args, "cache", None))
-    if cache is None:
-        return compute()
-    digest = algebra_digest(algebra)
-    key = cache.key(digest, operation, params, fmt)
-    hit = cache.lookup(key)
-    if hit is not None:
-        return hit
-    payload, code = compute()
-    cache.store(key, digest, operation, params, payload, code)
-    return payload, code
 
 
 # -- commands -------------------------------------------------------------------
@@ -118,291 +102,236 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_codim(args) -> int:
-    algebra = load_algebra(args.file)
-    cap = _effective_cap(args.n_max, DEFAULT_COCHAR_CAP)
-    if args.n > cap:
-        raise CapExceeded(
-            f"n={args.n} above the cap {cap}; raise it with --n-max "
-            f"(hard maximum {HARD_N_CAP})"
-        )
-
-    def compute():
-        total, breakdown = total_codimension(algebra, args.n)
-        group, mode = algebra.group, algebra.mode
-        table = [["composition", "slice_codim", "weight", "contribution"]]
-        entries = []
-        for comp, c in breakdown.items():
-            weight = multinomial(comp)
-            table.append([format_composition(comp, group, mode), c, weight, weight * c])
-            entries.append(
-                {
-                    "composition": list(comp),
-                    "slice_codim": c,
-                    "weight": weight,
-                }
-            )
-        table.append(["TOTAL", "", "", total])
-        payload = render(
-            {
-                "meta": _meta(
-                    "codim",
-                    algebra,
-                    n=args.n,
-                    slots=slot_legend(group, mode),
-                    total=total,
-                ),
-                "table": table,
-                "entries": entries,
-                "total": total,
-            },
-            args.json,
-        )
-        return payload, 0
-
-    payload, code = _with_cache(args, algebra, "codim", {"n": args.n}, compute)
-    _emit(args, payload)
-    return code
+# -- report commands: one table, one runner -----------------------------------------
 
 
-def cmd_cochar(args) -> int:
-    algebra = load_algebra(args.file)
-    cap = _effective_cap(args.n_max, DEFAULT_COCHAR_CAP)
-    if args.n > cap:
-        raise CapExceeded(
-            f"n={args.n} above the cap {cap}; raise it with --n-max "
-            f"(hard maximum {HARD_N_CAP})"
-        )
-
-    def compute():
-        table_obj = cocharacter_table(algebra, args.n, cap=cap)
-        group, mode = algebra.group, algebra.mode
-        rows = [["shape", "multiplicity", "degree"]]
-        support = []
-        for shape, m in table_obj.support():
-            rows.append([format_shape(shape, group, mode), m, shape.degree()])
-            support.append(
-                {
-                    "shape": format_shape(shape, group, mode),
-                    "multiplicity": m,
-                    "degree": shape.degree(),
-                }
-            )
-        payload = render(
-            {
-                "meta": _meta(
-                    "cochar",
-                    algebra,
-                    n=args.n,
-                    slots=slot_legend(group, mode),
-                    total_codim=table_obj.total_codim,
-                    max_multiplicity=table_obj.max_multiplicity(),
-                ),
-                "table": rows,
-                "support": support,
-                "slice_codims": [
-                    {
-                        "composition": list(comp),
-                        "slice_codim": c,
-                    }
-                    for comp, c in table_obj.slice_codims
-                ],
-                "total": table_obj.total_codim,
-            },
-            args.json,
-        )
-        return payload, 0
-
-    payload, code = _with_cache(args, algebra, "cochar", {"n": args.n}, compute)
-    _emit(args, payload)
-    return code
+def _codim(args, algebra):
+    total, breakdown = total_codimension(algebra, args.n)
+    table = [["composition", "slice_codim", "weight", "contribution"]]
+    entries = []
+    for comp, c in breakdown.items():
+        weight = multinomial(comp)
+        table.append([format_composition(comp), c, weight, weight * c])
+        entries.append({"composition": list(comp), "slice_codim": c, "weight": weight})
+    table.append(["TOTAL", "", "", total])
+    meta = {"n": args.n, "slots": slot_legend(algebra.group, algebra.mode), "total": total}
+    return meta, table, {"entries": entries, "total": total}, 0
 
 
-def cmd_identity(args) -> int:
-    algebra = load_algebra(args.file)
+def _cochar(args, algebra):
+    table_obj = cocharacter_table(algebra, args.n, cap=args.n_max)
+    group, mode = algebra.group, algebra.mode
+    table = [["shape", "multiplicity", "degree"]]
+    support = []
+    for shape, m in table_obj.support():
+        text = format_shape(shape, group, mode)
+        table.append([text, m, shape.degree()])
+        support.append({"shape": text, "multiplicity": m, "degree": shape.degree()})
+    meta = {
+        "n": args.n,
+        "slots": slot_legend(group, mode),
+        "total_codim": table_obj.total_codim,
+        "max_multiplicity": table_obj.max_multiplicity(),
+    }
+    extras = {
+        "support": support,
+        "slice_codims": [
+            {"composition": list(comp), "slice_codim": c}
+            for comp, c in table_obj.slice_codims
+        ],
+        "total": table_obj.total_codim,
+    }
+    return meta, table, extras, 0
+
+
+def _identity(args, algebra):
     poly = parse_poly(args.poly, algebra.mode, algebra.group)
     if poly.is_zero:
         raise InputError("the zero polynomial is trivially an identity; nothing to test")
-
-    def compute():
-        verdict = is_identity(poly, algebra)
-        payload = render(
-            {
-                "meta": _meta("identity", algebra, poly=args.poly),
-                "table": [["is_identity", str(verdict).lower()]],
-                "is_identity": verdict,
-            },
-            args.json,
-        )
-        return payload, 0 if verdict else 1
-
-    payload, code = _with_cache(
-        args, algebra, "identity", {"poly": args.poly}, compute
-    )
-    _emit(args, payload)
-    return code
+    verdict = is_identity(poly, algebra)
+    table = [["is_identity", str(verdict).lower()]]
+    return {"poly": args.poly}, table, {"is_identity": verdict}, 0 if verdict else 1
 
 
-def cmd_classify_bounded(args) -> int:
-    algebra = load_algebra(args.file)
-    n_max = _effective_cap(args.n_max, 5)
-
-    def compute():
-        report = bounded_multiplicity_report(algebra, n_max)
-        group = algebra.group
-        table = [["grade", "witness_degree", "witness", "excludes_ut2"]]
-        findings = []
-        for f in report.findings:
-            if f.witness is None:
-                table.append([group.label(f.grade), "-", "-", "-"])
-                findings.append({"grade": group.label(f.grade), "witness": None})
-            else:
-                text = f.witness.poly(algebra).display(group)
-                table.append(
-                    [
-                        group.label(f.grade),
-                        f.witness.n,
-                        text,
-                        str(f.excludes_ut2).lower(),
-                    ]
-                )
-                findings.append(
-                    {
-                        "grade": group.label(f.grade),
-                        "witness_degree": f.witness.n,
-                        "witness": text,
-                        "coefficients": [str(c) for c in f.witness.coefficients],
-                        "excludes_ut2": f.excludes_ut2,
-                    }
-                )
-        table.append(["verdict", report.verdict, "", ""])
-        table.append(
-            ["empirical_max_multiplicity", report.empirical_max_multiplicity, "", ""]
-        )
-        payload = render(
-            {
-                "meta": _meta(
-                    "classify-bounded",
-                    algebra,
-                    n_max=n_max,
-                    verdict=report.verdict,
-                    empirical_max_multiplicity=report.empirical_max_multiplicity,
-                ),
-                "table": table,
-                "findings": findings,
-                "verdict": report.verdict,
-            },
-            args.json,
-        )
-        return payload, 0 if report.verdict == "BOUNDED" else 1
-
-    payload, code = _with_cache(
-        args, algebra, "classify-bounded", {"n_max": n_max}, compute
-    )
-    _emit(args, payload)
-    return code
-
-
-def cmd_classify_multone(args) -> int:
-    algebra = load_algebra(args.file)
-    n_max = _effective_cap(args.n_max, 3)
-
-    def compute():
-        report = star_multone_report(algebra, empirical_n=n_max)
-        group = algebra.group
-        table = [["list", "grades", "kinds", "coefficients"]]
-        for f in report.pair_findings:
-            g, h = f.grade_pair
-            coeffs = ",".join(str(c) for c in f.valid_coefficients) or "-"
+def _classify_bounded(args, algebra):
+    report = bounded_multiplicity_report(algebra, args.n_max)
+    group = algebra.group
+    table = [["grade", "witness_degree", "witness", "excludes_ut2"]]
+    findings = []
+    for f in report.findings:
+        if f.witness is None:
+            table.append([group.label(f.grade), "-", "-", "-"])
+            findings.append({"grade": group.label(f.grade), "witness": None})
+        else:
+            text = f.witness.poly(algebra).display(group)
             table.append(
-                [
-                    "pair",
-                    f"{group.label(g)},{group.label(h)}",
-                    "".join(f.kinds),
-                    coeffs,
-                ]
+                [group.label(f.grade), f.witness.n, text, str(f.excludes_ut2).lower()]
             )
-        for f in report.same_grade_findings:
-            coeffs = ",".join(str(c) for c in f.valid_coefficients) or "-"
-            table.append(["same-grade", group.label(f.grade), "yz", coeffs])
-        table.append(["verdict", report.verdict, "", ""])
+            findings.append(
+                {
+                    "grade": group.label(f.grade),
+                    "witness_degree": f.witness.n,
+                    "witness": text,
+                    "coefficients": [str(c) for c in f.witness.coefficients],
+                    "excludes_ut2": f.excludes_ut2,
+                }
+            )
+    table.append(["verdict", report.verdict, "", ""])
+    table.append(["empirical_max_multiplicity", report.empirical_max_multiplicity, "", ""])
+    meta = {
+        "n_max": args.n_max,
+        "verdict": report.verdict,
+        "empirical_max_multiplicity": report.empirical_max_multiplicity,
+    }
+    extras = {"findings": findings, "verdict": report.verdict}
+    return meta, table, extras, 0 if report.verdict == "BOUNDED" else 1
+
+
+def _classify_multone(args, algebra):
+    report = star_multone_report(algebra, empirical_n=args.n_max)
+    group = algebra.group
+    table = [["list", "grades", "kinds", "coefficients"]]
+    for f in report.pair_findings:
+        g, h = f.grade_pair
+        coeffs = ",".join(str(c) for c in f.valid_coefficients) or "-"
         table.append(
-            [
-                "empirical_max_multiplicity",
-                report.empirical_max_multiplicity,
-                f"n<={report.empirical_n}",
-                "",
-            ]
+            ["pair", f"{group.label(g)},{group.label(h)}", "".join(f.kinds), coeffs]
         )
-        payload = render(
-            {
-                "meta": _meta(
-                    "classify-multone",
-                    algebra,
-                    n_max=n_max,
-                    verdict=report.verdict,
-                    empirical_max_multiplicity=report.empirical_max_multiplicity,
-                ),
-                "table": table,
-                "verdict": report.verdict,
-            },
-            args.json,
-        )
-        return payload, 0 if report.verdict == "SATISFIED" else 1
-
-    payload, code = _with_cache(
-        args, algebra, "classify-multone", {"n_max": n_max}, compute
-    )
-    _emit(args, payload)
-    return code
-
-
-def cmd_verify_lemmas(args) -> int:
-    algebra = load_algebra(args.file)
-    n_max = _effective_cap(args.n_max, 4)
-
-    def compute():
-        report = verify_multone_lemmas(algebra, n_max)
-        group = algebra.group
-        table = [
-            [
-                "criterion",
-                "grade",
-                "kind",
-                "hypothesis_holds",
-                "degrees",
-                "conclusion_holds",
-                "max_multiplicity",
-            ]
+    for f in report.same_grade_findings:
+        coeffs = ",".join(str(c) for c in f.valid_coefficients) or "-"
+        table.append(["same-grade", group.label(f.grade), "yz", coeffs])
+    table.append(["verdict", report.verdict, "", ""])
+    table.append(
+        [
+            "empirical_max_multiplicity",
+            report.empirical_max_multiplicity,
+            f"n<={report.empirical_n}",
+            "",
         ]
-        for f in report.findings:
-            table.append(
-                [
-                    f.criterion,
-                    group.label(f.grade),
-                    f.kind,
-                    str(f.hypothesis_holds).lower(),
-                    ",".join(str(d) for d in f.degrees_checked) or "-",
-                    "-" if f.conclusion_holds is None else str(f.conclusion_holds).lower(),
-                    "-" if f.max_multiplicity is None else f.max_multiplicity,
-                ]
+    )
+    meta = {
+        "n_max": args.n_max,
+        "verdict": report.verdict,
+        "empirical_max_multiplicity": report.empirical_max_multiplicity,
+    }
+    code = 0 if report.verdict == "SATISFIED" else 1
+    return meta, table, {"verdict": report.verdict}, code
+
+
+def _verify_lemmas(args, algebra):
+    report = verify_multone_lemmas(algebra, args.n_max)
+    group = algebra.group
+    table = [
+        [
+            "criterion",
+            "grade",
+            "kind",
+            "hypothesis_holds",
+            "degrees",
+            "conclusion_holds",
+            "max_multiplicity",
+        ]
+    ]
+    for f in report.findings:
+        table.append(
+            [
+                f.criterion,
+                group.label(f.grade),
+                f.kind,
+                str(f.hypothesis_holds).lower(),
+                ",".join(str(d) for d in f.degrees_checked) or "-",
+                "-" if f.conclusion_holds is None else str(f.conclusion_holds).lower(),
+                "-" if f.max_multiplicity is None else f.max_multiplicity,
+            ]
+        )
+    violations = report.violations()
+    table.append(["violations", len(violations), "", "", "", "", ""])
+    meta = {"n_max": args.n_max, "violations": len(violations)}
+    return meta, table, {}, 3 if violations else 0
+
+
+class Report(NamedTuple):
+    """One report command.  ``compute(args, algebra)`` returns the meta
+    entries, the TSV table, the further JSON fields and the exit code; it
+    runs only when the cache has no entry under ``cache_params``."""
+
+    name: str
+    help: str
+    n_max: int | None  # default --n-max; None: the command takes none
+    arguments: tuple[tuple[str, dict], ...]
+    cache_params: tuple[str, ...]
+    compute: Callable
+
+
+DEGREE = ("--n", {"type": int, "required": True})
+
+REPORTS = (
+    Report("codim", "slice and total codimensions at degree n", 5, (DEGREE,), ("n",), _codim),
+    Report("cochar", "cocharacter support at degree n", 5, (DEGREE,), ("n",), _cochar),
+    Report(
+        "identity",
+        "test whether an expression is an identity",
+        None,
+        (("--poly", {"required": True}),),
+        ("poly",),
+        _identity,
+    ),
+    Report(
+        "classify-bounded",
+        "search sandwich witnesses per grade; verdict BOUNDED or UNDECIDED-AT-CAP",
+        5,
+        (),
+        ("n_max",),
+        _classify_bounded,
+    ),
+    Report(
+        "classify-multone",
+        "scan pairwise commutation lists on a star algebra",
+        3,
+        (),
+        ("n_max",),
+        _classify_multone,
+    ),
+    Report(
+        "verify-lemmas",
+        "re-verify the single-slot multiplicity-one criteria",
+        4,
+        (),
+        ("n_max",),
+        _verify_lemmas,
+    ),
+)
+
+
+def run_report(report: Report, args) -> int:
+    """Load, cap, replay from the cache or compute, render, emit."""
+    algebra = load_algebra(args.file)
+    if report.n_max is not None:
+        args.n_max = _effective_cap(args.n_max, report.n_max)
+        n = getattr(args, "n", None)
+        if n is not None and n > args.n_max:
+            raise CapExceeded(
+                f"n={n} above the cap {args.n_max}; raise it with --n-max "
+                f"(hard maximum {HARD_N_CAP})"
             )
-        violations = report.violations()
-        table.append(["violations", len(violations), "", "", "", "", ""])
+
+    cache = cache_from_environment(args.cache)
+    hit = None
+    if cache is not None:
+        digest = algebra_digest(algebra)
+        params = {name: getattr(args, name) for name in report.cache_params}
+        key = cache.key(digest, report.name, params, "json" if args.json else "tsv")
+        hit = cache.lookup(key)
+    if hit is not None:
+        payload, code = hit
+    else:
+        meta, table, extras, code = report.compute(args, algebra)
         payload = render(
-            {
-                "meta": _meta(
-                    "verify-lemmas", algebra, n_max=n_max, violations=len(violations)
-                ),
-                "table": table,
-            },
+            {"meta": _meta(report.name, algebra, **meta), "table": table, **extras},
             args.json,
         )
-        return payload, 3 if violations else 0
-
-    payload, code = _with_cache(
-        args, algebra, "verify-lemmas", {"n_max": n_max}, compute
-    )
+        if cache is not None:
+            cache.store(key, digest, report.name, params, payload, code)
     _emit(args, payload)
     return code
 
@@ -480,53 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cache=False)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("codim", help="slice and total codimensions at degree n")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None, help="raise the degree cap (hard max 7)")
-    common(p)
-    p.set_defaults(func=cmd_codim)
-
-    p = sub.add_parser("cochar", help="cocharacter support at degree n")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None, help="raise the degree cap (hard max 7)")
-    common(p)
-    p.set_defaults(func=cmd_cochar)
-
-    p = sub.add_parser("identity", help="test whether an expression is an identity")
-    p.add_argument("file")
-    p.add_argument("--poly", required=True)
-    common(p)
-    p.set_defaults(func=cmd_identity)
-
-    p = sub.add_parser(
-        "classify-bounded",
-        help="search sandwich witnesses per grade; verdict BOUNDED or "
-        "UNDECIDED-AT-CAP",
-    )
-    p.add_argument("file")
-    p.add_argument("--n-max", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_classify_bounded)
-
-    p = sub.add_parser(
-        "classify-multone",
-        help="scan pairwise commutation lists on a star algebra",
-    )
-    p.add_argument("file")
-    p.add_argument("--n-max", type=int, default=None, help="empirical check depth")
-    common(p)
-    p.set_defaults(func=cmd_classify_multone)
-
-    p = sub.add_parser(
-        "verify-lemmas",
-        help="re-verify the single-slot multiplicity-one criteria",
-    )
-    p.add_argument("file")
-    p.add_argument("--n-max", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_verify_lemmas)
+    for report in REPORTS:
+        p = sub.add_parser(report.name, help=report.help)
+        p.add_argument("file")
+        for flag, options in report.arguments:
+            p.add_argument(flag, **options)
+        if report.n_max is not None:
+            p.add_argument(
+                "--n-max",
+                type=int,
+                default=None,
+                help=f"degree cap (default {report.n_max}, hard max {HARD_N_CAP})",
+            )
+        common(p)
+        p.set_defaults(func=partial(run_report, report))
 
     p = sub.add_parser("builtin", help="emit a builtin algebra document")
     p.add_argument("name", choices=["ut2", "k_g", "grassmann2"])

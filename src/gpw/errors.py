@@ -89,10 +89,6 @@ class KindInWrongMode(InputError):
     mode."""
 
 
-class ShapeSignatureMismatch(InputError):
-    """A multitableau shape is inconsistent with the requested signature."""
-
-
 class NotMultihomogeneous(InputError):
     """Multilinearization was asked of a polynomial whose monomials do not
     share one multidegree."""

@@ -265,23 +265,20 @@ class EvaluationMatrix:
     (basis tuple, coordinate) pair.  A fixed positive multiple of the
     rational matrix, so ranks, nullspaces and zero tests are exact."""
 
-    algebra_name: str
     variables: tuple[Variable, ...]
-    column_labels: tuple[str, ...]
     rows: np.ndarray = field(repr=False)
 
     def rank(self, columns: slice | None = None) -> int:
         return exact_rank(self.rows if columns is None else self.rows[:, columns])
 
     def nullspace(self) -> list[list[Fraction]]:
-        return nullspace(self.rows, len(self.column_labels))
+        return nullspace(self.rows, self.rows.shape[1])
 
 
 def build_evaluation_matrix(
     algebra: GradedStarAlgebra,
     polys: list[GradedPoly],
     variables: tuple[Variable, ...] | None = None,
-    column_labels: tuple[str, ...] | None = None,
 ) -> EvaluationMatrix:
     """Evaluate multilinear polynomials sharing one variable set on all
     tuples of homogeneous component basis elements."""
@@ -298,11 +295,9 @@ def build_evaluation_matrix(
                 "evaluation matrices need multilinear polynomials over one "
                 "common variable set"
             )
-    if column_labels is None:
-        column_labels = tuple(p.display(algebra.group) for p in polys)
     vectors = [_component_basis(algebra, v) for v in variables]
     rows = _evaluation_columns(algebra, variables, vectors, polys)
-    return EvaluationMatrix(algebra.name, variables, column_labels, rows)
+    return EvaluationMatrix(variables, rows)
 
 
 # -- identities ---------------------------------------------------------------

@@ -7,7 +7,7 @@ rows are dropped, and the rank is computed over a word-sized prime field
 first: since reduction mod p can only collapse pivots, the modular rank is
 a lower bound, and when it already equals ``min(rows, cols)`` it is
 certified exact.  Otherwise fraction-free Bareiss elimination on Python
-ints decides.  Set ``GPW_NO_MODULAR=1`` to disable the modular path.
+ints decides.
 
 Nullspaces and reduced row echelon forms are computed directly over
 ``Fraction``; the matrices involved there are small.
@@ -15,15 +15,45 @@ Nullspaces and reduced row echelon forms are computed directly over
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from ._kernels import PRIME, rank_mod_p
-
 Row = list[Fraction]
+
+# The modular kernel works on int64 entries already reduced mod PRIME;
+# PRIME exceeds 2**31, so a product of two reduced entries stays below 2**63
+# and native int64 arithmetic never overflows.
+PRIME = 2_147_483_659  # smallest prime above 2**31
+
+
+def rank_mod_p(matrix: np.ndarray, prime: int = PRIME) -> int:
+    """Rank of an int64 matrix over GF(prime).  The input is consumed."""
+    if matrix.size == 0:
+        return 0
+    if matrix.dtype != np.int64:
+        raise TypeError("modular kernel expects an int64 matrix")
+    a = matrix
+    rows, cols = a.shape
+    rank = 0
+    for col in range(cols):
+        if rank == rows:
+            break
+        nz = np.nonzero(a[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = (a[rank] * pow(int(a[rank, col]), -1, prime)) % prime
+        below = a[rank + 1 :]
+        factors = below[:, col]
+        hit = factors != 0
+        if hit.any():
+            below[hit] = (below[hit] - factors[hit, None] * a[rank][None, :]) % prime
+        rank += 1
+    return rank
 
 
 def _integer_rows(rows: list[Row]) -> list[list[int]]:
@@ -70,7 +100,7 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     return rank
 
 
-def exact_rank(matrix: np.ndarray | list[Row], use_modular: bool | None = None) -> int:
+def exact_rank(matrix: np.ndarray | list[Row]) -> int:
     """Rank over the rationals of an integer array or a list of rational
     rows."""
     if isinstance(matrix, np.ndarray):
@@ -79,14 +109,11 @@ def exact_rank(matrix: np.ndarray | list[Row], use_modular: bool | None = None) 
         ints = np.array(_integer_rows(matrix), dtype=object)
     if ints.size == 0:
         return 0
-    if use_modular is None:
-        use_modular = os.environ.get("GPW_NO_MODULAR") != "1"
-    if use_modular:
-        modular = rank_mod_p((ints % PRIME).astype(np.int64, copy=False))
-        if modular == min(ints.shape):
-            # mod-p rank never exceeds the rational rank, so hitting the
-            # dimension bound certifies it
-            return modular
+    modular = rank_mod_p((ints % PRIME).astype(np.int64, copy=False))
+    if modular == min(ints.shape):
+        # mod-p rank never exceeds the rational rank, so hitting the
+        # dimension bound certifies it
+        return modular
     return _bareiss_rank(ints.tolist())
 
 

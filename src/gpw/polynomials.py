@@ -31,7 +31,6 @@ from .errors import (
     KindInWrongMode,
     NotMultihomogeneous,
     ParseError,
-    ShapeSignatureMismatch,
     UnknownGradeLabel,
 )
 from .groups import FiniteGroup
@@ -260,9 +259,7 @@ def _sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def highest_weight_vector(
-    tab: Multitableau, mode: str, signature=None
-) -> GradedPoly:
+def highest_weight_vector(tab: Multitableau, mode: str) -> GradedPoly:
     """The polynomial attached to a multitableau.
 
     For the shape alone this is the product, over slots and over columns of
@@ -271,15 +268,8 @@ def highest_weight_vector(
     polynomial is then acted on (by positions) with the inverse of the
     tableau's permutation.
     """
-    shape = tab.shape
-    if signature is not None:
-        expected = tuple(signature)
-        if expected != shape.weight:
-            raise ShapeSignatureMismatch(
-                f"shape weight {shape.weight} does not match signature {expected}"
-            )
     poly = GradedPoly.one(mode)
-    for slot, lam in enumerate(shape.components):
+    for slot, lam in enumerate(tab.shape.components):
         grade, kind = modes.slot_grade_kind(slot, mode)
         if not lam:
             continue

@@ -99,7 +99,7 @@ def parse_shape(text: str, group: FiniteGroup, mode: str) -> Multipartition:
     return Multipartition(tuple(components))
 
 
-def format_composition(comp, group: FiniteGroup, mode: str) -> str:
+def format_composition(comp) -> str:
     return "(" + ",".join(str(c) for c in comp) + ")"
 
 

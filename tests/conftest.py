@@ -5,6 +5,7 @@ import json
 import pytest
 
 import gpw
+from gpw.cli import main
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +76,23 @@ def m2_transpose_document() -> str:
 @pytest.fixture(scope="session")
 def m2_transpose():
     return gpw.loads_algebra(m2_transpose_document())
+
+
+@pytest.fixture(scope="module")
+def docs(tmp_path_factory):
+    """Algebra documents on disk, generated by the `builtin` command itself."""
+    root = tmp_path_factory.mktemp("docs")
+    paths = {}
+    for name, argv in {
+        "ut2_trivial": ["builtin", "ut2", "--group", "c2", "--g", "1"],
+        "ut2_g": ["builtin", "ut2", "--group", "c2", "--g", "g"],
+        "k_g": ["builtin", "k_g", "--group", "c2"],
+        "grassmann2": ["builtin", "grassmann2", "--group", "c2xc2"],
+    }.items():
+        path = root / f"{name}.json"
+        assert main(argv + ["--out", str(path)]) == 0
+        paths[name] = str(path)
+    m2 = root / "m2.json"
+    m2.write_text(m2_transpose_document())
+    paths["m2"] = str(m2)
+    return paths

@@ -309,5 +309,4 @@ def test_evaluation_matrix_shape(k_g, c2):
     # two grade-g basis vectors per variable, and one row per substitution
     # tuple and output coordinate: 2*2 tuples x dim 4
     assert len(matrix.rows) == 16
-    assert matrix.column_labels == ("x{1,g}*x{2,g}",)
     assert matrix.rank() == 1

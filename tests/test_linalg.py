@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpw import _kernels, linalg
+from gpw import linalg
+from gpw.linalg import PRIME, rank_mod_p
 
 
 def gauss_rank(rows):
@@ -86,12 +87,15 @@ def test_rank_matches_reference_elimination():
             assert expected <= forced
 
 
-def test_rank_with_modular_path_disabled(monkeypatch):
-    monkeypatch.setenv("GPW_NO_MODULAR", "1")
+def test_rank_with_modular_path_disabled():
+    # the Bareiss route alone, which exact_rank takes whenever the modular
+    # rank falls short of min(rows, cols)
     rng = random.Random(7)
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert linalg.exact_rank(m) == gauss_rank(m)
+        scale = math.lcm(*(v.denominator for row in m for v in row))
+        ints = [[int(v * scale) for v in row] for row in m]
+        assert linalg._bareiss_rank(ints) == gauss_rank(m)
 
 
 def test_nullspace_vectors_annihilate():
@@ -149,7 +153,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 def test_modulus_is_a_prime_with_int64_safe_products():
-    p = _kernels.PRIME
+    p = PRIME
     assert is_probable_prime(p)
     assert p > 2**31
     assert (p - 1) * (p - 1) < 2**63
@@ -176,7 +180,7 @@ def rank_mod_p_reference(rows, p):
 def test_kernel_backends_agree():
     # the numpy kernel against plain elimination mod p on Python ints
     rng = np.random.default_rng(1234)
-    p = _kernels.PRIME
+    p = PRIME
     for _ in range(25):
         nrows = int(rng.integers(1, 12))
         ncols = int(rng.integers(1, 12))
@@ -184,7 +188,7 @@ def test_kernel_backends_agree():
         if rng.random() < 0.4 and nrows > 1:
             m[-1] = (m[0] * int(rng.integers(2, 50))) % p  # force a dependency
         expected = rank_mod_p_reference(m.tolist(), p)
-        assert _kernels.rank_mod_p(m.copy(), p) == expected
+        assert rank_mod_p(m.copy(), p) == expected
 
 
 def test_modular_rank_agrees_with_exact_on_integer_matrices():
@@ -192,8 +196,8 @@ def test_modular_rank_agrees_with_exact_on_integer_matrices():
     for _ in range(25):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         m = [[Fraction(rng.randint(-50, 50)) for _ in range(ncols)] for _ in range(nrows)]
-        arr = np.array([[int(v) % _kernels.PRIME for v in row] for row in m], dtype=np.int64)
-        modular = _kernels.rank_mod_p(arr, _kernels.PRIME)
+        arr = np.array([[int(v) % PRIME for v in row] for row in m], dtype=np.int64)
+        modular = rank_mod_p(arr, PRIME)
         exact = linalg.exact_rank(m)
         assert modular <= exact  # mod-p rank can only drop
         assert modular == gauss_rank(m)  # never drops at these sizes
