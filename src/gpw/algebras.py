@@ -99,6 +99,7 @@ class GradedStarAlgebra:
         self.basis_labels = tuple(basis_labels)
         self.grades = tuple(grades)
         self._table = tuple(tuple(row) for row in table)
+        self._bases: dict[tuple[int, str], HomBasis] = {}
 
         for i in range(dim):
             for j in range(dim):
@@ -207,8 +208,15 @@ class GradedStarAlgebra:
 
         Symmetric and skew parts are exact eigenspaces of the involution
         restricted to the component; their dimensions always add up to the
-        component dimension.
+        component dimension.  Each (grade, kind) basis is computed once per
+        algebra and then returned shared (a ``HomBasis`` is immutable).
         """
+        key = (grade, kind)
+        if key not in self._bases:
+            self._bases[key] = self._homogeneous_basis(grade, kind)
+        return self._bases[key]
+
+    def _homogeneous_basis(self, grade: int, kind: str) -> HomBasis:
         idx = self.component_indices(grade)
         if kind == modes.PLAIN:
             return HomBasis(grade, kind, tuple(self.basis_vector(i) for i in idx))

@@ -6,19 +6,29 @@ elements of the homogeneous components, or points of a substitution grid),
 collect the coordinates into an exact matrix, and take ranks of column
 blocks or test it for zero.
 
-The primitive is an integer engine.  Structure constants, candidate values
-and coefficients are scaled to integers by their denominator lcms, so the
+The primitive is an integer engine over **words**: a word is the tuple of
+its letters' positions in the variable signature, and a column is an
+integer combination of words (a **word column**, a dict from word to
+coefficient).  Structure constants and candidate values are scaled to
+integers by their denominator lcms (and a :class:`GradedPoly`'s
+coefficients by theirs when its monomials are turned into words), so the
 matrix is one fixed positive multiple of the rational one and its ranks,
-nullspaces and zero tests are the rational answers.  Monomials are
-multiplied out for all tuples at once in numpy.  Entries are int64 only
-when an a-priori bound on every entry stays below 2**62; otherwise they are
-Python ints, so nothing wraps.
+nullspaces and zero tests are the rational answers.  Words are multiplied
+out for all tuples at once in numpy.  Entries are int64
+only when an a-priori bound on every entry stays below 2**62; otherwise
+they are Python ints, so nothing wraps.
 
 * The **slice codimension** of a composition is the rank of the matrix whose
-  columns are the n! arrangements of the signature's variables.
+  columns are the n! arrangements of the signature's variables: the words
+  that are permutations of ``range(n)``, each with coefficient 1.
 * The **multiplicity** of a multipartition is the rank of the matrix whose
   columns are the polarized highest weight vectors of its standard
-  multitableaux.
+  multitableaux.  They are built as words directly
+  (:func:`~gpw.polynomials.polarized_tableau_words`), with the signature
+  :func:`composition_variables`: polarizing a tableau's vector only renames
+  its letters and the tableau acts only on positions, so the tableau's
+  polarized vector is the polarized shape vector with its positions
+  permuted, and no polynomial is built or polarized on the way.
 * The two are tied together per composition by the identity
   ``slice_codim == sum(multiplicity * degree)`` over that composition's
   shapes; a violation is reported as :class:`ConsistencyViolation` because it
@@ -55,10 +65,11 @@ from .errors import (
 from .linalg import exact_rank, nullspace
 from .polynomials import (
     GradedPoly,
-    Monomial,
     Variable,
+    Word,
     highest_weight_vector,
     multilinearize,
+    polarized_tableau_words,
 )
 from .shapes import (
     Composition,
@@ -218,25 +229,60 @@ def _monomial_values(
     return out.reshape(len(words), count * dim)
 
 
+def _word_columns(
+    algebra: GradedStarAlgebra, vectors: list[np.ndarray], columns: list[dict[Word, int]]
+) -> np.ndarray:
+    """Integer evaluation matrix of word columns: one column per
+    ``{word: coefficient}`` dict, letters indexing ``vectors``."""
+    index: dict[Word, int] = {}
+    terms = [
+        ([index.setdefault(w, len(index)) for w in col], list(col.values()))
+        for col in columns
+    ]
+    return _indexed_columns(algebra, vectors, list(index), terms)
+
+
 def _evaluation_columns(
     algebra: GradedStarAlgebra,
     variables: tuple[Variable, ...],
     vectors: list[np.ndarray],
     polys: list[GradedPoly],
 ) -> np.ndarray:
-    """Integer evaluation matrix: one column per polynomial, one row per
-    (substitution tuple, coordinate) pair, tuples in ``itertools.product``
-    order over ``vectors`` (integer multiples of each variable's values).
-    When all monomials share one multidegree, the result is one fixed
-    positive multiple of the rational matrix."""
-    dim = algebra.dim
+    """Integer evaluation matrix of polynomials: each monomial becomes the
+    word of its letters' positions in ``variables``, and all coefficients
+    are scaled to integers by one common denominator lcm.  Words go straight
+    into the engine's index, so a large polarization is never also held as
+    a word column."""
     position = {v: i for i, v in enumerate(variables)}
-    index: dict[Monomial, int] = {}
-    term_rows = [[index.setdefault(mono, len(index)) for mono in p.terms] for p in polys]
-    words = [tuple(position[v] for v in mono) for mono in index]
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    coeffs = [_scaled(p.terms.values(), scale) for p in polys]
+    index: dict[Word, int] = {}
+    terms = [
+        (
+            [
+                index.setdefault(tuple(position[v] for v in mono), len(index))
+                for mono in p.terms
+            ],
+            _scaled(p.terms.values(), scale),
+        )
+        for p in polys
+    ]
+    return _indexed_columns(algebra, vectors, list(index), terms)
 
+
+def _indexed_columns(
+    algebra: GradedStarAlgebra,
+    vectors: list[np.ndarray],
+    words: list[Word],
+    terms: list[tuple[list[int], list[int]]],
+) -> np.ndarray:
+    """The engine.  Column j is the sum over (i, c) in ``zip(*terms[j])``
+    of c times the value of ``words[i]``, whose letters index ``vectors``
+    (integer multiples of each variable's values); one row per
+    (substitution tuple, coordinate) pair, tuples in ``itertools.product``
+    order over ``vectors``.  When all words of a column share one
+    multidegree, the column is one fixed positive multiple of the rational
+    one."""
+    dim = algebra.dim
     table = _integer_vectors(
         [algebra._table[a][i] for a in range(dim) for i in range(dim)], dim
     ).reshape(dim, dim, dim)
@@ -246,17 +292,17 @@ def _evaluation_columns(
     n = max(map(len, words), default=1)
     b = max((_max_abs(v.flat) for v in vectors), default=0)
     t = _max_abs(table.flat)
-    s = max((sum(map(abs, c)) for c in coeffs), default=0)
+    s = max((sum(map(abs, c)) for _, c in terms), default=0)
     bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
     dtype = np.int64 if bound < _INT64_SAFE else object
     monomials = _monomial_values(
         table.astype(dtype), [v.astype(dtype) for v in vectors], words
     )
-    columns = np.zeros((monomials.shape[1], len(polys)), dtype=dtype)
-    for col, (rows, c) in enumerate(zip(term_rows, coeffs)):
+    matrix = np.zeros((monomials.shape[1], len(terms)), dtype=dtype)
+    for col, (rows, c) in enumerate(terms):
         if rows:
-            columns[:, col] = np.array(c, dtype=dtype) @ monomials[rows]
-    return columns
+            matrix[:, col] = np.array(c, dtype=dtype) @ monomials[rows]
+    return matrix
 
 
 @dataclass
@@ -361,25 +407,42 @@ def _check_composition(algebra: GradedStarAlgebra, comp: Composition) -> None:
         raise InputError("composition parts must be nonnegative")
 
 
-def _arrangements(variables: tuple[Variable, ...], mode: str) -> list[GradedPoly]:
-    return [
-        GradedPoly.monomial(mode, perm)
-        for perm in itertools.permutations(variables)
-    ]
+def _check_degree(n: int, cap: int = HARD_N_CAP) -> None:
+    """The work limit of every degree-n computation: ``cap``, and never
+    more than :data:`HARD_N_CAP`."""
+    limit = min(cap, HARD_N_CAP)
+    if n > limit:
+        raise CapExceeded(
+            f"n={n} exceeds the cap {limit} (hard maximum {HARD_N_CAP})"
+        )
+
+
+def _arrangements(n: int) -> list[dict[Word, int]]:
+    """The n! arrangements of a composition's variables, as word columns."""
+    return [{perm: 1} for perm in itertools.permutations(range(n))]
+
+
+def _composition_vectors(
+    algebra: GradedStarAlgebra, comp: Composition
+) -> list[np.ndarray] | None:
+    """Each composition variable's integer component basis, in word letter
+    order; None when one of them is empty, so every column vanishes."""
+    variables = composition_variables(comp, algebra.mode)
+    if _has_empty_slot(algebra, variables):
+        return None
+    return [_component_basis(algebra, v) for v in variables]
 
 
 def slice_codimension(algebra: GradedStarAlgebra, comp: Composition) -> int:
     """Rank of the n! monomial arrangements of the composition's variables."""
     _check_composition(algebra, comp)
+    _check_degree(sum(comp))
     if sum(comp) == 0:
         return 0
-    variables = composition_variables(comp, algebra.mode)
-    if _has_empty_slot(algebra, variables):
+    vectors = _composition_vectors(algebra, comp)
+    if vectors is None:
         return 0
-    matrix = build_evaluation_matrix(
-        algebra, _arrangements(variables, algebra.mode), variables
-    )
-    return matrix.rank()
+    return exact_rank(_word_columns(algebra, vectors, _arrangements(sum(comp))))
 
 
 def _has_empty_slot(algebra: GradedStarAlgebra, variables) -> bool:
@@ -396,6 +459,7 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     """
     if n < 1:
         raise InputError("degree must be at least 1")
+    _check_degree(n)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     breakdown: dict[Composition, int] = {}
     total = 0
@@ -419,6 +483,7 @@ def multiplicity(
     tableaux's unpolarized vectors.
     """
     _check_composition(algebra, shape.weight)
+    _check_degree(shape.n)
     if fillings == "grid":
         return _multiplicity_grid(algebra, shape)
     if fillings == "standard":
@@ -427,14 +492,11 @@ def multiplicity(
         tabs = all_multitableaux(shape)
     else:
         raise InputError(f"unknown fillings choice {fillings!r}")
-    variables = composition_variables(shape.weight, algebra.mode)
-    if _has_empty_slot(algebra, variables):
+    vectors = _composition_vectors(algebra, shape.weight)
+    if vectors is None:
         return 0
-    polys = [
-        multilinearize(highest_weight_vector(t, algebra.mode)) for t in tabs
-    ]
-    matrix = build_evaluation_matrix(algebra, polys, variables)
-    return matrix.rank()
+    columns = polarized_tableau_words(shape, tabs)
+    return exact_rank(_word_columns(algebra, vectors, columns))
 
 
 def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
@@ -486,39 +548,34 @@ def cocharacter_table(
     """
     if n < 1:
         raise InputError("degree must be at least 1")
-    if n > min(cap, HARD_N_CAP):
-        raise CapExceeded(
-            f"n={n} exceeds the cap {min(cap, HARD_N_CAP)} "
-            f"(hard maximum {HARD_N_CAP})"
-        )
+    _check_degree(n, cap)
     mode = algebra.mode
     slots = modes.slot_count(len(algebra.group), mode)
     slice_codims: list[tuple[Composition, int]] = []
     entries: list[tuple[Multipartition, int]] = []
     total = 0
+    arrangements = _arrangements(n)
     for comp in compositions(n, slots):
         shapes = multipartitions(comp)
-        variables = composition_variables(comp, mode)
-        if _has_empty_slot(algebra, variables):
+        vectors = _composition_vectors(algebra, comp)
+        if vectors is None:
             slice_codims.append((comp, 0))
             entries.extend((shape, 0) for shape in shapes)
             continue
-        arrangement_polys = _arrangements(variables, mode)
         blocks: list[tuple[Multipartition, int, int]] = []
-        polys = list(arrangement_polys)
+        columns = list(arrangements)
         for shape in shapes:
-            tabs = standard_multitableaux(shape)
-            start = len(polys)
-            polys.extend(
-                multilinearize(highest_weight_vector(t, mode)) for t in tabs
+            start = len(columns)
+            columns.extend(
+                polarized_tableau_words(shape, standard_multitableaux(shape))
             )
-            blocks.append((shape, start, len(polys)))
-        matrix = build_evaluation_matrix(algebra, polys, variables)
-        slice_c = matrix.rank(slice(0, len(arrangement_polys)))
+            blocks.append((shape, start, len(columns)))
+        matrix = _word_columns(algebra, vectors, columns)
+        slice_c = exact_rank(matrix[:, : len(arrangements)])
         slice_codims.append((comp, slice_c))
         weighted = 0
         for shape, start, stop in blocks:
-            m = matrix.rank(slice(start, stop))
+            m = exact_rank(matrix[:, start:stop])
             entries.append((shape, m))
             weighted += m * shape.degree()
         if weighted != slice_c:

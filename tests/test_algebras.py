@@ -163,6 +163,17 @@ def test_plain_component_requires_no_star(ut2_g, c2):
         ut2_g.homogeneous_basis(c2.identity, modes.SYM)
 
 
+def test_homogeneous_basis_is_computed_once_per_grade_and_kind(m2_transpose, ut2_g, c2):
+    one = m2_transpose.group.identity
+    sym = m2_transpose.homogeneous_basis(one, modes.SYM)
+    assert m2_transpose.homogeneous_basis(one, modes.SYM) is sym
+    assert m2_transpose.homogeneous_basis(one, modes.SKEW).dim == 1
+    # a refused request stays refused: errors are not remembered as bases
+    for _ in range(2):
+        with pytest.raises(StarRequired):
+            ut2_g.homogeneous_basis(c2.identity, modes.SYM)
+
+
 def _m2_doc(**overrides):
     doc = json.loads(m2_transpose_document())
     doc.update(overrides)

@@ -1,6 +1,7 @@
 """Byte-for-byte pins of the report commands: for each run on the builtin
-algebras at small degrees, the sha256 of stdout and the exit code, as TSV
-and as JSON.  Error runs pin an empty stdout and exit code 2."""
+algebras, the sha256 of stdout and the exit code, as TSV and as JSON.  Most
+runs stay at n <= 4; two cocharacter tables go to n=5 and n=6.  Error runs
+pin an empty stdout and exit code 2."""
 
 import hashlib
 
@@ -84,6 +85,18 @@ GOLDEN = [
         0,
         "ae71d8f6eb2eaec5968c7adb19c2612eb4a600490a08cc20991efd5c585626f4",
         "06c3569ddd3c0a606fd839f01de44bd56c3a2e9253c4d47792e27744a585cd35",
+    ),
+    (
+        "cochar k_g --n 6 --n-max 6",
+        0,
+        "47cffbe9ef5cae25269f3c46604d246fec6e79c630bfd503ceb91ad51a0ae09f",
+        "23b2f9ad5f99d24d5c1cfa9641216b6e0325cb7193c2cccf054183e03dae1768",
+    ),
+    (
+        "cochar grassmann2 --n 5",
+        0,
+        "18cb5a4601c5d6c43146c0dd87a5cfb27e599ff639d19455ba3d1ba2eda08520",
+        "fe818858240ab3bc62bd8b3aa7ff6de1745ec6d9cf499dfd2276f23d9bc1bde1",
     ),
     ("codim ut2_g --n 6", 2, EMPTY, EMPTY),
     ("cochar k_g --n 4 --n-max 3", 2, EMPTY, EMPTY),

@@ -303,6 +303,27 @@ def test_caps_are_enforced(field):
     assert table.total_codim == 1
 
 
+def test_hard_cap_holds_in_every_degree_n_library_call(field, e2):
+    above = HARD_N_CAP + 1
+    with pytest.raises(CapExceeded):
+        slice_codimension(field, (above,))
+    with pytest.raises(CapExceeded):
+        total_codimension(field, above)
+    for fillings in ("standard", "all", "grid"):
+        with pytest.raises(CapExceeded):
+            gpw.multiplicity(field, Multipartition(((above,),)), fillings=fillings)
+    # refused before any composition is listed: there are C(57, 7), about
+    # 2.6e8, compositions of 50 into the 8 star slots over C2 x C2
+    with pytest.raises(CapExceeded):
+        total_codimension(e2, 50)
+
+
+def test_hard_cap_itself_is_allowed(field):
+    assert slice_codimension(field, (HARD_N_CAP,)) == 1
+    assert total_codimension(field, HARD_N_CAP)[0] == 1
+    assert gpw.multiplicity(field, Multipartition(((HARD_N_CAP,),))) == 1
+
+
 def test_evaluation_matrix_shape(k_g, c2):
     p = parse_poly("x{1,g}*x{2,g}", "graded", c2)
     matrix = build_evaluation_matrix(k_g, [p])

@@ -22,9 +22,18 @@ from gpw.polynomials import (
     invert_permutation,
     multilinearize,
     parse_poly,
+    polarized_tableau_words,
     standard_poly,
 )
-from gpw.shapes import Multipartition, Multitableau, standard_multitableaux
+from gpw.evaluator import composition_variables
+from gpw.shapes import (
+    Multipartition,
+    Multitableau,
+    all_multitableaux,
+    compositions,
+    multipartitions,
+    standard_multitableaux,
+)
 
 
 def x(i, grade=0):
@@ -263,3 +272,39 @@ def test_polarization_rejects_mixed_degrees():
 def test_already_multilinear_is_untouched():
     p = mono(x(1), x(2)) - mono(x(2), x(1))
     assert multilinearize(p) == p
+
+
+# -- polarized tableau words ---------------------------------------------------------
+
+
+def _assert_words_match_polarization(shape, tabs, mode):
+    n = shape.n
+    position = {v: i for i, v in enumerate(composition_variables(shape.weight, mode))}
+    words = polarized_tableau_words(shape, tabs)
+    assert len(words) == len(tabs)
+    for tab, column in zip(tabs, words):
+        polarized = multilinearize(highest_weight_vector(tab, mode))
+        expected = {
+            tuple(position[v] for v in mono): coeff for mono, coeff in polarized.terms.items()
+        }
+        assert column == expected, (tab, mode)
+        assert all(type(c) is int for c in column.values())
+        assert all(sorted(word) == list(range(n)) for word in column)
+
+
+@pytest.mark.parametrize("mode", ["graded", "star"])
+@pytest.mark.parametrize("slots", [1, 2, 4])
+def test_tableau_words_are_the_polarized_highest_weight_vectors(mode, slots):
+    for n in range(1, 6):
+        for comp in compositions(n, slots):
+            for shape in multipartitions(comp):
+                _assert_words_match_polarization(shape, standard_multitableaux(shape), mode)
+
+
+@pytest.mark.parametrize("mode", ["graded", "star"])
+@pytest.mark.parametrize("slots", [1, 2, 4])
+def test_tableau_words_of_all_fillings(mode, slots):
+    for n in range(1, 5):
+        for comp in compositions(n, slots):
+            for shape in multipartitions(comp):
+                _assert_words_match_polarization(shape, all_multitableaux(shape), mode)
