@@ -45,12 +45,13 @@ from .evaluator import (
     HARD_N_CAP,
     build_evaluation_matrix,
     cocharacter_table,
+    composition_multiplicities,
     is_identity,
     is_identity_grid,
-    multiplicity,
+    multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
 )
 from .polynomials import GradedPoly, Variable, highest_weight_vector, multilinearize
-from .shapes import Multipartition, Multitableau, partitions
+from .shapes import Multipartition, Multitableau
 
 
 def _sandwich_candidates(mode: str, identity_grade: int, grade: int, n: int):
@@ -340,15 +341,10 @@ def _one_slot_max_multiplicity(
     algebra: GradedStarAlgebra, grade: int, kind: str, n: int
 ) -> int:
     """Max multiplicity over all degree-n shapes living in the single
-    (grade, kind) slot."""
-    slot = modes.slot_of(grade, kind, algebra.mode)
-    slots = modes.slot_count(len(algebra.group), algebra.mode)
-    best = 0
-    for lam in partitions(n):
-        components = [()] * slots
-        components[slot] = lam
-        best = max(best, multiplicity(algebra, Multipartition(tuple(components))))
-    return best
+    (grade, kind) slot, all read from one character computation."""
+    comp = [0] * modes.slot_count(len(algebra.group), algebra.mode)
+    comp[modes.slot_of(grade, kind, algebra.mode)] = n
+    return max(m for _, m in composition_multiplicities(algebra, tuple(comp)))
 
 
 def verify_multone_lemmas(

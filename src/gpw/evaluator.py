@@ -18,21 +18,32 @@ out for all tuples at once in numpy.  Entries are int64
 only when an a-priori bound on every entry stays below 2**62; otherwise
 they are Python ints, so nothing wraps.
 
-* The **slice codimension** of a composition is the rank of the matrix whose
-  columns are the n! arrangements of the signature's variables: the words
-  that are permutations of ``range(n)``, each with coefficient 1.
-* The **multiplicity** of a multipartition is the rank of the matrix whose
-  columns are the polarized highest weight vectors of its standard
-  multitableaux.  They are built as words directly
+* The **slice codimension** of a composition is the rank of the
+  **arrangement matrix**, whose columns are the n! arrangements of the
+  signature's variables: the words that are permutations of ``range(n)``,
+  each with coefficient 1.
+* The **multiplicities** of a composition's multipartitions come from the
+  same matrix.  Its column space is P_comp / (P_comp ∩ Id) as a module over
+  the slots' Young subgroup, which renames same-slot letters and so
+  permutes the columns; the character of a class is a trace on a basis of
+  mod-p pivot columns, exact once the rank is certified over Q, and the
+  multiplicity of a shape is its inner product with the irreducible
+  characters (Murnaghan–Nakayama, :func:`~gpw.shapes.character`); see
+  Drensky, "Free algebras and PI-algebras" (2000), and Giambruno–Zaicev,
+  "Polynomial identities and asymptotic methods" (2005).  A multiplicity
+  that is not a nonnegative integer can only come from a bug and raises
+  :class:`ConsistencyViolation`.
+* The **tableau route** is the cross-check: :func:`multiplicity` ranks the
+  polarized highest weight vectors of a shape's standard multitableaux.
+  They are built as words directly
   (:func:`~gpw.polynomials.polarized_tableau_words`), with the signature
   :func:`composition_variables`: polarizing a tableau's vector only renames
   its letters and the tableau acts only on positions, so the tableau's
   polarized vector is the polarized shape vector with its positions
-  permuted, and no polynomial is built or polarized on the way.
-* The two are tied together per composition by the identity
-  ``slice_codim == sum(multiplicity * degree)`` over that composition's
-  shapes; a violation is reported as :class:`ConsistencyViolation` because it
-  can only come from a bug, never from user input.
+  permuted, and no polynomial is built or polarized on the way.  A
+  composition whose rank the modular pivots do not certify is computed by
+  this route too, and then checked by the identity ``slice_codim ==
+  sum(multiplicity * degree)`` over its shapes.
 
 A polynomial is an identity when all its multihomogeneous components
 polarize to zero on every basis tuple.  An independent, slower route
@@ -48,11 +59,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
 
 import numpy as np
 
-from . import modes
+from . import linalg, modes
 from .algebras import GradedStarAlgebra, Vector
 from .errors import (
     CapExceeded,
@@ -62,7 +73,7 @@ from .errors import (
     KindMismatch,
     ModeMismatch,
 )
-from .linalg import exact_rank, nullspace
+from .linalg import exact_rank, inverse_mod_p, nullspace
 from .polynomials import (
     GradedPoly,
     Variable,
@@ -75,6 +86,8 @@ from .shapes import (
     Composition,
     Multipartition,
     all_multitableaux,
+    character,
+    class_size,
     compositions,
     multinomial,
     multipartitions,
@@ -273,15 +286,15 @@ def _indexed_columns(
     algebra: GradedStarAlgebra,
     vectors: list[np.ndarray],
     words: list[Word],
-    terms: list[tuple[list[int], list[int]]],
+    terms: list[tuple[list[int], list[int]]] | None = None,
 ) -> np.ndarray:
     """The engine.  Column j is the sum over (i, c) in ``zip(*terms[j])``
     of c times the value of ``words[i]``, whose letters index ``vectors``
     (integer multiples of each variable's values); one row per
     (substitution tuple, coordinate) pair, tuples in ``itertools.product``
-    order over ``vectors``.  When all words of a column share one
-    multidegree, the column is one fixed positive multiple of the rational
-    one."""
+    order over ``vectors``.  Without ``terms``, column j is ``words[j]``
+    itself.  When all words of a column share one multidegree, the column
+    is one fixed positive multiple of the rational one."""
     dim = algebra.dim
     table = _integer_vectors(
         [algebra._table[a][i] for a in range(dim) for i in range(dim)], dim
@@ -292,12 +305,14 @@ def _indexed_columns(
     n = max(map(len, words), default=1)
     b = max((_max_abs(v.flat) for v in vectors), default=0)
     t = _max_abs(table.flat)
-    s = max((sum(map(abs, c)) for _, c in terms), default=0)
+    s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
     bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
     dtype = np.int64 if bound < _INT64_SAFE else object
     monomials = _monomial_values(
         table.astype(dtype), [v.astype(dtype) for v in vectors], words
     )
+    if terms is None:
+        return monomials.T
     matrix = np.zeros((monomials.shape[1], len(terms)), dtype=dtype)
     for col, (rows, c) in enumerate(terms):
         if rows:
@@ -417,20 +432,32 @@ def _check_degree(n: int, cap: int = HARD_N_CAP) -> None:
         )
 
 
-def _arrangements(n: int) -> list[dict[Word, int]]:
-    """The n! arrangements of a composition's variables, as word columns."""
-    return [{perm: 1} for perm in itertools.permutations(range(n))]
+def _arrangements(n: int) -> list[Word]:
+    """The n! arrangements of a composition's variables: the words that are
+    permutations of ``range(n)``, in ``itertools.permutations`` order."""
+    return list(itertools.permutations(range(n)))
+
+
+def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
+    """Each slot's integer component basis, in slot order."""
+    mode = algebra.mode
+    return [
+        _integer_vectors(
+            algebra.homogeneous_basis(*modes.slot_grade_kind(slot, mode)).vectors,
+            algebra.dim,
+        )
+        for slot in range(modes.slot_count(len(algebra.group), mode))
+    ]
 
 
 def _composition_vectors(
-    algebra: GradedStarAlgebra, comp: Composition
+    bases: list[np.ndarray], comp: Composition
 ) -> list[np.ndarray] | None:
     """Each composition variable's integer component basis, in word letter
     order; None when one of them is empty, so every column vanishes."""
-    variables = composition_variables(comp, algebra.mode)
-    if _has_empty_slot(algebra, variables):
+    if any(count and not len(bases[slot]) for slot, count in enumerate(comp)):
         return None
-    return [_component_basis(algebra, v) for v in variables]
+    return [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
 
 
 def slice_codimension(algebra: GradedStarAlgebra, comp: Composition) -> int:
@@ -439,10 +466,10 @@ def slice_codimension(algebra: GradedStarAlgebra, comp: Composition) -> int:
     _check_degree(sum(comp))
     if sum(comp) == 0:
         return 0
-    vectors = _composition_vectors(algebra, comp)
+    vectors = _composition_vectors(_slot_bases(algebra), comp)
     if vectors is None:
         return 0
-    return exact_rank(_word_columns(algebra, vectors, _arrangements(sum(comp))))
+    return exact_rank(_indexed_columns(algebra, vectors, _arrangements(sum(comp))))
 
 
 def _has_empty_slot(algebra: GradedStarAlgebra, variables) -> bool:
@@ -475,7 +502,8 @@ def multiplicity(
     shape: Multipartition,
     fillings: str = "standard",
 ) -> int:
-    """Cocharacter multiplicity of one multipartition.
+    """Cocharacter multiplicity of one multipartition, by the tableau route:
+    the rank of its tableaux's highest weight vectors.
 
     ``fillings="standard"`` (the default) spans with the standard
     multitableaux; ``"all"`` uses every filling (slow; for cross-checks);
@@ -492,9 +520,16 @@ def multiplicity(
         tabs = all_multitableaux(shape)
     else:
         raise InputError(f"unknown fillings choice {fillings!r}")
-    vectors = _composition_vectors(algebra, shape.weight)
+    vectors = _composition_vectors(_slot_bases(algebra), shape.weight)
     if vectors is None:
         return 0
+    return _tableau_rank(algebra, vectors, shape, tabs)
+
+
+def _tableau_rank(
+    algebra: GradedStarAlgebra, vectors: list[np.ndarray], shape: Multipartition, tabs
+) -> int:
+    """Rank of the polarized highest weight vectors of the tableaux."""
     columns = polarized_tableau_words(shape, tabs)
     return exact_rank(_word_columns(algebra, vectors, columns))
 
@@ -512,8 +547,144 @@ def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int
     return exact_rank(_evaluation_columns(algebra, variables, vectors, polys))
 
 
+def _class_representative(cls: Multipartition) -> np.ndarray:
+    """A permutation of the letters ``range(n)`` in the conjugacy class
+    ``cls`` of the slots' Young subgroup: on each slot's letters, cycles of
+    consecutive letters with the lengths of that slot's partition."""
+    sigma = np.arange(cls.n)
+    start = 0
+    for rho in cls.components:
+        for part in rho:
+            sigma[start : start + part] = np.roll(sigma[start : start + part], -1)
+            start += part
+    return sigma
+
+
+def _permutation_index(perms: np.ndarray) -> np.ndarray:
+    """Position of each row, a permutation of ``range(n)``, in
+    ``itertools.permutations`` order: its Lehmer code in the factorial
+    base."""
+    n = perms.shape[1]
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    code = ((perms[:, None, :] < perms[:, :, None]) & later).sum(axis=2)
+    return code @ np.array([factorial(n - 1 - i) for i in range(n)])
+
+
+def _class_traces(
+    matrix: np.ndarray,
+    pivots: list[tuple[int, int]],
+    words: list[Word],
+    classes: list[Multipartition],
+) -> list[int]:
+    """The character of the column space of the arrangement matrix at each
+    class: with B the pivot columns (a basis of the column space) and R the
+    pivot rows, the trace of M[R,B]^-1 M[R,sigma B] for a representative
+    sigma, which renames same-slot letters and so permutes the columns.  It
+    is computed mod p and read as the integer of least absolute value; a
+    character of degree r has |chi| <= r, so the caller must ensure
+    2r < p."""
+    prime = linalg.PRIME
+    rows = [row for row, _ in pivots]
+    basis = [col for _, col in pivots]
+    block = (matrix[rows] % prime).astype(np.int64)
+    inverse_t = inverse_mod_p(block[:, basis], prime).T
+    basis_words = np.array([words[col] for col in basis], dtype=np.intp).reshape(
+        len(basis), len(words[0])
+    )
+    traces = []
+    for cls in classes:
+        images = _permutation_index(_class_representative(cls)[basis_words])
+        trace = int(((inverse_t * block[:, images]) % prime).sum()) % prime
+        traces.append(trace if 2 * trace < prime else trace - prime)
+    return traces
+
+
+def _multiplicities_from_traces(
+    algebra: GradedStarAlgebra,
+    comp: Composition,
+    shapes: list[Multipartition],
+    traces: list[int],
+) -> list[int]:
+    """m_lambda = sum over classes rho of chi(rho) * prod_i
+    chi_(lambda_i)(rho_i) / z_(rho_i).  The classes of the Young subgroup
+    are the shapes themselves, read as cycle types per slot."""
+    order = prod(factorial(c) for c in comp)
+    weighted = [
+        chi * prod(class_size(rho) for rho in cls.components)
+        for cls, chi in zip(shapes, traces)
+    ]
+    counts = []
+    for shape in shapes:
+        total = sum(
+            w * prod(character(lam, rho) for lam, rho in zip(shape.components, cls.components))
+            for cls, w in zip(shapes, weighted)
+        )
+        m, rest = divmod(total, order)
+        if rest or m < 0:
+            raise ConsistencyViolation(
+                f"composition {comp} on {algebra.name}: shape {shape.components} "
+                f"has multiplicity {total}/{order}, not a nonnegative integer"
+            )
+        counts.append(m)
+    return counts
+
+
+def _slice_cocharacter(
+    algebra: GradedStarAlgebra,
+    comp: Composition,
+    vectors: list[np.ndarray],
+    words: list[Word],
+) -> tuple[int, list[tuple[Multipartition, int]]]:
+    """Slice codimension of one composition and the multiplicity of each of
+    its shapes, from the arrangement matrix M.
+
+    Its rank r is the slice codimension, and its column space is
+    P_comp / (P_comp ∩ Id) as a module over the slots' Young subgroup, so
+    the multiplicities follow from the character values on the classes.
+    Those are exact only when the mod-p pivots are a basis over Q and
+    2r < p.  Otherwise (p divided a minor, or p is too small) the
+    composition falls back to the tableau route.
+    """
+    matrix = _indexed_columns(algebra, vectors, words)
+    pivots: list[tuple[int, int]] = []
+    rank = exact_rank(matrix, pivots)
+    shapes = multipartitions(comp)
+    if rank == len(pivots) and 2 * rank < linalg.PRIME:
+        traces = _class_traces(matrix, pivots, words, shapes)
+        counts = _multiplicities_from_traces(algebra, comp, shapes, traces)
+    else:
+        counts = [
+            _tableau_rank(algebra, vectors, shape, standard_multitableaux(shape))
+            for shape in shapes
+        ]
+    weighted = sum(m * shape.degree() for shape, m in zip(shapes, counts))
+    if weighted != rank:
+        raise ConsistencyViolation(
+            f"composition {comp} on {algebra.name}: slice codimension "
+            f"{rank} != multiplicity-weighted degree sum {weighted}"
+        )
+    return rank, list(zip(shapes, counts))
+
+
+def composition_multiplicities(
+    algebra: GradedStarAlgebra, comp: Composition
+) -> list[tuple[Multipartition, int]]:
+    """The multiplicity of every shape of one composition, by the character
+    route of :func:`cocharacter_table`."""
+    _check_composition(algebra, comp)
+    _check_degree(sum(comp))
+    vectors = _composition_vectors(_slot_bases(algebra), comp)
+    if vectors is None or not vectors:
+        return [(shape, 0) for shape in multipartitions(comp)]
+    return _slice_cocharacter(algebra, comp, vectors, _arrangements(sum(comp)))[1]
+
+
 @dataclass
 class CocharacterTable:
+    """Degree-n cocharacter data.  ``entries`` lists the shapes of every
+    composition without an empty slot; the shapes of the others have
+    multiplicity 0 and are left out."""
+
     algebra_name: str
     mode: str
     n: int
@@ -531,6 +702,8 @@ class CocharacterTable:
         for s, m in self.entries:
             if s == shape:
                 return m
+        if shape.weight in dict(self.slice_codims):
+            return 0  # a composition with an empty slot
         raise KeyError(shape)
 
 
@@ -540,48 +713,31 @@ def cocharacter_table(
     """Full degree-n cocharacter data: every multipartition's multiplicity,
     every composition's slice codimension, and the total codimension.
 
-    Per composition, one evaluation matrix is built whose columns are the
-    n! arrangements followed by each shape's polarized standard-tableau
-    vectors, so basis tuples are enumerated once; the consistency identity
-    (slice codimension equals the multiplicity-weighted degree sum) is then
-    checked before anything is returned.
+    Slots whose component is empty are found once; a composition using one
+    has slice codimension 0 and no further work.  For every other
+    composition one matrix is built, whose columns are the n! arrangements
+    (:func:`_slice_cocharacter`): its rank is the slice codimension and
+    traces on it give every shape's multiplicity.  A multiplicity that is
+    not a nonnegative integer raises :class:`ConsistencyViolation`, since
+    only a bug can produce it.
     """
     if n < 1:
         raise InputError("degree must be at least 1")
     _check_degree(n, cap)
     mode = algebra.mode
     slots = modes.slot_count(len(algebra.group), mode)
+    bases = _slot_bases(algebra)
+    words = _arrangements(n)
     slice_codims: list[tuple[Composition, int]] = []
     entries: list[tuple[Multipartition, int]] = []
     total = 0
-    arrangements = _arrangements(n)
     for comp in compositions(n, slots):
-        shapes = multipartitions(comp)
-        vectors = _composition_vectors(algebra, comp)
+        vectors = _composition_vectors(bases, comp)
         if vectors is None:
             slice_codims.append((comp, 0))
-            entries.extend((shape, 0) for shape in shapes)
             continue
-        blocks: list[tuple[Multipartition, int, int]] = []
-        columns = list(arrangements)
-        for shape in shapes:
-            start = len(columns)
-            columns.extend(
-                polarized_tableau_words(shape, standard_multitableaux(shape))
-            )
-            blocks.append((shape, start, len(columns)))
-        matrix = _word_columns(algebra, vectors, columns)
-        slice_c = exact_rank(matrix[:, : len(arrangements)])
+        slice_c, counts = _slice_cocharacter(algebra, comp, vectors, words)
         slice_codims.append((comp, slice_c))
-        weighted = 0
-        for shape, start, stop in blocks:
-            m = exact_rank(matrix[:, start:stop])
-            entries.append((shape, m))
-            weighted += m * shape.degree()
-        if weighted != slice_c:
-            raise ConsistencyViolation(
-                f"composition {comp} on {algebra.name}: slice codimension "
-                f"{slice_c} != multiplicity-weighted degree sum {weighted}"
-            )
+        entries.extend(counts)
         total += multinomial(comp) * slice_c
     return CocharacterTable(algebra.name, mode, n, slice_codims, entries, total)

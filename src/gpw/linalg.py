@@ -7,7 +7,9 @@ rows are dropped, and the rank is computed over a word-sized prime field
 first: since reduction mod p can only collapse pivots, the modular rank is
 a lower bound, and when it already equals ``min(rows, cols)`` it is
 certified exact.  Otherwise fraction-free Bareiss elimination on Python
-ints decides.
+ints decides.  ``exact_rank`` can also report the modular pivots, and
+``inverse_mod_p`` inverts a pivot block: the evaluator reads cocharacter
+traces off them.
 
 Nullspaces and reduced row echelon forms are computed directly over
 ``Fraction``; the matrices involved there are small.
@@ -28,14 +30,24 @@ Row = list[Fraction]
 PRIME = 2_147_483_659  # smallest prime above 2**31
 
 
-def rank_mod_p(matrix: np.ndarray, prime: int = PRIME) -> int:
-    """Rank of an int64 matrix over GF(prime).  The input is consumed."""
+def rank_mod_p(
+    matrix: np.ndarray,
+    prime: int = PRIME,
+    pivots: list[tuple[int, int]] | None = None,
+    reduce: bool = False,
+) -> int:
+    """Rank of an int64 matrix over GF(prime).  The input is consumed: it is
+    left in row echelon form with unit pivots, and in reduced row echelon
+    form when ``reduce`` is set.  When ``pivots`` is a list, the (row,
+    column) of each pivot is appended to it, rows numbered as in the input;
+    the submatrix on those rows and columns is invertible mod ``prime``."""
     if matrix.size == 0:
         return 0
     if matrix.dtype != np.int64:
         raise TypeError("modular kernel expects an int64 matrix")
     a = matrix
     rows, cols = a.shape
+    order = np.arange(rows)
     rank = 0
     for col in range(cols):
         if rank == rows:
@@ -46,23 +58,43 @@ def rank_mod_p(matrix: np.ndarray, prime: int = PRIME) -> int:
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
+            order[[rank, piv]] = order[[piv, rank]]
+        if pivots is not None:
+            pivots.append((int(order[rank]), col))
         a[rank] = (a[rank] * pow(int(a[rank, col]), -1, prime)) % prime
-        below = a[rank + 1 :]
-        factors = below[:, col]
-        hit = factors != 0
-        if hit.any():
-            below[hit] = (below[hit] - factors[hit, None] * a[rank][None, :]) % prime
+        _eliminate(a[rank + 1 :], a[rank], col, prime)
+        if reduce:
+            _eliminate(a[:rank], a[rank], col, prime)
         rank += 1
     return rank
 
 
+def _eliminate(block: np.ndarray, pivot_row: np.ndarray, col: int, prime: int) -> None:
+    """Clear column ``col`` of ``block`` with the unit pivot row."""
+    factors = block[:, col]
+    hit = factors != 0
+    if hit.any():
+        block[hit] = (block[hit] - factors[hit, None] * pivot_row[None, :]) % prime
+
+
+def inverse_mod_p(matrix: np.ndarray, prime: int = PRIME) -> np.ndarray:
+    """Inverse over GF(prime) of a square int64 matrix whose entries are
+    reduced mod ``prime``: Gauss–Jordan elimination of [matrix | I]."""
+    size = len(matrix)
+    augmented = np.hstack([matrix, np.eye(size, dtype=np.int64)])
+    pivots: list[tuple[int, int]] = []
+    rank_mod_p(augmented, prime, pivots, reduce=True)
+    if [col for _, col in pivots] != list(range(size)):
+        raise ValueError("matrix is singular mod p")
+    return augmented[:, size:]
+
+
 def _integer_rows(rows: list[Row]) -> list[list[int]]:
+    """Each rational row scaled to integers by its denominator lcm."""
     out = []
     for row in rows:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        ints = [int(f * scale) for f in row]
-        if any(ints):
-            out.append(ints)
+        scale = lcm(*(f.denominator for f in row))
+        out.append([int(f * scale) for f in row])
     return out
 
 
@@ -100,16 +132,29 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     return rank
 
 
-def exact_rank(matrix: np.ndarray | list[Row]) -> int:
+def exact_rank(
+    matrix: np.ndarray | list[Row], pivots: list[tuple[int, int]] | None = None
+) -> int:
     """Rank over the rationals of an integer array or a list of rational
-    rows."""
-    if isinstance(matrix, np.ndarray):
-        ints = matrix[(matrix != 0).any(axis=1)]
-    else:
-        ints = np.array(_integer_rows(matrix), dtype=object)
+    rows.
+
+    When ``pivots`` is a list, the mod-``PRIME`` pivots are appended to it,
+    rows numbered as in ``matrix`` (see :func:`rank_mod_p`).  Their columns
+    are independent; they are a basis of the column space exactly when there
+    are as many of them as the returned rank.
+    """
+    if not isinstance(matrix, np.ndarray):
+        matrix = np.array(_integer_rows(matrix), dtype=object)
+    if matrix.ndim < 2:
+        return 0
+    nonzero = np.flatnonzero((matrix != 0).any(axis=1))
+    ints = matrix[nonzero]
     if ints.size == 0:
         return 0
-    modular = rank_mod_p((ints % PRIME).astype(np.int64, copy=False))
+    found = None if pivots is None else []
+    modular = rank_mod_p((ints % PRIME).astype(np.int64, copy=False), PRIME, found)
+    if pivots is not None:
+        pivots.extend((int(nonzero[row]), col) for row, col in found)
     if modular == min(ints.shape):
         # mod-p rank never exceeds the rational rank, so hitting the
         # dimension bound certifies it

@@ -11,13 +11,19 @@ slot order.  The canonical standard multitableau fills 1..n in exactly that
 cell order, and the permutation attached to a tableau T sends the canonical
 entry of each cell to T's entry, i.e. reading T's entries in cell order *is*
 the one-line form of the permutation.
+
+The irreducible characters of S_n are indexed by the same partitions:
+:func:`character` evaluates them by the Murnaghan–Nakayama rule, and a
+conjugacy class is named by its cycle type, a partition too.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from functools import cache
+from math import factorial, prod
 
 from .errors import CapExceeded
 
@@ -50,17 +56,24 @@ def multinomial(comp: Composition) -> int:
     return total
 
 
-def partitions(n: int, max_part: int | None = None) -> list[Partition]:
+@cache
+def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """Partitions of n in descending lexicographic order, (n) first."""
     if n == 0:
-        return [()]
+        return ((),)
     if max_part is None or max_part > n:
         max_part = n
-    result = []
-    for head in range(max_part, 0, -1):
-        for rest in partitions(n - head, head):
-            result.append((head,) + rest)
-    return result
+    return tuple(
+        (head,) + rest
+        for head in range(max_part, 0, -1)
+        for rest in partitions(n - head, head)
+    )
+
+
+@cache
+def is_partition(lam: Partition) -> bool:
+    """Are the parts positive and weakly decreasing?"""
+    return all(p > 0 for p in lam) and all(a >= b for a, b in zip(lam, lam[1:]))
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -69,6 +82,7 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > col) for col in range(lam[0]))
 
 
+@cache
 def hook_dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (1 for the empty
     shape), via the hook length product."""
@@ -81,6 +95,41 @@ def hook_dimension(lam: Partition) -> int:
     return factorial(n) // hooks
 
 
+def class_size(rho: Partition) -> int:
+    """Number of permutations of cycle type rho in S_|rho|: n! / z_rho, with
+    z_rho the product of k^(m_k) * m_k! over the part sizes k of
+    multiplicity m_k."""
+    z = prod(k**m * factorial(m) for k, m in Counter(rho).items())
+    return factorial(sum(rho)) // z
+
+
+@cache
+def character(lam: Partition, rho: Partition) -> int:
+    """The irreducible character chi_lam of S_n at cycle type rho (both
+    partitions of n), by the Murnaghan–Nakayama rule.
+
+    lam is held as its beta-set {lam_i + len(lam) - 1 - i}: removing a border
+    strip of length k moves one bead from b to the free position b - k, with
+    sign (-1)^(beads strictly between), and chi_lam(rho) is the signed sum
+    over strips of length rho[0] of chi_(lam minus strip)(rho[1:]) (Sagan,
+    "The symmetric group").
+    """
+    if not rho:
+        return 1
+    k, rest = rho[0], rho[1:]
+    length = len(lam)
+    beta = [part + length - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        moved = sorted((c if c != b else b - k for c in beta), reverse=True)
+        smaller = tuple(c - (length - 1 - i) for i, c in enumerate(moved))
+        sign = -1 if sum(b - k < c < b for c in beta) % 2 else 1
+        total += sign * character(tuple(p for p in smaller if p), rest)
+    return total
+
+
 @dataclass(frozen=True)
 class Multipartition:
     """A tuple of partitions, one per slot (empty partitions allowed)."""
@@ -89,9 +138,7 @@ class Multipartition:
 
     def __post_init__(self):
         for lam in self.components:
-            if any(p <= 0 for p in lam) or any(
-                a < b for a, b in zip(lam, lam[1:])
-            ):
+            if not is_partition(lam):
                 raise ValueError(f"{lam} is not a partition")
 
     @property

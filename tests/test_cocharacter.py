@@ -1,0 +1,146 @@
+"""The character route of ``cocharacter_table`` against the tableau route.
+
+``cocharacter_table`` reads every multiplicity of a composition from traces
+on its arrangement matrix; ``multiplicity`` ranks the shape's polarized
+tableau vectors.  The two must agree on every shape: on the builtins up to
+n=6 and on random small graded and star algebras.  The fallback to the
+tableau route, taken when the modular pivots are no basis over Q, and the
+runtime check on the multiplicities are exercised by forcing them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gpw import evaluator, linalg, modes
+from gpw.errors import ConsistencyViolation
+from gpw.evaluator import (
+    _arrangements,
+    _composition_vectors,
+    _indexed_columns,
+    _slot_bases,
+    _word_columns,
+    cocharacter_table,
+    composition_multiplicities,
+    multiplicity,
+)
+from gpw.linalg import exact_rank
+from gpw.polynomials import polarized_tableau_words
+from gpw.shapes import Multipartition, compositions, multipartitions, standard_multitableaux
+
+from test_engine import algebras
+
+
+def tableau_route(algebra, comp):
+    """Every shape's multiplicity as ``multiplicity`` computes it, with the
+    tableau columns of all shapes built in one engine call."""
+    vectors = _composition_vectors(_slot_bases(algebra), comp)
+    shapes = multipartitions(comp)
+    if vectors is None:
+        return {shape: 0 for shape in shapes}
+    columns, blocks = [], []
+    for shape in shapes:
+        start = len(columns)
+        columns.extend(polarized_tableau_words(shape, standard_multitableaux(shape)))
+        blocks.append((shape, start, len(columns)))
+    matrix = _word_columns(algebra, vectors, columns)
+    return {shape: exact_rank(matrix[:, start:stop]) for shape, start, stop in blocks}
+
+
+def assert_routes_agree(algebra, n, route):
+    table = cocharacter_table(algebra, n, cap=n)
+    listed = dict(table.entries)
+    for comp, slice_c in table.slice_codims:
+        expected = route(algebra, comp)
+        assert {shape: listed.get(shape, 0) for shape in expected} == expected
+        assert sum(m * shape.degree() for shape, m in expected.items()) == slice_c
+
+
+@pytest.mark.parametrize("name", ["ut2_g", "ut2_trivial", "k_g", "e2"])
+def test_character_route_matches_tableau_route_on_builtins(name, request):
+    algebra = request.getfixturevalue(name)
+    for n in range(1, 7):
+        assert_routes_agree(algebra, n, tableau_route)
+
+
+def each_multiplicity(algebra, comp):
+    return {shape: multiplicity(algebra, shape) for shape in multipartitions(comp)}
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_character_route_matches_multiplicity_on_random_algebras(star):
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(algebras(star))
+        assert_routes_agree(algebra, data.draw(st.integers(1, 4)), each_multiplicity)
+
+    check()
+
+
+def test_one_slot_multiplicities_come_from_one_composition(e2):
+    slots = modes.slot_count(len(e2.group), e2.mode)
+    for slot in range(slots):
+        comp = tuple(4 if s == slot else 0 for s in range(slots))
+        got = composition_multiplicities(e2, comp)
+        assert [shape for shape, _ in got] == multipartitions(comp)
+        assert all(m == multiplicity(e2, shape) for shape, m in got)
+
+
+def test_empty_slot_shapes_are_left_out_but_answer_zero(e2):
+    table = cocharacter_table(e2, 3)
+    listed = {shape.weight for shape, _ in table.entries}
+    bases = _slot_bases(e2)
+    empty = [comp for comp, _ in table.slice_codims if _composition_vectors(bases, comp) is None]
+    assert empty and not listed & set(empty)
+    for comp in empty:
+        for shape in multipartitions(comp):
+            assert table.multiplicity_of(shape) == 0
+    with pytest.raises(KeyError):
+        table.multiplicity_of(Multipartition(((1,),) + ((),) * (len(empty[0]) - 1)))
+
+
+def test_arrangement_matrix_skips_the_column_loop(k_g):
+    bases = _slot_bases(k_g)
+    for comp in compositions(4, 2):
+        vectors = _composition_vectors(bases, comp)
+        words = _arrangements(4)
+        direct = _indexed_columns(k_g, vectors, words)
+        looped = _word_columns(k_g, vectors, [{w: 1} for w in words])
+        assert direct.dtype == looped.dtype
+        assert np.array_equal(direct, looped)
+
+
+def test_a_wrong_trace_raises_consistency_violation(k_g, monkeypatch):
+    original = evaluator._class_traces
+
+    def off_by_one(*args):
+        traces = original(*args)
+        return [traces[0] + 1] + traces[1:]  # the class of slot-wise long cycles
+
+    monkeypatch.setattr(evaluator, "_class_traces", off_by_one)
+    with pytest.raises(ConsistencyViolation, match="not a nonnegative integer"):
+        cocharacter_table(k_g, 3)
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7])
+def test_uncertified_rank_falls_back_to_the_tableau_route(
+    k_g, e2, ut2_trivial, monkeypatch, prime
+):
+    algebras_ = (k_g, e2, ut2_trivial)
+    expected = {a.name: cocharacter_table(a, 4) for a in algebras_}
+    calls = []
+    original = evaluator._tableau_rank
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "_tableau_rank", counted)
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    for algebra in algebras_:
+        table = cocharacter_table(algebra, 4)
+        assert table.entries == expected[algebra.name].entries
+        assert table.slice_codims == expected[algebra.name].slice_codims
+    # with so small a prime some rank is not certified or 2r >= p
+    assert calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpw import linalg
-from gpw.linalg import PRIME, rank_mod_p
+from gpw.linalg import PRIME, inverse_mod_p, rank_mod_p
 
 
 def gauss_rank(rows):
@@ -215,3 +215,37 @@ def test_rank_bounds_hold(rows):
     r = linalg.exact_rank(rows)
     assert 0 <= r <= min(len(rows), 3)
     assert r == gauss_rank(rows)
+
+
+def test_pivots_give_an_invertible_submatrix():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        nrows, ncols = (int(x) for x in rng.integers(1, 9, size=2))
+        m = rng.integers(-2, 3, size=(nrows, ncols))
+        m[rng.random(nrows) < 0.3] = 0  # zero rows keep their numbering
+        pivots = []
+        rank = linalg.exact_rank(m.astype(object), pivots)
+        assert len(pivots) == rank == gauss_rank([[Fraction(int(v)) for v in row] for row in m])
+        rows, cols = [r for r, _ in pivots], [c for _, c in pivots]
+        assert gauss_rank([[Fraction(int(m[r, c])) for c in cols] for r in rows]) == rank
+
+
+def test_pivots_fall_short_when_the_prime_divides_a_minor():
+    m = np.array([[PRIME, 0], [0, 1], [0, 0]], dtype=object)
+    pivots = []
+    assert linalg.exact_rank(m, pivots) == 2
+    assert pivots == [(1, 1)]
+
+
+def test_inverse_mod_p():
+    rng = np.random.default_rng(11)
+    for size in range(0, 7):
+        a = rng.integers(0, PRIME, size=(size, size), dtype=np.int64)
+        inverse = inverse_mod_p(a.copy())
+        product = [
+            [sum(int(a[i, k]) * int(inverse[k, j]) for k in range(size)) % PRIME for j in range(size)]
+            for i in range(size)
+        ]
+        assert product == np.eye(size, dtype=int).tolist()
+    with pytest.raises(ValueError):
+        inverse_mod_p(np.array([[1, 2], [2, 4]], dtype=np.int64))

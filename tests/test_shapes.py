@@ -17,9 +17,12 @@ from gpw.shapes import (
     Multipartition,
     Multitableau,
     all_multitableaux,
+    character,
+    class_size,
     compositions,
     conjugate,
     hook_dimension,
+    is_partition,
     multipartitions,
     partitions,
     permutation_to_tableau,
@@ -72,6 +75,14 @@ def test_composition_count_is_stars_and_bars():
             assert len(set(cs)) == len(cs)
 
 
+def test_partitions_are_memoized_tuples():
+    assert partitions(5) is partitions(5)
+    assert isinstance(partitions(5), tuple)
+    assert is_partition((3, 3, 1)) and not is_partition((1, 2)) and not is_partition((2, 0))
+    with pytest.raises(ValueError):
+        Multipartition(((1, 2),))
+
+
 def test_partition_counts():
     known = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for n, expected in enumerate(known):
@@ -113,6 +124,51 @@ def test_hook_dimension_matches_brute_force():
 def test_dimension_squares_sum_to_factorial():
     for n in range(8):
         assert sum(hook_dimension(p) ** 2 for p in partitions(n)) == factorial(n)
+
+
+# -- characters -------------------------------------------------------------------
+
+def test_class_sizes_partition_the_group():
+    for n in range(8):
+        assert sum(class_size(rho) for rho in partitions(n)) == factorial(n)
+    assert class_size((2, 1, 1)) == 6 and class_size((2, 2)) == 3
+
+
+def test_characters_at_the_identity_are_the_degrees():
+    for n in range(8):
+        ps = partitions(n)
+        assert all(character(lam, (1,) * n) == hook_dimension(lam) for lam in ps)
+        assert sum(character(lam, (1,) * n) ** 2 for lam in ps) == factorial(n)
+
+
+def test_character_table_orthogonality():
+    for n in range(1, 8):
+        ps = partitions(n)
+        table = {(lam, rho): character(lam, rho) for lam in ps for rho in ps}
+        for rho in ps:
+            for sigma in ps:
+                # column orthogonality: sum_lam chi(rho) chi(sigma) = z_rho [rho = sigma]
+                got = sum(table[lam, rho] * table[lam, sigma] for lam in ps)
+                assert got == (factorial(n) // class_size(rho) if rho == sigma else 0)
+        for lam in ps:
+            for mu in ps:
+                # row orthogonality: sum over classes weighted by size = n! [lam = mu]
+                got = sum(class_size(rho) * table[lam, rho] * table[mu, rho] for rho in ps)
+                assert got == (factorial(n) if lam == mu else 0)
+
+
+def test_known_characters_of_s4():
+    # rows (4), (3,1), (2,2), (2,1,1), (1,1,1,1); columns 1^4, 2 1^2, 2^2, 3 1, 4
+    classes = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+    expected = {
+        (4,): [1, 1, 1, 1, 1],
+        (3, 1): [3, 1, -1, 0, -1],
+        (2, 2): [2, 0, 2, -1, 0],
+        (2, 1, 1): [3, -1, -1, 0, 1],
+        (1, 1, 1, 1): [1, -1, 1, 1, -1],
+    }
+    for lam, row in expected.items():
+        assert [character(lam, rho) for rho in classes] == row
 
 
 # -- multipartitions ------------------------------------------------------------
