@@ -45,13 +45,21 @@ they are Python ints, so nothing wraps.
   this route too, and then checked by the identity ``slice_codim ==
   sum(multiplicity * degree)`` over its shapes.
 
-A polynomial is an identity when all its multihomogeneous components
-polarize to zero on every basis tuple.  An independent, slower route
-(`is_identity_grid`, `multiplicity_grid`) avoids polarization entirely and
-substitutes generic component elements on integer grids instead; by
-multivariate interpolation a multihomogeneous polynomial vanishing on the
-full grid vanishes identically, so the two routes must agree and are
-cross-checked in the test suite.
+A polynomial is an identity when each of its multihomogeneous components
+vanishes on its component's **simplex lattice**: a variable of multiplicity
+m over a component with basis b_1..b_d takes the C(m+d-1, m) values
+sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m, and the component's
+own monomials are evaluated as words with repeated letters.  This is exact
+and needs no polarization: each coordinate of the value is a form of degree
+m in each block of t, the principal lattice of the simplex is unisolvent
+for polynomials of degree <= m on the hyperplane sum(t) == m (Chung-Yao,
+"On lattices admitting unique Lagrange interpolations", 1977), so forms of
+degree m are determined by their values on it, and a product of unisolvent
+sets is unisolvent for the tensor product.  At m = 1 the points are the
+basis itself.  The independent full-grid oracle (`is_identity_grid`, and
+``multiplicity(..., fillings="grid")``) substitutes every t in {0..m}^d
+instead.  Both identity routes refuse, before any array is built, a
+polynomial whose evaluation would exceed :data:`IDENTITY_WORK_CAP` entries.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 import numpy as np
 
@@ -79,7 +87,7 @@ from .polynomials import (
     Variable,
     Word,
     highest_weight_vector,
-    multilinearize,
+    multilinearize,  # noqa: F401 -- perfbench/tracer.py wraps gpw.evaluator.multilinearize
     polarized_tableau_words,
 )
 from .shapes import (
@@ -96,6 +104,7 @@ from .shapes import (
 
 DEFAULT_N_CAP = 5
 HARD_N_CAP = 7
+IDENTITY_WORK_CAP = 2**25  # engine entries one identity test may ask for (~0.5 GB)
 
 
 def canonical_variable_order(variables, mode: str) -> tuple[Variable, ...]:
@@ -190,11 +199,28 @@ def _component_basis(algebra: GradedStarAlgebra, var: Variable) -> np.ndarray:
     return _integer_vectors(basis, algebra.dim)
 
 
+def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
+    """Every combination sum(t_j * b_j) with integers t_j >= 0 summing to
+    ``degree``, in :func:`~gpw.shapes.compositions` order of the t: the
+    principal lattice of the simplex, C(degree + d - 1, degree) points for d
+    basis rows, and the basis rows themselves at degree 1."""
+    weights = compositions(degree, len(basis))
+    return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
+
+
+def _simplex_size(degree: int, d: int) -> int:
+    return comb(degree + d - 1, degree)
+
+
 def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
     """Every combination sum(t_j * b_j) with integer t_j in 0..degree, in
     ``itertools.product`` order of the t."""
     weights = list(itertools.product(range(degree + 1), repeat=len(basis)))
     return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
+
+
+def _grid_size(degree: int, d: int) -> int:
+    return (degree + 1) ** d
 
 
 def _monomial_values(
@@ -374,38 +400,62 @@ def _components(poly: GradedPoly, algebra: GradedStarAlgebra) -> list[GradedPoly
     return poly.multihomogeneous_components()
 
 
-def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
-    """Does the polynomial vanish under every homogeneous substitution?
-
-    Split into multihomogeneous components, polarize each, and test all
-    tuples of component basis vectors; in characteristic zero this is
-    equivalent to vanishing everywhere.
-    """
+def _vanishes(poly: GradedPoly, algebra: GradedStarAlgebra, points, size) -> bool:
+    """Does every multihomogeneous component vanish on all tuples of its
+    variables' ``points(basis, multiplicity)``?  ``size(multiplicity, d)``
+    counts those points, so the engine's work is estimated for every
+    component, as tuples * dim * (words + positions * dim) entries, and
+    checked against :data:`IDENTITY_WORK_CAP` before any array is built."""
+    dim = algebra.dim
+    tests = []
     for component in _components(poly, algebra):
-        linear = multilinearize(component)
-        variables = canonical_variable_order(linear.variables(), algebra.mode)
-        vectors = [_component_basis(algebra, v) for v in variables]
-        if _evaluation_columns(algebra, variables, vectors, [linear]).any():
+        degree = component.multidegree()
+        variables = canonical_variable_order(degree.keys(), algebra.mode)
+        tuples = prod(
+            size(degree[v], algebra.homogeneous_basis(v.grade, v.kind).dim)
+            for v in variables
+        )
+        work = tuples * dim * (len(component.terms) + len(variables) * dim)
+        if work > IDENTITY_WORK_CAP:
+            raise CapExceeded(
+                f"testing this polynomial needs about {work} engine entries, "
+                f"above the work cap {IDENTITY_WORK_CAP}"
+            )
+        tests.append((component, degree, variables))
+    for component, degree, variables in tests:
+        vectors = [points(_component_basis(algebra, v), degree[v]) for v in variables]
+        if _evaluation_columns(algebra, variables, vectors, [component]).any():
             return False
     return True
 
 
+def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
+    """Does the polynomial vanish under every homogeneous substitution?
+
+    Each multihomogeneous component is evaluated, unpolarized, on its
+    simplex lattice: a variable of multiplicity m over a component with
+    basis b_1..b_d takes the C(m+d-1, m) values sum(t_j * b_j) with
+    nonnegative integers t_j summing to m.  Each coordinate of the value is
+    a form of degree m in each block of t, and such forms are determined by
+    their values on the lattice, so vanishing there is vanishing on the
+    whole component, which is what full polarization decides in
+    characteristic zero.  A multilinear component is tested on its basis
+    tuples.  Raises :class:`CapExceeded` when the evaluation would exceed
+    :data:`IDENTITY_WORK_CAP` entries.
+    """
+    return _vanishes(poly, algebra, _simplex, _simplex_size)
+
+
 def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
-    """Polarization-free identity oracle.
+    """The independent full-grid identity oracle.
 
     Each variable of multiplicity m ranging over a component of dimension d
     is substituted by sum(t_j * b_j) for every integer point t in
     {0..m}^d.  The evaluated expression is, coordinatewise, a polynomial of
     degree at most m in each t_j, so vanishing on the whole grid forces the
-    zero polynomial.
+    zero polynomial.  Shares :func:`is_identity`'s work cap.
     """
-    for component in _components(poly, algebra):
-        degree = component.multidegree()
-        variables = canonical_variable_order(degree.keys(), algebra.mode)
-        vectors = [_grid(_component_basis(algebra, v), degree[v]) for v in variables]
-        if _evaluation_columns(algebra, variables, vectors, [component]).any():
-            return False
-    return True
+    return _vanishes(poly, algebra, _grid, _grid_size)
 
 
 # -- codimensions and multiplicities ------------------------------------------

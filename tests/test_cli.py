@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import gpw.evaluator
 from gpw.cli import main
 
 
@@ -147,6 +148,18 @@ def test_identity_rejects_the_zero_polynomial(capsys, docs):
     )
     assert rc == 2
     assert "trivially" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_identity_over_the_work_cap_exits_two_before_building(capsys, monkeypatch, docs, fmt):
+    def refuse(*args):
+        raise AssertionError("the engine ran before the work check")
+
+    monkeypatch.setattr(gpw.evaluator, "_monomial_values", refuse)
+    poly = "*".join(f"x{{{i},1}}" for i in range(1, 31))
+    rc, out, err = run(capsys, "identity", docs["ut2_trivial"], f"--poly={poly}", *fmt)
+    assert (rc, out) == (2, "")
+    assert "CapExceeded" in err and "work cap" in err
 
 
 # -- classification reports ----------------------------------------------------------

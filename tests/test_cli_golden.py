@@ -1,7 +1,8 @@
 """Byte-for-byte pins of the report commands: for each run on the builtin
 algebras, the sha256 of stdout and the exit code, as TSV and as JSON.  Most
-runs stay at n <= 4; two cocharacter tables go to n=5 and n=6.  Error runs
-pin an empty stdout and exit code 2."""
+runs stay at n <= 4; two cocharacter tables go to n=5 and n=6, and two
+identity runs test an 8-fold and a 7-fold power.  Error runs pin an empty
+stdout and exit code 2."""
 
 import hashlib
 
@@ -49,6 +50,18 @@ GOLDEN = [
         1,
         "653c200f741706eaa0577670e8df71fce2aba519a5628f4d7f20f3b4e79a445b",
         "0486b918154ae0b8777ffdaec47d548c1e3f68f718b055c1332fa70d145b5fd2",
+    ),
+    (
+        "identity ut2_g --poly=" + "*".join(["x{1,g}"] * 8),
+        0,
+        "b9e7bec15af2c334349ab741744a1f44474f89dfb36568ddb2ee6f1f3382d415",
+        "ca31867acd08ded05e039f85d859b4cfb1f85fa18eaa6b9708d907261a5af547",
+    ),
+    (
+        "identity grassmann2 --poly=" + "*".join(["y{1,(0,0)}"] * 7),
+        1,
+        "7fd3d493689085204b8581b4a94df31083be86fa85338e25f6dcf9e5d6d68425",
+        "d8852eb219e8aba852d03ddc0154df42ec260d09fa49c59bafc3a7cbcda10533",
     ),
     (
         "classify-bounded k_g --n-max 4",
@@ -123,3 +136,16 @@ def test_report_bytes_and_exit_code(
         code,
         tsv if fmt == "tsv" else json,
     )
+
+
+@pytest.mark.parametrize("m", [10, 20])
+@pytest.mark.parametrize(
+    "document, letter, code",
+    [("ut2_g", "x{1,g}", 0), ("ut2_g", "x{1,1}", 1), ("grassmann2", "y{1,(0,0)}", 1)],
+)
+def test_verdicts_on_high_powers(capsys, monkeypatch, docs, m, document, letter, code):
+    monkeypatch.delenv("GPW_CACHE", raising=False)
+    poly = "*".join([letter] * m)
+    assert main(["identity", docs[document], f"--poly={poly}"]) == code
+    verdict = "true" if code == 0 else "false"
+    assert f"is_identity\t{verdict}" in capsys.readouterr().out

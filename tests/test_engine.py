@@ -12,6 +12,7 @@ and the same identity verdicts on both routes.
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import oracle
 from gpw import modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.evaluator import (
+    _simplex,
     build_evaluation_matrix,
     composition_variables,
     is_identity,
@@ -303,3 +305,84 @@ def test_large_entries_take_exact_python_ints():
     assert matrix.rows.tolist() == [[2**104, 2**104, 2**64]]
     assert matrix.rank() == exact_rank(oracle.basis_rows(field, [big, swapped, x123], matrix.variables)) == 1
     assert matrix.nullspace() == [[1, -1, 0], [1, 0, -(2**40)]]
+
+
+# -- the simplex lattice -----------------------------------------------------------
+
+
+def _distinct_arrangements(letters):
+    return sorted(set(permutations(letters)))
+
+
+def test_simplex_has_one_point_per_composition():
+    for d in range(1, 5):
+        basis = np.array([[Fraction(j + 1, 2 + k) for k in range(3)] for j in range(d)], dtype=object)
+        for m in range(1, 7):
+            assert len(_simplex(basis, m)) == comb(m + d - 1, m)
+
+
+def test_simplex_at_degree_one_is_the_basis():
+    basis = np.array([[2, 0, -1], [0, 3, 5], [1, 1, 1]], dtype=object)
+    assert _simplex(basis, 1).tolist() == basis.tolist()
+
+
+def test_simplex_is_unisolvent_for_forms_of_its_degree():
+    # on the unit basis the points are the weight vectors t themselves; the
+    # degree-m monomials t^e, evaluated on them, must have full rank
+    for d in range(1, 5):
+        units = np.array([[int(i == j) for j in range(d)] for i in range(d)], dtype=object)
+        for m in range(1, 7):
+            points = _simplex(units, m).tolist()
+            exponents = compositions(m, d)
+            values = [[prod(t**e for t, e in zip(point, exp)) for exp in exponents] for point in points]
+            assert exact_rank(values) == len(exponents) == len(points)
+
+
+def _oracle_cost(algebra, poly):
+    """Polarized terms times basis tuples of the Fraction oracle."""
+    cost = len(poly.terms)
+    for v, m in poly.multidegree().items():
+        cost *= factorial(m) * algebra.homogeneous_basis(v.grade, v.kind).dim ** m
+    return cost
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_lattice_verdicts_match_the_polarized_oracle(star):
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(algebras(star))
+        mode = algebra.mode
+        slot_letters = [
+            Variable(kind, grade, 1)
+            for grade, kind in (
+                modes.slot_grade_kind(slot, mode)
+                for slot in range(modes.slot_count(len(algebra.group), mode))
+            )
+        ]
+        wide = [v for v in slot_letters if algebra.homogeneous_basis(v.grade, v.kind).dim >= 2]
+        assume(wide)
+        first = data.draw(st.sampled_from(wide))
+        letters = [first] * data.draw(st.integers(2, 5))
+        if data.draw(st.booleans()):
+            grade, kind = data.draw(st.sampled_from([(v.grade, v.kind) for v in slot_letters]))
+            letters += [Variable(kind, grade, 2)] * data.draw(st.integers(1, 2))
+        arrangements = _distinct_arrangements(letters)
+        poly = random_combination(data.draw, mode, arrangements)
+        assume(not poly.is_zero)
+        monos = [GradedPoly.monomial(mode, w) for w in arrangements]
+        assume(grid_size(algebra, monos[0]) <= 300)
+        if _oracle_cost(algebra, poly) <= 20000:
+            assert is_identity(poly, algebra) == oracle.is_identity(poly, algebra)
+        # ground truth from the oracle's grid: identities from its nullspace,
+        # and one monomial added to each, which keeps an identity exactly
+        # when the monomial's own grid column is zero
+        rows = oracle.grid_rows(algebra, monos)
+        vanishing = [not any(row[j] for row in rows) for j in range(len(monos))]
+        for v in nullspace(rows, len(monos)):
+            identity = GradedPoly(mode, dict(zip(arrangements, v)))
+            assert is_identity(identity, algebra)
+            j = data.draw(st.integers(0, len(monos) - 1))
+            assert is_identity(identity + monos[j], algebra) == vanishing[j]
+
+    check()

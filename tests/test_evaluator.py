@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpw
+from gpw import evaluator
 from gpw.errors import CapExceeded, GradeMismatch, InputError, KindMismatch, ModeMismatch
 from gpw.evaluator import (
     DEFAULT_N_CAP,
@@ -127,6 +128,39 @@ def test_mode_mismatch_is_detected(ut2_g, e2, c2, c2xc2):
         is_identity(parse_poly("y{1,1}", "star", c2), ut2_g)
     with pytest.raises(ModeMismatch):
         is_identity(parse_poly("x{1,(0,0)}", "graded", c2xc2), e2)
+
+
+@pytest.mark.parametrize("route", [is_identity, is_identity_grid])
+def test_identity_work_cap_refuses_before_building(route, ut2_trivial, trivial_group, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the engine ran before the work check")
+
+    monkeypatch.setattr(evaluator, "_monomial_values", refuse)
+    # 3^30 basis tuples; a small first component does not run either
+    huge = parse_poly("*".join(f"x{{{i},1}}" for i in range(1, 31)), "graded", trivial_group)
+    small = parse_poly("x{1,1}*x{2,1}", "graded", trivial_group)
+    for poly in (huge, small + huge):
+        with pytest.raises(CapExceeded):
+            route(poly, ut2_trivial)
+
+
+@pytest.mark.parametrize(
+    "route, poly, work",
+    [
+        # 9 basis tuples * dim 3 * (2 words + 2 positions * dim 3)
+        (is_identity, "x{1,1}*x{2,1} - x{2,1}*x{1,1}", 9 * 3 * (2 + 2 * 3)),
+        # C(4, 2) = 6 simplex points against 3^3 = 27 grid points
+        (is_identity, "x{1,1}*x{1,1}", 6 * 3 * (1 + 1 * 3)),
+        (is_identity_grid, "x{1,1}*x{1,1}", 27 * 3 * (1 + 1 * 3)),
+    ],
+)
+def test_identity_work_estimate(route, poly, work, ut2_trivial, trivial_group, monkeypatch):
+    p = parse_poly(poly, "graded", trivial_group)
+    monkeypatch.setattr(evaluator, "IDENTITY_WORK_CAP", work)
+    route(p, ut2_trivial)
+    monkeypatch.setattr(evaluator, "IDENTITY_WORK_CAP", work - 1)
+    with pytest.raises(CapExceeded):
+        route(p, ut2_trivial)
 
 
 # -- the two identity routes agree ---------------------------------------------------
