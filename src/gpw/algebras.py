@@ -100,6 +100,7 @@ class GradedStarAlgebra:
         self.grades = tuple(grades)
         self._table = tuple(tuple(row) for row in table)
         self._bases: dict[tuple[int, str], HomBasis] = {}
+        self._integer: dict = {}  # the evaluator's integer scalings, built on first use
 
         for i in range(dim):
             for j in range(dim):

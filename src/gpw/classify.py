@@ -50,7 +50,8 @@ from .evaluator import (
     is_identity_grid,
     multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
 )
-from .polynomials import GradedPoly, Variable, highest_weight_vector, multilinearize
+from .polynomials import GradedPoly, Variable, highest_weight_vector
+from .polynomials import multilinearize  # noqa: F401 -- perfbench/tracer.py wraps it
 from .shapes import Multipartition, Multitableau
 
 
@@ -86,8 +87,9 @@ def find_sandwich_identity(
     None certified by a full-rank evaluation matrix.
 
     The candidates share one multidegree, so a combination is an identity
-    exactly when its polarization vanishes on basis tuples; the witness is
-    re-verified through the polarization-free grid oracle as well.
+    exactly when it vanishes on the simplex points of
+    :func:`build_evaluation_matrix`, unpolarized; the witness is re-verified
+    through both identity routes, the lattice and the full grid.
     """
     if algebra.mode != modes.GRADED:
         raise ModeMismatch("sandwich classification works on graded-mode algebras")
@@ -96,11 +98,14 @@ def find_sandwich_identity(
     if n > HARD_N_CAP:
         raise CapExceeded(f"degree {n} above the hard cap {HARD_N_CAP}")
     candidates = _sandwich_candidates(algebra.mode, algebra.group.identity, grade, n)
-    linearized = [multilinearize(c) for c in candidates]
-    matrix = build_evaluation_matrix(algebra, linearized)
+    matrix = build_evaluation_matrix(algebra, candidates)
     basis = matrix.nullspace()
     if not basis:
-        assert matrix.rank() == n  # full rank certifies absence
+        rank = matrix.rank()
+        if rank != n:  # full rank certifies absence
+            raise ConsistencyViolation(
+                f"{n} sandwich candidates have an empty nullspace but rank {rank}"
+            )
         return None
     coeffs = tuple(basis[0])
     witness = SandwichWitness(grade, n, coeffs)

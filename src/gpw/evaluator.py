@@ -2,9 +2,9 @@
 
 Everything here reduces to one primitive: evaluate a family of polynomials
 sharing one variable signature on every tuple of candidate values (basis
-elements of the homogeneous components, or points of a substitution grid),
-collect the coordinates into an exact matrix, and take ranks of column
-blocks or test it for zero.
+elements of the homogeneous components, or lattice or grid points built from
+them), collect the coordinates into an exact matrix, and take ranks of
+column blocks or test it for zero.
 
 The primitive is an integer engine over **words**: a word is the tuple of
 its letters' positions in the variable signature, and a column is an
@@ -45,26 +45,31 @@ they are Python ints, so nothing wraps.
   this route too, and then checked by the identity ``slice_codim ==
   sum(multiplicity * degree)`` over its shapes.
 
-A polynomial is an identity when each of its multihomogeneous components
-vanishes on its component's **simplex lattice**: a variable of multiplicity
-m over a component with basis b_1..b_d takes the C(m+d-1, m) values
-sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m, and the component's
-own monomials are evaluated as words with repeated letters.  This is exact
-and needs no polarization: each coordinate of the value is a form of degree
-m in each block of t, the principal lattice of the simplex is unisolvent
-for polynomials of degree <= m on the hyperplane sum(t) == m (Chung-Yao,
-"On lattices admitting unique Lagrange interpolations", 1977), so forms of
-degree m are determined by their values on it, and a product of unisolvent
-sets is unisolvent for the tensor product.  At m = 1 the points are the
+Polynomials reach the engine through one front end,
+:func:`_polynomial_matrices` (:func:`build_evaluation_matrix`, both identity
+routes, the grid multiplicity).  It evaluates polynomials of one
+multidegree, unpolarized, on their variables' **simplex lattices**: a
+variable of multiplicity m over a component with basis b_1..b_d takes the
+C(m+d-1, m) values sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m,
+and monomials are words with repeated letters.  This is exact: each
+coordinate of the value is a form of degree m in each block of t, the
+principal lattice of the simplex is unisolvent for polynomials of degree
+<= m on the hyperplane sum(t) == m (Chung-Yao, "On lattices admitting
+unique Lagrange interpolations", 1977), and a product of unisolvent sets
+is unisolvent for the tensor product.  So a combination of polynomials is
+an identity exactly when it vanishes there.  At m = 1 the points are the
 basis itself.  The independent full-grid oracle (`is_identity_grid`, and
 ``multiplicity(..., fillings="grid")``) substitutes every t in {0..m}^d
-instead.  Both identity routes refuse, before any array is built, a
-polynomial whose evaluation would exceed :data:`IDENTITY_WORK_CAP` entries.
+instead.  The front end refuses, before any array is built, a matrix over
+:data:`IDENTITY_WORK_CAP` engine entries; word matrices of codimensions
+and multiplicities are bounded by :data:`HARD_N_CAP` instead.  Integer
+structure tables and bases are computed once per algebra.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
@@ -104,7 +109,7 @@ from .shapes import (
 
 DEFAULT_N_CAP = 5
 HARD_N_CAP = 7
-IDENTITY_WORK_CAP = 2**25  # engine entries one identity test may ask for (~0.5 GB)
+IDENTITY_WORK_CAP = 2**25  # engine entries one polynomial matrix may ask for (~0.5 GB)
 
 
 def canonical_variable_order(variables, mode: str) -> tuple[Variable, ...]:
@@ -193,10 +198,20 @@ def _integer_vectors(vectors, dim: int) -> np.ndarray:
     ).reshape(len(vectors), dim)
 
 
-def _component_basis(algebra: GradedStarAlgebra, var: Variable) -> np.ndarray:
-    """The basis of ``var``'s component, scaled to integers."""
-    basis = algebra.homogeneous_basis(var.grade, var.kind).vectors
-    return _integer_vectors(basis, algebra.dim)
+def _integer(algebra: GradedStarAlgebra, key: tuple[int, str] | None) -> np.ndarray:
+    """Scaled to integers once per algebra, kept on it and shared
+    read-only: the ``key=(grade, kind)`` component basis, one row per basis
+    vector, or for ``key=None`` the structure table, ``[a, i]`` the product
+    e_a * e_i."""
+    memo = algebra._integer
+    if key not in memo:
+        dim = algebra.dim
+        if key is None:
+            products = [algebra._table[a][i] for a in range(dim) for i in range(dim)]
+            memo[key] = _integer_vectors(products, dim).reshape(dim, dim, dim)
+        else:
+            memo[key] = _integer_vectors(algebra.homogeneous_basis(*key).vectors, dim)
+    return memo[key]
 
 
 def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
@@ -289,23 +304,17 @@ def _evaluation_columns(
 ) -> np.ndarray:
     """Integer evaluation matrix of polynomials: each monomial becomes the
     word of its letters' positions in ``variables``, and all coefficients
-    are scaled to integers by one common denominator lcm.  Words go straight
-    into the engine's index, so a large polarization is never also held as
-    a word column."""
+    are scaled to integers by one common denominator lcm."""
     position = {v: i for i, v in enumerate(variables)}
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    index: dict[Word, int] = {}
-    terms = [
-        (
-            [
-                index.setdefault(tuple(position[v] for v in mono), len(index))
-                for mono in p.terms
-            ],
-            _scaled(p.terms.values(), scale),
-        )
+    columns = [
+        {
+            tuple(position[v] for v in mono): c
+            for mono, c in zip(p.terms, _scaled(p.terms.values(), scale))
+        }
         for p in polys
     ]
-    return _indexed_columns(algebra, vectors, list(index), terms)
+    return _word_columns(algebra, vectors, columns)
 
 
 def _indexed_columns(
@@ -322,9 +331,7 @@ def _indexed_columns(
     itself.  When all words of a column share one multidegree, the column
     is one fixed positive multiple of the rational one."""
     dim = algebra.dim
-    table = _integer_vectors(
-        [algebra._table[a][i] for a in range(dim) for i in range(dim)], dim
-    ).reshape(dim, dim, dim)
+    table = _integer(algebra, None)
     # with vector entries up to b and structure constants up to t, a word's
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
@@ -346,11 +353,49 @@ def _indexed_columns(
     return matrix
 
 
+def _polynomial_matrices(
+    algebra: GradedStarAlgebra,
+    families: list[list[GradedPoly]],
+    points=_simplex,
+    size=_simplex_size,
+    order: tuple[Variable, ...] | None = None,
+):
+    """The one front end from polynomials to the engine: for each family of
+    polynomials sharing one multidegree, their integer evaluation matrix,
+    variables in canonical order (or ``order``), a variable of multiplicity
+    m taking the values ``points(basis, m)``.  The work, tuples * dim *
+    (words + positions * dim) entries with ``size(m, d)`` points per
+    variable, is checked against :data:`IDENTITY_WORK_CAP` for every family
+    before the first array is built; matrices are then built as asked for.
+    """
+    dim = algebra.dim
+    plans = []
+    for polys in families:
+        first = next((mono for p in polys for mono in p.terms), None)
+        if first == ():
+            raise InputError("constant terms cannot be evaluated in this algebra")
+        degree = Counter(first or ())
+        variables = order or canonical_variable_order(degree, algebra.mode)
+        bases = [_integer(algebra, (v.grade, v.kind)) for v in variables]
+        tuples = prod(size(degree[v], len(b)) for v, b in zip(variables, bases))
+        words = len({mono for p in polys for mono in p.terms})
+        work = tuples * dim * (words + len(variables) * dim)
+        if work > IDENTITY_WORK_CAP:
+            raise CapExceeded(
+                f"this evaluation needs about {work} engine entries, "
+                f"above the work cap {IDENTITY_WORK_CAP}"
+            )
+        plans.append((polys, variables, bases, degree))
+    for polys, variables, bases, degree in plans:
+        vectors = [points(b, degree[v]) for v, b in zip(variables, bases)]
+        yield _evaluation_columns(algebra, variables, vectors, polys)
+
+
 @dataclass
 class EvaluationMatrix:
     """Integer evaluation matrix: one column per polynomial, one row per
-    (basis tuple, coordinate) pair.  A fixed positive multiple of the
-    rational matrix, so ranks, nullspaces and zero tests are exact."""
+    (substitution tuple, coordinate) pair.  A fixed positive multiple of
+    the rational matrix, so ranks, nullspaces and zero tests are exact."""
 
     variables: tuple[Variable, ...]
     rows: np.ndarray = field(repr=False)
@@ -367,94 +412,55 @@ def build_evaluation_matrix(
     polys: list[GradedPoly],
     variables: tuple[Variable, ...] | None = None,
 ) -> EvaluationMatrix:
-    """Evaluate multilinear polynomials sharing one variable set on all
-    tuples of homogeneous component basis elements."""
+    """Evaluate polynomials sharing one multidegree on every tuple of their
+    variables' simplex points (basis elements, when multilinear), in the
+    order of ``variables``, canonical by default.  A combination of the
+    polynomials is an identity exactly when it is in the nullspace."""
     if not polys:
         raise InputError("need at least one polynomial")
+    if any(p.mode != algebra.mode for p in polys):
+        raise ModeMismatch("polynomial mode does not match the algebra")
+    if len({frozenset(Counter(m).items()) for p in polys for m in p.terms}) > 1:
+        raise InputError("evaluation matrices need polynomials of one multidegree")
+    names = {v for p in polys for v in p.variables()}
     if variables is None:
-        variables = canonical_variable_order(polys[0].variables(), algebra.mode)
-    varset = set(variables)
-    for p in polys:
-        if p.mode != algebra.mode:
-            raise ModeMismatch("polynomial mode does not match the algebra")
-        if not p.is_multilinear() or (p.terms and set(p.variables()) != varset):
-            raise InputError(
-                "evaluation matrices need multilinear polynomials over one "
-                "common variable set"
-            )
-    vectors = [_component_basis(algebra, v) for v in variables]
-    rows = _evaluation_columns(algebra, variables, vectors, polys)
+        variables = canonical_variable_order(names, algebra.mode)
+    elif sorted(variables) != sorted(names):
+        raise InputError("variables must list each of the polynomials' variables once")
+    rows = next(_polynomial_matrices(algebra, [polys], order=variables))
     return EvaluationMatrix(variables, rows)
 
 
 # -- identities ---------------------------------------------------------------
 
 
-def _components(poly: GradedPoly, algebra: GradedStarAlgebra) -> list[GradedPoly]:
-    if poly.mode != algebra.mode:
-        raise ModeMismatch(
-            f"{poly.mode} polynomial tested on {algebra.mode} algebra"
-        )
-    if any(not mono for mono in poly.terms):
-        raise InputError("constant terms cannot be evaluated in this algebra")
-    return poly.multihomogeneous_components()
-
-
 def _vanishes(poly: GradedPoly, algebra: GradedStarAlgebra, points, size) -> bool:
     """Does every multihomogeneous component vanish on all tuples of its
-    variables' ``points(basis, multiplicity)``?  ``size(multiplicity, d)``
-    counts those points, so the engine's work is estimated for every
-    component, as tuples * dim * (words + positions * dim) entries, and
-    checked against :data:`IDENTITY_WORK_CAP` before any array is built."""
-    dim = algebra.dim
-    tests = []
-    for component in _components(poly, algebra):
-        degree = component.multidegree()
-        variables = canonical_variable_order(degree.keys(), algebra.mode)
-        tuples = prod(
-            size(degree[v], algebra.homogeneous_basis(v.grade, v.kind).dim)
-            for v in variables
-        )
-        work = tuples * dim * (len(component.terms) + len(variables) * dim)
-        if work > IDENTITY_WORK_CAP:
-            raise CapExceeded(
-                f"testing this polynomial needs about {work} engine entries, "
-                f"above the work cap {IDENTITY_WORK_CAP}"
-            )
-        tests.append((component, degree, variables))
-    for component, degree, variables in tests:
-        vectors = [points(_component_basis(algebra, v), degree[v]) for v in variables]
-        if _evaluation_columns(algebra, variables, vectors, [component]).any():
-            return False
-    return True
+    variables' ``points(basis, multiplicity)``?"""
+    if poly.mode != algebra.mode:
+        raise ModeMismatch(f"{poly.mode} polynomial tested on {algebra.mode} algebra")
+    families = [[c] for c in poly.multihomogeneous_components()]
+    return not any(
+        rows.any() for rows in _polynomial_matrices(algebra, families, points, size)
+    )
 
 
 def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     """Does the polynomial vanish under every homogeneous substitution?
 
     Each multihomogeneous component is evaluated, unpolarized, on its
-    simplex lattice: a variable of multiplicity m over a component with
-    basis b_1..b_d takes the C(m+d-1, m) values sum(t_j * b_j) with
-    nonnegative integers t_j summing to m.  Each coordinate of the value is
-    a form of degree m in each block of t, and such forms are determined by
-    their values on the lattice, so vanishing there is vanishing on the
-    whole component, which is what full polarization decides in
-    characteristic zero.  A multilinear component is tested on its basis
-    tuples.  Raises :class:`CapExceeded` when the evaluation would exceed
-    :data:`IDENTITY_WORK_CAP` entries.
+    simplex lattice (C(m+d-1, m) points for a variable of multiplicity m
+    over a d-dimensional component; exact, see the module docstring).
+    Raises :class:`CapExceeded` above :data:`IDENTITY_WORK_CAP` entries.
     """
     return _vanishes(poly, algebra, _simplex, _simplex_size)
 
 
 def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
-    """The independent full-grid identity oracle.
-
-    Each variable of multiplicity m ranging over a component of dimension d
-    is substituted by sum(t_j * b_j) for every integer point t in
-    {0..m}^d.  The evaluated expression is, coordinatewise, a polynomial of
-    degree at most m in each t_j, so vanishing on the whole grid forces the
-    zero polynomial.  Shares :func:`is_identity`'s work cap.
-    """
+    """The independent full-grid identity oracle: a variable of
+    multiplicity m takes sum(t_j * b_j) for every t in {0..m}^d, where the
+    value is coordinatewise of degree at most m in each t_j, so vanishing on
+    the grid forces the zero polynomial.  Shares the work cap."""
     return _vanishes(poly, algebra, _grid, _grid_size)
 
 
@@ -492,10 +498,7 @@ def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     """Each slot's integer component basis, in slot order."""
     mode = algebra.mode
     return [
-        _integer_vectors(
-            algebra.homogeneous_basis(*modes.slot_grade_kind(slot, mode)).vectors,
-            algebra.dim,
-        )
+        _integer(algebra, modes.slot_grade_kind(slot, mode))
         for slot in range(modes.slot_count(len(algebra.group), mode))
     ]
 
@@ -520,12 +523,6 @@ def slice_codimension(algebra: GradedStarAlgebra, comp: Composition) -> int:
     if vectors is None:
         return 0
     return exact_rank(_indexed_columns(algebra, vectors, _arrangements(sum(comp))))
-
-
-def _has_empty_slot(algebra: GradedStarAlgebra, variables) -> bool:
-    return any(
-        algebra.homogeneous_basis(v.grade, v.kind).dim == 0 for v in variables
-    )
 
 
 def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Composition, int]]:
@@ -587,14 +584,8 @@ def _tableau_rank(
 def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
     """Rank of the unpolarized tableau vectors on integer substitution
     grids; agrees with the polarized rank in characteristic zero."""
-    tabs = standard_multitableaux(shape)
-    polys = [highest_weight_vector(t, algebra.mode) for t in tabs]
-    degree = polys[0].multidegree()
-    variables = canonical_variable_order(degree.keys(), algebra.mode)
-    if _has_empty_slot(algebra, variables):
-        return 0
-    vectors = [_grid(_component_basis(algebra, v), degree[v]) for v in variables]
-    return exact_rank(_evaluation_columns(algebra, variables, vectors, polys))
+    polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
+    return exact_rank(next(_polynomial_matrices(algebra, [polys], _grid, _grid_size)))
 
 
 def _class_representative(cls: Multipartition) -> np.ndarray:

@@ -5,23 +5,24 @@ grade index and a 1-based index inside their (kind, grade) class; monomials
 are tuples of variables, polynomials are finite rational combinations of
 monomials.
 
-Two conventions fixed here and relied on everywhere else:
+Three conventions fixed here:
 
 * **Position action.**  A permutation acts on a monomial by positions:
   ``(w · sigma)[p] = w[sigma(p)]``.  The vector attached to a multitableau T
   is the shape's highest weight vector acted on by the inverse of T's
   tableau permutation.
 
-* **Polarization.**  ``multilinearize`` replaces each variable of
+* **Polarization.**  :func:`multilinearize` replaces each variable of
   multiplicity m by m fresh copies and sums over all ways to distribute the
   copies onto that variable's positions, so evaluating all copies at one
-  element recovers (prod of m!) times the original value.
+  element recovers (prod of m!) times the original value.  The evaluator
+  never calls it: it evaluates repeated letters on lattice points.
 
 * **Words.**  The polarized tableau vectors the evaluator ranks are built
   without polynomials by :func:`polarized_tableau_words`: a monomial is the
   word of its letters' positions in the composition's variable order, a
-  vector a dict from word to integer coefficient.  The result equals
-  ``multilinearize(highest_weight_vector(t, mode))`` with every variable
+  vector a dict from word to integer coefficient.  The result equals the
+  polarization of ``highest_weight_vector(t, mode)`` with every variable
   replaced by its position, because polarizing renames letters while a
   tableau acts on positions, so the two commute and each tableau's vector
   is a position permutation of one polarized shape vector.
@@ -341,10 +342,10 @@ Word = tuple[int, ...]
 def polarized_tableau_words(
     shape: Multipartition, tabs: list[Multitableau]
 ) -> list[dict[Word, int]]:
-    """``multilinearize(highest_weight_vector(t, mode))`` for each tableau t
-    of one shape, in word form: each monomial becomes the tuple of its
-    letters' positions in the composition's variable order (slots in order,
-    indices ascending within a slot), with its integer coefficient.
+    """The polarization of ``highest_weight_vector(t, mode)`` for each
+    tableau t of one shape, in word form: each monomial becomes the tuple of
+    its letters' positions in the composition's variable order (slots in
+    order, indices ascending within a slot), with its integer coefficient.
 
     The shape's polarized vector is built once.  Per slot and per choice of
     one permutation pi_c for every column c, cell i of column c carries row

@@ -4,17 +4,24 @@ single-grade criteria behind them."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gpw
+import oracle
 from gpw.classify import (
+    _sandwich_candidates,
     bounded_multiplicity_report,
     find_sandwich_identity,
     hwv_factorization_check,
     star_multone_report,
     verify_multone_lemmas,
 )
-from gpw.errors import ModeMismatch, PreconditionViolation
-from gpw.evaluator import is_identity, is_identity_grid
+from gpw.errors import ConsistencyViolation, ModeMismatch, PreconditionViolation
+from gpw.evaluator import EvaluationMatrix, canonical_variable_order, is_identity, is_identity_grid
+from gpw.linalg import nullspace
+from gpw.polynomials import multilinearize
+
+from test_engine import algebras
 
 
 def test_k_has_the_middle_sandwich_identity(k_g, c2):
@@ -37,6 +44,35 @@ def test_ut2_admits_no_sandwich_identity(ut2_g, c2):
     g = c2.element("g")
     for n in range(2, 6):
         assert find_sandwich_identity(ut2_g, g, n) is None
+
+
+def test_full_rank_certificate_is_checked_without_assert(ut2_g, c2, monkeypatch):
+    # ut2 has no grade-g witness; a rank that disagrees with the empty
+    # nullspace is a consistency failure, also under ``python -O``
+    monkeypatch.setattr(EvaluationMatrix, "rank", lambda self, columns=None: 2)
+    with pytest.raises(ConsistencyViolation):
+        find_sandwich_identity(ut2_g, c2.element("g"), 3)
+
+
+def test_sandwich_witnesses_match_the_polarized_oracle():
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(algebras(False))
+        grade = data.draw(st.sampled_from(list(algebra.group)))
+        n = data.draw(st.integers(2, 4))
+        witness = find_sandwich_identity(algebra, grade, n)
+        candidates = _sandwich_candidates(algebra.mode, algebra.group.identity, grade, n)
+        linear = [multilinearize(c) for c in candidates]
+        variables = canonical_variable_order(linear[0].variables(), algebra.mode)
+        kernel = nullspace(oracle.basis_rows(algebra, linear, variables), n)
+        if kernel:
+            assert (witness.grade, witness.n) == (grade, n)
+            assert list(witness.coefficients) == kernel[0]
+        else:
+            assert witness is None
+
+    check()
 
 
 def test_witness_separates_k_from_ut2(k_g, ut2_g, c2):

@@ -1,7 +1,8 @@
 """Byte-for-byte pins of the report commands: for each run on the builtin
 algebras, the sha256 of stdout and the exit code, as TSV and as JSON.  Most
-runs stay at n <= 4; two cocharacter tables go to n=5 and n=6, and two
-identity runs test an 8-fold and a 7-fold power.  Error runs pin an empty
+runs stay at n <= 4; two cocharacter tables go to n=5 and n=6, two
+identity runs test an 8-fold and a 7-fold power, and one sandwich search on
+ut2 certifies full rank at every degree up to 6.  Error runs pin an empty
 stdout and exit code 2."""
 
 import hashlib
@@ -74,6 +75,12 @@ GOLDEN = [
         1,
         "98b837c4c6a0ed410ec1815767c6d873f1e96f123acb9253f45fd554d20e56cf",
         "29b3118f8c5757552095c490b181197df81e1478a12c400e8404f9cf60b945ad",
+    ),
+    (
+        "classify-bounded ut2_g --n-max 6",
+        1,
+        "8d366bc4bcab575ebe8235249666db183f9525ec57713faa637a66dd020fbce4",
+        "63062025e0e1f03f4485f59a9aaab3434f28b0ede377af66467775b7b5c7b18c",
     ),
     (
         "classify-multone grassmann2",

@@ -6,8 +6,9 @@ two-generator Grassmann algebra, 2x2 matrices with the transpose, with
 reflection or sign involutions) and then rewritten in a random rational
 basis of each homogeneous component, so structure constants, involutions
 and symmetric/skew bases carry denominators.  On them the engine must give
-a positive multiple of the oracle's matrix, the same ranks and nullspaces,
-and the same identity verdicts on both routes.
+a positive multiple of the oracle's matrix, the same ranks and nullspaces
+(on repeated letters, the nullspace of the oracle's grid), and the same
+identity verdicts on both routes.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ import gpw
 import oracle
 from gpw import modes
 from gpw.algebras import GradedStarAlgebra
+from gpw.errors import InputError
 from gpw.evaluator import (
     _simplex,
     build_evaluation_matrix,
@@ -181,34 +183,72 @@ def assert_positive_multiple(engine_rows, oracle_rows):
 # -- matrices, ranks and nullspaces ----------------------------------------------
 
 
+def _distinct_arrangements(letters):
+    return sorted(set(permutations(letters)))
+
+
+def _slot_letters(algebra):
+    """One variable of index 1 per slot."""
+    mode = algebra.mode
+    return [
+        Variable(kind, grade, 1)
+        for grade, kind in (
+            modes.slot_grade_kind(slot, mode)
+            for slot in range(modes.slot_count(len(algebra.group), mode))
+        )
+    ]
+
+
 @pytest.mark.parametrize("star", [False, True])
 def test_engine_matrix_matches_the_oracle(star):
     @EXAMPLES
     @given(data=st.data())
     def check(data):
         algebra = data.draw(algebras(star))
-        slots = modes.slot_count(len(algebra.group), algebra.mode)
+        mode = algebra.mode
+        slots = modes.slot_count(len(algebra.group), mode)
         comp = data.draw(st.sampled_from(compositions(data.draw(st.integers(1, 3)), slots)))
-        variables = composition_variables(comp, algebra.mode)
+        variables = composition_variables(comp, mode)
         words = list(permutations(variables))
-        polys = [random_combination(data.draw, algebra.mode, words) for _ in range(data.draw(st.integers(1, 4)))]
-        polys = [p for p in polys if not p.is_zero] or [GradedPoly.monomial(algebra.mode, variables)]
+        polys = [random_combination(data.draw, mode, words) for _ in range(data.draw(st.integers(1, 4)))]
+        polys = [p for p in polys if not p.is_zero] or [GradedPoly.monomial(mode, variables)]
         matrix = build_evaluation_matrix(algebra, polys, variables)
         expected = oracle.basis_rows(algebra, polys, variables)
-        if not expected:
+        if expected:
+            assert_positive_multiple(matrix.rows, expected)
+            assert matrix.rank() == gauss_rank(expected)
+            assert matrix.rank(slice(0, 1)) == gauss_rank([row[:1] for row in expected])
+            kernel = matrix.nullspace()
+            assert kernel == nullspace(expected, len(polys))
+            for v in kernel:
+                combined = GradedPoly.zero(mode)
+                for c, p in zip(v, polys):
+                    combined = combined + p.scale(c)
+                if not combined.is_zero:
+                    assert is_identity(combined, algebra) and is_identity_grid(combined, algebra)
+        else:
             assert matrix.rows.size == 0
-            return
-        assert_positive_multiple(matrix.rows, expected)
-        assert matrix.rank() == gauss_rank(expected)
-        assert matrix.rank(slice(0, 1)) == gauss_rank([row[:1] for row in expected])
-        kernel = matrix.nullspace()
-        assert kernel == nullspace(expected, len(polys))
-        for v in kernel:
-            combined = GradedPoly.zero(algebra.mode)
-            for c, p in zip(v, polys):
-                combined = combined + p.scale(c)
-            if not combined.is_zero:
-                assert is_identity(combined, algebra) and is_identity_grid(combined, algebra)
+        # mixed multidegrees, and variables that are not the polynomials' set
+        doubled = GradedPoly.monomial(mode, variables + variables[:1])
+        for bad in ([*polys, doubled], [polys[0] + doubled]):
+            with pytest.raises(InputError):
+                build_evaluation_matrix(algebra, bad)
+        for wrong in (variables[1:], variables + variables[:1]):
+            with pytest.raises(InputError):
+                build_evaluation_matrix(algebra, polys, wrong)
+        # repeated letters: the lattice nullspace is the grid oracle's
+        letters = _slot_letters(algebra)
+        first = data.draw(st.sampled_from(letters))
+        word = [first] * data.draw(st.integers(2, 3))
+        if data.draw(st.booleans()):
+            other = data.draw(st.sampled_from(letters))
+            word.append(Variable(other.kind, other.grade, 2))
+        arrangements = _distinct_arrangements(word)
+        family = [random_combination(data.draw, mode, arrangements) for _ in range(data.draw(st.integers(1, 4)))]
+        family = [p for p in family if not p.is_zero] or [GradedPoly.monomial(mode, word)]
+        if grid_size(algebra, family[0]) <= 300:
+            rows = oracle.grid_rows(algebra, family)
+            assert build_evaluation_matrix(algebra, family).nullspace() == nullspace(rows, len(family))
 
     check()
 
@@ -310,10 +350,6 @@ def test_large_entries_take_exact_python_ints():
 # -- the simplex lattice -----------------------------------------------------------
 
 
-def _distinct_arrangements(letters):
-    return sorted(set(permutations(letters)))
-
-
 def test_simplex_has_one_point_per_composition():
     for d in range(1, 5):
         basis = np.array([[Fraction(j + 1, 2 + k) for k in range(3)] for j in range(d)], dtype=object)
@@ -353,13 +389,7 @@ def test_lattice_verdicts_match_the_polarized_oracle(star):
     def check(data):
         algebra = data.draw(algebras(star))
         mode = algebra.mode
-        slot_letters = [
-            Variable(kind, grade, 1)
-            for grade, kind in (
-                modes.slot_grade_kind(slot, mode)
-                for slot in range(modes.slot_count(len(algebra.group), mode))
-            )
-        ]
+        slot_letters = _slot_letters(algebra)
         wide = [v for v in slot_letters if algebra.homogeneous_basis(v.grade, v.kind).dim >= 2]
         assume(wide)
         first = data.draw(st.sampled_from(wide))

@@ -24,6 +24,7 @@ from gpw.evaluator import (
     evaluate,
     is_identity,
     is_identity_grid,
+    multiplicity,
     slice_codimension,
     total_codimension,
 )
@@ -130,7 +131,9 @@ def test_mode_mismatch_is_detected(ut2_g, e2, c2, c2xc2):
         is_identity(parse_poly("x{1,(0,0)}", "graded", c2xc2), e2)
 
 
-@pytest.mark.parametrize("route", [is_identity, is_identity_grid])
+@pytest.mark.parametrize(
+    "route", [is_identity, is_identity_grid, build_evaluation_matrix, multiplicity]
+)
 def test_identity_work_cap_refuses_before_building(route, ut2_trivial, trivial_group, monkeypatch):
     def refuse(*args):
         raise AssertionError("the engine ran before the work check")
@@ -139,9 +142,66 @@ def test_identity_work_cap_refuses_before_building(route, ut2_trivial, trivial_g
     # 3^30 basis tuples; a small first component does not run either
     huge = parse_poly("*".join(f"x{{{i},1}}" for i in range(1, 31)), "graded", trivial_group)
     small = parse_poly("x{1,1}*x{2,1}", "graded", trivial_group)
-    for poly in (huge, small + huge):
+    if route is build_evaluation_matrix:
+        calls = [lambda: route(ut2_trivial, [huge])]
+    elif route is multiplicity:
+        # the standard polynomial s_6 on 2^3 grid points per variable
+        shape = Multipartition(((1,) * 6,))
+        calls = [lambda: route(ut2_trivial, shape, fillings="grid")]
+    else:
+        calls = [lambda p=p: route(p, ut2_trivial) for p in (huge, small + huge)]
+    for call in calls:
         with pytest.raises(CapExceeded):
-            route(poly, ut2_trivial)
+            call()
+
+
+def test_evaluation_matrix_input_errors(ut2_g, e2, c2):
+    x12 = parse_poly("x{1,g}*x{2,1}", "graded", c2)
+    with pytest.raises(InputError):
+        build_evaluation_matrix(ut2_g, [])
+    with pytest.raises(ModeMismatch):
+        build_evaluation_matrix(e2, [x12])
+    with pytest.raises(InputError):  # two multidegrees
+        build_evaluation_matrix(ut2_g, [x12, parse_poly("x{1,g}*x{1,g}", "graded", c2)])
+    with pytest.raises(InputError):
+        build_evaluation_matrix(ut2_g, [x12], (Variable("x", 1, 1),))
+    with pytest.raises(InputError):  # constant terms
+        build_evaluation_matrix(ut2_g, [GradedPoly.one("graded")])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda group: gpw.builtin_k(group, 1), lambda group: gpw.builtin_ut2(group, 1)],
+    ids=["k_g", "ut2_g"],
+)
+def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
+    algebra = build(c2)  # a fresh algebra: nothing of it is memoized yet
+    calls = []
+    original = evaluator._integer_vectors
+
+    def counted(vectors, dim):
+        calls.append(len(vectors))
+        return original(vectors, dim)
+
+    monkeypatch.setattr(evaluator, "_integer_vectors", counted)
+    polys = [
+        parse_poly(text, "graded", c2)
+        for text in ("x{1,g}*x{2,g} - x{2,g}*x{1,g}", "x{1,1}*x{1,1}*x{2,g}", "x{1,1}*x{2,1}")
+    ]
+
+    def use():
+        for p in polys:
+            is_identity(p, algebra)
+            is_identity_grid(p, algebra)
+        evaluator.cocharacter_table(algebra, 3)
+
+    use()
+    first = len(calls)
+    use()
+    # one structure table and one basis per grade, however often they are used
+    assert len(calls) == first
+    expected = [algebra.dim**2] + [algebra.homogeneous_basis(g).dim for g in c2]
+    assert sorted(calls) == sorted(expected)
 
 
 @pytest.mark.parametrize(
