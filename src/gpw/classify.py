@@ -14,7 +14,8 @@ algebra:
 * **Pairwise commutation lists** (star mode).  For every ordered pair of
   distinct grades and every choice of symmetric/skew kinds, scan the
   coefficients {0, 1, -1} for which  u1·v2 + a·v2·u1  is an identity, plus
-  the same-grade mixed list  y1·z2 + b·z2·y1.  When every list is satisfied
+  the same-grade mixed list  y1·z2 + b·z2·y1.  Both orders of a pair are
+  read off one evaluation matrix.  When every list is satisfied
   all multiplicities are at most one; the report re-checks that empirically
   on low-degree cocharacter tables and treats any counterexample as an
   internal error.
@@ -204,13 +205,21 @@ class MultOneReport:
 
 def _coefficient_scan(
     algebra: GradedStarAlgebra, a: Variable, b: Variable
-) -> tuple[int, ...]:
-    first = GradedPoly.monomial(algebra.mode, (a, b))
-    second = GradedPoly.monomial(algebra.mode, (b, a))
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The alpha in (0, 1, -1) for which a·b + alpha·b·a is an identity,
+    and those for which b·a + alpha·a·b is one, both read from one integer
+    evaluation matrix with the columns [ab, ba]: a·b + alpha·b·a is an
+    identity exactly when col_ab + alpha·col_ba vanishes.  For alpha = ±1
+    the two orders agree; for alpha = 0 the first needs col_ab == 0 and the
+    second col_ba == 0."""
+    ab, ba = build_evaluation_matrix(
+        algebra,
+        [GradedPoly.monomial(algebra.mode, (a, b)), GradedPoly.monomial(algebra.mode, (b, a))],
+    ).rows.T
+    plus, minus = not (ab + ba).any(), not (ab - ba).any()
     return tuple(
-        alpha
-        for alpha in (0, 1, -1)
-        if is_identity(first + second.scale(alpha), algebra)
+        tuple(alpha for alpha, holds in ((0, zero), (1, plus), (-1, minus)) if holds)
+        for zero in (not ab.any(), not ba.any())
     )
 
 
@@ -226,19 +235,22 @@ def star_multone_report(
     empirical_n = min(empirical_n, HARD_N_CAP)
     pair_findings = []
     group = algebra.group
+    scanned: dict[tuple, tuple[int, ...]] = {}  # the reverse orders still to report
     for g in group:
         for h in group:
             if g == h:
                 continue
             for k1 in (modes.SYM, modes.SKEW):
                 for k2 in (modes.SYM, modes.SKEW):
-                    coeffs = _coefficient_scan(
-                        algebra, Variable(k1, g, 1), Variable(k2, h, 2)
-                    )
-                    pair_findings.append(PairFinding((g, h), (k1, k2), coeffs))
+                    key = (g, k1, h, k2)
+                    if key not in scanned:
+                        scanned[key], scanned[(h, k2, g, k1)] = _coefficient_scan(
+                            algebra, Variable(k1, g, 1), Variable(k2, h, 2)
+                        )
+                    pair_findings.append(PairFinding((g, h), (k1, k2), scanned.pop(key)))
     same_grade = []
     for g in group:
-        coeffs = _coefficient_scan(
+        coeffs, _ = _coefficient_scan(
             algebra, Variable(modes.SYM, g, 1), Variable(modes.SKEW, g, 2)
         )
         same_grade.append(SameGradeFinding(g, coeffs))

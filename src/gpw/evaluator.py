@@ -14,9 +14,11 @@ integers by their denominator lcms (and a :class:`GradedPoly`'s
 coefficients by theirs when its monomials are turned into words), so the
 matrix is one fixed positive multiple of the rational one and its ranks,
 nullspaces and zero tests are the rational answers.  Words are multiplied
-out for all tuples at once in numpy.  Entries are int64
-only when an a-priori bound on every entry stays below 2**62; otherwise
-they are Python ints, so nothing wraps.
+out for all tuples at once in numpy, walking their prefix trie one level
+at a time with one batched product per level, in blocks of bounded size
+(:func:`_monomial_values`).  Entries are int64 only when an a-priori bound
+on every entry stays below 2**62; otherwise they are Python ints, so
+nothing wraps.
 
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
@@ -30,8 +32,12 @@ they are Python ints, so nothing wraps.
   multiplicity of a shape is its inner product with the irreducible
   characters (Murnaghan–Nakayama, :func:`~gpw.shapes.character`); see
   Drensky, "Free algebras and PI-algebras" (2000), and Giambruno–Zaicev,
-  "Polynomial identities and asymptotic methods" (2005).  A multiplicity
-  that is not a nonnegative integer can only come from a bug and raises
+  "Polynomial identities and asymptotic methods" (2005).  All classes of a
+  composition are traced in one pass, and since the irreducible characters
+  of a Young subgroup are products over its slots (Sagan, "The symmetric
+  group", §1.11), the inner products are one contraction per nonempty slot
+  with the weighted character table of S_m.  A multiplicity that is not a
+  nonnegative integer can only come from a bug and raises
   :class:`ConsistencyViolation`.
 * The **tableau route** is the cross-check: :func:`multiplicity` ranks the
   polarized highest weight vectors of a shape's standard multitableaux.
@@ -72,6 +78,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm, prod
 
 import numpy as np
@@ -104,6 +111,7 @@ from .shapes import (
     compositions,
     multinomial,
     multipartitions,
+    partitions,
     standard_multitableaux,
 )
 
@@ -238,22 +246,91 @@ def _grid_size(degree: int, d: int) -> int:
     return (degree + 1) ** d
 
 
-def _monomial_values(
-    table: np.ndarray, vectors: list[np.ndarray], words: list[tuple[int, ...]]
-) -> np.ndarray:
-    """Value of every word on every substitution tuple: an array of shape
-    (words, tuples * dim), tuples in ``itertools.product`` order over
-    ``vectors`` (one array of candidate values per variable position).
+# entries one batched step may hold in an array: the right-multiplication
+# matrices of one level of a block of the word walk, or the products of one
+# block of classes' traces.  Smaller blocks cost more numpy calls per entry.
+_BLOCK = 2**15
 
-    Words are walked in sorted order with a stack of prefix values, one
-    row-vector times right-multiplication-matrix step per new letter, for
-    all tuples at once; a prefix that vanishes on every tuple ends its
-    whole subtree of words.
+
+@dataclass(frozen=True)
+class _WordTrie:
+    """The prefix trie of words of one length n, level by level.
+
+    ``order`` lists the word indices in sorted word order.  On level l (the
+    prefixes of length l + 1), ``nodes[l][i]`` is the node of the i-th
+    sorted word's prefix, and ``parents[l]`` and ``letters[l]`` give each
+    node's parent on level l - 1 and its last letter.  Nodes are numbered
+    along the sorted words, so a run of sorted words covers a run of nodes
+    on every level.
+    """
+
+    order: np.ndarray
+    nodes: list[np.ndarray]
+    parents: list[np.ndarray]
+    letters: list[np.ndarray]
+
+
+def _word_trie(words: list[Word]) -> _WordTrie:
+    """The prefix trie of ``words``, which must share one length."""
+    n = len(words[0]) if words else 0
+    if any(len(word) != n for word in words):
+        raise ValueError("the words of one trie must share one length")
+    order = sorted(range(len(words)), key=words.__getitem__)
+    last = [-1] * n  # the newest node on each level
+    nodes: list[tuple[int, ...]] = []  # per sorted word, its node on each level
+    parents: list[list[int]] = [[] for _ in range(n)]
+    letters: list[list[int]] = [[] for _ in range(n)]
+    previous: Word = ()
+    for w in order:
+        word = words[w]
+        depth = 0
+        while depth < len(previous) and word[depth] == previous[depth]:
+            depth += 1
+        for level in range(depth, n):
+            last[level] += 1
+            parents[level].append(last[level - 1] if level else 0)
+            letters[level].append(word[level])
+        nodes.append(tuple(last))
+        previous = word
+    # one array for all levels, cut into views: tries of a single short word
+    # are built for every identity test
+    flat = np.array([i for level in parents + letters for i in level], dtype=np.intp)
+    ends = list(itertools.accumulate(map(len, parents + letters), initial=0))
+    cut = [flat[a:b] for a, b in zip(ends, ends[1:])]
+    return _WordTrie(
+        np.array(order, dtype=np.intp),
+        list(np.array(nodes, dtype=np.intp).reshape(len(words), n).T),
+        cut[:n],
+        cut[n:],
+    )
+
+
+def _monomial_values(
+    table: np.ndarray, vectors: list[np.ndarray], trie: _WordTrie
+) -> np.ndarray:
+    """Value of every word of ``trie`` on every substitution tuple: an
+    array of shape (words, tuples * dim), words in their original order,
+    tuples in ``itertools.product`` order over ``vectors`` (one array of
+    candidate values per variable position).
+
+    The trie is walked one level at a time, for all tuples at once: each
+    node's value is its parent's value times the right-multiplication
+    matrix of its last letter, one batched ``matmul`` per level.  A node
+    whose value vanishes on every tuple ends its whole subtree.  The sorted
+    words are walked in blocks of at least one word, so that the matrices
+    gathered for one level hold at most :data:`_BLOCK` entries and its
+    values dim times fewer, and each block is written straight into the
+    output.
     """
     dim = table.shape[0]
     count = prod(len(v) for v in vectors)
-    if count == 0:
-        return np.zeros((len(words), 0), dtype=table.dtype)
+    words = len(trie.order)
+    out = np.zeros((words, count, dim), dtype=table.dtype)
+    if count == 0 or not trie.nodes:
+        return out.reshape(words, count * dim)
+    # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
+    # value v into its right-multiplication matrix [a, k] by one product
+    products = table.transpose(1, 0, 2).reshape(dim, dim * dim)
     values, right = [], []
     stride = count
     for vecs in vectors:
@@ -261,26 +338,37 @@ def _monomial_values(
         choice = np.arange(count) // stride % len(vecs)
         values.append(vecs[choice])
         # right[j][t, a, k]: coordinate k of e_a times variable j's value in tuple t
-        right.append(np.tensordot(vecs, table, axes=(1, 1))[choice])
-    out = np.zeros((len(words), count, dim), dtype=table.dtype)
-    stack: list[np.ndarray] = []  # stack[d] is the value of previous[: d + 1]
-    previous: tuple[int, ...] = ()
-    for w in sorted(range(len(words)), key=words.__getitem__):
-        word = words[w]
-        depth = 0
-        while depth < min(len(stack), len(word)) and word[depth] == previous[depth]:
-            depth += 1
-        del stack[depth:]
-        while len(stack) < len(word) and (not stack or stack[-1].any()):
-            j = word[len(stack)]
-            if stack:
-                stack.append(np.matmul(stack[-1][:, None, :], right[j])[:, 0, :])
+        right.append((vecs @ products).reshape(len(vecs), dim, dim)[choice])
+    values, right = np.stack(values), np.stack(right)
+    step = max(1, _BLOCK // (count * dim * dim))
+    for start in range(0, words, step):
+        stop = min(start + step, words)
+        level, low = None, 0
+        for nodes, parents, letters in zip(trie.nodes, trie.parents, trie.letters):
+            lo, hi = nodes[start], nodes[stop - 1] + 1
+            if level is None:
+                level, low = values[letters[lo:hi]], lo
+                continue
+            up, here = parents[lo:hi] - low, letters[lo:hi]
+            # a prefix that vanished on every tuple ends its subtree
+            alive = level.any(axis=(1, 2))
+            living = np.count_nonzero(alive)
+            if living == len(alive):
+                live = slice(None)
+            elif living:
+                live = np.flatnonzero(alive[up])
             else:
-                stack.append(values[j])
-        if len(stack) == len(word):
-            out[w] = stack[-1]
-        previous = word
-    return out.reshape(len(words), count * dim)
+                break  # the block's words are all zero, as ``out`` already is
+            product = np.matmul(level[up[live]][:, :, None, :], right[here[live]])[:, :, 0, :]
+            if len(product) == hi - lo:
+                level = product
+            else:
+                level = np.zeros((hi - lo, count, dim), dtype=table.dtype)
+                level[live] = product
+            low = lo
+        else:
+            out[trie.order[start:stop]] = level[trie.nodes[-1][start:stop] - low]
+    return out.reshape(words, count * dim)
 
 
 def _word_columns(
@@ -322,6 +410,7 @@ def _indexed_columns(
     vectors: list[np.ndarray],
     words: list[Word],
     terms: list[tuple[list[int], list[int]]] | None = None,
+    trie: _WordTrie | None = None,
 ) -> np.ndarray:
     """The engine.  Column j is the sum over (i, c) in ``zip(*terms[j])``
     of c times the value of ``words[i]``, whose letters index ``vectors``
@@ -329,7 +418,8 @@ def _indexed_columns(
     (substitution tuple, coordinate) pair, tuples in ``itertools.product``
     order over ``vectors``.  Without ``terms``, column j is ``words[j]``
     itself.  When all words of a column share one multidegree, the column
-    is one fixed positive multiple of the rational one."""
+    is one fixed positive multiple of the rational one.  ``trie``, when
+    given, is ``_word_trie(words)``, built once for many calls."""
     dim = algebra.dim
     table = _integer(algebra, None)
     # with vector entries up to b and structure constants up to t, a word's
@@ -342,7 +432,9 @@ def _indexed_columns(
     bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
     dtype = np.int64 if bound < _INT64_SAFE else object
     monomials = _monomial_values(
-        table.astype(dtype), [v.astype(dtype) for v in vectors], words
+        table.astype(dtype),
+        [v.astype(dtype) for v in vectors],
+        trie or _word_trie(words),
     )
     if terms is None:
         return monomials.T
@@ -588,17 +680,22 @@ def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int
     return exact_rank(next(_polynomial_matrices(algebra, [polys], _grid, _grid_size)))
 
 
-def _class_representative(cls: Multipartition) -> np.ndarray:
-    """A permutation of the letters ``range(n)`` in the conjugacy class
-    ``cls`` of the slots' Young subgroup: on each slot's letters, cycles of
-    consecutive letters with the lengths of that slot's partition."""
-    sigma = np.arange(cls.n)
-    start = 0
-    for rho in cls.components:
-        for part in rho:
-            sigma[start : start + part] = np.roll(sigma[start : start + part], -1)
-            start += part
-    return sigma
+def _class_representatives(classes: list[Multipartition]) -> np.ndarray:
+    """One permutation of the letters ``range(n)`` per conjugacy class of
+    the slots' Young subgroup, as the rows of an array: on each slot's
+    letters, cycles of consecutive letters with the lengths of that slot's
+    partition."""
+    rows = []
+    for cls in classes:
+        row: list[int] = []
+        for rho in cls.components:
+            for part in rho:
+                start = len(row)
+                row.extend(range(start + 1, start + part))
+                row.append(start)
+        rows.append(row)
+    n = classes[0].n if classes else 0
+    return np.array(rows, dtype=np.intp).reshape(len(classes), n)
 
 
 def _permutation_index(perms: np.ndarray) -> np.ndarray:
@@ -620,24 +717,62 @@ def _class_traces(
     """The character of the column space of the arrangement matrix at each
     class: with B the pivot columns (a basis of the column space) and R the
     pivot rows, the trace of M[R,B]^-1 M[R,sigma B] for a representative
-    sigma, which renames same-slot letters and so permutes the columns.  It
-    is computed mod p and read as the integer of least absolute value; a
-    character of degree r has |chi| <= r, so the caller must ensure
-    2r < p."""
+    sigma, which renames same-slot letters and so permutes the columns.
+
+    The images sigma B of all classes come from one Lehmer-code call, and
+    the traces from one elementwise product per block of classes, each
+    block at most :data:`_BLOCK` products.  They are computed mod p and
+    read as the integer of least absolute value; a character of degree r
+    has |chi| <= r, so the caller must ensure 2r < p."""
     prime = linalg.PRIME
     rows = [row for row, _ in pivots]
     basis = [col for _, col in pivots]
+    r = len(basis)
     block = (matrix[rows] % prime).astype(np.int64)
-    inverse_t = inverse_mod_p(block[:, basis], prime).T
+    inverse_t = inverse_mod_p(block[:, basis], prime).T[:, None, :]
     basis_words = np.array([words[col] for col in basis], dtype=np.intp).reshape(
-        len(basis), len(words[0])
+        r, len(words[0])
+    )
+    renamed = _class_representatives(classes)[:, basis_words]
+    images = _permutation_index(renamed.reshape(-1, renamed.shape[2])).reshape(
+        len(classes), r
     )
     traces = []
-    for cls in classes:
-        images = _permutation_index(_class_representative(cls)[basis_words])
-        trace = int(((inverse_t * block[:, images]) % prime).sum()) % prime
-        traces.append(trace if 2 * trace < prime else trace - prime)
-    return traces
+    step = max(1, _BLOCK // max(1, r * r))
+    for start in range(0, len(classes), step):
+        # products[i, c, k] = (M[R,B]^-1)[k, i] * M[R, sigma_c B][i, k]
+        products = (inverse_t * block[:, images[start : start + step]]) % prime
+        traces.extend((products.sum(axis=(0, 2)) % prime).tolist())
+    return [t if 2 * t < prime else t - prime for t in traces]
+
+
+@cache
+def _weighted_characters(m: int) -> np.ndarray:
+    """The character table of S_m with each class column scaled by the
+    class size: ``[lam, rho]`` is chi_lam(rho) * |rho|, partitions in
+    :func:`~gpw.shapes.partitions` order.  Shared read-only."""
+    parts = partitions(m)
+    table = np.array(
+        [[character(lam, rho) * class_size(rho) for rho in parts] for lam in parts],
+        dtype=np.int64,
+    )
+    table.flags.writeable = False
+    return table
+
+
+def _character_sums(comp: Composition, traces: list[int]) -> np.ndarray:
+    """For every shape lambda of ``comp``, in :func:`multipartitions` order,
+    the sum over classes rho of chi(rho) * prod_i |rho_i| *
+    chi_(lambda_i)(rho_i).  The Young subgroup is a product over its slots,
+    so this is the trace vector, read as a tensor with one axis per slot,
+    contracted on each nonempty slot's axis with that slot's weighted
+    character table.  With n <= HARD_N_CAP every sum is far below 2**63."""
+    tensor = np.array(traces, dtype=np.int64).reshape([len(partitions(m)) for m in comp])
+    for axis, m in enumerate(comp):
+        if m:
+            contracted = np.tensordot(_weighted_characters(m), tensor, axes=(1, axis))
+            tensor = np.moveaxis(contracted, 0, axis)
+    return tensor.reshape(-1)
 
 
 def _multiplicities_from_traces(
@@ -647,19 +782,12 @@ def _multiplicities_from_traces(
     traces: list[int],
 ) -> list[int]:
     """m_lambda = sum over classes rho of chi(rho) * prod_i
-    chi_(lambda_i)(rho_i) / z_(rho_i).  The classes of the Young subgroup
-    are the shapes themselves, read as cycle types per slot."""
+    chi_(lambda_i)(rho_i) / z_(rho_i) (:func:`_character_sums` over the
+    subgroup order).  The classes of the Young subgroup are the shapes
+    themselves, read as cycle types per slot."""
     order = prod(factorial(c) for c in comp)
-    weighted = [
-        chi * prod(class_size(rho) for rho in cls.components)
-        for cls, chi in zip(shapes, traces)
-    ]
     counts = []
-    for shape in shapes:
-        total = sum(
-            w * prod(character(lam, rho) for lam, rho in zip(shape.components, cls.components))
-            for cls, w in zip(shapes, weighted)
-        )
+    for shape, total in zip(shapes, _character_sums(comp, traces).tolist()):
         m, rest = divmod(total, order)
         if rest or m < 0:
             raise ConsistencyViolation(
@@ -675,6 +803,7 @@ def _slice_cocharacter(
     comp: Composition,
     vectors: list[np.ndarray],
     words: list[Word],
+    trie: _WordTrie,
 ) -> tuple[int, list[tuple[Multipartition, int]]]:
     """Slice codimension of one composition and the multiplicity of each of
     its shapes, from the arrangement matrix M.
@@ -686,7 +815,7 @@ def _slice_cocharacter(
     2r < p.  Otherwise (p divided a minor, or p is too small) the
     composition falls back to the tableau route.
     """
-    matrix = _indexed_columns(algebra, vectors, words)
+    matrix = _indexed_columns(algebra, vectors, words, trie=trie)
     pivots: list[tuple[int, int]] = []
     rank = exact_rank(matrix, pivots)
     shapes = multipartitions(comp)
@@ -717,7 +846,8 @@ def composition_multiplicities(
     vectors = _composition_vectors(_slot_bases(algebra), comp)
     if vectors is None or not vectors:
         return [(shape, 0) for shape in multipartitions(comp)]
-    return _slice_cocharacter(algebra, comp, vectors, _arrangements(sum(comp)))[1]
+    words = _arrangements(sum(comp))
+    return _slice_cocharacter(algebra, comp, vectors, words, _word_trie(words))[1]
 
 
 @dataclass
@@ -769,6 +899,7 @@ def cocharacter_table(
     slots = modes.slot_count(len(algebra.group), mode)
     bases = _slot_bases(algebra)
     words = _arrangements(n)
+    trie = _word_trie(words)
     slice_codims: list[tuple[Composition, int]] = []
     entries: list[tuple[Multipartition, int]] = []
     total = 0
@@ -777,7 +908,7 @@ def cocharacter_table(
         if vectors is None:
             slice_codims.append((comp, 0))
             continue
-        slice_c, counts = _slice_cocharacter(algebra, comp, vectors, words)
+        slice_c, counts = _slice_cocharacter(algebra, comp, vectors, words, trie)
         slice_codims.append((comp, slice_c))
         entries.extend(counts)
         total += multinomial(comp) * slice_c

@@ -1,6 +1,7 @@
 """Sandwich witnesses, the bounded/multiplicity-one reports, and the
 single-grade criteria behind them."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gpw
 import oracle
+from gpw import modes
+from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
+    _coefficient_scan,
     _sandwich_candidates,
     bounded_multiplicity_report,
     find_sandwich_identity,
@@ -19,7 +23,7 @@ from gpw.classify import (
 from gpw.errors import ConsistencyViolation, ModeMismatch, PreconditionViolation
 from gpw.evaluator import EvaluationMatrix, canonical_variable_order, is_identity, is_identity_grid
 from gpw.linalg import nullspace
-from gpw.polynomials import multilinearize
+from gpw.polynomials import GradedPoly, Variable, multilinearize
 
 from test_engine import algebras
 
@@ -124,6 +128,42 @@ def test_grassmann_pair_coefficients(e2, c2xc2):
     )
     # e2*e1 + a*e1*e2 = 0 exactly for a = 1 (anticommuting generators)
     assert zz.valid_coefficients == (1,)
+
+
+def direct_scan(algebra, a, b):
+    """The alpha in (0, 1, -1) for which a·b + alpha·b·a is an identity, one
+    ``is_identity`` call each."""
+    first = GradedPoly.monomial(algebra.mode, (a, b))
+    second = GradedPoly.monomial(algebra.mode, (b, a))
+    return tuple(
+        alpha for alpha in (0, 1, -1) if is_identity(first + second.scale(alpha), algebra)
+    )
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_matrix_per_pair_gives_both_orders(data):
+    algebra = data.draw(algebras(True))
+    slots = [(g, kind) for g in algebra.group for kind in (modes.SYM, modes.SKEW)]
+    for (g, k1), (h, k2) in itertools.permutations(slots, 2):
+        first, second = _coefficient_scan(algebra, Variable(k1, g, 1), Variable(k2, h, 2))
+        assert first == direct_scan(algebra, Variable(k1, g, 1), Variable(k2, h, 2))
+        # the report reads the reverse order's list off the same matrix
+        assert second == direct_scan(algebra, Variable(k2, h, 1), Variable(k1, g, 2))
+
+
+def test_the_zero_coefficient_is_read_per_order():
+    # e*e = e, e*n = n and n*e = 0, so x1*x2 vanishes in one order only.  No
+    # star algebra shows this: the involution maps a*b + alpha*b*a to
+    # +-(b*a + alpha*a*b), so there both orders share their lists.
+    group = gpw.cyclic(2)
+    algebra = GradedStarAlgebra(
+        "left-unit", group, ("e", "n"), (0, 1), {(0, 0): (1, 0), (0, 1): (0, 1)}
+    )
+    e, n = Variable(modes.PLAIN, 0, 1), Variable(modes.PLAIN, 1, 2)
+    assert _coefficient_scan(algebra, e, n) == ((), (0,))
+    assert direct_scan(algebra, e, n) == ()
+    assert direct_scan(algebra, Variable(modes.PLAIN, 1, 1), Variable(modes.PLAIN, 0, 2)) == (0,)
 
 
 def test_m2_transpose_fails_the_lists(m2_transpose):

@@ -8,6 +8,8 @@ tableau route, taken when the modular pivots are no basis over Q, and the
 runtime check on the multiplicities are exercised by forcing them.
 """
 
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +18,8 @@ from gpw import evaluator, linalg, modes
 from gpw.errors import ConsistencyViolation
 from gpw.evaluator import (
     _arrangements,
+    _character_sums,
+    _class_representatives,
     _composition_vectors,
     _indexed_columns,
     _slot_bases,
@@ -26,7 +30,14 @@ from gpw.evaluator import (
 )
 from gpw.linalg import exact_rank
 from gpw.polynomials import polarized_tableau_words
-from gpw.shapes import Multipartition, compositions, multipartitions, standard_multitableaux
+from gpw.shapes import (
+    Multipartition,
+    character,
+    class_size,
+    compositions,
+    multipartitions,
+    standard_multitableaux,
+)
 
 from test_engine import algebras
 
@@ -144,3 +155,64 @@ def test_uncertified_rank_falls_back_to_the_tableau_route(
         assert table.slice_codims == expected[algebra.name].slice_codims
     # with so small a prime some rank is not certified or 2r >= p
     assert calls
+
+
+def slot_cycle_types(sigma, comp):
+    """The cycle type of ``sigma`` on each slot's letters, which it must
+    permute among themselves."""
+    types, start = [], 0
+    for m in comp:
+        letters = range(start, start + m)
+        assert sorted(sigma[i] for i in letters) == list(letters)
+        seen, lengths = set(), []
+        for i in letters:
+            length = 0
+            while i not in seen:
+                seen.add(i)
+                i, length = sigma[i], length + 1
+            if length:
+                lengths.append(length)
+        types.append(tuple(sorted(lengths, reverse=True)))
+        start += m
+    return tuple(types)
+
+
+@pytest.mark.parametrize("comp", [(1,), (4,), (2, 0, 3), (0, 2, 2, 1), (3, 1, 2)])
+def test_each_representative_has_its_class_cycle_type(comp):
+    classes = multipartitions(comp)
+    reps = _class_representatives(classes)
+    assert reps.shape == (len(classes), sum(comp))
+    for cls, sigma in zip(classes, reps.tolist()):
+        assert slot_cycle_types(sigma, comp) == cls.components
+
+
+def double_sum(comp, traces):
+    """The multiplicity numerators as the character route first computed
+    them: a sum over classes for each shape."""
+    shapes = multipartitions(comp)
+    weighted = [
+        chi * prod(class_size(rho) for rho in cls.components) for cls, chi in zip(shapes, traces)
+    ]
+    return [
+        sum(
+            w * prod(character(lam, rho) for lam, rho in zip(shape.components, cls.components))
+            for cls, w in zip(shapes, weighted)
+        )
+        for shape in shapes
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_per_slot_contraction_equals_the_double_sum(data):
+    slots = data.draw(st.integers(1, 4))
+    nonempty = data.draw(st.integers(1, min(3, slots)))
+    parts = data.draw(st.lists(st.integers(1, 4), min_size=nonempty, max_size=nonempty))
+    where = data.draw(st.permutations(range(slots)))[:nonempty]
+    comp = [0] * slots
+    for slot, m in zip(where, parts):
+        comp[slot] = m
+    comp = tuple(comp)
+    size = len(multipartitions(comp))
+    traces = data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    assert _character_sums(comp, traces).tolist() == double_sum(comp, traces)

@@ -21,11 +21,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gpw
 import oracle
-from gpw import modes
+from gpw import evaluator, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.errors import InputError
 from gpw.evaluator import (
+    _monomial_values,
     _simplex,
+    _word_trie,
     build_evaluation_matrix,
     composition_variables,
     is_identity,
@@ -416,3 +418,104 @@ def test_lattice_verdicts_match_the_polarized_oracle(star):
             assert is_identity(identity + monos[j], algebra) == vanishing[j]
 
     check()
+
+
+# -- the word walk -------------------------------------------------------------------
+
+ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+def word_products(table, vectors, words):
+    """Every word multiplied out on every substitution tuple, one Python int
+    at a time: the oracle of ``_monomial_values``."""
+    dim = len(table)
+    rows = []
+    for word in words:
+        row = []
+        for tup in product(*(range(len(v)) for v in vectors)):
+            value = vectors[word[0]][tup[word[0]]]
+            for letter in word[1:]:
+                x = vectors[letter][tup[letter]]
+                value = [
+                    sum(value[a] * x[i] * table[a][i][k] for a in range(dim) for i in range(dim))
+                    for k in range(dim)
+                ]
+            row.extend(value)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def walks(draw):
+    """A random integer structure table, candidate values per position and
+    distinct words of one length; the many zeros make prefixes vanish."""
+    dim = draw(st.integers(1, 3))
+    positions = draw(st.integers(1, 3))
+    table = [[[draw(ENTRY) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    vectors = [
+        [[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))]
+        for _ in range(positions)
+    ]
+    letter = st.integers(0, positions - 1)
+    length = draw(st.integers(1, 4))
+    words = draw(st.lists(st.tuples(*[letter] * length), min_size=1, max_size=12, unique=True))
+    return table, vectors, words
+
+
+def walk(table, vectors, words, dtype=np.int64):
+    return _monomial_values(
+        np.array(table, dtype=dtype),
+        [np.array(v, dtype=dtype).reshape(len(v), len(table)) for v in vectors],
+        _word_trie(words),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, evaluator._BLOCK])
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_word_walk_matches_per_word_products(block, big, monkeypatch):
+    monkeypatch.setattr(evaluator, "_BLOCK", block)
+    scale = 2**70 if big else 1  # far past int64 after one product
+
+    @EXAMPLES
+    @given(walks())
+    def check(case):
+        table, vectors, words = case
+        vectors = [[[c * scale for c in vec] for vec in vecs] for vecs in vectors]
+        got = walk(table, vectors, words, object if big else np.int64)
+        assert got.tolist() == word_products(table, vectors, words)
+
+    check()
+
+
+@pytest.mark.parametrize("block", [1, 3, evaluator._BLOCK])
+def test_vanishing_prefixes_end_their_subtrees(block, monkeypatch):
+    monkeypatch.setattr(evaluator, "_BLOCK", block)
+    # e0 is a unit and e1 * e1 == 0, so every word with two adjacent 1s vanishes
+    table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    vectors = [[[1, 0], [0, 1]], [[0, 1]], [[0, 1], [1, 1]]]
+    words = [w for w in product(range(3), repeat=4) if w != (2, 2, 2, 2)]
+    got = walk(table, vectors, words)
+    expected = word_products(table, vectors, words)
+    assert any(not any(row) for row in expected) and any(expected)
+    assert got.tolist() == expected
+
+
+def test_a_trie_needs_words_of_one_length():
+    with pytest.raises(ValueError, match="one length"):
+        _word_trie([(0, 1), (0,)])
+
+
+def test_cocharacter_table_builds_one_trie_per_degree(e2, monkeypatch):
+    built = []
+    original = evaluator._word_trie
+
+    def counted(words):
+        built.append(len(words[0]))
+        return original(words)
+
+    monkeypatch.setattr(evaluator, "_word_trie", counted)
+    for n in range(1, 5):
+        built.clear()
+        table = evaluator.cocharacter_table(e2, n)
+        assert sum(1 for _, m in table.slice_codims if m) > 1
+        assert built == [n]
