@@ -5,7 +5,10 @@ An algebra is described by rational structure constants on a labelled basis,
 a grade (group element index) per basis vector, and — in star mode — an
 involution matrix.  Construction validates everything: homogeneity of the
 product, associativity on basis triples, the involution laws, and (in star
-mode) that the grading support commutes.
+mode) that the grading support commutes.  The laws are checked in exact
+integers, on the structure table scaled by the lcm of its denominators (kept
+on the algebra for the evaluator) and the involution scaled by the lcm of
+its own; a violation names the first failing basis triple or pair.
 
 Coordinates are dense tuples of ``Fraction``; dimensions here are tiny.
 """
@@ -14,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from math import lcm
+
+import numpy as np
 
 from . import modes
 from .errors import (
@@ -28,7 +33,7 @@ from .errors import (
     StarRequired,
 )
 from .groups import FiniteGroup
-from .linalg import nullspace
+from .linalg import exact_dtype, integer_vectors, max_abs, nullspace, scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -39,6 +44,27 @@ def _frac(x) -> Fraction:
 
 def _unit(dim: int, i: int) -> Vector:
     return tuple(Fraction(int(j == i)) for j in range(dim))
+
+
+def _first(defects: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true entry in row-major order, or None."""
+    hits = np.argwhere(defects)
+    return tuple(map(int, hits[0])) if len(hits) else None
+
+
+def _associativity_defects(table: np.ndarray) -> np.ndarray:
+    """``[i, j, k]`` true where (e_i e_j) e_k != e_i (e_j e_k), for an
+    integer structure table ``[i, j]`` = e_i * e_j: both sides are the same
+    positive multiple of the rational products."""
+    dim = len(table)
+    t = max_abs(table.flat)
+    table = table.astype(exact_dtype(dim * t * t))
+    pairs = table.reshape(dim * dim, dim)
+    # left[(i, j), (k, l)] = ((e_i e_j) e_k)_l;  right[(j, k), (i, l)] = (e_i (e_j e_k))_l
+    left = (pairs @ table.reshape(dim, dim * dim)).reshape(dim, dim, dim, dim)
+    right = pairs @ table.transpose(1, 0, 2).reshape(dim, dim * dim)
+    right = right.reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
+    return (left != right).any(axis=3)
 
 
 @dataclass(frozen=True)
@@ -100,30 +126,34 @@ class GradedStarAlgebra:
         self.grades = tuple(grades)
         self._table = tuple(tuple(row) for row in table)
         self._bases: dict[tuple[int, str], HomBasis] = {}
-        self._integer: dict = {}  # the evaluator's integer scalings, built on first use
+        # integer scalings: the structure table, [i, j] the product e_i * e_j,
+        # and the evaluator's component bases, built on first use
+        integer_table = integer_vectors(
+            [vec for row in self._table for vec in row], dim
+        ).reshape(dim, dim, dim)
+        self._integer: dict = {None: integer_table}
+        self._digest: str | None = None  # documents.algebra_digest, on first use
 
-        for i in range(dim):
-            for j in range(dim):
-                expected = group.mul(grades[i], grades[j])
-                for k, coeff in enumerate(self._table[i][j]):
-                    if coeff != 0 and grades[k] != expected:
-                        raise HomogeneityViolation(
-                            f"{basis_labels[i]}·{basis_labels[j]} has a component "
-                            f"of grade {group.label(grades[k])}, expected "
-                            f"{group.label(expected)}"
-                        )
+        expected = [[group.mul(a, b) for b in grades] for a in grades]
+        hit = _first(
+            (integer_table != 0)
+            & (np.array(grades) != np.array(expected)[:, :, None])
+        )
+        if hit is not None:
+            i, j, k = hit
+            raise HomogeneityViolation(
+                f"{basis_labels[i]}·{basis_labels[j]} has a component "
+                f"of grade {group.label(grades[k])}, expected "
+                f"{group.label(expected[i][j])}"
+            )
 
-        for i in range(dim):
-            for j in range(dim):
-                left = self._table[i][j]
-                for k in range(dim):
-                    if self.multiply(left, _unit(dim, k)) != self.multiply(
-                        _unit(dim, i), self._table[j][k]
-                    ):
-                        raise AssociativityViolation(
-                            f"({basis_labels[i]}·{basis_labels[j]})·{basis_labels[k]}"
-                            f" != {basis_labels[i]}·({basis_labels[j]}·{basis_labels[k]})"
-                        )
+        hit = _first(_associativity_defects(integer_table))
+        if hit is not None:
+            i, j, k = hit
+            raise AssociativityViolation(
+                f"({basis_labels[i]}·{basis_labels[j]})·{basis_labels[k]}"
+                f" != {basis_labels[i]}·({basis_labels[j]}·{basis_labels[k]})"
+            )
 
         if involution is not None:
             mat = tuple(tuple(_frac(v) for v in row) for row in involution)
@@ -138,26 +168,46 @@ class GradedStarAlgebra:
                             f"support grades {group.label(a)} and {group.label(b)} "
                             "do not commute"
                         )
-            star = [self.involve(_unit(dim, j)) for j in range(dim)]
-            for j in range(dim):
-                if self.involve(star[j]) != _unit(dim, j):
-                    raise InvolutionViolation(
-                        f"involution applied twice does not fix {basis_labels[j]}"
-                    )
-                for i in range(dim):
-                    if star[j][i] != 0 and grades[i] != grades[j]:
-                        raise InvolutionViolation(
-                            f"involution moves {basis_labels[j]} across grades"
-                        )
-            for i in range(dim):
-                for j in range(dim):
-                    if self.involve(self._table[i][j]) != self.multiply(star[j], star[i]):
-                        raise InvolutionViolation(
-                            f"involution is not an anti-automorphism on "
-                            f"({basis_labels[i]}, {basis_labels[j]})"
-                        )
+            self._check_involution(integer_table)
         else:
             self.involution = None
+
+    def _check_involution(self, table: np.ndarray) -> None:
+        """∗∘∗ = id, ∗ preserves grades, and (e_i e_j)∗ = e_j∗ e_i∗, in
+        integers: with M the involution matrix scaled by the lcm s of its
+        denominators, M·M must be s²·I, and s times the image of each
+        product must equal the product of the scaled images."""
+        dim, labels, grades = self.dim, self.basis_labels, self.grades
+        s = lcm(*(c.denominator for row in self.involution for c in row))
+        star = np.array([scaled(row, s) for row in self.involution], dtype=object)
+        m, t = max_abs(star.flat), max_abs(table.flat)
+        dtype = exact_dtype(max(s * s, dim * m * m, s * dim * m * t, dim * dim * m * m * t))
+        star, table = star.astype(dtype), table.astype(dtype)
+
+        # column j of M is the image of e_j
+        twice = (star @ star != s * s * np.eye(dim, dtype=dtype)).any(axis=0)
+        grade = np.array(grades)
+        moved = ((star != 0) & (grade[:, None] != grade[None, :])).any(axis=0)
+        hit = _first(twice | moved)
+        if hit is not None:
+            (j,) = hit
+            if twice[j]:
+                raise InvolutionViolation(
+                    f"involution applied twice does not fix {labels[j]}"
+                )
+            raise InvolutionViolation(f"involution moves {labels[j]} across grades")
+
+        # image[(i, j), l] = (M (e_i e_j))_l;  swapped[j, (i, l)] = (e_j∗ e_i∗)_l
+        image = s * (table.reshape(dim * dim, dim) @ star.T)
+        swapped = star.T @ (star.T @ table).reshape(dim, dim * dim)
+        swapped = swapped.reshape(dim, dim, dim).transpose(1, 0, 2)
+        hit = _first((image.reshape(dim, dim, dim) != swapped).any(axis=2))
+        if hit is not None:
+            i, j = hit
+            raise InvolutionViolation(
+                f"involution is not an anti-automorphism on "
+                f"({labels[i]}, {labels[j]})"
+            )
 
     # -- mode --------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -386,7 +386,9 @@ def cmd_builtin(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gpw",
         description="Exact workbench for graded algebras: identities, "

@@ -52,13 +52,12 @@ def _require(doc: dict, key: str, types) -> object:
 
 
 def algebra_to_document(algebra: GradedStarAlgebra) -> dict:
-    structure = []
-    zero = algebra.zero()
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            product = algebra.multiply(algebra.basis_vector(i), algebra.basis_vector(j))
-            if product != zero:
-                structure.append([i, j, [_render_rational(c) for c in product]])
+    structure = [
+        [i, j, [_render_rational(c) for c in product]]
+        for i, row in enumerate(algebra._table)
+        for j, product in enumerate(row)
+        if any(product)
+    ]
     doc = {
         "format_version": FORMAT_VERSION,
         "name": algebra.name,
@@ -175,7 +174,10 @@ def save_algebra(algebra: GradedStarAlgebra, path: str | Path) -> None:
 
 
 def algebra_digest(algebra: GradedStarAlgebra) -> str:
-    canonical = json.dumps(
-        algebra_to_document(algebra), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Computed once per algebra, which is immutable, and kept on it."""
+    if algebra._digest is None:
+        canonical = json.dumps(
+            algebra_to_document(algebra), sort_keys=True, separators=(",", ":")
+        )
+        algebra._digest = hashlib.sha256(canonical.encode()).hexdigest()
+    return algebra._digest

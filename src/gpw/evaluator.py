@@ -93,7 +93,15 @@ from .errors import (
     KindMismatch,
     ModeMismatch,
 )
-from .linalg import exact_rank, inverse_mod_p, nullspace
+from .linalg import (
+    exact_dtype,
+    exact_rank,
+    integer_vectors,
+    inverse_mod_p,
+    max_abs,
+    nullspace,
+    scaled,
+)
 from .polynomials import (
     GradedPoly,
     Variable,
@@ -184,41 +192,15 @@ def evaluate(
 
 # -- the integer evaluation engine ---------------------------------------------
 
-_INT64_SAFE = 2**62
-
-
-def _max_abs(values) -> int:
-    return max(map(abs, values), default=0)
-
-
-def _scaled(values, scale: int) -> list[int]:
-    """``scale`` times each of the rationals, ``scale`` a multiple of their
-    denominators."""
-    return [c.numerator * (scale // c.denominator) for c in values]
-
-
-def _integer_vectors(vectors, dim: int) -> np.ndarray:
-    """Rational vectors as rows of an integer (object) array, scaled by the
-    lcm of their denominators."""
-    scale = lcm(*(c.denominator for vec in vectors for c in vec))
-    return np.array(
-        [_scaled(vec, scale) for vec in vectors], dtype=object
-    ).reshape(len(vectors), dim)
-
 
 def _integer(algebra: GradedStarAlgebra, key: tuple[int, str] | None) -> np.ndarray:
     """Scaled to integers once per algebra, kept on it and shared
     read-only: the ``key=(grade, kind)`` component basis, one row per basis
     vector, or for ``key=None`` the structure table, ``[a, i]`` the product
-    e_a * e_i."""
+    e_a * e_i (scaled when the algebra was validated)."""
     memo = algebra._integer
     if key not in memo:
-        dim = algebra.dim
-        if key is None:
-            products = [algebra._table[a][i] for a in range(dim) for i in range(dim)]
-            memo[key] = _integer_vectors(products, dim).reshape(dim, dim, dim)
-        else:
-            memo[key] = _integer_vectors(algebra.homogeneous_basis(*key).vectors, dim)
+        memo[key] = integer_vectors(algebra.homogeneous_basis(*key).vectors, algebra.dim)
     return memo[key]
 
 
@@ -398,7 +380,7 @@ def _evaluation_columns(
     columns = [
         {
             tuple(position[v] for v in mono): c
-            for mono, c in zip(p.terms, _scaled(p.terms.values(), scale))
+            for mono, c in zip(p.terms, scaled(p.terms.values(), scale))
         }
         for p in polys
     ]
@@ -426,11 +408,11 @@ def _indexed_columns(
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
     n = max(map(len, words), default=1)
-    b = max((_max_abs(v.flat) for v in vectors), default=0)
-    t = _max_abs(table.flat)
+    b = max((max_abs(v.flat) for v in vectors), default=0)
+    t = max_abs(table.flat)
     s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
     bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    dtype = exact_dtype(bound)
     monomials = _monomial_values(
         table.astype(dtype),
         [v.astype(dtype) for v in vectors],
@@ -621,16 +603,23 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     """Degree-n codimension and its per-composition breakdown.
 
     The total weights each slice by the multinomial coefficient counting
-    which positions carry which slot's variables.
+    which positions carry which slot's variables.  Each slice is
+    :func:`slice_codimension`, on one arrangement trie for all of them.
     """
     if n < 1:
         raise InputError("degree must be at least 1")
     _check_degree(n)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
+    bases = _slot_bases(algebra)
+    words = _arrangements(n)
+    trie = _word_trie(words)
     breakdown: dict[Composition, int] = {}
     total = 0
     for comp in compositions(n, slots):
-        c = slice_codimension(algebra, comp)
+        vectors = _composition_vectors(bases, comp)
+        c = 0 if vectors is None else exact_rank(
+            _indexed_columns(algebra, vectors, words, trie=trie)
+        )
         breakdown[comp] = c
         total += multinomial(comp) * c
     return total, breakdown

@@ -13,6 +13,10 @@ traces off them.
 
 Nullspaces and reduced row echelon forms are computed directly over
 ``Fraction``; the matrices involved there are small.
+
+``integer_vectors`` is the one rational-to-integer scaling shared by algebra
+validation and the evaluator, and ``exact_dtype`` their one choice between
+int64 and Python ints.
 """
 
 from __future__ import annotations
@@ -96,6 +100,36 @@ def _integer_rows(rows: list[Row]) -> list[list[int]]:
         scale = lcm(*(f.denominator for f in row))
         out.append([int(f * scale) for f in row])
     return out
+
+
+# Entries that provably stay below this in absolute value can be int64:
+# no sum of two of them wraps.
+_INT64_SAFE = 2**62
+
+
+def exact_dtype(bound: int):
+    """int64 when ``bound`` limits every entry below 2**62, else Python
+    ints (object)."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def max_abs(values) -> int:
+    return max(map(abs, values), default=0)
+
+
+def scaled(values, scale: int) -> list[int]:
+    """``scale`` times each of the rationals, ``scale`` a multiple of their
+    denominators."""
+    return [c.numerator * (scale // c.denominator) for c in values]
+
+
+def integer_vectors(vectors, dim: int) -> np.ndarray:
+    """Rational vectors as rows of an integer (object) array, all scaled by
+    the one lcm of their denominators."""
+    scale = lcm(*(c.denominator for vec in vectors for c in vec))
+    return np.array(
+        [scaled(vec, scale) for vec in vectors], dtype=object
+    ).reshape(len(vectors), dim)
 
 
 def _bareiss_rank(m: list[list[int]]) -> int:

@@ -7,7 +7,13 @@ parentheses and commas (product groups), so parsing splits at depth zero
 only.
 
 Rendered output is deterministic: same algebra, same flags, same bytes.
-Timings never appear here.
+Timings never appear here.  JSON reports are exactly what
+``json.dumps(payload, indent=2, sort_keys=True)`` prints, plus a newline,
+written by a one-pass renderer: str keys sorted, strings escaped to ASCII by
+json's own encoder, ints (of any size) in decimal, bools and None as
+``true``/``false``/``null``, tuples as lists.  Any other value (a float, a
+dict with a key that is not a str) goes through ``json.dumps`` itself, so it
+prints, or fails, as json has it.
 """
 
 from __future__ import annotations
@@ -120,13 +126,50 @@ def render(payload: dict, as_json: bool) -> str:
 
     ``payload`` has ``meta`` (echoed into comment lines / the JSON envelope)
     and ``table``: a header row plus data rows for TSV.  JSON output carries
-    the same content under sorted keys.
+    the same content under sorted keys (see the module docstring).
     """
     if as_json:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(payload, "") + "\n"
     lines = [f"# {k}: {payload['meta'][k]}" for k in sorted(payload["meta"])]
     table = payload.get("table")
     if table:
         for row in table:
             lines.append("\t".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``:
+    each container joined at its indent, an all-int list in one join.
+    ``type(x) is int`` keeps bools out of the int path."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            body = (",\n" + inner).join(map(int.__repr__, value))
+        else:
+            body = (",\n" + inner).join([_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict) and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(
+            [_quote(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)

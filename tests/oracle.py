@@ -1,4 +1,5 @@
-"""Reference oracle for the evaluator: the plain Fraction loops.
+"""Reference oracle for the evaluator, and for algebra validation: the
+plain Fraction loops.
 
 Every monomial is multiplied out in exact ``Fraction`` tuples by
 ``GradedStarAlgebra.multiply``, once per substitution tuple.  The package's
@@ -9,6 +10,12 @@ same ranks, nullspaces and identity verdicts.
 import itertools
 from fractions import Fraction
 
+from gpw.errors import (
+    AssociativityViolation,
+    HomogeneityViolation,
+    InvolutionViolation,
+    NonAbelianSupportWithStar,
+)
 from gpw.evaluator import canonical_variable_order, evaluate
 from gpw.polynomials import multilinearize
 
@@ -90,3 +97,62 @@ def is_identity_grid(poly, algebra):
         for component in poly.multihomogeneous_components()
         for row in grid_rows(algebra, [component])
     )
+
+
+# -- algebra validation ---------------------------------------------------------
+
+
+def _product(table, u, v):
+    acc = [Fraction(0)] * len(u)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui and vj:
+                for k, s in enumerate(table[i][j]):
+                    acc[k] += ui * vj * s
+    return acc
+
+
+def _image(involution, u):
+    return [sum((row[j] * u[j] for j in range(len(u))), Fraction(0)) for row in involution]
+
+
+def law_violation(group, labels, grades, table, involution=None):
+    """The exception type and message ``GradedStarAlgebra`` must raise for a
+    dense Fraction table ``table[i][j]`` (the product e_i * e_j) and an
+    optional involution matrix, found by plain loops in the constructor's
+    order, or None when every law holds."""
+    dim = len(labels)
+    unit = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
+    for i, j in itertools.product(range(dim), repeat=2):
+        expected = group.mul(grades[i], grades[j])
+        for k, coeff in enumerate(table[i][j]):
+            if coeff != 0 and grades[k] != expected:
+                return HomogeneityViolation, (
+                    f"{labels[i]}·{labels[j]} has a component of grade "
+                    f"{group.label(grades[k])}, expected {group.label(expected)}"
+                )
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        if _product(table, table[i][j], unit[k]) != _product(table, unit[i], table[j][k]):
+            return AssociativityViolation, (
+                f"({labels[i]}·{labels[j]})·{labels[k]} != "
+                f"{labels[i]}·({labels[j]}·{labels[k]})"
+            )
+    if involution is None:
+        return None
+    for a, b in itertools.product(sorted(set(grades)), repeat=2):
+        if group.mul(a, b) != group.mul(b, a):
+            return NonAbelianSupportWithStar, (
+                f"support grades {group.label(a)} and {group.label(b)} do not commute"
+            )
+    star = [_image(involution, unit[j]) for j in range(dim)]
+    for j in range(dim):
+        if _image(involution, star[j]) != unit[j]:
+            return InvolutionViolation, f"involution applied twice does not fix {labels[j]}"
+        if any(star[j][i] != 0 and grades[i] != grades[j] for i in range(dim)):
+            return InvolutionViolation, f"involution moves {labels[j]} across grades"
+    for i, j in itertools.product(range(dim), repeat=2):
+        if _image(involution, table[i][j]) != _product(table, star[j], star[i]):
+            return InvolutionViolation, (
+                f"involution is not an anti-automorphism on ({labels[i]}, {labels[j]})"
+            )
+    return None

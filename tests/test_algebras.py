@@ -11,8 +11,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gpw
+import oracle
 from gpw import modes
 from gpw.errors import (
     AssociativityViolation,
@@ -186,15 +188,43 @@ def test_bad_structure_constants_are_rejected():
     doc["structure"] = [
         row for row in doc["structure"] if row[:2] != [0, 0]
     ] + [[0, 0, ["0", "1", "0", "0"]]]
-    with pytest.raises(AssociativityViolation):
+    with pytest.raises(AssociativityViolation) as info:
         gpw.loads_algebra(json.dumps(doc))
+    assert str(info.value) == "(e11·e11)·e11 != e11·(e11·e11)"
+
+
+def test_associativity_violation_names_the_first_failing_triple():
+    # e21·e12 = 2·e22 first breaks (e12·e21)·e12 = e11·e12 = e12 against
+    # e12·(e21·e12) = 2·e12; every triple before it in (i, j, k) order holds
+    doc = json.loads(m2_transpose_document())
+    doc["structure"] = [
+        row if row[:2] != [2, 1] else [2, 1, ["0", "0", "0", "2"]]
+        for row in doc["structure"]
+    ]
+    del doc["involution"]
+    doc["mode"] = "graded"
+    with pytest.raises(AssociativityViolation) as info:
+        gpw.loads_algebra(json.dumps(doc))
+    assert str(info.value) == "(e12·e21)·e12 != e12·(e21·e12)"
+
+
+def test_associativity_is_checked_without_wrapping():
+    # a·a = x·b and b·a = x·b give (a·a)·a - a·(a·a) = x²·b, which is 0 mod
+    # 2**64 at x = 2**32: only exact integers see the violation
+    x = Fraction(2**32)
+    with pytest.raises(AssociativityViolation) as info:
+        gpw.GradedStarAlgebra(
+            "wrap", gpw.cyclic(1), ("a", "b"), (0, 0), {(0, 0): (0, x), (1, 0): (0, x)}
+        )
+    assert str(info.value) == "(a·a)·a != a·(a·a)"
 
 
 def test_inhomogeneous_grading_is_rejected():
     # e12 placed in the g component makes e12*e21 = e11 land outside grade g*g=1? no:
     # give e12 grade g and leave e21 at 1, then e12*e21 = e11 must have grade g.
-    with pytest.raises(HomogeneityViolation):
+    with pytest.raises(HomogeneityViolation) as info:
         gpw.loads_algebra(_m2_doc(grading=["1", "g", "1", "1"]))
+    assert str(info.value) == "e12·e21 has a component of grade 1, expected g"
 
 
 def test_involution_must_square_to_identity():
@@ -205,15 +235,26 @@ def test_involution_must_square_to_identity():
         ["0", "-1", "0", "0"],
         ["0", "0", "0", "1"],
     ]
-    with pytest.raises(InvolutionViolation):
+    with pytest.raises(InvolutionViolation) as info:
         gpw.loads_algebra(_m2_doc(involution=bad))
+    assert str(info.value) == "involution applied twice does not fix e12"
+
+
+def test_involution_must_keep_grades():
+    # M2 graded by C2 with the off-diagonal cells in grade g: swapping e11
+    # and e12 moves e11 into grade g
+    swap = [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    with pytest.raises(InvolutionViolation) as info:
+        gpw.loads_algebra(_m2_doc(grading=["1", "g", "g", "1"], involution=swap))
+    assert str(info.value) == "involution moves e11 across grades"
 
 
 def test_involution_must_reverse_products():
     # the identity map is an automorphism, not an anti-automorphism, on M2
     eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
-    with pytest.raises(InvolutionViolation):
+    with pytest.raises(InvolutionViolation) as info:
         gpw.loads_algebra(_m2_doc(involution=eye))
+    assert str(info.value) == "involution is not an anti-automorphism on (e11, e12)"
 
 
 def test_star_requires_commuting_support():
@@ -253,3 +294,104 @@ def test_zero_and_basis_vector_helpers(ut2_g):
     assert ut2_g.zero() == (Fraction(0),) * 3
     e12 = ut2_g.basis_vector(1)
     assert e12[1] == 1 and sum(map(abs, e12)) == 1
+
+
+# -- integer validation against the Fraction loops ------------------------------
+
+# numerators past 2**62 force the Python-int path of the integer check
+_rationals = st.builds(
+    Fraction,
+    st.integers(-(2**66), 2**66) | st.integers(-3, 3),
+    st.integers(1, 2**64) | st.integers(1, 4),
+)
+
+
+def _dense(algebra):
+    table = [[list(algebra.multiply(algebra.basis_vector(i), algebra.basis_vector(j)))
+              for j in range(algebra.dim)] for i in range(algebra.dim)]
+    star = None if algebra.involution is None else [list(r) for r in algebra.involution]
+    return table, star
+
+
+def _matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _inverse(m):
+    n = len(m)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+@st.composite
+def _law_cases(draw):
+    """An associative algebra (ut2, k, M2 with transpose, grassmann2) after a
+    random grade-preserving rational change of basis, sometimes with one
+    entry of its table or involution perturbed; or a random sparse table."""
+    c2 = gpw.cyclic(2)
+    c2xc2 = gpw.product_of_cyclics((2, 2))
+    base = draw(st.sampled_from(["ut2", "k", "m2", "e2", "random"]))
+    if base == "random":
+        dim = draw(st.integers(1, 3))
+        grades = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=dim, max_size=dim)))
+        entry = st.sampled_from([Fraction(0)] * 3) | _rationals
+        table = [[[draw(entry) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        return c2, tuple(f"b{i}" for i in range(dim)), grades, table, None
+    algebra = {
+        "ut2": lambda: gpw.builtin_ut2(c2, 1),
+        "k": lambda: gpw.builtin_k(c2, 1),
+        "m2": lambda: gpw.loads_algebra(m2_transpose_document()),
+        "e2": lambda: gpw.builtin_grassmann2(c2xc2, 1, 2),
+    }[base]()
+    dim, grades = algebra.dim, algebra.grades
+    table, star = _dense(algebra)
+    # P = L U, both grade-preserving triangular with a nonzero diagonal
+    nonzero = _rationals.filter(bool)
+    lower = [[Fraction(int(i == j)) if i <= j or grades[i] != grades[j] else draw(_rationals)
+              for j in range(dim)] for i in range(dim)]
+    upper = [[draw(nonzero) if i == j else draw(_rationals) if i < j and grades[i] == grades[j]
+              else Fraction(0) for j in range(dim)] for i in range(dim)]
+    p = _matmul(lower, upper)
+    q = _inverse(p)
+    # f_a = sum_i p[i][a] e_i; coordinates in the f basis are q times e-coordinates
+    new = [[[sum((q[c][k] * sum((p[i][a] * p[j][b] * table[i][j][k]
+                                 for i in range(dim) for j in range(dim)), Fraction(0))
+                  for k in range(dim)), Fraction(0)) for c in range(dim)]
+            for b in range(dim)] for a in range(dim)]
+    if star is not None:
+        star = _matmul(_matmul(q, star), p)
+    perturb = draw(st.sampled_from([None, "table"] + (["involution"] if star else [])))
+    if perturb == "table":
+        a, b, c = (draw(st.integers(0, dim - 1)) for _ in range(3))
+        new[a][b][c] += draw(nonzero)
+    elif perturb == "involution":
+        r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        star[r][c] += draw(nonzero)
+    return algebra.group, algebra.basis_labels, grades, new, star
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases())
+def test_integer_validation_matches_the_fraction_loops(case):
+    group, labels, grades, table, star = case
+    dim = len(labels)
+    structure = {
+        (i, j): tuple(table[i][j]) for i in range(dim) for j in range(dim) if any(table[i][j])
+    }
+    involution = None if star is None else tuple(map(tuple, star))
+    expected = oracle.law_violation(group, labels, grades, table, star)
+    if expected is None:
+        algebra = gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
+        assert algebra._integer[None].shape == (dim, dim, dim)
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
+        assert str(info.value) == message

@@ -112,6 +112,22 @@ def test_hard_cap_cannot_be_raised(capsys, docs):
     assert "hard maximum" in err
 
 
+def test_the_parser_is_built_once_and_keeps_no_state(capsys, docs):
+    from gpw.cli import build_parser
+
+    assert build_parser() is build_parser()
+    rc, _, _ = run(capsys, "cochar", docs["ut2_g"], "--n", "6", "--n-max", "6")
+    assert rc == 0
+    # the raised cap of the call before does not carry over
+    rc, _, err = run(capsys, "cochar", docs["ut2_g"], "--n", "6")
+    assert rc == 2
+    assert "--n-max" in err
+    rc, out, _ = run(capsys, "codim", docs["ut2_g"], "--n", "3", "--json")
+    assert json.loads(out)["meta"]["command"] == "codim"
+    rc, out, _ = run(capsys, "codim", docs["ut2_g"], "--n", "3")
+    assert rc == 0 and out.startswith("# algebra: ")
+
+
 # -- identity ---------------------------------------------------------------------
 
 

@@ -36,7 +36,13 @@ from gpw.evaluator import (
 )
 from gpw.linalg import exact_rank, nullspace
 from gpw.polynomials import GradedPoly, Variable, highest_weight_vector
-from gpw.shapes import Multipartition, compositions, partitions, standard_multitableaux
+from gpw.shapes import (
+    Multipartition,
+    compositions,
+    multinomial,
+    partitions,
+    standard_multitableaux,
+)
 
 from test_linalg import gauss_rank
 
@@ -518,4 +524,29 @@ def test_cocharacter_table_builds_one_trie_per_degree(e2, monkeypatch):
         built.clear()
         table = evaluator.cocharacter_table(e2, n)
         assert sum(1 for _, m in table.slice_codims if m) > 1
+        assert built == [n]
+
+
+@pytest.mark.parametrize("name", ["e2", "k_g", "ut2_g"])
+def test_total_codimension_builds_one_trie_per_degree(name, request, monkeypatch):
+    algebra = request.getfixturevalue(name)
+    slots = modes.slot_count(len(algebra.group), algebra.mode)
+    # the breakdown is each composition's own slice codimension
+    expected = {
+        n: {comp: evaluator.slice_codimension(algebra, comp) for comp in compositions(n, slots)}
+        for n in range(1, 5)
+    }
+    built = []
+    original = evaluator._word_trie
+
+    def counted(words):
+        built.append(len(words[0]))
+        return original(words)
+
+    monkeypatch.setattr(evaluator, "_word_trie", counted)
+    for n in range(1, 5):
+        built.clear()
+        total, breakdown = evaluator.total_codimension(algebra, n)
+        assert breakdown == expected[n]
+        assert total == sum(multinomial(comp) * c for comp, c in expected[n].items())
         assert built == [n]

@@ -175,15 +175,16 @@ def test_evaluation_matrix_input_errors(ut2_g, e2, c2):
     ids=["k_g", "ut2_g"],
 )
 def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
-    algebra = build(c2)  # a fresh algebra: nothing of it is memoized yet
+    algebra = build(c2)  # a fresh algebra: only its validated table is kept
+    table = algebra._integer[None]
     calls = []
-    original = evaluator._integer_vectors
+    original = evaluator.integer_vectors
 
     def counted(vectors, dim):
         calls.append(len(vectors))
         return original(vectors, dim)
 
-    monkeypatch.setattr(evaluator, "_integer_vectors", counted)
+    monkeypatch.setattr(evaluator, "integer_vectors", counted)
     polys = [
         parse_poly(text, "graded", c2)
         for text in ("x{1,g}*x{2,g} - x{2,g}*x{1,g}", "x{1,1}*x{1,1}*x{2,g}", "x{1,1}*x{2,1}")
@@ -198,10 +199,12 @@ def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
     use()
     first = len(calls)
     use()
-    # one structure table and one basis per grade, however often they are used
+    # one basis per grade, however often they are used, and the structure
+    # table that validation scaled
     assert len(calls) == first
-    expected = [algebra.dim**2] + [algebra.homogeneous_basis(g).dim for g in c2]
+    expected = [algebra.homogeneous_basis(g).dim for g in c2]
     assert sorted(calls) == sorted(expected)
+    assert algebra._integer[None] is table
 
 
 @pytest.mark.parametrize(
