@@ -57,7 +57,7 @@ def _associativity_defects(table: np.ndarray) -> np.ndarray:
     integer structure table ``[i, j]`` = e_i * e_j: both sides are the same
     positive multiple of the rational products."""
     dim = len(table)
-    t = max_abs(table.flat)
+    t = max_abs(table)
     table = table.astype(exact_dtype(dim * t * t))
     pairs = table.reshape(dim * dim, dim)
     # left[(i, j), (k, l)] = ((e_i e_j) e_k)_l;  right[(j, k), (i, l)] = (e_i (e_j e_k))_l
@@ -180,7 +180,7 @@ class GradedStarAlgebra:
         dim, labels, grades = self.dim, self.basis_labels, self.grades
         s = lcm(*(c.denominator for row in self.involution for c in row))
         star = np.array([scaled(row, s) for row in self.involution], dtype=object)
-        m, t = max_abs(star.flat), max_abs(table.flat)
+        m, t = max_abs(star), max_abs(table)
         dtype = exact_dtype(max(s * s, dim * m * m, s * dim * m * t, dim * dim * m * m * t))
         star, table = star.astype(dtype), table.astype(dtype)
 

@@ -25,7 +25,7 @@ from .groups import build_group
 
 FORMAT_VERSION = 1
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def _parse_rational(value) -> Fraction:
@@ -33,8 +33,9 @@ def _parse_rational(value) -> Fraction:
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_RE.match(value):
-        return Fraction(value)
+    match = isinstance(value, str) and _RATIONAL_RE.match(value)
+    if match:
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise SchemaError(f"not a rational: {value!r} (use e.g. \"-5/7\")")
 
 

@@ -23,33 +23,33 @@ nothing wraps.
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
   signature's variables: the words that are permutations of ``range(n)``,
-  each with coefficient 1.
+  each with coefficient 1.  Its rank, like every rank here, comes from the
+  one certified modular elimination, :func:`~gpw.linalg.echelon`.
 * The **multiplicities** of a composition's multipartitions come from the
   same matrix.  Its column space is P_comp / (P_comp ∩ Id) as a module over
   the slots' Young subgroup, which renames same-slot letters and so
-  permutes the columns; the character of a class is a trace on a basis of
-  mod-p pivot columns, exact once the rank is certified over Q, and the
-  multiplicity of a shape is its inner product with the irreducible
-  characters (Murnaghan–Nakayama, :func:`~gpw.shapes.character`); see
-  Drensky, "Free algebras and PI-algebras" (2000), and Giambruno–Zaicev,
-  "Polynomial identities and asymptotic methods" (2005).  All classes of a
-  composition are traced in one pass, and since the irreducible characters
-  of a Young subgroup are products over its slots (Sagan, "The symmetric
-  group", §1.11), the inner products are one contraction per nonempty slot
-  with the weighted character table of S_m.  A multiplicity that is not a
-  nonnegative integer can only come from a bug and raises
-  :class:`ConsistencyViolation`.
-* The **tableau route** is the cross-check: :func:`multiplicity` ranks the
-  polarized highest weight vectors of a shape's standard multitableaux.
-  They are built as words directly
+  permutes the columns; the character of a class is a trace on the basis
+  of the elimination's pivot columns, a sum of entries of its reduced
+  rows, and the multiplicity of a shape is its inner product with the
+  irreducible characters (Murnaghan–Nakayama,
+  :func:`~gpw.shapes.character`); see Drensky, "Free algebras and
+  PI-algebras" (2000), and Giambruno–Zaicev, "Polynomial identities and
+  asymptotic methods" (2005).  All classes of a composition are traced in
+  one pass, and since the irreducible characters of a Young subgroup are
+  products over its slots (Sagan, "The symmetric group", §1.11), the inner
+  products are one contraction per nonempty slot with the weighted
+  character table of S_m.  A multiplicity that is not a nonnegative
+  integer, or a composition whose slice codimension is not
+  ``sum(multiplicity * degree)`` over its shapes, can only come from a bug
+  and raises :class:`ConsistencyViolation`.
+* The **tableau route** is a cross-check only: :func:`multiplicity` ranks
+  the polarized highest weight vectors of a shape's standard
+  multitableaux.  They are built as words directly
   (:func:`~gpw.polynomials.polarized_tableau_words`), with the signature
   :func:`composition_variables`: polarizing a tableau's vector only renames
   its letters and the tableau acts only on positions, so the tableau's
   polarized vector is the polarized shape vector with its positions
-  permuted, and no polynomial is built or polarized on the way.  A
-  composition whose rank the modular pivots do not certify is computed by
-  this route too, and then checked by the identity ``slice_codim ==
-  sum(multiplicity * degree)`` over its shapes.
+  permuted, and no polynomial is built or polarized on the way.
 
 Polynomials reach the engine through one front end,
 :func:`_polynomial_matrices` (:func:`build_evaluation_matrix`, both identity
@@ -83,7 +83,7 @@ from math import comb, factorial, lcm, prod
 
 import numpy as np
 
-from . import linalg, modes
+from . import modes
 from .algebras import GradedStarAlgebra, Vector
 from .errors import (
     CapExceeded,
@@ -94,10 +94,11 @@ from .errors import (
     ModeMismatch,
 )
 from .linalg import (
+    Echelon,
+    echelon,
     exact_dtype,
     exact_rank,
     integer_vectors,
-    inverse_mod_p,
     max_abs,
     nullspace,
     scaled,
@@ -229,8 +230,8 @@ def _grid_size(degree: int, d: int) -> int:
 
 
 # entries one batched step may hold in an array: the right-multiplication
-# matrices of one level of a block of the word walk, or the products of one
-# block of classes' traces.  Smaller blocks cost more numpy calls per entry.
+# matrices of one level of a block of the word walk.  Smaller blocks cost
+# more numpy calls per entry.
 _BLOCK = 2**15
 
 
@@ -408,8 +409,8 @@ def _indexed_columns(
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
     n = max(map(len, words), default=1)
-    b = max((max_abs(v.flat) for v in vectors), default=0)
-    t = max_abs(table.flat)
+    b = max(map(max_abs, vectors), default=0)
+    t = max_abs(table)
     s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
     bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
     dtype = exact_dtype(bound)
@@ -651,15 +652,7 @@ def multiplicity(
     vectors = _composition_vectors(_slot_bases(algebra), shape.weight)
     if vectors is None:
         return 0
-    return _tableau_rank(algebra, vectors, shape, tabs)
-
-
-def _tableau_rank(
-    algebra: GradedStarAlgebra, vectors: list[np.ndarray], shape: Multipartition, tabs
-) -> int:
-    """Rank of the polarized highest weight vectors of the tableaux."""
-    columns = polarized_tableau_words(shape, tabs)
-    return exact_rank(_word_columns(algebra, vectors, columns))
+    return exact_rank(_word_columns(algebra, vectors, polarized_tableau_words(shape, tabs)))
 
 
 def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
@@ -698,27 +691,17 @@ def _permutation_index(perms: np.ndarray) -> np.ndarray:
 
 
 def _class_traces(
-    matrix: np.ndarray,
-    pivots: list[tuple[int, int]],
-    words: list[Word],
-    classes: list[Multipartition],
+    reduced: Echelon, words: list[Word], classes: list[Multipartition]
 ) -> list[int]:
     """The character of the column space of the arrangement matrix at each
-    class: with B the pivot columns (a basis of the column space) and R the
-    pivot rows, the trace of M[R,B]^-1 M[R,sigma B] for a representative
-    sigma, which renames same-slot letters and so permutes the columns.
-
-    The images sigma B of all classes come from one Lehmer-code call, and
-    the traces from one elementwise product per block of classes, each
-    block at most :data:`_BLOCK` products.  They are computed mod p and
-    read as the integer of least absolute value; a character of degree r
-    has |chi| <= r, so the caller must ensure 2r < p."""
-    prime = linalg.PRIME
-    rows = [row for row, _ in pivots]
-    basis = [col for _, col in pivots]
+    class.  A representative sigma renames same-slot letters, so it maps the
+    pivot column B_i, of the basis B, to column sigma(B_i), which is sum_k
+    X[k, sigma(B_i)] times column B_k (X the reduced rows); so chi(sigma) =
+    sum_i X[i, sigma(B_i)]: one gather, after one Lehmer-code call for the
+    images of all classes.  X is known modulo more than 2r and |chi| <= r,
+    so each trace is the residue of least absolute value."""
+    basis = [col for _, col in reduced.pivots]
     r = len(basis)
-    block = (matrix[rows] % prime).astype(np.int64)
-    inverse_t = inverse_mod_p(block[:, basis], prime).T[:, None, :]
     basis_words = np.array([words[col] for col in basis], dtype=np.intp).reshape(
         r, len(words[0])
     )
@@ -726,13 +709,9 @@ def _class_traces(
     images = _permutation_index(renamed.reshape(-1, renamed.shape[2])).reshape(
         len(classes), r
     )
-    traces = []
-    step = max(1, _BLOCK // max(1, r * r))
-    for start in range(0, len(classes), step):
-        # products[i, c, k] = (M[R,B]^-1)[k, i] * M[R, sigma_c B][i, k]
-        products = (inverse_t * block[:, images[start : start + step]]) % prime
-        traces.extend((products.sum(axis=(0, 2)) % prime).tolist())
-    return [t if 2 * t < prime else t - prime for t in traces]
+    modulus = reduced.modulus
+    traces = (reduced.rows[np.arange(r), images].sum(axis=1) % modulus).tolist()
+    return [t if 2 * t < modulus else t - modulus for t in traces]
 
 
 @cache
@@ -799,23 +778,15 @@ def _slice_cocharacter(
 
     Its rank r is the slice codimension, and its column space is
     P_comp / (P_comp ∩ Id) as a module over the slots' Young subgroup, so
-    the multiplicities follow from the character values on the classes.
-    Those are exact only when the mod-p pivots are a basis over Q and
-    2r < p.  Otherwise (p divided a minor, or p is too small) the
-    composition falls back to the tableau route.
+    the multiplicities follow from the character values on the classes,
+    read off its certified elimination.
     """
-    matrix = _indexed_columns(algebra, vectors, words, trie=trie)
-    pivots: list[tuple[int, int]] = []
-    rank = exact_rank(matrix, pivots)
+    reduced = echelon(_indexed_columns(algebra, vectors, words, trie=trie))
+    rank = reduced.rank
     shapes = multipartitions(comp)
-    if rank == len(pivots) and 2 * rank < linalg.PRIME:
-        traces = _class_traces(matrix, pivots, words, shapes)
-        counts = _multiplicities_from_traces(algebra, comp, shapes, traces)
-    else:
-        counts = [
-            _tableau_rank(algebra, vectors, shape, standard_multitableaux(shape))
-            for shape in shapes
-        ]
+    counts = _multiplicities_from_traces(
+        algebra, comp, shapes, _class_traces(reduced, words, shapes)
+    )
     weighted = sum(m * shape.degree() for shape, m in zip(shapes, counts))
     if weighted != rank:
         raise ConsistencyViolation(

@@ -35,16 +35,22 @@ ALL_FILLINGS_CAP = 6
 
 def compositions(n: int, slots: int) -> list[Composition]:
     """All compositions of n into ``slots`` parts, first part descending
-    (so e.g. compositions(2, 2) == [(2, 0), (1, 1), (0, 2)])."""
+    (so e.g. compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]); a fresh list
+    of the ones computed once per (n, slots)."""
+    return list(_compositions(n, slots))
+
+
+@cache
+def _compositions(n: int, slots: int) -> tuple[Composition, ...]:
+    # stars and bars: the slots - 1 bars among n + slots - 1 places, in
+    # reverse lexicographic order, so that the first part descends
     if slots == 0:
-        return [()] if n == 0 else []
-    if slots == 1:
-        return [(n,)]
-    return [
-        (head,) + rest
-        for head in range(n, -1, -1)
-        for rest in compositions(n - head, slots - 1)
-    ]
+        return ((),) if n == 0 else ()
+    places = n + slots - 1
+    bar_sets = reversed(list(itertools.combinations(range(places), slots - 1)))
+    return tuple(
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places))) for bars in bar_sets
+    )
 
 
 def multinomial(comp: Composition) -> int:

@@ -73,6 +73,38 @@ def m2_transpose_document() -> str:
     )
 
 
+def ut3_document(grading: str) -> str:
+    """Upper-triangular 3x3 matrices, graded by matrix units.  ``"trivial"``
+    puts every unit in the trivial group; ``"c2"`` puts e12 and e23 in the
+    generator g of C2, and so e13 = e12*e23 in the identity."""
+    names = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+    def unit(i):
+        return ["1" if j == i else "0" for j in range(6)]
+
+    structure = [
+        [i, j, unit(names.index((a, d)))]
+        for i, (a, b) in enumerate(names)
+        for j, (c, d) in enumerate(names)
+        if b == c
+    ]
+    if grading == "trivial":
+        group, grades = {"kind": "cyclic", "order": 1}, ["1"] * 6
+    else:
+        group, grades = {"kind": "cyclic", "order": 2}, ["1", "g", "1", "1", "g", "1"]
+    return json.dumps(
+        {
+            "format_version": 1,
+            "name": f"ut3-{grading}",
+            "mode": "graded",
+            "group": group,
+            "basis": [f"e{a}{b}" for a, b in names],
+            "grading": grades,
+            "structure": structure,
+        }
+    )
+
+
 @pytest.fixture(scope="session")
 def m2_transpose():
     return gpw.loads_algebra(m2_transpose_document())
@@ -95,4 +127,8 @@ def docs(tmp_path_factory):
     m2 = root / "m2.json"
     m2.write_text(m2_transpose_document())
     paths["m2"] = str(m2)
+    for grading in ("trivial", "c2"):
+        ut3 = root / f"ut3_{grading}.json"
+        ut3.write_text(ut3_document(grading))
+        paths[f"ut3_{grading}"] = str(ut3)
     return paths

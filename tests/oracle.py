@@ -1,10 +1,13 @@
-"""Reference oracle for the evaluator, and for algebra validation: the
-plain Fraction loops.
+"""Reference oracle for the evaluator, for algebra validation and for
+exact linear algebra: the plain Fraction loops, and fraction-free Bareiss
+elimination.
 
 Every monomial is multiplied out in exact ``Fraction`` tuples by
 ``GradedStarAlgebra.multiply``, once per substitution tuple.  The package's
 integer engine must give a positive multiple of these matrices, and the
-same ranks, nullspaces and identity verdicts.
+same ranks, nullspaces and identity verdicts.  ``bareiss_rank`` and the
+``Fraction`` RREF (``rref``, ``nullspace``) are the references for the
+package's certified modular elimination.
 """
 
 import itertools
@@ -156,3 +159,82 @@ def law_violation(group, labels, grades, table, involution=None):
                 f"involution is not an anti-automorphism on ({labels[i]}, {labels[j]})"
             )
     return None
+
+
+# -- exact linear algebra -------------------------------------------------------
+
+
+def bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination
+    (Bareiss 1968); mutates its argument."""
+    rows = len(m)
+    if rows == 0:
+        return 0
+    cols = len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        piv = next((r for r in range(rank, rows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, rows):
+            mr, mp = m[r], m[rank]
+            f = mr[col]
+            for c in range(col, cols):
+                # exact by the Bareiss identity; every lower row must be
+                # updated (even when f == 0) or later divisions go inexact
+                mr[c] = (mr[c] * pivot - f * mp[c]) // prev
+        prev = pivot
+        rank += 1
+        # drop rows that have become identically zero
+        live = [m[r] for r in range(rank, rows) if any(m[r][col + 1 :])]
+        if len(live) != rows - rank:
+            m[rank:] = live
+            rows = rank + len(live)
+    return rank
+
+
+def rref(rows):
+    """Reduced row echelon form over Fraction: (reduced nonzero rows, pivot
+    column indices)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    return m[:rank], pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of {v : M v = 0} from the Fraction RREF, each vector scaled so
+    its first nonzero entry is 1, in the order of its free column."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][free]
+        first = next(x for x in v if x != 0)
+        basis.append([x / first for x in v])
+    return basis

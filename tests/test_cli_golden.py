@@ -1,9 +1,11 @@
 """Byte-for-byte pins of the report commands: for each run on the builtin
-algebras, the sha256 of stdout and the exit code, as TSV and as JSON.  Most
-runs stay at n <= 4; two cocharacter tables go to n=5 and n=6, two
-identity runs test an 8-fold and a 7-fold power, and one sandwich search on
-ut2 certifies full rank at every degree up to 6.  Error runs pin an empty
-stdout and exit code 2."""
+algebras and on ut3, the sha256 of stdout and the exit code, as TSV and as
+JSON.  Most runs stay at n <= 4; two cocharacter tables go to n=5 and n=6,
+two identity runs test an 8-fold and a 7-fold power, and one sandwich
+search on ut2 certifies full rank at every degree up to 6.  The ut3 runs at
+n=5 have rank-deficient arrangement matrices, whose ranks need more than
+the dimension bound to certify.  Error runs pin an empty stdout and exit
+code 2."""
 
 import hashlib
 
@@ -117,6 +119,30 @@ GOLDEN = [
         0,
         "18cb5a4601c5d6c43146c0dd87a5cfb27e599ff639d19455ba3d1ba2eda08520",
         "fe818858240ab3bc62bd8b3aa7ff6de1745ec6d9cf499dfd2276f23d9bc1bde1",
+    ),
+    (
+        "codim ut3_trivial --n 5",
+        0,
+        "313e3cbdc74eb4a2f1c5a1fa510785550bbabf757d09c337e52262db771b998c",
+        "a56840898ae456001ecb1bb0d34284cd3ff90fd34de9f83d8b82f0833a41a1f5",
+    ),
+    (
+        "cochar ut3_trivial --n 5",
+        0,
+        "71aa3ab8c3761ceec56f93c03dc981ac04db287348f7cd875a09291e26487ee9",
+        "a15f2799675f1092c58fd30982d15905d31fb8309f2822e5eb1c1ba516a36e90",
+    ),
+    (
+        "codim ut3_c2 --n 5",
+        0,
+        "9144e6b0db5f7266748ada5c7690566cb5a8885ddeb29227d8db5acba56f48ad",
+        "a5ade63dd5c18e71103941111f0d4240c67a8dcabc4164509e7683bc4e3f4b19",
+    ),
+    (
+        "cochar ut3_c2 --n 5",
+        0,
+        "3b58198c35cefba28a44c53eccb1538e087757a306a65190076768a2dd722cdf",
+        "deac73dbad8266af04e2aaa3ffb81b706ce2ad5652ca9e0519ae698eda87d960",
     ),
     ("codim ut2_g --n 6", 2, EMPTY, EMPTY),
     ("cochar k_g --n 4 --n-max 3", 2, EMPTY, EMPTY),

@@ -3,9 +3,9 @@
 ``cocharacter_table`` reads every multiplicity of a composition from traces
 on its arrangement matrix; ``multiplicity`` ranks the shape's polarized
 tableau vectors.  The two must agree on every shape: on the builtins up to
-n=6 and on random small graded and star algebras.  The fallback to the
-tableau route, taken when the modular pivots are no basis over Q, and the
-runtime check on the multiplicities are exercised by forcing them.
+n=6 and on random small graded and star algebras.  A starting prime so
+small that the elimination must go on to further primes, and the runtime
+check on the multiplicities, are exercised by forcing them.
 """
 
 from math import prod
@@ -140,21 +140,22 @@ def test_uncertified_rank_falls_back_to_the_tableau_route(
 ):
     algebras_ = (k_g, e2, ut2_trivial)
     expected = {a.name: cocharacter_table(a, 4) for a in algebras_}
-    calls = []
-    original = evaluator._tableau_rank
+    primes = set()
+    original = linalg.rank_mod_p
 
-    def counted(*args):
-        calls.append(args[2])
-        return original(*args)
+    def counted(matrix, modulus, *args, **kwargs):
+        primes.add(modulus)
+        return original(matrix, modulus, *args, **kwargs)
 
-    monkeypatch.setattr(evaluator, "_tableau_rank", counted)
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
     monkeypatch.setattr(linalg, "PRIME", prime)
     for algebra in algebras_:
         table = cocharacter_table(algebra, 4)
         assert table.entries == expected[algebra.name].entries
         assert table.slice_codims == expected[algebra.name].slice_codims
-    # with so small a prime some rank is not certified or 2r >= p
-    assert calls
+    # with so small a prime some rank is not certified, or 2r >= p, by the
+    # first prime alone
+    assert len(primes) > 1
 
 
 def slot_cycle_types(sigma, comp):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from gpw import linalg
-from gpw.linalg import PRIME, inverse_mod_p, rank_mod_p
+from gpw.linalg import PRIME, rank_mod_p
 
 
 def gauss_rank(rows):
@@ -88,14 +89,14 @@ def test_rank_matches_reference_elimination():
 
 
 def test_rank_with_modular_path_disabled():
-    # the Bareiss route alone, which exact_rank takes whenever the modular
-    # rank falls short of min(rows, cols)
+    # the Bareiss oracle alone, the reference of the certificate's
+    # property tests below
     rng = random.Random(7)
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         scale = math.lcm(*(v.denominator for row in m for v in row))
         ints = [[int(v * scale) for v in row] for row in m]
-        assert linalg._bareiss_rank(ints) == gauss_rank(m)
+        assert oracle.bareiss_rank(ints) == gauss_rank(m)
 
 
 def test_nullspace_vectors_annihilate():
@@ -116,14 +117,14 @@ def test_nullspace_vectors_annihilate():
 def test_rref_shape_and_idempotence():
     F = Fraction
     m = [[F(2), F(4), F(2)], [F(1), F(2), F(3)]]
-    reduced, pivots = linalg.rref(m)
+    reduced, pivots = oracle.rref(m)
     assert list(pivots) == [0, 2]
     for r, p in zip(reduced, pivots):
         assert r[p] == 1
         for other in range(len(reduced)):
             if reduced[other] is not r:
                 assert reduced[other][p] == 0
-    again, pivots2 = linalg.rref(reduced)
+    again, pivots2 = oracle.rref(reduced)
     assert again == reduced and pivots2 == pivots
 
 
@@ -231,21 +232,77 @@ def test_pivots_give_an_invertible_submatrix():
 
 
 def test_pivots_fall_short_when_the_prime_divides_a_minor():
+    # mod PRIME the first row vanishes; the next prime finds both pivots
     m = np.array([[PRIME, 0], [0, 1], [0, 0]], dtype=object)
     pivots = []
     assert linalg.exact_rank(m, pivots) == 2
-    assert pivots == [(1, 1)]
+    assert pivots == [(0, 0), (1, 1)]
 
 
-def test_inverse_mod_p():
-    rng = np.random.default_rng(11)
-    for size in range(0, 7):
-        a = rng.integers(0, PRIME, size=(size, size), dtype=np.int64)
-        inverse = inverse_mod_p(a.copy())
-        product = [
-            [sum(int(a[i, k]) * int(inverse[k, j]) for k in range(size)) % PRIME for j in range(size)]
-            for i in range(size)
-        ]
-        assert product == np.eye(size, dtype=int).tolist()
-    with pytest.raises(ValueError):
-        inverse_mod_p(np.array([[1, 2], [2, 4]], dtype=np.int64))
+# -- the certificate against the oracle -----------------------------------------
+
+
+def test_a_large_denominator_takes_a_second_prime():
+    # the RREF row is (1, 1/q, 0): q is too large a denominator to
+    # reconstruct modulo PRIME alone
+    q = 10**6 + 3
+    result = linalg.echelon(np.array([[q, 1, 0], [2 * q, 2, 0]]))
+    assert result.rank == 1 and result.pivots == [(0, 0)]
+    assert result.modulus > PRIME
+    assert linalg.nullspace(np.array([[q, 1, 0]]), 3) == [[1, -q, 0], [0, 0, 1]]
+
+
+@st.composite
+def certificate_cases(draw):
+    """An integer matrix of a known kind, and the prime to start from."""
+    kind = draw(st.sampled_from(["product", "p-divisible", "denominators"]))
+    prime = draw(st.sampled_from([PRIME, 3, 5, 7]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    inner = draw(st.integers(0, min(rows, cols)))
+    size = 10**4 if kind == "denominators" else 4
+
+    def block(r, c, bound):
+        flat = draw(st.lists(st.integers(-bound, bound), min_size=r * c, max_size=r * c))
+        return np.array(flat, dtype=object).reshape(r, c)
+
+    # a product of an integer rows x inner and inner x cols matrix has rank
+    # at most inner; large right factors give RREFs with large denominators
+    m = block(rows, inner, 3).dot(block(inner, cols, size))
+    if kind == "p-divisible":
+        # the same matrix mod the starting prime, a higher rank over Q
+        m = m + prime * block(rows, cols, 2)
+    return m, prime
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_cases())
+def test_certified_elimination_matches_the_oracle(case):
+    m, prime = case
+    original = linalg.PRIME
+    linalg.PRIME = prime
+    try:
+        rank = linalg.exact_rank(m)
+        some = linalg.echelon(m)
+        lifted = linalg.echelon(m, lift=True)
+        kernel = linalg.nullspace(m, m.shape[1])
+    finally:
+        linalg.PRIME = original
+    rows = m.tolist()
+    assert rank == some.rank == lifted.rank == oracle.bareiss_rank(m.tolist())
+    assert kernel == oracle.nullspace(rows, m.shape[1])
+    # the lifted rows are the rational RREF, on the rational greedy pivots,
+    # and their residues are kept
+    reduced, columns = oracle.rref(rows)
+    assert [c for _, c in lifted.pivots] == columns
+    numerators, denominator = lifted.lifted
+    assert [[Fraction(int(v), denominator) for v in row] for row in numerators] == reduced
+    modulus = lifted.modulus
+    assert [[int(v) for v in row] for row in lifted.rows] == [
+        [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in row] for row in reduced
+    ]
+    for result in (some, lifted):
+        # the pivot block is invertible over Q, and the reduced rows are
+        # known modulo more than twice the rank
+        block = [[m[r, c] for _, c in result.pivots] for r, _ in result.pivots]
+        assert oracle.bareiss_rank(block) == rank
+        assert result.modulus > 2 * rank
