@@ -12,6 +12,7 @@ The digest of an algebra is the SHA-256 of its canonical document rendering
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import re
@@ -63,7 +64,7 @@ def algebra_to_document(algebra: GradedStarAlgebra) -> dict:
         "format_version": FORMAT_VERSION,
         "name": algebra.name,
         "mode": algebra.mode,
-        "group": algebra.group.spec,
+        "group": copy.deepcopy(algebra.group.spec),  # groups are shared
         "basis": list(algebra.basis_labels),
         "grading": [algebra.group.label(g) for g in algebra.grades],
         "structure": structure,

@@ -14,11 +14,13 @@ integers by their denominator lcms (and a :class:`GradedPoly`'s
 coefficients by theirs when its monomials are turned into words), so the
 matrix is one fixed positive multiple of the rational one and its ranks,
 nullspaces and zero tests are the rational answers.  Words are multiplied
-out for all tuples at once in numpy, walking their prefix trie one level
-at a time with one batched product per level, in blocks of bounded size
-(:func:`_monomial_values`).  Entries are int64 only when an a-priori bound
-on every entry stays below 2**62; otherwise they are Python ints, so
-nothing wraps.
+out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
+at a time over the (node, partial substitution tuple) pairs whose value is
+nonzero, with one batched product per level.  A matrix keeps only the
+nonzero rows of the dense one, in its order, which changes no rank,
+nullspace or zero test.  Entries are int64 only when an a-priori bound on
+every entry stays below 2**62; otherwise they are Python ints, so nothing
+wraps.
 
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
@@ -43,13 +45,8 @@ nothing wraps.
   ``sum(multiplicity * degree)`` over its shapes, can only come from a bug
   and raises :class:`ConsistencyViolation`.
 * The **tableau route** is a cross-check only: :func:`multiplicity` ranks
-  the polarized highest weight vectors of a shape's standard
-  multitableaux.  They are built as words directly
-  (:func:`~gpw.polynomials.polarized_tableau_words`), with the signature
-  :func:`composition_variables`: polarizing a tableau's vector only renames
-  its letters and the tableau acts only on positions, so the tableau's
-  polarized vector is the polarized shape vector with its positions
-  permuted, and no polynomial is built or polarized on the way.
+  the polarized highest weight vectors of a shape's standard multitableaux,
+  built as words directly (:func:`~gpw.polynomials.polarized_tableau_words`).
 
 Polynomials reach the engine through one front end,
 :func:`_polynomial_matrices` (:func:`build_evaluation_matrix`, both identity
@@ -66,10 +63,13 @@ is unisolvent for the tensor product.  So a combination of polynomials is
 an identity exactly when it vanishes there.  At m = 1 the points are the
 basis itself.  The independent full-grid oracle (`is_identity_grid`, and
 ``multiplicity(..., fillings="grid")``) substitutes every t in {0..m}^d
-instead.  The front end refuses, before any array is built, a matrix over
-:data:`IDENTITY_WORK_CAP` engine entries; word matrices of codimensions
-and multiplicities are bounded by :data:`HARD_N_CAP` instead.  Integer
-structure tables and bases are computed once per algebra.
+instead.  Integer structure tables and bases are computed once per algebra.
+
+One work cap bounds every matrix: each level of the walk, the assembled
+rows and the lattice or grid points are counted exactly and refused with
+:class:`CapExceeded` above :data:`WORK_CAP` entries before they are
+allocated (:func:`_charge`).  :data:`HARD_N_CAP` caps the degree, which
+bounds the n! arrangements and the listing of compositions.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -126,7 +127,7 @@ from .shapes import (
 
 DEFAULT_N_CAP = 5
 HARD_N_CAP = 7
-IDENTITY_WORK_CAP = 2**25  # engine entries one polynomial matrix may ask for (~0.5 GB)
+WORK_CAP = 2**25  # entries one array of the engine may hold (0.25 GB of int64)
 
 
 def canonical_variable_order(variables, mode: str) -> tuple[Variable, ...]:
@@ -194,6 +195,12 @@ def evaluate(
 # -- the integer evaluation engine ---------------------------------------------
 
 
+def _charge(entries: int) -> None:
+    """The engine's one work limit: no array above WORK_CAP entries."""
+    if entries > WORK_CAP:
+        raise CapExceeded(f"an array of {entries} entries is above the work cap {WORK_CAP}")
+
+
 def _integer(algebra: GradedStarAlgebra, key: tuple[int, str] | None) -> np.ndarray:
     """Scaled to integers once per algebra, kept on it and shared
     read-only: the ``key=(grade, kind)`` component basis, one row per basis
@@ -210,59 +217,46 @@ def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
     ``degree``, in :func:`~gpw.shapes.compositions` order of the t: the
     principal lattice of the simplex, C(degree + d - 1, degree) points for d
     basis rows, and the basis rows themselves at degree 1."""
+    if degree == 1:
+        return basis
+    _charge(comb(degree + len(basis) - 1, degree) * basis.shape[1])
     weights = compositions(degree, len(basis))
     return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
-
-
-def _simplex_size(degree: int, d: int) -> int:
-    return comb(degree + d - 1, degree)
 
 
 def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
     """Every combination sum(t_j * b_j) with integer t_j in 0..degree, in
     ``itertools.product`` order of the t."""
+    _charge((degree + 1) ** len(basis) * basis.shape[1])
     weights = list(itertools.product(range(degree + 1), repeat=len(basis)))
     return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
 
 
-def _grid_size(degree: int, d: int) -> int:
-    return (degree + 1) ** d
-
-
-# entries one batched step may hold in an array: the right-multiplication
-# matrices of one level of a block of the word walk.  Smaller blocks cost
-# more numpy calls per entry.
-_BLOCK = 2**15
-
-
 @dataclass(frozen=True)
 class _WordTrie:
-    """The prefix trie of words of one length n, level by level.
-
-    ``order`` lists the word indices in sorted word order.  On level l (the
-    prefixes of length l + 1), ``nodes[l][i]`` is the node of the i-th
-    sorted word's prefix, and ``parents[l]`` and ``letters[l]`` give each
-    node's parent on level l - 1 and its last letter.  Nodes are numbered
-    along the sorted words, so a run of sorted words covers a run of nodes
-    on every level.
-    """
+    """The prefix trie of distinct words of one length n, level by level: on
+    level l (the prefixes of length l + 1), ``parents[l]``, ``letters[l]``
+    and ``new[l]`` give each node's parent on level l - 1 (the root, 0, on
+    level 0), its last letter and whether that letter is new to its prefix.
+    Nodes are numbered along the sorted words, so siblings are consecutive;
+    ``order`` gives each leaf's word, which has ``fewest`` or more distinct
+    letters."""
 
     order: np.ndarray
-    nodes: list[np.ndarray]
     parents: list[np.ndarray]
     letters: list[np.ndarray]
+    new: list[np.ndarray]
+    fewest: int
 
 
 def _word_trie(words: list[Word]) -> _WordTrie:
-    """The prefix trie of ``words``, which must share one length."""
+    """The prefix trie of ``words``, which are distinct and of one length."""
     n = len(words[0]) if words else 0
-    if any(len(word) != n for word in words):
-        raise ValueError("the words of one trie must share one length")
+    if any(len(word) != n for word in words) or len(set(words)) < len(words):
+        raise ValueError("the words of one trie must be distinct and share one length")
     order = sorted(range(len(words)), key=words.__getitem__)
     last = [-1] * n  # the newest node on each level
-    nodes: list[tuple[int, ...]] = []  # per sorted word, its node on each level
-    parents: list[list[int]] = [[] for _ in range(n)]
-    letters: list[list[int]] = [[] for _ in range(n)]
+    levels: list[list[int]] = [[] for _ in range(3 * n)]  # parents, letters, new
     previous: Word = ()
     for w in order:
         word = words[w]
@@ -271,87 +265,92 @@ def _word_trie(words: list[Word]) -> _WordTrie:
             depth += 1
         for level in range(depth, n):
             last[level] += 1
-            parents[level].append(last[level - 1] if level else 0)
-            letters[level].append(word[level])
-        nodes.append(tuple(last))
+            levels[level].append(last[level - 1] if level else 0)
+            levels[n + level].append(word[level])
+            levels[2 * n + level].append(word[level] not in word[:level])
         previous = word
-    # one array for all levels, cut into views: tries of a single short word
-    # are built for every identity test
-    flat = np.array([i for level in parents + letters for i in level], dtype=np.intp)
-    ends = list(itertools.accumulate(map(len, parents + letters), initial=0))
+    # one array cut into views per level: every identity test builds a trie
+    flat = np.array([i for level in levels for i in level], dtype=np.intp)
+    ends = list(itertools.accumulate(map(len, levels), initial=0))
     cut = [flat[a:b] for a, b in zip(ends, ends[1:])]
-    return _WordTrie(
-        np.array(order, dtype=np.intp),
-        list(np.array(nodes, dtype=np.intp).reshape(len(words), n).T),
-        cut[:n],
-        cut[n:],
-    )
+    fewest = min((len(set(word)) for word in words), default=0)
+    return _WordTrie(np.array(order, dtype=np.intp), cut[:n], cut[n : 2 * n], cut[2 * n :], fewest)
 
 
-def _monomial_values(
+def _word_rows(
     table: np.ndarray, vectors: list[np.ndarray], trie: _WordTrie
-) -> np.ndarray:
-    """Value of every word of ``trie`` on every substitution tuple: an
-    array of shape (words, tuples * dim), words in their original order,
-    tuples in ``itertools.product`` order over ``vectors`` (one array of
-    candidate values per variable position).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row numbers t * dim + k, ascending, and the nonzero rows of the
+    words of ``trie`` on every substitution tuple (t a tuple's place in
+    ``itertools.product`` order over ``vectors``, each letter's candidate
+    values, and k a coordinate), one column per word in its original order.
 
-    The trie is walked one level at a time, for all tuples at once: each
-    node's value is its parent's value times the right-multiplication
-    matrix of its last letter, one batched ``matmul`` per level.  A node
-    whose value vanishes on every tuple ends its whole subtree.  The sorted
-    words are walked in blocks of at least one word, so that the matrices
-    gathered for one level hold at most :data:`_BLOCK` entries and its
-    values dim times fewer, and each block is written straight into the
-    output.
-    """
-    dim = table.shape[0]
-    count = prod(len(v) for v in vectors)
-    words = len(trie.order)
-    out = np.zeros((words, count, dim), dtype=table.dtype)
-    if count == 0 or not trie.nodes:
-        return out.reshape(words, count * dim)
+    The trie is walked one level at a time over the (node, partial tuple)
+    pairs whose value is nonzero, since a node's value depends only on the
+    choices for its prefix's letters: the index sum(choice * stride) over
+    them.  A new letter branches over its values, a repeated one reads its
+    choice back.  Each level is one batched ``matmul``, charged to the work
+    cap before it is built, as are the rows."""
+    dim, words = table.shape[0], len(trie.order)
+    sizes = [len(v) for v in vectors]
+    strides = list(itertools.accumulate(sizes[:0:-1], mul, initial=1))[::-1]
+    itype = exact_dtype(strides[0] * sizes[0] * dim if sizes else 0)
+    if not trie.parents or 0 in sizes:
+        return np.zeros(0, dtype=itype), np.zeros((0, words), dtype=table.dtype)
+    size, stride = np.array(sizes), np.array(strides, dtype=itype)
+    first = size.cumsum() - size  # of each letter's values among the candidates
+    candidates = np.concatenate(vectors)
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
-    products = table.transpose(1, 0, 2).reshape(dim, dim * dim)
-    values, right = [], []
-    stride = count
-    for vecs in vectors:
-        stride //= len(vecs)
-        choice = np.arange(count) // stride % len(vecs)
-        values.append(vecs[choice])
-        # right[j][t, a, k]: coordinate k of e_a times variable j's value in tuple t
-        right.append((vecs @ products).reshape(len(vecs), dim, dim)[choice])
-    values, right = np.stack(values), np.stack(right)
-    step = max(1, _BLOCK // (count * dim * dim))
-    for start in range(0, words, step):
-        stop = min(start + step, words)
-        level, low = None, 0
-        for nodes, parents, letters in zip(trie.nodes, trie.parents, trie.letters):
-            lo, hi = nodes[start], nodes[stop - 1] + 1
-            if level is None:
-                level, low = values[letters[lo:hi]], lo
-                continue
-            up, here = parents[lo:hi] - low, letters[lo:hi]
-            # a prefix that vanished on every tuple ends its subtree
-            alive = level.any(axis=(1, 2))
-            living = np.count_nonzero(alive)
-            if living == len(alive):
-                live = slice(None)
-            elif living:
-                live = np.flatnonzero(alive[up])
-            else:
-                break  # the block's words are all zero, as ``out`` already is
-            product = np.matmul(level[up[live]][:, :, None, :], right[here[live]])[:, :, 0, :]
-            if len(product) == hi - lo:
-                level = product
-            else:
-                level = np.zeros((hi - lo, count, dim), dtype=table.dtype)
-                level[live] = product
-            low = lo
-        else:
-            out[trie.order[start:stop]] = level[trie.nodes[-1][start:stop] - low]
-    return out.reshape(words, count * dim)
+    right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
+    steps = [(*level, True) for level in zip(trie.parents[1:], trie.letters[1:], trie.new[1:])]
+    for j in range(len(vectors) if trie.fewest < len(vectors) else 0):
+        # one more level, on which every leaf is its own child, per letter
+        used = trie.letters[0] == j
+        for parents, letters in zip(trie.parents[1:], trie.letters[1:]):
+            used = used[parents] | (letters == j)
+        steps.append((np.arange(words), np.full(words, j), ~used, False))
+    lens = size[trie.letters[0]]  # level 0: every value of each node's letter
+    child = np.arange(len(lens)).repeat(lens)  # the node of each pair
+    _charge(len(child) * dim)
+    digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
+    index = digit * stride[trie.letters[0]][child]
+    value = candidates.take(first[trie.letters[0]][child] + digit, axis=0)
+    for parents, letters, new, multiply in steps:
+        if len(parents) > len(lens) or new.any():  # else each pair has one child
+            keep = value.any(axis=1)
+            if not keep.all():
+                child, index, value = child[keep], index[keep], value.compress(keep, axis=0)
+            if not len(child):
+                break
+            # counts[u] pairs of node u follow those of the nodes before it
+            counts = np.bincount(child, minlength=len(lens))
+            branch = size[letters] ** new  # all values of a new letter, one of a repeated one
+            lens = counts[parents] * branch
+            ends = lens.cumsum()
+            _charge(int(ends[-1]) * dim)
+            # pair j of child u (pairs from E_u on, its parent's from S_u on) is
+            # digit of parent pair source: j - E_u == (source - S_u) * branch + digit
+            shift = (counts.cumsum() - counts)[parents] * branch - (ends - lens)
+            child = np.arange(len(lens)).repeat(lens)
+            source, digit = np.divmod(np.arange(len(child)) + shift[child], branch[child])
+            index = index[source] + digit * stride[letters][child]
+            value = value.take(source, axis=0)
+        if multiply:
+            _charge(len(child) * dim * dim)
+            letter = letters[child]
+            choice = (first[letter] + index // stride[letter] % size[letter]).astype(np.intp)
+            value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
+    pair, k = value.nonzero()
+    numbers = index[pair] * dim + k
+    order = numbers.argsort()  # numbers[order][fresh] are the distinct ones
+    fresh = numbers[order] != np.concatenate(([-1], numbers[order][:-1]))
+    row = (fresh.cumsum() - 1)[order.argsort()]
+    numbers = numbers[order][fresh]
+    _charge(len(numbers) * words)
+    rows = np.zeros((len(numbers), words), dtype=table.dtype)
+    rows[row, trie.order[child[pair]]] = value[pair, k]
+    return numbers, rows
 
 
 def _word_columns(
@@ -397,80 +396,64 @@ def _indexed_columns(
 ) -> np.ndarray:
     """The engine.  Column j is the sum over (i, c) in ``zip(*terms[j])``
     of c times the value of ``words[i]``, whose letters index ``vectors``
-    (integer multiples of each variable's values); one row per
-    (substitution tuple, coordinate) pair, tuples in ``itertools.product``
-    order over ``vectors``.  Without ``terms``, column j is ``words[j]``
-    itself.  When all words of a column share one multidegree, the column
-    is one fixed positive multiple of the rational one.  ``trie``, when
-    given, is ``_word_trie(words)``, built once for many calls."""
+    (integer multiples of each variable's values); without ``terms``, column
+    j is ``words[j]`` itself.  The rows are the nonzero ones of the matrix
+    with one row per (substitution tuple, coordinate), tuples in
+    ``itertools.product`` order over ``vectors``, in that order.  When all
+    words of a column share one multidegree, the column is one fixed
+    positive multiple of the rational one.  ``trie``, when given, is
+    ``_word_trie(words)``, built once for many calls."""
     dim = algebra.dim
     table = _integer(algebra, None)
     # with vector entries up to b and structure constants up to t, a word's
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
     n = max(map(len, words), default=1)
-    b = max(map(max_abs, vectors), default=0)
+    distinct = {id(v): v for v in vectors}  # letters of one slot share values
+    b = max(map(max_abs, distinct.values()), default=0)
     t = max_abs(table)
     s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
     bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
     dtype = exact_dtype(bound)
-    monomials = _monomial_values(
-        table.astype(dtype),
-        [v.astype(dtype) for v in vectors],
-        trie or _word_trie(words),
+    distinct = {key: v.astype(dtype) for key, v in distinct.items()}
+    _, rows = _word_rows(
+        table.astype(dtype), [distinct[id(v)] for v in vectors], trie or _word_trie(words)
     )
     if terms is None:
-        return monomials.T
-    matrix = np.zeros((monomials.shape[1], len(terms)), dtype=dtype)
-    for col, (rows, c) in enumerate(terms):
-        if rows:
-            matrix[:, col] = np.array(c, dtype=dtype) @ monomials[rows]
-    return matrix
+        return rows
+    _charge(len(rows) * len(terms))
+    matrix = np.zeros((len(rows), len(terms)), dtype=dtype)
+    for col, (which, c) in enumerate(terms):
+        if which:
+            matrix[:, col] = rows[:, which] @ np.array(c, dtype=dtype)
+    return matrix.compress(matrix.any(axis=1), axis=0)
 
 
 def _polynomial_matrices(
     algebra: GradedStarAlgebra,
     families: list[list[GradedPoly]],
     points=_simplex,
-    size=_simplex_size,
     order: tuple[Variable, ...] | None = None,
 ):
     """The one front end from polynomials to the engine: for each family of
     polynomials sharing one multidegree, their integer evaluation matrix,
     variables in canonical order (or ``order``), a variable of multiplicity
-    m taking the values ``points(basis, m)``.  The work, tuples * dim *
-    (words + positions * dim) entries with ``size(m, d)`` points per
-    variable, is checked against :data:`IDENTITY_WORK_CAP` for every family
-    before the first array is built; matrices are then built as asked for.
-    """
-    dim = algebra.dim
-    plans = []
+    m taking the values ``points(basis, m)``, built as they are asked for."""
+    if any(() in p.terms for polys in families for p in polys):
+        raise InputError("constant terms cannot be evaluated in this algebra")
     for polys in families:
-        first = next((mono for p in polys for mono in p.terms), None)
-        if first == ():
-            raise InputError("constant terms cannot be evaluated in this algebra")
-        degree = Counter(first or ())
+        degree = Counter(next((mono for p in polys for mono in p.terms), ()))
         variables = order or canonical_variable_order(degree, algebra.mode)
-        bases = [_integer(algebra, (v.grade, v.kind)) for v in variables]
-        tuples = prod(size(degree[v], len(b)) for v, b in zip(variables, bases))
-        words = len({mono for p in polys for mono in p.terms})
-        work = tuples * dim * (words + len(variables) * dim)
-        if work > IDENTITY_WORK_CAP:
-            raise CapExceeded(
-                f"this evaluation needs about {work} engine entries, "
-                f"above the work cap {IDENTITY_WORK_CAP}"
-            )
-        plans.append((polys, variables, bases, degree))
-    for polys, variables, bases, degree in plans:
-        vectors = [points(b, degree[v]) for v, b in zip(variables, bases)]
+        vectors = [points(_integer(algebra, (v.grade, v.kind)), degree[v]) for v in variables]
         yield _evaluation_columns(algebra, variables, vectors, polys)
 
 
 @dataclass
 class EvaluationMatrix:
-    """Integer evaluation matrix: one column per polynomial, one row per
-    (substitution tuple, coordinate) pair.  A fixed positive multiple of
-    the rational matrix, so ranks, nullspaces and zero tests are exact."""
+    """Integer evaluation matrix: one column per polynomial, and the nonzero
+    rows among those of the (substitution tuple, coordinate) pairs, in that
+    order.  A fixed positive multiple of the rational matrix, so ranks,
+    nullspaces and zero tests are exact."""
 
     variables: tuple[Variable, ...]
     rows: np.ndarray = field(repr=False)
@@ -509,15 +492,13 @@ def build_evaluation_matrix(
 # -- identities ---------------------------------------------------------------
 
 
-def _vanishes(poly: GradedPoly, algebra: GradedStarAlgebra, points, size) -> bool:
+def _vanishes(poly: GradedPoly, algebra: GradedStarAlgebra, points) -> bool:
     """Does every multihomogeneous component vanish on all tuples of its
     variables' ``points(basis, multiplicity)``?"""
     if poly.mode != algebra.mode:
         raise ModeMismatch(f"{poly.mode} polynomial tested on {algebra.mode} algebra")
     families = [[c] for c in poly.multihomogeneous_components()]
-    return not any(
-        rows.any() for rows in _polynomial_matrices(algebra, families, points, size)
-    )
+    return not any(len(rows) for rows in _polynomial_matrices(algebra, families, points))
 
 
 def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
@@ -526,9 +507,9 @@ def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     Each multihomogeneous component is evaluated, unpolarized, on its
     simplex lattice (C(m+d-1, m) points for a variable of multiplicity m
     over a d-dimensional component; exact, see the module docstring).
-    Raises :class:`CapExceeded` above :data:`IDENTITY_WORK_CAP` entries.
+    Raises :class:`CapExceeded` above the work cap, :data:`WORK_CAP`.
     """
-    return _vanishes(poly, algebra, _simplex, _simplex_size)
+    return _vanishes(poly, algebra, _simplex)
 
 
 def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
@@ -536,7 +517,7 @@ def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     multiplicity m takes sum(t_j * b_j) for every t in {0..m}^d, where the
     value is coordinatewise of degree at most m in each t_j, so vanishing on
     the grid forces the zero polynomial.  Shares the work cap."""
-    return _vanishes(poly, algebra, _grid, _grid_size)
+    return _vanishes(poly, algebra, _grid)
 
 
 # -- codimensions and multiplicities ------------------------------------------
@@ -554,7 +535,7 @@ def _check_composition(algebra: GradedStarAlgebra, comp: Composition) -> None:
 
 
 def _check_degree(n: int, cap: int = HARD_N_CAP) -> None:
-    """The work limit of every degree-n computation: ``cap``, and never
+    """The degree cap of every degree-n computation: ``cap``, and never
     more than :data:`HARD_N_CAP`."""
     limit = min(cap, HARD_N_CAP)
     if n > limit:
@@ -588,6 +569,15 @@ def _composition_vectors(
     return [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
 
 
+def _live_compositions(bases: list[np.ndarray], n: int) -> set[Composition]:
+    """The compositions of n with every empty slot left empty."""
+    live = [slot for slot, basis in enumerate(bases) if len(basis)]
+    return {
+        tuple(dict(zip(live, comp)).get(slot, 0) for slot in range(len(bases)))
+        for comp in compositions(n, len(live))
+    }
+
+
 def slice_codimension(algebra: GradedStarAlgebra, comp: Composition) -> int:
     """Rank of the n! monomial arrangements of the composition's variables."""
     _check_composition(algebra, comp)
@@ -612,12 +602,13 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     _check_degree(n)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     bases = _slot_bases(algebra)
+    live = _live_compositions(bases, n)
     words = _arrangements(n)
     trie = _word_trie(words)
     breakdown: dict[Composition, int] = {}
     total = 0
     for comp in compositions(n, slots):
-        vectors = _composition_vectors(bases, comp)
+        vectors = _composition_vectors(bases, comp) if comp in live else None
         c = 0 if vectors is None else exact_rank(
             _indexed_columns(algebra, vectors, words, trie=trie)
         )
@@ -659,7 +650,7 @@ def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int
     """Rank of the unpolarized tableau vectors on integer substitution
     grids; agrees with the polarized rank in characteristic zero."""
     polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
-    return exact_rank(next(_polynomial_matrices(algebra, [polys], _grid, _grid_size)))
+    return exact_rank(next(_polynomial_matrices(algebra, [polys], _grid)))
 
 
 def _class_representatives(classes: list[Multipartition]) -> np.ndarray:
@@ -844,8 +835,8 @@ def cocharacter_table(
     """Full degree-n cocharacter data: every multipartition's multiplicity,
     every composition's slice codimension, and the total codimension.
 
-    Slots whose component is empty are found once; a composition using one
-    has slice codimension 0 and no further work.  For every other
+    The compositions using a slot whose component is empty are found in one
+    pass; each has slice codimension 0 and no further work.  For every other
     composition one matrix is built, whose columns are the n! arrangements
     (:func:`_slice_cocharacter`): its rank is the slice codimension and
     traces on it give every shape's multiplicity.  A multiplicity that is
@@ -858,16 +849,17 @@ def cocharacter_table(
     mode = algebra.mode
     slots = modes.slot_count(len(algebra.group), mode)
     bases = _slot_bases(algebra)
+    live = _live_compositions(bases, n)
     words = _arrangements(n)
     trie = _word_trie(words)
     slice_codims: list[tuple[Composition, int]] = []
     entries: list[tuple[Multipartition, int]] = []
     total = 0
     for comp in compositions(n, slots):
-        vectors = _composition_vectors(bases, comp)
-        if vectors is None:
+        if comp not in live:
             slice_codims.append((comp, 0))
             continue
+        vectors = _composition_vectors(bases, comp)
         slice_c, counts = _slice_cocharacter(algebra, comp, vectors, words, trie)
         slice_codims.append((comp, slice_c))
         entries.extend(counts)

@@ -8,6 +8,8 @@ associativity), so downstream code may assume a genuine group.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import NoIdentity, NonAssociativeTable, NotLatinSquare, SchemaError
 
 
@@ -141,8 +143,9 @@ class FiniteGroup:
         return f"FiniteGroup({list(self.labels)})"
 
 
+@lru_cache(maxsize=None, typed=True)
 def cyclic(n: int) -> FiniteGroup:
-    """Cyclic group of order n with labels 1, g, g2, ..."""
+    """Cyclic group of order n with labels 1, g, g2, ...; one per order."""
     if n < 1:
         raise SchemaError("cyclic group order must be >= 1")
     labels = tuple("1" if i == 0 else "g" if i == 1 else f"g{i}" for i in range(n))
@@ -152,8 +155,12 @@ def cyclic(n: int) -> FiniteGroup:
 
 def product_of_cyclics(orders: tuple[int, ...] | list[int]) -> FiniteGroup:
     """Direct product of cyclic groups; elements are labelled by exponent
-    tuples such as ``(1,0)``."""
-    orders = tuple(int(n) for n in orders)
+    tuples such as ``(1,0)``.  Built once per tuple of orders and shared."""
+    return _product_of_cyclics(tuple(int(n) for n in orders))
+
+
+@lru_cache(maxsize=None)
+def _product_of_cyclics(orders: tuple[int, ...]) -> FiniteGroup:
     if not orders or any(n < 1 for n in orders):
         raise SchemaError("product orders must be positive")
     tuples: list[tuple[int, ...]] = [()]

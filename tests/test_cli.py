@@ -168,14 +168,24 @@ def test_identity_rejects_the_zero_polynomial(capsys, docs):
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]])
 def test_identity_over_the_work_cap_exits_two_before_building(capsys, monkeypatch, docs, fmt):
-    def refuse(*args):
-        raise AssertionError("the engine ran before the work check")
-
-    monkeypatch.setattr(gpw.evaluator, "_monomial_values", refuse)
-    poly = "*".join(f"x{{{i},1}}" for i in range(1, 31))
-    rc, out, err = run(capsys, "identity", docs["ut2_trivial"], f"--poly={poly}", *fmt)
+    # the nonzero pairs of a multilinear y-monomial on M2 with the transpose
+    # grow about threefold per letter; a 30-letter monomial on ut2 is decided
+    monkeypatch.setattr(gpw.evaluator, "WORK_CAP", 2**16)
+    poly = "*".join(f"y{{{i},1}}" for i in range(1, 13))
+    rc, out, err = run(capsys, "identity", docs["m2"], f"--poly={poly}", *fmt)
     assert (rc, out) == (2, "")
     assert "CapExceeded" in err and "work cap" in err
+    poly = "*".join(f"x{{{i},1}}" for i in range(1, 31))
+    rc, out, _ = run(capsys, "identity", docs["ut2_trivial"], f"--poly={poly}", *fmt)
+    assert rc == 1 and "false" in out
+
+
+@pytest.mark.parametrize("command", ["codim", "cochar"])
+def test_arrangement_matrices_over_the_work_cap_exit_two(capsys, docs, command):
+    # ut3 at n=7: the walk's last level asks for more than the work cap
+    rc, out, err = run(capsys, command, docs["ut3_trivial"], "--n", "7", "--n-max", "7")
+    assert (rc, out) == (2, "")
+    assert "work cap" in err
 
 
 # -- classification reports ----------------------------------------------------------

@@ -3,8 +3,9 @@ algebras and on ut3, the sha256 of stdout and the exit code, as TSV and as
 JSON.  Most runs stay at n <= 4; two cocharacter tables go to n=5 and n=6,
 two identity runs test an 8-fold and a 7-fold power, and one sandwich
 search on ut2 certifies full rank at every degree up to 6.  The ut3 runs at
-n=5 have rank-deficient arrangement matrices, whose ranks need more than
-the dimension bound to certify.  Error runs pin an empty stdout and exit
+n=5 and n=6 have rank-deficient arrangement matrices, whose ranks need more
+than the dimension bound to certify, and at n=6 almost all of their
+substitution tuples vanish.  Error runs pin an empty stdout and exit
 code 2."""
 
 import hashlib
@@ -143,6 +144,30 @@ GOLDEN = [
         0,
         "3b58198c35cefba28a44c53eccb1538e087757a306a65190076768a2dd722cdf",
         "deac73dbad8266af04e2aaa3ffb81b706ce2ad5652ca9e0519ae698eda87d960",
+    ),
+    (
+        "codim ut3_trivial --n 6 --n-max 6",
+        0,
+        "02c3c8011095d00ac70a3492a73b19afedb79abf3ecfc64260ed6f14906dfac9",
+        "a513d321e4330989f976f13082e8b4a9964cd1b683996efc42597d93c43ae0f1",
+    ),
+    (
+        "cochar ut3_trivial --n 6 --n-max 6",
+        0,
+        "3bfa713963c25eee1865ef027f504496119426593703517dfee7ee575ed2304d",
+        "a3ab003dbf29a93d77c5aaeb713416cb697f3e2ec04a70b6ada4e84eb6ba6ba8",
+    ),
+    (
+        "codim ut3_c2 --n 6 --n-max 6",
+        0,
+        "35ef6cfad68c667b31ea8e2e45beb7ce0789241757b3e6c54d5c711405dbdf4f",
+        "983e9082266887a6c83f66643988f7a9b6e17489a90ca9f022fe96a701f42686",
+    ),
+    (
+        "cochar ut3_c2 --n 6 --n-max 6",
+        0,
+        "bcc9d6cbae2f23b1532967521895d6c1492f657268155a7054a28e79a77fb7db",
+        "e32803dfa215d9b72c9badc7a50505daa0c7108ed16e0e88f3bf107852292b2c",
     ),
     ("codim ut2_g --n 6", 2, EMPTY, EMPTY),
     ("cochar k_g --n 4 --n-max 3", 2, EMPTY, EMPTY),

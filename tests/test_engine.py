@@ -23,10 +23,10 @@ import gpw
 import oracle
 from gpw import evaluator, modes
 from gpw.algebras import GradedStarAlgebra
-from gpw.errors import InputError
+from gpw.errors import CapExceeded, InputError
 from gpw.evaluator import (
-    _monomial_values,
     _simplex,
+    _word_rows,
     _word_trie,
     build_evaluation_matrix,
     composition_variables,
@@ -178,8 +178,11 @@ def grid_size(algebra, poly):
 
 
 def assert_positive_multiple(engine_rows, oracle_rows):
-    assert engine_rows.shape == (len(oracle_rows), len(oracle_rows[0]))
-    pairs = [(int(e), o) for erow, orow in zip(engine_rows.tolist(), oracle_rows) for e, o in zip(erow, orow)]
+    """The engine's rows are the oracle's nonzero rows, in order, times one
+    positive number."""
+    nonzero = [row for row in oracle_rows if any(row)]
+    assert engine_rows.shape == (len(nonzero), len(oracle_rows[0]))
+    pairs = [(int(e), o) for erow, orow in zip(engine_rows.tolist(), nonzero) for e, o in zip(erow, orow)]
     ratio = next((e / o for e, o in pairs if o != 0), None)
     if ratio is None:
         assert not engine_rows.any()
@@ -433,7 +436,7 @@ ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2])
 
 def word_products(table, vectors, words):
     """Every word multiplied out on every substitution tuple, one Python int
-    at a time: the oracle of ``_monomial_values``."""
+    at a time: the oracle of the word walk, ``_word_rows``."""
     dim = len(table)
     rows = []
     for word in words:
@@ -452,34 +455,48 @@ def word_products(table, vectors, words):
 
 
 @st.composite
-def walks(draw):
+def walks(draw, positions=st.integers(1, 3), length=st.integers(1, 4)):
     """A random integer structure table, candidate values per position and
     distinct words of one length; the many zeros make prefixes vanish."""
     dim = draw(st.integers(1, 3))
-    positions = draw(st.integers(1, 3))
+    positions = draw(positions)
     table = [[[draw(ENTRY) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     vectors = [
         [[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))]
         for _ in range(positions)
     ]
     letter = st.integers(0, positions - 1)
-    length = draw(st.integers(1, 4))
+    length = draw(length)
     words = draw(st.lists(st.tuples(*[letter] * length), min_size=1, max_size=12, unique=True))
     return table, vectors, words
 
 
 def walk(table, vectors, words, dtype=np.int64):
-    return _monomial_values(
+    """The walk's row numbers and rows, with the oracle's rows, one per
+    (tuple, coordinate) and one column per word."""
+    numbers, rows = _word_rows(
         np.array(table, dtype=dtype),
         [np.array(v, dtype=dtype).reshape(len(v), len(table)) for v in vectors],
         _word_trie(words),
     )
+    return numbers.tolist(), rows.tolist(), [list(row) for row in zip(*word_products(table, vectors, words))]
 
 
-@pytest.mark.parametrize("block", [1, 3, evaluator._BLOCK])
+def assert_nonzero_rows(numbers, rows, expected):
+    """The row contract: exactly the nonzero rows of the dense matrix, in
+    its order, with their row numbers."""
+    assert numbers == [i for i, row in enumerate(expected) if any(row)]
+    assert rows == [row for row in expected if any(row)]
+
+
+@pytest.mark.parametrize("cap", [1, 3, 2**15])
 @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
-def test_word_walk_matches_per_word_products(block, big, monkeypatch):
-    monkeypatch.setattr(evaluator, "_BLOCK", block)
+def test_word_walk_matches_per_word_products(big, cap, monkeypatch):
+    # under a work cap of one entry, of three, or above every array of these
+    # cases (27 tuples x 3 x 3 x 12 words at most), the walk gives exactly
+    # the oracle's nonzero rows or refuses: it refuses when those rows alone
+    # are above the cap, and decides when a dense walk's arrays would fit
+    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
     scale = 2**70 if big else 1  # far past int64 after one product
 
     @EXAMPLES
@@ -487,23 +504,69 @@ def test_word_walk_matches_per_word_products(block, big, monkeypatch):
     def check(case):
         table, vectors, words = case
         vectors = [[[c * scale for c in vec] for vec in vecs] for vecs in vectors]
-        got = walk(table, vectors, words, object if big else np.int64)
-        assert got.tolist() == word_products(table, vectors, words)
+        expected = [list(row) for row in zip(*word_products(table, vectors, words))]
+        dense = len(expected) * len(table) * len(words)  # tuples x dim x dim x words
+        try:
+            result = walk(table, vectors, words, object if big else np.int64)
+        except CapExceeded:
+            assert dense > cap
+            return
+        assert sum(map(any, expected)) * len(words) <= cap
+        assert_nonzero_rows(*result)
 
     check()
 
 
-@pytest.mark.parametrize("block", [1, 3, evaluator._BLOCK])
-def test_vanishing_prefixes_end_their_subtrees(block, monkeypatch):
-    monkeypatch.setattr(evaluator, "_BLOCK", block)
-    # e0 is a unit and e1 * e1 == 0, so every word with two adjacent 1s vanishes
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_word_walk_on_repeated_letters(big):
+    # more letters in a word than positions: every word repeats one
+    @EXAMPLES
+    @given(walks(positions=st.integers(1, 2), length=st.integers(3, 5)))
+    def check(case):
+        table, vectors, words = case
+        if big:
+            table = [[[c * 2**40 for c in row] for row in plane] for plane in table]
+        assert_nonzero_rows(*walk(table, vectors, words, object if big else np.int64))
+
+    check()
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_word_walk_on_rational_bases(star):
+    # the integer-scaled structure table and component bases of an algebra
+    # in a random rational basis, on every arrangement of a composition
+    @EXAMPLES
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(algebras(star))
+        slots = modes.slot_count(len(algebra.group), algebra.mode)
+        comp = data.draw(st.sampled_from(compositions(data.draw(st.integers(1, 3)), slots)))
+        vectors = evaluator._composition_vectors(evaluator._slot_bases(algebra), comp)
+        assume(vectors is not None)
+        table = evaluator._integer(algebra, None).tolist()
+        vectors = [v.tolist() for v in vectors]
+        words = list(permutations(range(len(vectors))))
+        assert_nonzero_rows(*walk(table, vectors, words, object))
+
+    check()
+
+
+@pytest.mark.parametrize("scale", [1, 3, 2**15])
+def test_vanishing_prefixes_end_their_subtrees(scale):
+    # e0 is a unit and e1 * e1 == 0, so every word with two adjacent 1s
+    # vanishes, exactly at every scale: at 2**15 the int64 values reach 3 * 2**60
     table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-    vectors = [[[1, 0], [0, 1]], [[0, 1]], [[0, 1], [1, 1]]]
+    vectors = [[[c * scale for c in vec] for vec in vecs] for vecs in [[[1, 0], [0, 1]], [[0, 1]], [[0, 1], [1, 1]]]]
     words = [w for w in product(range(3), repeat=4) if w != (2, 2, 2, 2)]
-    got = walk(table, vectors, words)
-    expected = word_products(table, vectors, words)
-    assert any(not any(row) for row in expected) and any(expected)
-    assert got.tolist() == expected
+    numbers, rows, expected = walk(table, vectors, words)
+    assert any(not any(column) for column in zip(*expected)) and any(map(any, expected))
+    assert max(map(max, expected)) == 3 * scale**4
+    assert_nonzero_rows(numbers, rows, expected)
+
+
+def test_a_trie_needs_distinct_words():
+    with pytest.raises(ValueError, match="distinct"):
+        _word_trie([(0, 1), (1, 0), (0, 1)])
 
 
 def test_a_trie_needs_words_of_one_length():

@@ -8,6 +8,7 @@ grids) against each other and against hand-computed small cases.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -30,6 +31,8 @@ from gpw.evaluator import (
 )
 from gpw.polynomials import GradedPoly, Variable, apply_position_permutation, parse_poly
 from gpw.shapes import Multipartition
+
+from conftest import ut3_document
 
 
 FIELD_DOC = (
@@ -131,28 +134,71 @@ def test_mode_mismatch_is_detected(ut2_g, e2, c2, c2xc2):
         is_identity(parse_poly("x{1,(0,0)}", "graded", c2xc2), e2)
 
 
+def _peak_bytes(call):
+    """The peak of traced allocations while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
 @pytest.mark.parametrize(
     "route", [is_identity, is_identity_grid, build_evaluation_matrix, multiplicity]
 )
-def test_identity_work_cap_refuses_before_building(route, ut2_trivial, trivial_group, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the engine ran before the work check")
-
-    monkeypatch.setattr(evaluator, "_monomial_values", refuse)
-    # 3^30 basis tuples; a small first component does not run either
-    huge = parse_poly("*".join(f"x{{{i},1}}" for i in range(1, 31)), "graded", trivial_group)
-    small = parse_poly("x{1,1}*x{2,1}", "graded", trivial_group)
+def test_identity_work_cap_refuses_before_building(route, m2_transpose, monkeypatch):
+    # the products of symmetric 2x2 matrices span M2, so the nonzero pairs of
+    # a multilinear y-monomial grow about threefold per letter
+    cap = 2**16
+    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+    group = m2_transpose.group
+    huge = parse_poly("*".join(f"y{{{i},1}}" for i in range(1, 13)), "star", group)
+    # an identity, since the g component is zero: the huge one is tested too
+    small = parse_poly("y{1,g}*y{2,g}", "star", group)
     if route is build_evaluation_matrix:
-        calls = [lambda: route(ut2_trivial, [huge])]
+        calls = [lambda: route(m2_transpose, [huge])]
     elif route is multiplicity:
         # the standard polynomial s_6 on 2^3 grid points per variable
-        shape = Multipartition(((1,) * 6,))
-        calls = [lambda: route(ut2_trivial, shape, fillings="grid")]
+        shape = gpw.parse_shape("((1,1,1,1,1,1)@1+)", group, "star")
+        calls = [lambda: route(m2_transpose, shape, fillings="grid")]
     else:
-        calls = [lambda p=p: route(p, ut2_trivial) for p in (huge, small + huge)]
+        calls = [lambda p=p: route(p, m2_transpose) for p in (huge, small + huge)]
     for call in calls:
-        with pytest.raises(CapExceeded):
-            call()
+        def refused():
+            with pytest.raises(CapExceeded, match="work cap"):
+                call()
+
+        # no array above the cap, of 8-byte entries, was allocated
+        assert _peak_bytes(refused) < 4 * 8 * cap
+
+
+@pytest.fixture(scope="module")
+def ut3_trivial():
+    return gpw.loads_algebra(ut3_document("trivial"))
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda ut3: slice_codimension(ut3, (5,)),
+        lambda ut3: total_codimension(ut3, 5),
+        lambda ut3: gpw.cocharacter_table(ut3, 5),
+    ],
+    ids=["slice_codimension", "total_codimension", "cocharacter_table"],
+)
+def test_arrangement_matrices_share_the_work_cap(route, ut3_trivial, monkeypatch):
+    cap = 2**16
+    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="work cap"):
+            route(ut3_trivial)
+
+    assert _peak_bytes(refused) < 4 * 8 * cap
+    monkeypatch.undo()
+    assert slice_codimension(ut3_trivial, (5,)) > 0
 
 
 def test_evaluation_matrix_input_errors(ut2_g, e2, c2):
@@ -210,18 +256,21 @@ def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
 @pytest.mark.parametrize(
     "route, poly, work",
     [
-        # 9 basis tuples * dim 3 * (2 words + 2 positions * dim 3)
-        (is_identity, "x{1,1}*x{2,1} - x{2,1}*x{1,1}", 9 * 3 * (2 + 2 * 3)),
-        # C(4, 2) = 6 simplex points against 3^3 = 27 grid points
-        (is_identity, "x{1,1}*x{1,1}", 6 * 3 * (1 + 1 * 3)),
-        (is_identity_grid, "x{1,1}*x{1,1}", 27 * 3 * (1 + 1 * 3)),
+        # 2 words: 3 + 3 basis values for their first letter, then each of
+        # the 6 pairs takes 3 values of the second, 18 right-multiplication
+        # matrices of dim 3 x 3
+        (is_identity, "x{1,1}*x{2,1} - x{2,1}*x{1,1}", 18 * 3 * 3),
+        # C(4, 2) = 6 simplex points against 3^3 = 27 grid points; a
+        # repeated letter keeps each pair's point, and its matrix
+        (is_identity, "x{1,1}*x{1,1}", 6 * 3 * 3),
+        (is_identity_grid, "x{1,1}*x{1,1}", 27 * 3 * 3),
     ],
 )
 def test_identity_work_estimate(route, poly, work, ut2_trivial, trivial_group, monkeypatch):
     p = parse_poly(poly, "graded", trivial_group)
-    monkeypatch.setattr(evaluator, "IDENTITY_WORK_CAP", work)
+    monkeypatch.setattr(evaluator, "WORK_CAP", work)
     route(p, ut2_trivial)
-    monkeypatch.setattr(evaluator, "IDENTITY_WORK_CAP", work - 1)
+    monkeypatch.setattr(evaluator, "WORK_CAP", work - 1)
     with pytest.raises(CapExceeded):
         route(p, ut2_trivial)
 
@@ -424,7 +473,7 @@ def test_hard_cap_itself_is_allowed(field):
 def test_evaluation_matrix_shape(k_g, c2):
     p = parse_poly("x{1,g}*x{2,g}", "graded", c2)
     matrix = build_evaluation_matrix(k_g, [p])
-    # two grade-g basis vectors per variable, and one row per substitution
-    # tuple and output coordinate: 2*2 tuples x dim 4
-    assert len(matrix.rows) == 16
+    # of the 2*2 tuples of grade-g basis vectors times dim 4 coordinates,
+    # only e12 * e23 = e13 is nonzero
+    assert len(matrix.rows) == 1
     assert matrix.rank() == 1

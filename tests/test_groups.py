@@ -131,3 +131,20 @@ def test_group_equality_ignores_construction_route():
     via_table = from_table(["1", "g"], [["1", "g"], ["g", "1"]], identity_label="1")
     assert direct == via_table
     assert hash(direct) == hash(via_table)
+
+
+def test_cyclic_groups_are_built_once_and_documents_copy_their_spec():
+    assert gpw.cyclic(2) is build_group({"kind": "cyclic", "order": 2})
+    product = gpw.product_of_cyclics([2, 2, 2])
+    assert product is gpw.product_of_cyclics((2, 2, 2))
+    assert product is build_group({"kind": "product", "orders": [2, 2, 2]})
+    assert gpw.product_of_cyclics([2, 2]) is not product
+    with pytest.raises(SchemaError):
+        build_group({"kind": "product", "orders": [2, 0]})
+    # a caller that edits a document cannot alter the shared group
+    algebra = gpw.builtin_grassmann2(product, product.element("(0,0,1)"), product.element("(0,1,0)"))
+    document = gpw.documents.algebra_to_document(algebra)
+    document["group"]["orders"].append(5)
+    document["group"]["kind"] = "cyclic"
+    assert product.spec == {"kind": "product", "orders": [2, 2, 2]}
+    assert gpw.product_of_cyclics([2, 2, 2]).spec == product.spec
