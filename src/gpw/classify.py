@@ -15,7 +15,8 @@ algebra:
   distinct grades and every choice of symmetric/skew kinds, scan the
   coefficients {0, 1, -1} for which  u1·v2 + a·v2·u1  is an identity, plus
   the same-grade mixed list  y1·z2 + b·z2·y1.  Both orders of a pair are
-  read off one evaluation matrix.  When every list is satisfied
+  read off one evaluation matrix, and the matrices of all pairs come from
+  one walk of the evaluator's word trie.  When every list is satisfied
   all multiplicities are at most one; the report re-checks that empirically
   on low-degree cocharacter tables and treats any counterexample as an
   internal error.
@@ -46,6 +47,7 @@ from .evaluator import (
     HARD_N_CAP,
     build_evaluation_matrix,
     cocharacter_table,
+    commutation_matrices,
     composition_multiplicities,
     is_identity,
     is_identity_grid,
@@ -203,24 +205,25 @@ class MultOneReport:
     empirical_max_multiplicity: int
 
 
-def _coefficient_scan(
-    algebra: GradedStarAlgebra, a: Variable, b: Variable
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The alpha in (0, 1, -1) for which a·b + alpha·b·a is an identity,
-    and those for which b·a + alpha·a·b is one, both read from one integer
-    evaluation matrix with the columns [ab, ba]: a·b + alpha·b·a is an
-    identity exactly when col_ab + alpha·col_ba vanishes.  For alpha = ±1
-    the two orders agree; for alpha = 0 the first needs col_ab == 0 and the
-    second col_ba == 0."""
-    ab, ba = build_evaluation_matrix(
-        algebra,
-        [GradedPoly.monomial(algebra.mode, (a, b)), GradedPoly.monomial(algebra.mode, (b, a))],
-    ).rows.T
-    plus, minus = not (ab + ba).any(), not (ab - ba).any()
-    return tuple(
-        tuple(alpha for alpha, holds in ((0, zero), (1, plus), (-1, minus)) if holds)
-        for zero in (not ab.any(), not ba.any())
-    )
+def _coefficient_scans(
+    algebra: GradedStarAlgebra, pairs: list[tuple[Variable, Variable]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each pair (a, b), the alpha in (0, 1, -1) for which
+    a·b + alpha·b·a is an identity, and those for which b·a + alpha·a·b is
+    one, both read from its matrix with the columns [ab, ba], all from one
+    walk: a·b + alpha·b·a is an identity exactly when col_ab + alpha·col_ba
+    vanishes.  For alpha = ±1 the two orders agree; for alpha = 0 the first
+    needs col_ab == 0 and the second col_ba == 0."""
+    scans = []
+    for ab, ba in (matrix.T for matrix in commutation_matrices(algebra, pairs)):
+        signs = (1, not (ab + ba).any()), (-1, not (ab - ba).any())
+        scans.append(
+            tuple(
+                tuple(alpha for alpha, holds in ((0, zero), *signs) if holds)
+                for zero in (not ab.any(), not ba.any())
+            )
+        )
+    return scans
 
 
 def star_multone_report(
@@ -233,27 +236,18 @@ def star_multone_report(
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
     empirical_n = min(empirical_n, HARD_N_CAP)
-    pair_findings = []
     group = algebra.group
-    scanned: dict[tuple, tuple[int, ...]] = {}  # the reverse orders still to report
-    for g in group:
-        for h in group:
-            if g == h:
-                continue
-            for k1 in (modes.SYM, modes.SKEW):
-                for k2 in (modes.SYM, modes.SKEW):
-                    key = (g, k1, h, k2)
-                    if key not in scanned:
-                        scanned[key], scanned[(h, k2, g, k1)] = _coefficient_scan(
-                            algebra, Variable(k1, g, 1), Variable(k2, h, 2)
-                        )
-                    pair_findings.append(PairFinding((g, h), (k1, k2), scanned.pop(key)))
-    same_grade = []
-    for g in group:
-        coeffs, _ = _coefficient_scan(
-            algebra, Variable(modes.SYM, g, 1), Variable(modes.SKEW, g, 2)
-        )
-        same_grade.append(SameGradeFinding(g, coeffs))
+    kinds = (modes.SYM, modes.SKEW)
+    keys = [(g, k1, h, k2) for g in group for h in group if g != h for k1 in kinds for k2 in kinds]
+    # one scan per pair of grades g < h reads both orders, and one per grade
+    scanned = [key for key in keys if key[0] < key[2]]
+    scanned += [(g, modes.SYM, g, modes.SKEW) for g in group]
+    pairs = [(Variable(k1, g, 1), Variable(k2, h, 2)) for g, k1, h, k2 in scanned]
+    lists = {}
+    for (g, k1, h, k2), (forward, backward) in zip(scanned, _coefficient_scans(algebra, pairs)):
+        lists[(g, k1, h, k2)], lists[(h, k2, g, k1)] = forward, backward
+    pair_findings = [PairFinding((g, h), (k1, k2), lists[(g, k1, h, k2)]) for g, k1, h, k2 in keys]
+    same_grade = [SameGradeFinding(g, lists[(g, modes.SYM, g, modes.SKEW)]) for g in group]
     satisfied = all(f.valid_coefficients for f in pair_findings) and all(
         f.valid_coefficients for f in same_grade
     )

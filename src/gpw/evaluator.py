@@ -16,11 +16,12 @@ matrix is one fixed positive multiple of the rational one and its ranks,
 nullspaces and zero tests are the rational answers.  Words are multiplied
 out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
 at a time over the (node, partial substitution tuple) pairs whose value is
-nonzero, with one batched product per level.  A matrix keeps only the
-nonzero rows of the dense one, in its order, which changes no rank,
-nullspace or zero test.  Entries are int64 only when an a-priori bound on
-every entry stays below 2**62; otherwise they are Python ints, so nothing
-wraps.
+nonzero, with one batched product per level, for a whole batch of problems
+on one trie (all compositions of a degree, all commutation pairs).  A
+matrix keeps only the nonzero rows of the dense one, in its order, which
+changes no rank, nullspace or zero test.  Entries are int64 only when an
+a-priori bound on every entry stays below 2**62; otherwise they are Python
+ints, so nothing wraps.
 
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
@@ -40,10 +41,11 @@ wraps.
   one pass, and since the irreducible characters of a Young subgroup are
   products over its slots (Sagan, "The symmetric group", §1.11), the inner
   products are one contraction per nonempty slot with the weighted
-  character table of S_m.  A multiplicity that is not a nonnegative
-  integer, or a composition whose slice codimension is not
-  ``sum(multiplicity * degree)`` over its shapes, can only come from a bug
-  and raises :class:`ConsistencyViolation`.
+  character table of S_m.  A matrix without rows spans the zero module,
+  whose character is 0, and skips the elimination.  A multiplicity that is
+  not a nonnegative integer, or a composition whose slice codimension is
+  not ``sum(multiplicity * degree)`` over its shapes, can only come from a
+  bug and raises :class:`ConsistencyViolation`.
 * The **tableau route** is a cross-check only: :func:`multiplicity` ranks
   the polarized highest weight vectors of a shape's standard multitableaux,
   built as words directly (:func:`~gpw.polynomials.polarized_tableau_words`).
@@ -68,19 +70,23 @@ instead.  Integer structure tables and bases are computed once per algebra.
 One work cap bounds every matrix: each level of the walk, the assembled
 rows and the lattice or grid points are counted exactly and refused with
 :class:`CapExceeded` above :data:`WORK_CAP` entries before they are
-allocated (:func:`_charge`).  :data:`HARD_N_CAP` caps the degree, which
-bounds the n! arrangements and the listing of compositions.
+allocated (:func:`_charge`); a batch that the cap refuses is walked in
+halves, one after the other, so only a single problem above it is
+refused and the matrices of one walk are dropped before the next is
+built.  :data:`HARD_N_CAP` caps the degree, which bounds the n!
+arrangements and the listing of compositions.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -252,72 +258,107 @@ class _WordTrie:
 def _word_trie(words: list[Word]) -> _WordTrie:
     """The prefix trie of ``words``, which are distinct and of one length."""
     n = len(words[0]) if words else 0
-    if any(len(word) != n for word in words) or len(set(words)) < len(words):
-        raise ValueError("the words of one trie must be distinct and share one length")
     order = sorted(range(len(words)), key=words.__getitem__)
     last = [-1] * n  # the newest node on each level
+    distinct = [0] * (n + 1)  # new letters along the newest node's path
+    fewest = n if words else 0
     levels: list[list[int]] = [[] for _ in range(3 * n)]  # parents, letters, new
-    previous: Word = ()
+    previous: Word | None = None
     for w in order:
         word = words[w]
+        if len(word) != n or word == previous:  # sorted, a duplicate follows its twin
+            raise ValueError("the words of one trie must be distinct and share one length")
         depth = 0
-        while depth < len(previous) and word[depth] == previous[depth]:
+        while previous and word[depth] == previous[depth]:
             depth += 1
         for level in range(depth, n):
             last[level] += 1
+            new = word[level] not in word[:level]
             levels[level].append(last[level - 1] if level else 0)
             levels[n + level].append(word[level])
-            levels[2 * n + level].append(word[level] not in word[:level])
+            levels[2 * n + level].append(new)
+            distinct[level + 1] = distinct[level] + new
+        fewest = min(fewest, distinct[n])
         previous = word
     # one array cut into views per level: every identity test builds a trie
     flat = np.array([i for level in levels for i in level], dtype=np.intp)
     ends = list(itertools.accumulate(map(len, levels), initial=0))
     cut = [flat[a:b] for a, b in zip(ends, ends[1:])]
-    fewest = min((len(set(word)) for word in words), default=0)
     return _WordTrie(np.array(order, dtype=np.intp), cut[:n], cut[n : 2 * n], cut[2 * n :], fewest)
 
 
 def _word_rows(
-    table: np.ndarray, vectors: list[np.ndarray], trie: _WordTrie
-) -> tuple[np.ndarray, np.ndarray]:
-    """The row numbers t * dim + k, ascending, and the nonzero rows of the
-    words of ``trie`` on every substitution tuple (t a tuple's place in
-    ``itertools.product`` order over ``vectors``, each letter's candidate
-    values, and k a coordinate), one column per word in its original order.
+    table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each problem of ``batch``, each letter's candidate values, the
+    row numbers t * dim + k, ascending, and the nonzero rows of the words of
+    ``trie`` on every substitution tuple (t a tuple's place in
+    ``itertools.product`` order over the letters, and k a coordinate), one
+    column per word in its original order.
 
-    The trie is walked one level at a time over the (node, partial tuple)
-    pairs whose value is nonzero, since a node's value depends only on the
-    choices for its prefix's letters: the index sum(choice * stride) over
-    them.  A new letter branches over its values, a repeated one reads its
-    choice back.  Each level is one batched ``matmul``, charged to the work
-    cap before it is built, as are the rows."""
+    All problems share one walk of the trie, one level at a time over the
+    (problem, node, partial tuple) triples whose value is nonzero: a node's
+    value depends only on its prefix's choices, the index sum(choice *
+    stride).  A new letter branches over its values, a repeated one reads
+    its choice back.  Each level is one ``matmul``, charged to the work cap
+    before it is built, as are the rows.  A batch that the cap refuses is
+    walked in halves, the second after the first's rows are all taken, so
+    no more than one walk's rows are held at once and only one problem
+    alone raises :class:`CapExceeded`."""
+    try:
+        walked = _walk(table, batch, trie)
+    except CapExceeded:
+        if len(batch) < 2:
+            raise
+        half = len(batch) // 2
+        yield from _word_rows(table, batch[:half], trie)
+        yield from _word_rows(table, batch[half:], trie)
+        return
+    yield from walked
+
+
+def _walk(
+    table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_word_rows` in one walk, each problem on its own copy of the
+    trie; a problem with a letter without values has no pairs."""
     dim, words = table.shape[0], len(trie.order)
-    sizes = [len(v) for v in vectors]
-    strides = list(itertools.accumulate(sizes[:0:-1], mul, initial=1))[::-1]
-    itype = exact_dtype(strides[0] * sizes[0] * dim if sizes else 0)
-    if not trie.parents or 0 in sizes:
-        return np.zeros(0, dtype=itype), np.zeros((0, words), dtype=table.dtype)
-    size, stride = np.array(sizes), np.array(strides, dtype=itype)
-    first = size.cumsum() - size  # of each letter's values among the candidates
-    candidates = np.concatenate(vectors)
+    sizes = [list(map(len, vectors)) for vectors in batch]
+    if not trie.parents or not any(map(all, sizes)):  # no letters, or no values: no rows
+        return [(np.zeros(0, dtype=np.int64), np.zeros((0, words), dtype=table.dtype))] * len(batch)
+    count, letters = len(batch), len(sizes[0])
+    sizes = [s if all(s) else [0] * letters for s in sizes]
+    distinct = {id(v): v for vectors in batch for v in vectors}  # letters may share values
+    start = dict(zip(distinct, itertools.accumulate(map(len, distinct.values()), initial=0)))
+    strides = [list(itertools.accumulate(s[:0:-1], mul, initial=1))[::-1] for s in sizes]
+    span = max(map(prod, sizes))  # tuples of the largest problem
+    itype = exact_dtype(count * span * dim)
+    size = np.array(sizes).reshape(-1)
+    stride = np.array(strides, dtype=itype).reshape(-1)
+    first = np.array([start[id(v)] for vectors in batch for v in vectors])
+    candidates = np.concatenate(list(distinct.values()))
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
     right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
     steps = [(*level, True) for level in zip(trie.parents[1:], trie.letters[1:], trie.new[1:])]
-    for j in range(len(vectors) if trie.fewest < len(vectors) else 0):
+    for j in range(letters if trie.fewest < letters else 0):
         # one more level, on which every leaf is its own child, per letter
         used = trie.letters[0] == j
-        for parents, letters in zip(trie.parents[1:], trie.letters[1:]):
-            used = used[parents] | (letters == j)
+        for parents, level_letters in zip(trie.parents[1:], trie.letters[1:]):
+            used = used[parents] | (level_letters == j)
         steps.append((np.arange(words), np.full(words, j), ~used, False))
-    lens = size[trie.letters[0]]  # level 0: every value of each node's letter
+    problems = np.arange(count)[:, None]  # node u of a level of width w is node p * w + u
+    lettered = problems * letters
+    keys = (lettered + trie.letters[0]).reshape(-1)  # (problem, letter) of each node
+    lens = size[keys]  # level 0: every value of each node's letter
     child = np.arange(len(lens)).repeat(lens)  # the node of each pair
     _charge(len(child) * dim)
     digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
-    index = digit * stride[trie.letters[0]][child]
-    value = candidates.take(first[trie.letters[0]][child] + digit, axis=0)
-    for parents, letters, new, multiply in steps:
-        if len(parents) > len(lens) or new.any():  # else each pair has one child
+    index = digit * stride[keys][child]
+    value = candidates.take(first[keys][child] + digit, axis=0)
+    for parents, level, new, multiply in steps:
+        keys = (lettered + level).reshape(-1)
+        if len(parents) * count > len(lens) or new.any():  # else each pair has one child
             keep = value.any(axis=1)
             if not keep.all():
                 child, index, value = child[keep], index[keep], value.compress(keep, axis=0)
@@ -325,7 +366,9 @@ def _word_rows(
                 break
             # counts[u] pairs of node u follow those of the nodes before it
             counts = np.bincount(child, minlength=len(lens))
-            branch = size[letters] ** new  # all values of a new letter, one of a repeated one
+            parents = (problems * (len(lens) // count) + parents).reshape(-1)
+            # all values of a new letter, one of a repeated one
+            branch = (size[keys].reshape(count, -1) ** new).reshape(-1)
             lens = counts[parents] * branch
             ends = lens.cumsum()
             _charge(int(ends[-1]) * dim)
@@ -334,23 +377,29 @@ def _word_rows(
             shift = (counts.cumsum() - counts)[parents] * branch - (ends - lens)
             child = np.arange(len(lens)).repeat(lens)
             source, digit = np.divmod(np.arange(len(child)) + shift[child], branch[child])
-            index = index[source] + digit * stride[letters][child]
+            index = index[source] + digit * stride[keys][child]
             value = value.take(source, axis=0)
         if multiply:
             _charge(len(child) * dim * dim)
-            letter = letters[child]
-            choice = (first[letter] + index // stride[letter] % size[letter]).astype(np.intp)
+            key = keys[child]
+            choice = (first[key] + index // stride[key] % size[key]).astype(np.intp)
             value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
     pair, k = value.nonzero()
+    leaf = child[pair]
     numbers = index[pair] * dim + k
-    order = numbers.argsort()  # numbers[order][fresh] are the distinct ones
-    fresh = numbers[order] != np.concatenate(([-1], numbers[order][:-1]))
+    offset = span * dim  # problem i's numbers are raised by i * offset
+    problem, leaf = np.divmod(leaf, words)
+    numbers += problem.astype(itype) * offset
+    order = numbers.argsort()
+    numbers = numbers[order]  # numbers[fresh] are the distinct ones
+    fresh = numbers != np.concatenate(([-1], numbers[:-1]))
     row = (fresh.cumsum() - 1)[order.argsort()]
-    numbers = numbers[order][fresh]
+    numbers = numbers[fresh]
     _charge(len(numbers) * words)
     rows = np.zeros((len(numbers), words), dtype=table.dtype)
-    rows[row, trie.order[child[pair]]] = value[pair, k]
-    return numbers, rows
+    rows[row, trie.order[leaf]] = value[pair, k]
+    ends = numbers.searchsorted(np.arange(count + 1, dtype=itype) * offset).tolist()
+    return [(numbers[a:b] - i * offset, rows[a:b]) for i, (a, b) in enumerate(zip(ends, ends[1:]))]
 
 
 def _word_columns(
@@ -387,45 +436,49 @@ def _evaluation_columns(
     return _word_columns(algebra, vectors, columns)
 
 
-def _indexed_columns(
-    algebra: GradedStarAlgebra,
-    vectors: list[np.ndarray],
-    words: list[Word],
-    terms: list[tuple[list[int], list[int]]] | None = None,
-    trie: _WordTrie | None = None,
-) -> np.ndarray:
-    """The engine.  Column j is the sum over (i, c) in ``zip(*terms[j])``
-    of c times the value of ``words[i]``, whose letters index ``vectors``
-    (integer multiples of each variable's values); without ``terms``, column
-    j is ``words[j]`` itself.  The rows are the nonzero ones of the matrix
-    with one row per (substitution tuple, coordinate), tuples in
-    ``itertools.product`` order over ``vectors``, in that order.  When all
-    words of a column share one multidegree, the column is one fixed
-    positive multiple of the rational one.  ``trie``, when given, is
-    ``_word_trie(words)``, built once for many calls."""
+def _word_matrices(
+    algebra: GradedStarAlgebra, batch: list[list[np.ndarray]], trie: _WordTrie, s: int = 1
+) -> Iterator[np.ndarray]:
+    """The engine: the nonzero rows of :func:`_word_rows` for each problem of
+    ``batch`` (integer multiples of each letter's values), in one walk,
+    walked as they are taken.  Entries, and combinations of a row's entries
+    with coefficients of absolute sum up to ``s``, are exact."""
     dim = algebra.dim
     table = _integer(algebra, None)
     # with vector entries up to b and structure constants up to t, a word's
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
-    n = max(map(len, words), default=1)
-    distinct = {id(v): v for v in vectors}  # letters of one slot share values
+    n = max(len(trie.parents), 1)
+    distinct = {id(v): v for vectors in batch for v in vectors}  # letters of one slot share values
     b = max(map(max_abs, distinct.values()), default=0)
     t = max_abs(table)
-    s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
-    bound = max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1))
-    dtype = exact_dtype(bound)
+    dtype = exact_dtype(max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1)))
     distinct = {key: v.astype(dtype) for key, v in distinct.items()}
-    _, rows = _word_rows(
-        table.astype(dtype), [distinct[id(v)] for v in vectors], trie or _word_trie(words)
-    )
+    batch = [[distinct[id(v)] for v in vectors] for vectors in batch]
+    return map(itemgetter(1), _word_rows(table.astype(dtype), batch, trie))
+
+
+def _indexed_columns(
+    algebra: GradedStarAlgebra,
+    vectors: list[np.ndarray],
+    words: list[Word],
+    terms: list[tuple[list[int], list[int]]] | None = None,
+) -> np.ndarray:
+    """The engine on one problem.  Column j is the sum over (i, c) in
+    ``zip(*terms[j])`` of c times the value of ``words[i]``, whose letters
+    index ``vectors``; without ``terms``, column j is ``words[j]`` itself.
+    The rows are those of :func:`_word_matrices`, with the zero ones left
+    out.  When all words of a column share one multidegree, the column is
+    one fixed positive multiple of the rational one."""
+    s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
+    (rows,) = _word_matrices(algebra, [vectors], _word_trie(words), s)
     if terms is None:
         return rows
     _charge(len(rows) * len(terms))
-    matrix = np.zeros((len(rows), len(terms)), dtype=dtype)
+    matrix = np.zeros((len(rows), len(terms)), dtype=rows.dtype)
     for col, (which, c) in enumerate(terms):
         if which:
-            matrix[:, col] = rows[:, which] @ np.array(c, dtype=dtype)
+            matrix[:, col] = rows[:, which] @ np.array(c, dtype=rows.dtype)
     return matrix.compress(matrix.any(axis=1), axis=0)
 
 
@@ -489,6 +542,16 @@ def build_evaluation_matrix(
     return EvaluationMatrix(variables, rows)
 
 
+def commutation_matrices(
+    algebra: GradedStarAlgebra, pairs: list[tuple[Variable, Variable]]
+) -> Iterator[np.ndarray]:
+    """For each pair (a, b) of variables, the nonzero rows of the integer
+    evaluation matrix of the columns [ab, ba] on every pair of their basis
+    elements, a's choice major; all pairs in one walk."""
+    batch = [[_integer(algebra, (v.grade, v.kind)) for v in pair] for pair in pairs]
+    return _word_matrices(algebra, batch, _word_trie([(0, 1), (1, 0)]))
+
+
 # -- identities ---------------------------------------------------------------
 
 
@@ -550,6 +613,12 @@ def _arrangements(n: int) -> list[Word]:
     return list(itertools.permutations(range(n)))
 
 
+@cache
+def _arrangement_trie(n: int) -> _WordTrie:
+    """The trie of the n! arrangements, built once per degree, n <= HARD_N_CAP."""
+    return _word_trie(_arrangements(n))
+
+
 def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     """Each slot's integer component basis, in slot order."""
     mode = algebra.mode
@@ -569,25 +638,41 @@ def _composition_vectors(
     return [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
 
 
-def _live_compositions(bases: list[np.ndarray], n: int) -> set[Composition]:
-    """The compositions of n with every empty slot left empty."""
+def _arrangement_matrices(
+    algebra: GradedStarAlgebra, n: int
+) -> tuple[list[Composition], Iterator[np.ndarray]]:
+    """The compositions of n that leave each empty slot empty and their
+    arrangement matrices, in that order, all from one walk of the
+    arrangement trie and walked as they are taken.  The matrices of the
+    other compositions have no rows."""
+    bases = _slot_bases(algebra)
     live = [slot for slot, basis in enumerate(bases) if len(basis)]
-    return {
+    comps = [
         tuple(dict(zip(live, comp)).get(slot, 0) for slot in range(len(bases)))
         for comp in compositions(n, len(live))
-    }
+    ]
+    batch = [_composition_vectors(bases, comp) for comp in comps]
+    return comps, _word_matrices(algebra, batch, _arrangement_trie(n))
+
+
+def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:
+    """The arrangement matrix of one composition, without rows if it uses an empty slot."""
+    _check_composition(algebra, comp)
+    _check_degree(sum(comp))
+    vectors = _composition_vectors(_slot_bases(algebra), comp)
+    if vectors is None:
+        return np.zeros((0, 0), dtype=np.int64)
+    return next(_word_matrices(algebra, [vectors], _arrangement_trie(sum(comp))))
+
+
+def _slice_rank(matrix: np.ndarray) -> int:
+    """The rank of an arrangement matrix; one without rows skips the elimination."""
+    return exact_rank(matrix) if len(matrix) else 0
 
 
 def slice_codimension(algebra: GradedStarAlgebra, comp: Composition) -> int:
     """Rank of the n! monomial arrangements of the composition's variables."""
-    _check_composition(algebra, comp)
-    _check_degree(sum(comp))
-    if sum(comp) == 0:
-        return 0
-    vectors = _composition_vectors(_slot_bases(algebra), comp)
-    if vectors is None:
-        return 0
-    return exact_rank(_indexed_columns(algebra, vectors, _arrangements(sum(comp))))
+    return _slice_rank(_arrangement_matrix(algebra, comp))
 
 
 def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Composition, int]]:
@@ -595,26 +680,16 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
 
     The total weights each slice by the multinomial coefficient counting
     which positions carry which slot's variables.  Each slice is
-    :func:`slice_codimension`, on one arrangement trie for all of them.
+    :func:`slice_codimension`, all of them from one walk.
     """
     if n < 1:
         raise InputError("degree must be at least 1")
     _check_degree(n)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
-    bases = _slot_bases(algebra)
-    live = _live_compositions(bases, n)
-    words = _arrangements(n)
-    trie = _word_trie(words)
-    breakdown: dict[Composition, int] = {}
-    total = 0
-    for comp in compositions(n, slots):
-        vectors = _composition_vectors(bases, comp) if comp in live else None
-        c = 0 if vectors is None else exact_rank(
-            _indexed_columns(algebra, vectors, words, trie=trie)
-        )
-        breakdown[comp] = c
-        total += multinomial(comp) * c
-    return total, breakdown
+    comps, matrices = _arrangement_matrices(algebra, n)
+    ranks = dict(zip(comps, map(_slice_rank, matrices)))
+    breakdown = {comp: ranks.get(comp, 0) for comp in compositions(n, slots)}
+    return sum(multinomial(comp) * c for comp, c in breakdown.items()), breakdown
 
 
 def multiplicity(
@@ -758,23 +833,22 @@ def _multiplicities_from_traces(
 
 
 def _slice_cocharacter(
-    algebra: GradedStarAlgebra,
-    comp: Composition,
-    vectors: list[np.ndarray],
-    words: list[Word],
-    trie: _WordTrie,
+    algebra: GradedStarAlgebra, comp: Composition, matrix: np.ndarray
 ) -> tuple[int, list[tuple[Multipartition, int]]]:
     """Slice codimension of one composition and the multiplicity of each of
-    its shapes, from the arrangement matrix M.
+    its shapes, from its arrangement matrix M.
 
     Its rank r is the slice codimension, and its column space is
     P_comp / (P_comp ∩ Id) as a module over the slots' Young subgroup, so
     the multiplicities follow from the character values on the classes,
-    read off its certified elimination.
+    read off its certified elimination, which a matrix without rows skips.
     """
-    reduced = echelon(_indexed_columns(algebra, vectors, words, trie=trie))
-    rank = reduced.rank
     shapes = multipartitions(comp)
+    if not len(matrix):
+        return 0, [(shape, 0) for shape in shapes]
+    reduced = echelon(matrix)
+    rank = reduced.rank
+    words = _arrangements(sum(comp))
     counts = _multiplicities_from_traces(
         algebra, comp, shapes, _class_traces(reduced, words, shapes)
     )
@@ -792,13 +866,7 @@ def composition_multiplicities(
 ) -> list[tuple[Multipartition, int]]:
     """The multiplicity of every shape of one composition, by the character
     route of :func:`cocharacter_table`."""
-    _check_composition(algebra, comp)
-    _check_degree(sum(comp))
-    vectors = _composition_vectors(_slot_bases(algebra), comp)
-    if vectors is None or not vectors:
-        return [(shape, 0) for shape in multipartitions(comp)]
-    words = _arrangements(sum(comp))
-    return _slice_cocharacter(algebra, comp, vectors, words, _word_trie(words))[1]
+    return _slice_cocharacter(algebra, comp, _arrangement_matrix(algebra, comp))[1]
 
 
 @dataclass
@@ -836,32 +904,28 @@ def cocharacter_table(
     every composition's slice codimension, and the total codimension.
 
     The compositions using a slot whose component is empty are found in one
-    pass; each has slice codimension 0 and no further work.  For every other
-    composition one matrix is built, whose columns are the n! arrangements
-    (:func:`_slice_cocharacter`): its rank is the slice codimension and
-    traces on it give every shape's multiplicity.  A multiplicity that is
-    not a nonnegative integer raises :class:`ConsistencyViolation`, since
-    only a bug can produce it.
+    pass; each has slice codimension 0 and no further work.  The matrices of
+    all others, whose columns are the n! arrangements, come from one walk
+    (:func:`_arrangement_matrices`), and for each (:func:`_slice_cocharacter`)
+    its rank is the slice codimension and traces on it give every shape's
+    multiplicity.  A multiplicity that is not a nonnegative integer raises
+    :class:`ConsistencyViolation`, since only a bug can produce it.
     """
     if n < 1:
         raise InputError("degree must be at least 1")
     _check_degree(n, cap)
-    mode = algebra.mode
-    slots = modes.slot_count(len(algebra.group), mode)
-    bases = _slot_bases(algebra)
-    live = _live_compositions(bases, n)
-    words = _arrangements(n)
-    trie = _word_trie(words)
+    slots = modes.slot_count(len(algebra.group), algebra.mode)
+    comps, matrices = _arrangement_matrices(algebra, n)
+    slices = dict(zip(comps, map(partial(_slice_cocharacter, algebra), comps, matrices)))
     slice_codims: list[tuple[Composition, int]] = []
     entries: list[tuple[Multipartition, int]] = []
     total = 0
     for comp in compositions(n, slots):
-        if comp not in live:
+        if comp not in slices:
             slice_codims.append((comp, 0))
             continue
-        vectors = _composition_vectors(bases, comp)
-        slice_c, counts = _slice_cocharacter(algebra, comp, vectors, words, trie)
+        slice_c, counts = slices[comp]
         slice_codims.append((comp, slice_c))
         entries.extend(counts)
         total += multinomial(comp) * slice_c
-    return CocharacterTable(algebra.name, mode, n, slice_codims, entries, total)
+    return CocharacterTable(algebra.name, algebra.mode, n, slice_codims, entries, total)

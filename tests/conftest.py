@@ -105,6 +105,25 @@ def ut3_document(grading: str) -> str:
     )
 
 
+# the 2x2 upper triangular matrices over C2 with e12 in g and the reflection
+# involution e11 <-> e22, e12 fixed
+UT2_REFLECTION_DOCUMENT = {
+    "format_version": 1,
+    "name": "ut2-reflection",
+    "mode": "star",
+    "group": {"kind": "cyclic", "order": 2},
+    "basis": ["e11", "e12", "e22"],
+    "grading": ["1", "g", "1"],
+    "structure": [
+        [0, 0, ["1", "0", "0"]],
+        [0, 1, ["0", "1", "0"]],
+        [1, 2, ["0", "1", "0"]],
+        [2, 2, ["0", "0", "1"]],
+    ],
+    "involution": [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"]],
+}
+
+
 @pytest.fixture(scope="session")
 def m2_transpose():
     return gpw.loads_algebra(m2_transpose_document())
@@ -120,6 +139,10 @@ def docs(tmp_path_factory):
         "ut2_g": ["builtin", "ut2", "--group", "c2", "--g", "g"],
         "k_g": ["builtin", "k_g", "--group", "c2"],
         "grassmann2": ["builtin", "grassmann2", "--group", "c2xc2"],
+        "grassmann2_c4": ["builtin", "grassmann2", "--group", "c4", "--g", "g", "--h", "g2"],
+        "grassmann2_c2xc2xc2": [
+            "builtin", "grassmann2", "--group", "c2xc2xc2", "--g", "(0,0,1)", "--h", "(0,1,0)"
+        ],
     }.items():
         path = root / f"{name}.json"
         assert main(argv + ["--out", str(path)]) == 0
@@ -127,6 +150,9 @@ def docs(tmp_path_factory):
     m2 = root / "m2.json"
     m2.write_text(m2_transpose_document())
     paths["m2"] = str(m2)
+    reflection = root / "ut2_reflection.json"
+    reflection.write_text(json.dumps(UT2_REFLECTION_DOCUMENT))
+    paths["ut2_reflection"] = str(reflection)
     for grading in ("trivial", "c2"):
         ut3 = root / f"ut3_{grading}.json"
         ut3.write_text(ut3_document(grading))

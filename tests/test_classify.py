@@ -12,7 +12,7 @@ import oracle
 from gpw import modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
-    _coefficient_scan,
+    _coefficient_scans,
     _sandwich_candidates,
     bounded_multiplicity_report,
     find_sandwich_identity,
@@ -145,8 +145,10 @@ def direct_scan(algebra, a, b):
 def test_one_matrix_per_pair_gives_both_orders(data):
     algebra = data.draw(algebras(True))
     slots = [(g, kind) for g in algebra.group for kind in (modes.SYM, modes.SKEW)]
-    for (g, k1), (h, k2) in itertools.permutations(slots, 2):
-        first, second = _coefficient_scan(algebra, Variable(k1, g, 1), Variable(k2, h, 2))
+    pairs = list(itertools.permutations(slots, 2))
+    scans = _coefficient_scans(algebra, [(Variable(k1, g, 1), Variable(k2, h, 2)) for (g, k1), (h, k2) in pairs])
+    assert len(scans) == len(pairs)
+    for ((g, k1), (h, k2)), (first, second) in zip(pairs, scans):
         assert first == direct_scan(algebra, Variable(k1, g, 1), Variable(k2, h, 2))
         # the report reads the reverse order's list off the same matrix
         assert second == direct_scan(algebra, Variable(k2, h, 1), Variable(k1, g, 2))
@@ -161,7 +163,7 @@ def test_the_zero_coefficient_is_read_per_order():
         "left-unit", group, ("e", "n"), (0, 1), {(0, 0): (1, 0), (0, 1): (0, 1)}
     )
     e, n = Variable(modes.PLAIN, 0, 1), Variable(modes.PLAIN, 1, 2)
-    assert _coefficient_scan(algebra, e, n) == ((), (0,))
+    assert _coefficient_scans(algebra, [(e, n)]) == [((), (0,))]
     assert direct_scan(algebra, e, n) == ()
     assert direct_scan(algebra, Variable(modes.PLAIN, 1, 1), Variable(modes.PLAIN, 0, 2)) == (0,)
 

@@ -1,6 +1,7 @@
 """Byte-for-byte pins of the report commands: for each run on the builtin
 algebras and on ut3, the sha256 of stdout and the exit code, as TSV and as
-JSON.  Most runs stay at n <= 4; two cocharacter tables go to n=5 and n=6,
+JSON.  The star runs cover grassmann2 over C2xC2, C4 and C2xC2xC2 and
+ut2 with the reflection involution.  Most runs stay at n <= 4; two cocharacter tables go to n=5 and n=6,
 two identity runs test an 8-fold and a 7-fold power, and one sandwich
 search on ut2 certifies full rank at every degree up to 6.  The ut3 runs at
 n=5 and n=6 have rank-deficient arrangement matrices, whose ranks need more
@@ -168,6 +169,32 @@ GOLDEN = [
         0,
         "bcc9d6cbae2f23b1532967521895d6c1492f657268155a7054a28e79a77fb7db",
         "e32803dfa215d9b72c9badc7a50505daa0c7108ed16e0e88f3bf107852292b2c",
+    ),
+    # the star reports of a larger group: over C2xC2xC2, 35 of the 3876
+    # compositions of 4 leave every empty slot empty
+    (
+        "cochar grassmann2_c2xc2xc2 --n 4",
+        0,
+        "fa89279b564b417dea4c0fe4e6966f68c9bc204135b190a42f42c315cf91372d",
+        "8a1472cb8214123b79aae995cf3d3bf298aacd9448f482872165cc282f62f9d2",
+    ),
+    (
+        "cochar grassmann2_c4 --n 4",
+        0,
+        "8593342544c2c5b9d8c59cd48dc0589a9a149f238f2ee42a0ddb629b29d1fc19",
+        "e1ccfbcc8425d59d48d8e99709f43415fdcd81d57f195d5d58911973de969c8d",
+    ),
+    (
+        "classify-multone ut2_reflection --n-max 4",
+        0,
+        "c204ff5ec467c8a7524679310d3345a6fb5b3a0e2a31d08558940d82e74fe3e6",
+        "79a6962628572d1fb4a5417366d8688bf11b95690a7256a161f39bd9f36ef294",
+    ),
+    (
+        "verify-lemmas ut2_reflection --n-max 5",
+        0,
+        "e13392689da862fe576d3b67d4df3ed4fb59b37d91e354278a1bdf878f6c1e71",
+        "f5c752bd80dd4ef409953cb55811bf3323d943aa9345ee22874e03cd90f8cf6a",
     ),
     ("codim ut2_g --n 6", 2, EMPTY, EMPTY),
     ("cochar k_g --n 4 --n-max 3", 2, EMPTY, EMPTY),

@@ -8,6 +8,7 @@ small that the elimination must go on to further primes, and the runtime
 check on the multiplicities, are exercised by forcing them.
 """
 
+import weakref
 from math import prod
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gpw import evaluator, linalg, modes
-from gpw.errors import ConsistencyViolation
+from gpw.errors import CapExceeded, ConsistencyViolation
 from gpw.evaluator import (
     _arrangements,
     _character_sums,
@@ -120,6 +121,84 @@ def test_arrangement_matrix_skips_the_column_loop(k_g):
         looped = _word_columns(k_g, vectors, [{w: 1} for w in words])
         assert direct.dtype == looped.dtype
         assert np.array_equal(direct, looped)
+
+
+def test_empty_arrangement_matrices_skip_the_elimination(e2, monkeypatch):
+    # a matrix without rows has rank 0 and the zero character, so only the
+    # compositions of positive slice codimension reach the elimination
+    seen = []
+    original = evaluator.echelon
+
+    def counted(matrix, *args, **kwargs):
+        seen.append(len(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "echelon", counted)
+    table = cocharacter_table(e2, 4)
+    live = [comp for comp, _ in table.slice_codims if _composition_vectors(_slot_bases(e2), comp)]
+    dead = [comp for comp, c in table.slice_codims if comp in live and c == 0]
+    assert dead and 0 not in seen
+    assert len(seen) == sum(1 for _, c in table.slice_codims if c)
+    seen.clear()
+    for comp in dead:
+        assert all(m == 0 for _, m in composition_multiplicities(e2, comp))
+    assert seen == []
+
+
+def _one_walk_cap(algebra, n, monkeypatch):
+    """The largest charge of one composition's walk at degree n, and the
+    largest of the walk of all of them, which is larger."""
+    charged = []
+    original = evaluator._charge
+
+    def counted(entries):
+        charged.append(entries)
+        original(entries)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluator, "_charge", counted)
+        table = cocharacter_table(algebra, n)
+        batch = max(charged)
+        charged.clear()
+        for comp, _ in table.slice_codims:
+            composition_multiplicities(algebra, comp)
+    return max(charged), batch
+
+
+def test_a_batch_above_the_work_cap_is_split(e2, monkeypatch):
+    # each composition's walk fits under the cap, all of them together do
+    # not: the batch is split and the table is unchanged; a cap that one
+    # composition alone exceeds still refuses
+    expected = cocharacter_table(e2, 4)
+    codims = evaluator.total_codimension(e2, 4)
+    single, batch = _one_walk_cap(e2, 4, monkeypatch)
+    assert single < batch
+    monkeypatch.setattr(evaluator, "WORK_CAP", single)
+    assert cocharacter_table(e2, 4) == expected
+    assert evaluator.total_codimension(e2, 4) == codims
+    monkeypatch.setattr(evaluator, "WORK_CAP", single - 1)
+    with pytest.raises(CapExceeded):
+        cocharacter_table(e2, 4)
+
+
+@pytest.mark.parametrize("route", [cocharacter_table, evaluator.total_codimension])
+def test_a_split_batch_holds_one_walk_at_a_time(route, e2, monkeypatch):
+    # the cap bounds one walk, so the matrices of a walk are all dropped
+    # before the next part of a split batch is walked
+    single, _ = _one_walk_cap(e2, 4, monkeypatch)
+    monkeypatch.setattr(evaluator, "WORK_CAP", single)
+    held = []
+    original = evaluator._walk
+
+    def tracked(*args):
+        assert all(ref() is None for ref in held)
+        walked = original(*args)
+        held.extend(weakref.ref(rows) for _, rows in walked)
+        return walked
+
+    monkeypatch.setattr(evaluator, "_walk", tracked)
+    route(e2, 4)
+    assert len(held) > 1 and all(ref() is None for ref in held)
 
 
 def test_a_wrong_trace_raises_consistency_violation(k_g, monkeypatch):

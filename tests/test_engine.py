@@ -474,9 +474,9 @@ def walks(draw, positions=st.integers(1, 3), length=st.integers(1, 4)):
 def walk(table, vectors, words, dtype=np.int64):
     """The walk's row numbers and rows, with the oracle's rows, one per
     (tuple, coordinate) and one column per word."""
-    numbers, rows = _word_rows(
+    [(numbers, rows)] = _word_rows(
         np.array(table, dtype=dtype),
-        [np.array(v, dtype=dtype).reshape(len(v), len(table)) for v in vectors],
+        [[np.array(v, dtype=dtype).reshape(len(v), len(table)) for v in vectors]],
         _word_trie(words),
     )
     return numbers.tolist(), rows.tolist(), [list(row) for row in zip(*word_products(table, vectors, words))]
@@ -564,6 +564,54 @@ def test_vanishing_prefixes_end_their_subtrees(scale):
     assert_nonzero_rows(numbers, rows, expected)
 
 
+@st.composite
+def batches(draw):
+    """A random integer structure table, distinct words of one length, a
+    pool of candidate values and problems as lists of pool entries, one per
+    letter: later problems reuse entries of earlier ones (so their arrays
+    are shared), and an entry without values, or with only zero values,
+    ends a problem at level 0."""
+    table, pool, words = draw(walks())
+    dim, letters = len(table), len(pool)
+    problems = [list(range(letters))]
+    for _ in range(draw(st.integers(1, 4))):
+        problem = []
+        for _ in range(letters):
+            if draw(st.booleans()):
+                problem.append(draw(st.integers(0, len(pool) - 1)))
+            else:
+                pool.append([[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))])
+                problem.append(len(pool) - 1)
+        problems.append(problem)
+    return table, pool, problems, words
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_a_batch_walks_each_problem_as_if_alone(big):
+    scale = 2**70 if big else 1
+    dtype = object if big else np.int64
+
+    @EXAMPLES
+    @given(batches())
+    def check(case):
+        table, pool, problems, words = case
+        pool = [[[c * scale for c in vec] for vec in vecs] for vecs in pool]
+        arrays = [np.array(vecs, dtype=dtype).reshape(len(vecs), len(table)) for vecs in pool]
+        got = list(
+            _word_rows(
+                np.array(table, dtype=dtype),
+                [[arrays[i] for i in problem] for problem in problems],
+                _word_trie(words),
+            )
+        )
+        assert len(got) == len(problems)
+        for (numbers, rows), problem in zip(got, problems):
+            expected = [list(row) for row in zip(*word_products(table, [pool[i] for i in problem], words))]
+            assert_nonzero_rows(numbers.tolist(), rows.tolist(), expected)
+
+    check()
+
+
 def test_a_trie_needs_distinct_words():
     with pytest.raises(ValueError, match="distinct"):
         _word_trie([(0, 1), (1, 0), (0, 1)])
@@ -585,6 +633,7 @@ def test_cocharacter_table_builds_one_trie_per_degree(e2, monkeypatch):
     monkeypatch.setattr(evaluator, "_word_trie", counted)
     for n in range(1, 5):
         built.clear()
+        evaluator._arrangement_trie.cache_clear()
         table = evaluator.cocharacter_table(e2, n)
         assert sum(1 for _, m in table.slice_codims if m) > 1
         assert built == [n]
@@ -609,6 +658,7 @@ def test_total_codimension_builds_one_trie_per_degree(name, request, monkeypatch
     monkeypatch.setattr(evaluator, "_word_trie", counted)
     for n in range(1, 5):
         built.clear()
+        evaluator._arrangement_trie.cache_clear()
         total, breakdown = evaluator.total_codimension(algebra, n)
         assert breakdown == expected[n]
         assert total == sum(multinomial(comp) * c for comp, c in expected[n].items())
