@@ -44,6 +44,7 @@ from .evaluator import (
     build_evaluation_matrix,
     cocharacter_table,
     evaluate,
+    identities,
     is_identity,
     is_identity_grid,
     multiplicity,

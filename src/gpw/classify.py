@@ -31,7 +31,6 @@ algebra:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 
 from . import modes
@@ -45,10 +44,12 @@ from .errors import (
 )
 from .evaluator import (
     HARD_N_CAP,
+    _arrangement_matrices,
+    _slice_cocharacter,
     build_evaluation_matrix,
     cocharacter_table,
     commutation_matrices,
-    composition_multiplicities,
+    identities,
     is_identity,
     is_identity_grid,
     multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
@@ -313,10 +314,10 @@ def hwv_factorization_check(
             tuple(local_rows if s == slot else () for s in range(len(blank))),
         )
         product = product * highest_weight_vector(single, algebra.mode)
-    for sign in (1, -1):
-        if is_identity(whole - product.scale(sign), algebra):
-            return FactorizationResult(True, sign)
-    return FactorizationResult(False, None)
+    signs = (1, -1)
+    held = identities([whole - product.scale(sign) for sign in signs], algebra)
+    sign = next((sign for sign, holds in zip(signs, held) if holds), None)
+    return FactorizationResult(sign is not None, sign)
 
 
 # -- multiplicity-one criteria ----------------------------------------------------
@@ -348,16 +349,6 @@ class LemmaReport:
         ]
 
 
-def _one_slot_max_multiplicity(
-    algebra: GradedStarAlgebra, grade: int, kind: str, n: int
-) -> int:
-    """Max multiplicity over all degree-n shapes living in the single
-    (grade, kind) slot, all read from one character computation."""
-    comp = [0] * modes.slot_count(len(algebra.group), algebra.mode)
-    comp[modes.slot_of(grade, kind, algebra.mode)] = n
-    return max(m for _, m in composition_multiplicities(algebra, tuple(comp)))
-
-
 def verify_multone_lemmas(
     algebra: GradedStarAlgebra, n_max: int = 4
 ) -> LemmaReport:
@@ -373,66 +364,92 @@ def verify_multone_lemmas(
       u1·u2·u4·u3 + u2·u4·u3·u1 ≡ 0  forces it at degree 4;
     * interlock-high:  the same two identities force it at degrees ≥ 5;
     * rotation:  u1·u3·u2 - u2·u1·u3 ≡ 0  forces it at degrees ≥ 3.
+
+    The work is two batched phases.  Every hypothesis identity of every
+    (g, e) is decided by one :func:`~gpw.evaluator.identities` call, whose
+    polynomials of one shape share a word list and so one walk whatever g
+    and e.  Then the one-slot compositions that the criteria whose
+    hypotheses hold need are, degree by degree, the arrangement matrices
+    of one walk, and the maximal multiplicity of each is read off its
+    character (:func:`~gpw.evaluator.cocharacter_table`'s route).
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("these criteria concern star-mode algebras")
     n_max = min(n_max, HARD_N_CAP)
     group = algebra.group
-    findings = []
-
-    @cache
-    def slot_max(grade, kind, n):
-        return _one_slot_max_multiplicity(algebra, grade, kind, n)
-
-    def check(criterion, grade, kind, hyp_polys, holds, degrees):
-        degrees = tuple(d for d in degrees if d <= n_max)
-        conclusion = None
-        best = None
-        if holds and degrees:
-            best = max(slot_max(grade, kind, d) for d in degrees)
-            conclusion = best <= 1
-        findings.append(
-            LemmaFinding(
-                criterion,
-                grade,
-                kind,
-                tuple(p.display(group) for p in hyp_polys),
-                holds,
-                degrees,
-                conclusion,
-                best,
-            )
-        )
-
-    def identities(polys):
-        return all(is_identity(p, algebra) for p in polys)
-
     mode = algebra.mode
     from_three = range(3, n_max + 1)
+    # (criterion, grade, kind, hypothesis identities, how their verdicts
+    # combine, degrees of the conclusion)
+    criteria = []
     for g in group:
         if g == group.identity:
             continue
         g2 = group.mul(g, g)
         for kind in (modes.SYM, modes.SKEW):
             u1, u2, u3, u4 = (Variable(kind, g, i) for i in range(1, 5))
-            y_bridge = GradedPoly.monomial(mode, (Variable(modes.SYM, g2, 1), u2))
-            z_bridge = GradedPoly.monomial(mode, (Variable(modes.SKEW, g2, 1), u2))
-            bridge = is_identity(y_bridge, algebra) or is_identity(z_bridge, algebra)
-            check("vanishing-bridge", g, kind, [y_bridge, z_bridge], bridge, from_three)
+            bridges = [
+                GradedPoly.monomial(mode, (Variable(k, g2, 1), u2)) for k in (modes.SYM, modes.SKEW)
+            ]
             cyc = GradedPoly.monomial(mode, (u1, u3, u2)) + GradedPoly.monomial(
                 mode, (u2, u3, u1)
             )
-            check("cyclic-three", g, kind, [cyc], identities([cyc]), [3])
             interlock = GradedPoly.monomial(
                 mode, (u1, u2, u4, u3)
             ) + GradedPoly.monomial(mode, (u2, u4, u3, u1))
-            pair = [cyc, interlock]
-            pair_holds = identities(pair)
-            check("interlock-four", g, kind, pair, pair_holds, [4])
-            check("interlock-high", g, kind, pair, pair_holds, range(5, n_max + 1))
             rot = GradedPoly.monomial(mode, (u1, u3, u2)) - GradedPoly.monomial(
                 mode, (u2, u1, u3)
             )
-            check("rotation", g, kind, [rot], identities([rot]), from_three)
+            criteria += [
+                ("vanishing-bridge", g, kind, bridges, any, from_three),
+                ("cyclic-three", g, kind, [cyc], all, [3]),
+                ("interlock-four", g, kind, [cyc, interlock], all, [4]),
+                ("interlock-high", g, kind, [cyc, interlock], all, range(5, n_max + 1)),
+                ("rotation", g, kind, [rot], all, from_three),
+            ]
+    # a slot's criteria share its polynomial objects: each is decided once
+    polys = {id(p): p for _, _, _, hypothesis, _, _ in criteria for p in hypothesis}
+    verdicts = dict(zip(polys, identities(list(polys.values()), algebra)))
+    shown = {key: p.display(group) for key, p in polys.items()}
+    slots = modes.slot_count(len(group), mode)
 
+    def one_slot(grade, kind, n):
+        comp = [0] * slots
+        comp[modes.slot_of(grade, kind, mode)] = n
+        return tuple(comp)
+
+    checks = []
+    wanted: dict[int, dict[tuple[int, ...], None]] = {}
+    for criterion, g, kind, hypothesis, combine, degrees in criteria:
+        holds = combine(verdicts[id(p)] for p in hypothesis)
+        degrees = tuple(d for d in degrees if d <= n_max)
+        checks.append((holds, degrees))
+        if holds:
+            for d in degrees:
+                wanted.setdefault(d, {})[one_slot(g, kind, d)] = None
+    slot_max = {}
+    for n, comps in wanted.items():
+        comps, matrices = _arrangement_matrices(algebra, n, list(comps))
+        for comp, matrix in zip(comps, matrices):
+            slot_max[comp] = max(m for _, m in _slice_cocharacter(algebra, comp, matrix)[1])
+
+    findings = []
+    for (criterion, g, kind, hypothesis, _, _), (holds, degrees) in zip(criteria, checks):
+        conclusion = None
+        best = None
+        if holds and degrees:
+            best = max(slot_max[one_slot(g, kind, d)] for d in degrees)
+            conclusion = best <= 1
+        findings.append(
+            LemmaFinding(
+                criterion,
+                g,
+                kind,
+                tuple(shown[id(p)] for p in hypothesis),
+                holds,
+                degrees,
+                conclusion,
+                best,
+            )
+        )
     return LemmaReport(algebra.name, n_max, tuple(findings))

@@ -17,7 +17,8 @@ nullspaces and zero tests are the rational answers.  Words are multiplied
 out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
 at a time over the (node, partial substitution tuple) pairs whose value is
 nonzero, with one batched product per level, for a whole batch of problems
-on one trie (all compositions of a degree, all commutation pairs).  A
+on one trie (all compositions of a degree, all commutation pairs, all
+identity components on one word list).  A
 matrix keeps only the nonzero rows of the dense one, in its order, which
 changes no rank, nullspace or zero test.  Entries are int64 only when an
 a-priori bound on every entry stays below 2**62; otherwise they are Python
@@ -50,10 +51,13 @@ ints, so nothing wraps.
   the polarized highest weight vectors of a shape's standard multitableaux,
   built as words directly (:func:`~gpw.polynomials.polarized_tableau_words`).
 
-Polynomials reach the engine through one front end,
-:func:`_polynomial_matrices` (:func:`build_evaluation_matrix`, both identity
-routes, the grid multiplicity).  It evaluates polynomials of one
-multidegree, unpolarized, on their variables' **simplex lattices**: a
+Polynomials reach the engine as word columns over their variables' values
+(:func:`_integer_columns`, :func:`_letter_values`): a family of one
+multidegree as one matrix (:func:`_polynomial_matrices`, for
+:func:`build_evaluation_matrix` and the grid multiplicity), and the
+multihomogeneous components of a list of polynomials, for both identity
+routes, as one batch per shared word list (:func:`_vanishes`).  They are
+evaluated unpolarized, on their variables' **simplex lattices**: a
 variable of multiplicity m over a component with basis b_1..b_d takes the
 C(m+d-1, m) values sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m,
 and monomials are words with repeated letters.  This is exact: each
@@ -415,25 +419,29 @@ def _word_columns(
     return _indexed_columns(algebra, vectors, list(index), terms)
 
 
-def _evaluation_columns(
-    algebra: GradedStarAlgebra,
-    variables: tuple[Variable, ...],
-    vectors: list[np.ndarray],
-    polys: list[GradedPoly],
-) -> np.ndarray:
-    """Integer evaluation matrix of polynomials: each monomial becomes the
-    word of its letters' positions in ``variables``, and all coefficients
-    are scaled to integers by one common denominator lcm."""
+def _integer_columns(
+    variables: tuple[Variable, ...], polys: list[GradedPoly]
+) -> list[dict[Word, int]]:
+    """Polynomials as word columns: each monomial becomes the word of its
+    letters' positions in ``variables``, and all coefficients are scaled to
+    integers by one common denominator lcm."""
     position = {v: i for i, v in enumerate(variables)}
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    columns = [
+    return [
         {
             tuple(position[v] for v in mono): c
             for mono, c in zip(p.terms, scaled(p.terms.values(), scale))
         }
         for p in polys
     ]
-    return _word_columns(algebra, vectors, columns)
+
+
+def _letter_values(
+    algebra: GradedStarAlgebra, variables: tuple[Variable, ...], degree: Counter, points
+) -> list[np.ndarray]:
+    """Each variable's values ``points(basis, multiplicity)``, in the order
+    of ``variables``."""
+    return [points(_integer(algebra, (v.grade, v.kind)), degree[v]) for v in variables]
 
 
 def _word_matrices(
@@ -497,8 +505,8 @@ def _polynomial_matrices(
     for polys in families:
         degree = Counter(next((mono for p in polys for mono in p.terms), ()))
         variables = order or canonical_variable_order(degree, algebra.mode)
-        vectors = [points(_integer(algebra, (v.grade, v.kind)), degree[v]) for v in variables]
-        yield _evaluation_columns(algebra, variables, vectors, polys)
+        vectors = _letter_values(algebra, variables, degree, points)
+        yield _word_columns(algebra, vectors, _integer_columns(variables, polys))
 
 
 @dataclass
@@ -555,24 +563,65 @@ def commutation_matrices(
 # -- identities ---------------------------------------------------------------
 
 
-def _vanishes(poly: GradedPoly, algebra: GradedStarAlgebra, points) -> bool:
-    """Does every multihomogeneous component vanish on all tuples of its
-    variables' ``points(basis, multiplicity)``?"""
-    if poly.mode != algebra.mode:
-        raise ModeMismatch(f"{poly.mode} polynomial tested on {algebra.mode} algebra")
-    families = [[c] for c in poly.multihomogeneous_components()]
-    return not any(len(rows) for rows in _polynomial_matrices(algebra, families, points))
+def _vanishes(polys: list[GradedPoly], algebra: GradedStarAlgebra, points) -> list[bool]:
+    """For each polynomial, does every multihomogeneous component vanish on
+    all tuples of its variables' ``points(basis, multiplicity)``?
+
+    Components are grouped by their word list (letters in canonical order),
+    and each group is one batch of :func:`_word_matrices` on its trie: a
+    component vanishes when its rows times its integer coefficients are
+    zero.  Groups are walked in the order they first appear, and the
+    components of a polynomial already decided False are left out of the
+    later ones."""
+    for poly in polys:
+        if poly.mode != algebra.mode:
+            raise ModeMismatch(f"{poly.mode} polynomial tested on {algebra.mode} algebra")
+        if () in poly.terms:
+            raise InputError("constant terms cannot be evaluated in this algebra")
+    groups: dict[tuple[Word, ...], list] = {}
+    for i, poly in enumerate(polys):
+        for component in poly.multihomogeneous_components():
+            degree = Counter(next(iter(component.terms)))
+            variables = canonical_variable_order(degree, algebra.mode)
+            (column,) = _integer_columns(variables, [component])
+            words = tuple(sorted(column))
+            coefficients = [column[w] for w in words]
+            groups.setdefault(words, []).append((i, variables, degree, coefficients))
+    held = [True] * len(polys)
+    for words, members in groups.items():
+        members = [member for member in members if held[member[0]]]
+        if not members:
+            continue
+        batch = [_letter_values(algebra, v, degree, points) for _, v, degree, _ in members]
+        s = max(sum(map(abs, c)) for *_, c in members)
+        matrices = _word_matrices(algebra, batch, _word_trie(list(words)), s)
+        for (i, *_, c), rows in zip(members, matrices):
+            if (rows @ np.array(c, dtype=rows.dtype)).any():
+                held[i] = False
+    return held
+
+
+def identities(polys: list[GradedPoly], algebra: GradedStarAlgebra) -> list[bool]:
+    """Is each polynomial an identity, that is, does it vanish under every
+    homogeneous substitution?
+
+    Each multihomogeneous component is evaluated, unpolarized, on its
+    simplex lattice (C(m+d-1, m) points for a variable of multiplicity m
+    over a d-dimensional component; exact, see the module docstring).  The
+    components of all the polynomials that share one word list, whatever
+    their variables' grades and kinds, are decided in one walk of its trie.
+    A polynomial is decided False by its first component found not to
+    vanish, and its components are not walked after that.  A batch above
+    the work cap, :data:`WORK_CAP`, is walked in halves, so only a component
+    above it on its own raises :class:`CapExceeded`.
+    """
+    return _vanishes(polys, algebra, _simplex)
 
 
 def is_identity(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     """Does the polynomial vanish under every homogeneous substitution?
-
-    Each multihomogeneous component is evaluated, unpolarized, on its
-    simplex lattice (C(m+d-1, m) points for a variable of multiplicity m
-    over a d-dimensional component; exact, see the module docstring).
-    Raises :class:`CapExceeded` above the work cap, :data:`WORK_CAP`.
-    """
-    return _vanishes(poly, algebra, _simplex)
+    :func:`identities` on one polynomial."""
+    return identities([poly], algebra)[0]
 
 
 def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
@@ -580,7 +629,7 @@ def is_identity_grid(poly: GradedPoly, algebra: GradedStarAlgebra) -> bool:
     multiplicity m takes sum(t_j * b_j) for every t in {0..m}^d, where the
     value is coordinatewise of degree at most m in each t_j, so vanishing on
     the grid forces the zero polynomial.  Shares the work cap."""
-    return _vanishes(poly, algebra, _grid)
+    return _vanishes([poly], algebra, _grid)[0]
 
 
 # -- codimensions and multiplicities ------------------------------------------
@@ -639,30 +688,29 @@ def _composition_vectors(
 
 
 def _arrangement_matrices(
-    algebra: GradedStarAlgebra, n: int
+    algebra: GradedStarAlgebra, n: int, comps: list[Composition] | None = None
 ) -> tuple[list[Composition], Iterator[np.ndarray]]:
-    """The compositions of n that leave each empty slot empty and their
-    arrangement matrices, in that order, all from one walk of the
-    arrangement trie and walked as they are taken.  The matrices of the
-    other compositions have no rows."""
+    """The compositions ``comps`` of n, by default those that leave each
+    empty slot empty, and their arrangement matrices, in that order, all
+    from one walk of the arrangement trie and walked as they are taken.  A
+    composition that uses an empty slot has a letter without values, and
+    its matrix has no rows."""
     bases = _slot_bases(algebra)
-    live = [slot for slot, basis in enumerate(bases) if len(basis)]
-    comps = [
-        tuple(dict(zip(live, comp)).get(slot, 0) for slot in range(len(bases)))
-        for comp in compositions(n, len(live))
-    ]
-    batch = [_composition_vectors(bases, comp) for comp in comps]
+    if comps is None:
+        live = [slot for slot, basis in enumerate(bases) if len(basis)]
+        comps = [
+            tuple(dict(zip(live, comp)).get(slot, 0) for slot in range(len(bases)))
+            for comp in compositions(n, len(live))
+        ]
+    batch = [[bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps]
     return comps, _word_matrices(algebra, batch, _arrangement_trie(n))
 
 
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:
-    """The arrangement matrix of one composition, without rows if it uses an empty slot."""
+    """The arrangement matrix of one composition."""
     _check_composition(algebra, comp)
     _check_degree(sum(comp))
-    vectors = _composition_vectors(_slot_bases(algebra), comp)
-    if vectors is None:
-        return np.zeros((0, 0), dtype=np.int64)
-    return next(_word_matrices(algebra, [vectors], _arrangement_trie(sum(comp))))
+    return next(_arrangement_matrices(algebra, sum(comp), [comp])[1])
 
 
 def _slice_rank(matrix: np.ndarray) -> int:

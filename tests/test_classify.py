@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gpw
 import oracle
-from gpw import modes
+from gpw import evaluator, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
     _coefficient_scans,
@@ -20,7 +20,7 @@ from gpw.classify import (
     star_multone_report,
     verify_multone_lemmas,
 )
-from gpw.errors import ConsistencyViolation, ModeMismatch, PreconditionViolation
+from gpw.errors import CapExceeded, ConsistencyViolation, ModeMismatch, PreconditionViolation
 from gpw.evaluator import EvaluationMatrix, canonical_variable_order, is_identity, is_identity_grid
 from gpw.linalg import nullspace
 from gpw.polynomials import GradedPoly, Variable, multilinearize
@@ -216,6 +216,61 @@ def test_lemma_report_is_vacuous_on_a_trivial_grading(m2_transpose):
         assert finding.hypothesis_holds
         if finding.degrees_checked:
             assert finding.max_multiplicity == 0
+
+
+@pytest.fixture(scope="module")
+def e2_c2xc2xc2():
+    group = gpw.product_of_cyclics([2, 2, 2])
+    return gpw.builtin_grassmann2(group, group.element("(0,0,1)"), group.element("(0,1,0)"))
+
+
+def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
+    # the hypotheses of all 14 grade-and-kind slots in one walk per word
+    # list, and the one-slot multiplicities of each degree in one walk
+    walks = []
+    original = evaluator._walk
+
+    def counted(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "_walk", counted)
+    report = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
+    assert report.violations() == [] and any(f.hypothesis_holds for f in report.findings)
+    assert len(walks) <= 8
+
+
+def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
+    # under a cap that every problem walked alone fits and some batch does
+    # not, the batch is split and the report is unchanged; one entry less
+    # refuses
+    expected = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
+    charged, alone = [], []
+    charge, walk = evaluator._charge, evaluator._walk
+
+    def counted(entries):
+        charged.append(entries)
+        charge(entries)
+
+    def each_alone_first(table, batch, trie):
+        for problem in batch:
+            mark = len(charged)
+            walk(table, [problem], trie)
+            alone.extend(charged[mark:])
+            del charged[mark:]
+        return walk(table, batch, trie)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluator, "_charge", counted)
+        patch.setattr(evaluator, "_walk", each_alone_first)
+        verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
+    single = max(alone)
+    assert single < max(charged)
+    monkeypatch.setattr(evaluator, "WORK_CAP", single)
+    assert verify_multone_lemmas(e2_c2xc2xc2, n_max=5) == expected
+    monkeypatch.setattr(evaluator, "WORK_CAP", single - 1)
+    with pytest.raises(CapExceeded):
+        verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
 
 
 def test_factorization_where_multiplicity_one_holds(e2, c2xc2):

@@ -196,6 +196,20 @@ GOLDEN = [
         "e13392689da862fe576d3b67d4df3ed4fb59b37d91e354278a1bdf878f6c1e71",
         "f5c752bd80dd4ef409953cb55811bf3323d943aa9345ee22874e03cd90f8cf6a",
     ),
+    # the lemma reports on the larger groups: many (grade, kind) slots, whose
+    # hypotheses and one-slot multiplicities are decided in batched walks
+    (
+        "verify-lemmas grassmann2_c2xc2xc2 --n-max 5",
+        0,
+        "6b46af1007434c4f3bb47135685ddd4971e8a7f41e9e3b6bb6758caec5fa9ac5",
+        "3c0b69c009f8ab9c14cf79da0c9fdcdf3ba7b80fd66752ba6f2689b4012c7b84",
+    ),
+    (
+        "verify-lemmas grassmann2_c4 --n-max 5",
+        0,
+        "4820333cd8e57d8e98ff3dcb0bf1e5ecc1e6068fa56abf243bf8ebe240996426",
+        "dc669a7832b7cb0c91899084ac078f9dd5361718b1215dca64dffd8a15ecf52a",
+    ),
     ("codim ut2_g --n 6", 2, EMPTY, EMPTY),
     ("cochar k_g --n 4 --n-max 3", 2, EMPTY, EMPTY),
     ("codim ut2_g --n 2 --n-max 8", 2, EMPTY, EMPTY),

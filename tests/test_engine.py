@@ -29,7 +29,9 @@ from gpw.evaluator import (
     _word_rows,
     _word_trie,
     build_evaluation_matrix,
+    canonical_variable_order,
     composition_variables,
+    identities,
     is_identity,
     is_identity_grid,
     multiplicity,
@@ -294,6 +296,66 @@ def test_identity_verdicts_match_the_oracle(star):
         for v in nullspace(rows, len(monos)):
             identity = GradedPoly(mode, dict(zip(arrangements, v)))
             assert is_identity(identity, algebra) and is_identity_grid(identity, algebra)
+
+    check()
+
+
+# word lists over letters in canonical order, each instantiated with the
+# variables of random slots, so that components of different variables and
+# grades share one and are decided in one batch
+WORD_LISTS = [
+    [(0, 0)],
+    [(0, 1), (1, 0)],
+    [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+    [(0, 2, 1), (1, 2, 0), (1, 0, 2)],
+]
+
+
+@st.composite
+def identity_lists(draw, algebra):
+    """Polynomials of mixed multidegrees: each a sum of one or two
+    components, a component being one of two drawn subsets of the word
+    lists on distinct variables of random slots, with coefficients of one
+    absolute value and random signs (so that differences of words, often
+    identities, are common, and one batch mixes identities and others)."""
+    mode = algebra.mode
+    slots = modes.slot_count(len(algebra.group), mode)
+    variable = st.builds(
+        lambda slot, index: Variable(*reversed(modes.slot_grade_kind(slot, mode)), index),
+        st.integers(0, slots - 1),
+        st.integers(1, 3),
+    )
+    forms = [
+        draw(st.lists(st.sampled_from(words), min_size=1, unique=True))
+        for words in draw(st.lists(st.sampled_from(WORD_LISTS), min_size=2, max_size=2))
+    ]
+    polys = []
+    for _ in range(draw(st.integers(1, 5))):
+        poly = GradedPoly.zero(mode)
+        for _ in range(draw(st.integers(1, 2))):
+            words = draw(st.sampled_from(forms))
+            letters = max(map(max, words)) + 1
+            variables = canonical_variable_order(
+                draw(st.lists(variable, min_size=letters, max_size=letters, unique=True)), mode
+            )
+            c = draw(NONZERO)
+            for word in words:
+                monomial = tuple(variables[j] for j in word)
+                poly = poly + GradedPoly.monomial(mode, monomial, c * draw(st.sampled_from([1, -1])))
+        polys.append(poly)
+    return polys
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_a_list_of_identities_matches_each_route(star):
+    @EXAMPLES
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(algebras(star))
+        polys = data.draw(identity_lists(algebra))
+        got = identities(polys, algebra)
+        assert got == [is_identity_grid(p, algebra) for p in polys]
+        assert got == [is_identity(p, algebra) for p in polys]
 
     check()
 

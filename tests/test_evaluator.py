@@ -23,6 +23,7 @@ from gpw.evaluator import (
     HARD_N_CAP,
     build_evaluation_matrix,
     evaluate,
+    identities,
     is_identity,
     is_identity_grid,
     multiplicity,
@@ -172,6 +173,28 @@ def test_identity_work_cap_refuses_before_building(route, m2_transpose, monkeypa
 
         # no array above the cap, of 8-byte entries, was allocated
         assert _peak_bytes(refused) < 4 * 8 * cap
+
+
+def test_a_list_refuses_only_its_polynomial_above_the_work_cap(m2_transpose, monkeypatch):
+    # the 12-letter monomials share one word list: their batch is split, and
+    # the one on the zero g component is decided before the huge one alone
+    # is refused
+    cap = 2**16
+    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+    group = m2_transpose.group
+
+    def monomial(grade):
+        return parse_poly("*".join(f"y{{{i},{grade}}}" for i in range(1, 13)), "star", group)
+
+    small = [parse_poly(p, "star", group) for p in ("y{1,g}*y{2,g}", "y{1,1}*y{2,1} - y{2,1}*y{1,1}")]
+
+    def refused():
+        with pytest.raises(CapExceeded, match="work cap"):
+            identities([*small, monomial("g"), monomial(1)], m2_transpose)
+
+    # no array above the cap, of 8-byte entries, was allocated
+    assert _peak_bytes(refused) < 4 * 8 * cap
+    assert identities([*small, monomial("g")], m2_transpose) == [True, False, True]
 
 
 @pytest.fixture(scope="module")
