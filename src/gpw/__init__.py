@@ -3,7 +3,7 @@
 Finite-dimensional graded algebras (optionally with a graded involution) are
 given by rational structure constants; the package computes their graded
 polynomial identities in fixed multidegrees, codimension slices, cocharacter
-multiplicities via highest weight vectors, and classification reports
+multiplicities from symmetric-group characters, and classification reports
 (bounded-multiplicity witnesses, pairwise commutation lists, and the
 single-slot multiplicity-one criteria).  All linear algebra is exact.
 """

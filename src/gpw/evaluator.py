@@ -8,12 +8,11 @@ column blocks or test it for zero.
 
 The primitive is an integer engine over **words**: a word is the tuple of
 its letters' positions in the variable signature, and a column is an
-integer combination of words (a **word column**, a dict from word to
-coefficient).  Structure constants and candidate values are scaled to
-integers by their denominator lcms (and a :class:`GradedPoly`'s
-coefficients by theirs when its monomials are turned into words), so the
-matrix is one fixed positive multiple of the rational one and its ranks,
-nullspaces and zero tests are the rational answers.  Words are multiplied
+integer combination of words.  Structure constants and candidate values
+are scaled to integers by their denominator lcms (and a
+:class:`GradedPoly`'s coefficients by theirs when its monomials are turned
+into words), so the matrix is one fixed positive multiple of the rational
+one and its ranks, nullspaces and zero tests are the rational answers.  Words are multiplied
 out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
 at a time over the (node, partial substitution tuple) pairs whose value is
 nonzero, with one batched product per level, for a whole batch of problems
@@ -46,18 +45,18 @@ ints, so nothing wraps.
   whose character is 0, and skips the elimination.  A multiplicity that is
   not a nonnegative integer, or a composition whose slice codimension is
   not ``sum(multiplicity * degree)`` over its shapes, can only come from a
-  bug and raises :class:`ConsistencyViolation`.
-* The **tableau route** is a cross-check only: :func:`multiplicity` ranks
-  the polarized highest weight vectors of a shape's standard multitableaux,
-  built as words directly (:func:`~gpw.polynomials.polarized_tableau_words`).
+  bug and raises :class:`ConsistencyViolation`.  :func:`multiplicity`
+  reads one shape's entry off this route.
 
-Polynomials reach the engine as word columns over their variables' values
-(:func:`_integer_columns`, :func:`_letter_values`): a family of one
-multidegree as one matrix (:func:`_polynomial_matrices`, for
-:func:`build_evaluation_matrix` and the grid multiplicity), and the
-multihomogeneous components of a list of polynomials, for both identity
-routes, as one batch per shared word list (:func:`_vanishes`).  They are
-evaluated unpolarized, on their variables' **simplex lattices**: a
+Polynomials reach the engine through one front end,
+:func:`_word_combinations`: a word list and a batch of members, each its
+letters' values and an integer coefficient matrix with one row per word
+(:func:`_letter_values`, :func:`_coefficient_matrix`).  The polynomials of
+:func:`build_evaluation_matrix` are a batch of one, one column per
+polynomial; the multihomogeneous components of a list of polynomials, for
+both identity routes, are one batch per shared word list, one column each
+(:func:`_vanishes`).  They are evaluated unpolarized, on their variables'
+**simplex lattices**: a
 variable of multiplicity m over a component with basis b_1..b_d takes the
 C(m+d-1, m) values sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m,
 and monomials are words with repeated letters.  This is exact: each
@@ -67,9 +66,9 @@ principal lattice of the simplex is unisolvent for polynomials of degree
 unique Lagrange interpolations", 1977), and a product of unisolvent sets
 is unisolvent for the tensor product.  So a combination of polynomials is
 an identity exactly when it vanishes there.  At m = 1 the points are the
-basis itself.  The independent full-grid oracle (`is_identity_grid`, and
-``multiplicity(..., fillings="grid")``) substitutes every t in {0..m}^d
-instead.  Integer structure tables and bases are computed once per algebra.
+basis itself.  The independent full-grid oracle, :func:`is_identity_grid`,
+substitutes every t in {0..m}^d instead.  Integer structure tables and
+bases are computed once per algebra.
 
 One work cap bounds every matrix: each level of the walk, the assembled
 rows and the lattice or grid points are counted exactly and refused with
@@ -85,7 +84,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -114,26 +113,21 @@ from .linalg import (
     nullspace,
     scaled,
 )
-from .polynomials import (
-    GradedPoly,
-    Variable,
-    Word,
-    highest_weight_vector,
-    multilinearize,  # noqa: F401 -- perfbench/tracer.py wraps gpw.evaluator.multilinearize
-    polarized_tableau_words,
-)
+from .polynomials import GradedPoly, Variable, Word
 from .shapes import (
     Composition,
     Multipartition,
-    all_multitableaux,
     character,
     class_size,
     compositions,
     multinomial,
     multipartitions,
     partitions,
-    standard_multitableaux,
 )
+
+# perfbench/tracer.py wraps these names here, so they stay importable
+from .polynomials import highest_weight_vector, multilinearize  # noqa: F401
+from .shapes import all_multitableaux, standard_multitableaux  # noqa: F401
 
 DEFAULT_N_CAP = 5
 HARD_N_CAP = 7
@@ -259,7 +253,7 @@ class _WordTrie:
     fewest: int
 
 
-def _word_trie(words: list[Word]) -> _WordTrie:
+def _word_trie(words: Sequence[Word]) -> _WordTrie:
     """The prefix trie of ``words``, which are distinct and of one length."""
     n = len(words[0]) if words else 0
     order = sorted(range(len(words)), key=words.__getitem__)
@@ -406,34 +400,29 @@ def _walk(
     return [(numbers[a:b] - i * offset, rows[a:b]) for i, (a, b) in enumerate(zip(ends, ends[1:]))]
 
 
-def _word_columns(
-    algebra: GradedStarAlgebra, vectors: list[np.ndarray], columns: list[dict[Word, int]]
-) -> np.ndarray:
-    """Integer evaluation matrix of word columns: one column per
-    ``{word: coefficient}`` dict, letters indexing ``vectors``."""
-    index: dict[Word, int] = {}
-    terms = [
-        ([index.setdefault(w, len(index)) for w in col], list(col.values()))
-        for col in columns
-    ]
-    return _indexed_columns(algebra, vectors, list(index), terms)
-
-
-def _integer_columns(
+def _coefficient_matrix(
     variables: tuple[Variable, ...], polys: list[GradedPoly]
-) -> list[dict[Word, int]]:
-    """Polynomials as word columns: each monomial becomes the word of its
-    letters' positions in ``variables``, and all coefficients are scaled to
-    integers by one common denominator lcm."""
+) -> tuple[tuple[Word, ...], np.ndarray]:
+    """Polynomials as integer combinations of words: each monomial becomes
+    the word of its letters' positions in ``variables``, and the matrix has
+    one row per distinct word, sorted, and one column per polynomial, all
+    coefficients scaled to integers by one common denominator lcm."""
     position = {v: i for i, v in enumerate(variables)}
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return [
+    columns = [
         {
             tuple(position[v] for v in mono): c
             for mono, c in zip(p.terms, scaled(p.terms.values(), scale))
         }
         for p in polys
     ]
+    words = tuple(sorted(set().union(*columns)))
+    row = {w: i for i, w in enumerate(words)}
+    matrix = np.zeros((len(words), len(polys)), dtype=object)
+    for j, column in enumerate(columns):
+        for w, c in column.items():
+            matrix[row[w], j] = c
+    return words, matrix
 
 
 def _letter_values(
@@ -466,47 +455,25 @@ def _word_matrices(
     return map(itemgetter(1), _word_rows(table.astype(dtype), batch, trie))
 
 
-def _indexed_columns(
+def _word_combinations(
     algebra: GradedStarAlgebra,
-    vectors: list[np.ndarray],
-    words: list[Word],
-    terms: list[tuple[list[int], list[int]]] | None = None,
-) -> np.ndarray:
-    """The engine on one problem.  Column j is the sum over (i, c) in
-    ``zip(*terms[j])`` of c times the value of ``words[i]``, whose letters
-    index ``vectors``; without ``terms``, column j is ``words[j]`` itself.
-    The rows are those of :func:`_word_matrices`, with the zero ones left
-    out.  When all words of a column share one multidegree, the column is
-    one fixed positive multiple of the rational one."""
-    s = 1 if terms is None else max((sum(map(abs, c)) for _, c in terms), default=0)
-    (rows,) = _word_matrices(algebra, [vectors], _word_trie(words), s)
-    if terms is None:
-        return rows
-    _charge(len(rows) * len(terms))
-    matrix = np.zeros((len(rows), len(terms)), dtype=rows.dtype)
-    for col, (which, c) in enumerate(terms):
-        if which:
-            matrix[:, col] = rows[:, which] @ np.array(c, dtype=rows.dtype)
-    return matrix.compress(matrix.any(axis=1), axis=0)
-
-
-def _polynomial_matrices(
-    algebra: GradedStarAlgebra,
-    families: list[list[GradedPoly]],
-    points=_simplex,
-    order: tuple[Variable, ...] | None = None,
-):
-    """The one front end from polynomials to the engine: for each family of
-    polynomials sharing one multidegree, their integer evaluation matrix,
-    variables in canonical order (or ``order``), a variable of multiplicity
-    m taking the values ``points(basis, m)``, built as they are asked for."""
-    if any(() in p.terms for polys in families for p in polys):
-        raise InputError("constant terms cannot be evaluated in this algebra")
-    for polys in families:
-        degree = Counter(next((mono for p in polys for mono in p.terms), ()))
-        variables = order or canonical_variable_order(degree, algebra.mode)
-        vectors = _letter_values(algebra, variables, degree, points)
-        yield _word_columns(algebra, vectors, _integer_columns(variables, polys))
+    words: Sequence[Word],
+    members: list[tuple[list[np.ndarray], np.ndarray]],
+) -> Iterator[np.ndarray]:
+    """The one front end from integer combinations of words to the engine.
+    Each member is its letters' values and an integer coefficient matrix
+    with one row per word of ``words``; for each, in one walk of their trie,
+    the nonzero rows of the words' values times its coefficients, in
+    (substitution tuple, coordinate) order.  A column whose words share one
+    multidegree is one fixed positive multiple of the rational one."""
+    s = max((max_abs(np.abs(c).sum(axis=0)) for _, c in members), default=0)
+    batch = [vectors for vectors, _ in members]
+    for (_, coefficients), rows in zip(
+        members, _word_matrices(algebra, batch, _word_trie(words), s)
+    ):
+        _charge(len(rows) * coefficients.shape[1])
+        combined = rows @ coefficients.astype(rows.dtype)
+        yield combined.compress(combined.any(axis=1), axis=0)
 
 
 @dataclass
@@ -519,8 +486,8 @@ class EvaluationMatrix:
     variables: tuple[Variable, ...]
     rows: np.ndarray = field(repr=False)
 
-    def rank(self, columns: slice | None = None) -> int:
-        return exact_rank(self.rows if columns is None else self.rows[:, columns])
+    def rank(self) -> int:
+        return exact_rank(self.rows)
 
     def nullspace(self) -> list[list[Fraction]]:
         return nullspace(self.rows, self.rows.shape[1])
@@ -546,7 +513,12 @@ def build_evaluation_matrix(
         variables = canonical_variable_order(names, algebra.mode)
     elif sorted(variables) != sorted(names):
         raise InputError("variables must list each of the polynomials' variables once")
-    rows = next(_polynomial_matrices(algebra, [polys], order=variables))
+    if any(() in p.terms for p in polys):
+        raise InputError("constant terms cannot be evaluated in this algebra")
+    degree = Counter(next((mono for p in polys for mono in p.terms), ()))
+    words, coefficients = _coefficient_matrix(variables, polys)
+    vectors = _letter_values(algebra, variables, degree, _simplex)
+    (rows,) = _word_combinations(algebra, words, [(vectors, coefficients)])
     return EvaluationMatrix(variables, rows)
 
 
@@ -568,9 +540,9 @@ def _vanishes(polys: list[GradedPoly], algebra: GradedStarAlgebra, points) -> li
     all tuples of its variables' ``points(basis, multiplicity)``?
 
     Components are grouped by their word list (letters in canonical order),
-    and each group is one batch of :func:`_word_matrices` on its trie: a
-    component vanishes when its rows times its integer coefficients are
-    zero.  Groups are walked in the order they first appear, and the
+    and each group is one batch of :func:`_word_combinations`, each
+    component a member with one coefficient column: it vanishes when no
+    row is left.  Groups are walked in the order they first appear, and the
     components of a polynomial already decided False are left out of the
     later ones."""
     for poly in polys:
@@ -583,20 +555,16 @@ def _vanishes(polys: list[GradedPoly], algebra: GradedStarAlgebra, points) -> li
         for component in poly.multihomogeneous_components():
             degree = Counter(next(iter(component.terms)))
             variables = canonical_variable_order(degree, algebra.mode)
-            (column,) = _integer_columns(variables, [component])
-            words = tuple(sorted(column))
-            coefficients = [column[w] for w in words]
+            words, coefficients = _coefficient_matrix(variables, [component])
             groups.setdefault(words, []).append((i, variables, degree, coefficients))
     held = [True] * len(polys)
     for words, members in groups.items():
         members = [member for member in members if held[member[0]]]
         if not members:
             continue
-        batch = [_letter_values(algebra, v, degree, points) for _, v, degree, _ in members]
-        s = max(sum(map(abs, c)) for *_, c in members)
-        matrices = _word_matrices(algebra, batch, _word_trie(list(words)), s)
-        for (i, *_, c), rows in zip(members, matrices):
-            if (rows @ np.array(c, dtype=rows.dtype)).any():
+        batch = [(_letter_values(algebra, v, degree, points), c) for _, v, degree, c in members]
+        for (i, *_), rows in zip(members, _word_combinations(algebra, words, batch)):
+            if len(rows):
                 held[i] = False
     return held
 
@@ -677,16 +645,6 @@ def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     ]
 
 
-def _composition_vectors(
-    bases: list[np.ndarray], comp: Composition
-) -> list[np.ndarray] | None:
-    """Each composition variable's integer component basis, in word letter
-    order; None when one of them is empty, so every column vanishes."""
-    if any(count and not len(bases[slot]) for slot, count in enumerate(comp)):
-        return None
-    return [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
-
-
 def _arrangement_matrices(
     algebra: GradedStarAlgebra, n: int, comps: list[Composition] | None = None
 ) -> tuple[list[Composition], Iterator[np.ndarray]]:
@@ -738,42 +696,6 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     ranks = dict(zip(comps, map(_slice_rank, matrices)))
     breakdown = {comp: ranks.get(comp, 0) for comp in compositions(n, slots)}
     return sum(multinomial(comp) * c for comp, c in breakdown.items()), breakdown
-
-
-def multiplicity(
-    algebra: GradedStarAlgebra,
-    shape: Multipartition,
-    fillings: str = "standard",
-) -> int:
-    """Cocharacter multiplicity of one multipartition, by the tableau route:
-    the rank of its tableaux's highest weight vectors.
-
-    ``fillings="standard"`` (the default) spans with the standard
-    multitableaux; ``"all"`` uses every filling (slow; for cross-checks);
-    ``"grid"`` uses the polarization-free substitution grid on the standard
-    tableaux's unpolarized vectors.
-    """
-    _check_composition(algebra, shape.weight)
-    _check_degree(shape.n)
-    if fillings == "grid":
-        return _multiplicity_grid(algebra, shape)
-    if fillings == "standard":
-        tabs = standard_multitableaux(shape)
-    elif fillings == "all":
-        tabs = all_multitableaux(shape)
-    else:
-        raise InputError(f"unknown fillings choice {fillings!r}")
-    vectors = _composition_vectors(_slot_bases(algebra), shape.weight)
-    if vectors is None:
-        return 0
-    return exact_rank(_word_columns(algebra, vectors, polarized_tableau_words(shape, tabs)))
-
-
-def _multiplicity_grid(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
-    """Rank of the unpolarized tableau vectors on integer substitution
-    grids; agrees with the polarized rank in characteristic zero."""
-    polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
-    return exact_rank(next(_polynomial_matrices(algebra, [polys], _grid)))
 
 
 def _class_representatives(classes: list[Multipartition]) -> np.ndarray:
@@ -915,6 +837,12 @@ def composition_multiplicities(
     """The multiplicity of every shape of one composition, by the character
     route of :func:`cocharacter_table`."""
     return _slice_cocharacter(algebra, comp, _arrangement_matrix(algebra, comp))[1]
+
+
+def multiplicity(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
+    """Cocharacter multiplicity of one multipartition: its entry in
+    :func:`composition_multiplicities` of its composition."""
+    return dict(composition_multiplicities(algebra, shape.weight))[shape]
 
 
 @dataclass

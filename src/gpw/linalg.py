@@ -236,16 +236,10 @@ def integer_vectors(vectors, dim: int) -> np.ndarray:
     ).reshape(len(vectors), dim)
 
 
-def exact_rank(
-    matrix: np.ndarray | list[Row], pivots: list[tuple[int, int]] | None = None
-) -> int:
+def exact_rank(matrix: np.ndarray | list[Row]) -> int:
     """Rank over the rationals of an integer array or a list of rational
-    rows.  When ``pivots`` is a list, the certified pivots are appended to
-    it (see :class:`Echelon`)."""
-    result = echelon(matrix)
-    if pivots is not None:
-        pivots.extend(result.pivots)
-    return result.rank
+    rows."""
+    return echelon(matrix).rank
 
 
 def nullspace(rows: np.ndarray | list[Row], ncols: int) -> list[list[Fraction]]:

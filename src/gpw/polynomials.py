@@ -18,14 +18,9 @@ Three conventions fixed here:
   element recovers (prod of m!) times the original value.  The evaluator
   never calls it: it evaluates repeated letters on lattice points.
 
-* **Words.**  The polarized tableau vectors the evaluator ranks are built
-  without polynomials by :func:`polarized_tableau_words`: a monomial is the
-  word of its letters' positions in the composition's variable order, a
-  vector a dict from word to integer coefficient.  The result equals the
-  polarization of ``highest_weight_vector(t, mode)`` with every variable
-  replaced by its position, because polarizing renames letters while a
-  tableau acts on positions, so the two commute and each tableau's vector
-  is a position permutation of one polarized shape vector.
+* **Words.**  The evaluator sees a monomial as a :data:`Word`, the tuple
+  of its letters' positions in a fixed variable order, and a polynomial as
+  integer coefficients on its words.
 """
 
 from __future__ import annotations
@@ -35,8 +30,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import itemgetter
 
 from . import modes
 from .errors import (
@@ -46,13 +39,7 @@ from .errors import (
     UnknownGradeLabel,
 )
 from .groups import FiniteGroup
-from .shapes import (
-    Multipartition,
-    Multitableau,
-    Partition,
-    conjugate,
-    tableau_to_permutation,
-)
+from .shapes import Multitableau, tableau_to_permutation
 
 
 @dataclass(frozen=True, order=True)
@@ -166,10 +153,14 @@ class GradedPoly:
         return Counter(next(iter(self.terms))) if self.terms else Counter()
 
     def multihomogeneous_components(self) -> list["GradedPoly"]:
+        """The parts of one multidegree each, ordered by multidegree; the
+        polynomial itself when it has only one."""
         buckets: dict[frozenset, dict[Monomial, Fraction]] = {}
         for mono, coeff in self.terms.items():
             key = frozenset(Counter(mono).items())
             buckets.setdefault(key, {})[mono] = coeff
+        if len(buckets) == 1:
+            return [self]
         return [
             GradedPoly(self.mode, terms)
             for _, terms in sorted(buckets.items(), key=lambda kv: sorted(kv[0]))
@@ -337,71 +328,6 @@ def multilinearize(poly: GradedPoly) -> GradedPoly:
 
 
 Word = tuple[int, ...]
-
-
-def polarized_tableau_words(
-    shape: Multipartition, tabs: list[Multitableau]
-) -> list[dict[Word, int]]:
-    """The polarization of ``highest_weight_vector(t, mode)`` for each
-    tableau t of one shape, in word form: each monomial becomes the tuple of
-    its letters' positions in the composition's variable order (slots in
-    order, indices ascending within a slot), with its integer coefficient.
-
-    The shape's polarized vector is built once.  Per slot and per choice of
-    one permutation pi_c for every column c, cell i of column c carries row
-    variable pi_c(i) with sign prod sgn(pi_c) (the product of column
-    standard polynomials); polarization then hands each row's consecutive
-    fresh copies to that row's cells in every order.  No two choices give
-    the same word, so every coefficient is +1 or -1.  The mode only names
-    the letters, so the words serve both modes.  Polarization renames
-    letters and the position action moves positions, so the two commute:
-    tableau T's column is the shape's vector acted on by the inverse of
-    T's permutation, ``word_T[sigma(q) - 1] = word[q]``.
-    """
-    vector: dict[Word, int] = {(): 1}
-    offset = 0
-    for lam in shape.components:
-        slot = _polarized_slot_words(lam, offset)
-        vector = {w + v: c * d for w, c in vector.items() for v, d in slot}
-        offset += sum(lam)
-    columns = []
-    for tab in tabs:
-        order = [p - 1 for p in invert_permutation(tableau_to_permutation(tab))]
-        # the identity (the only order when n = 1, where itemgetter would
-        # return a bare letter instead of a word) shares the shape's vector
-        if order == list(range(len(order))):
-            columns.append(vector)
-        else:
-            permute = itemgetter(*order)
-            columns.append({permute(w): c for w, c in vector.items()})
-    return columns
-
-
-def _polarized_slot_words(lam: Partition, offset: int) -> list[tuple[Word, int]]:
-    """The polarized shape vector of one slot's partition, positions local
-    to the slot's cells, letters shifted by ``offset``."""
-    size = sum(lam)
-    starts = list(itertools.accumulate(conjugate(lam), initial=0))
-    copies = [
-        range(offset + first, offset + first + part)
-        for first, part in zip(itertools.accumulate(lam, initial=0), lam)
-    ]
-    terms = []
-    for perms in itertools.product(
-        *(itertools.permutations(range(h)) for h in conjugate(lam))
-    ):
-        sign = prod(map(_sign, perms))
-        cells: list[list[int]] = [[] for _ in lam]  # cells[r]: row r's positions
-        for start, perm in zip(starts, perms):
-            for i, r in enumerate(perm):
-                cells[r].append(start + i)
-        for assignment in itertools.product(*map(itertools.permutations, copies)):
-            word = [0] * size
-            for positions, letters in zip(cells, assignment):
-                for p, letter in zip(positions, letters):
-                    word[p] = letter
-            terms.append((tuple(word), sign))
-    return terms
 
 
 # -- parser ----------------------------------------------------------------------

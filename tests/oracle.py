@@ -1,18 +1,29 @@
 """Reference oracle for the evaluator, for algebra validation and for
-exact linear algebra: the plain Fraction loops, and fraction-free Bareiss
-elimination.
+exact linear algebra: the plain Fraction loops, the tableau and grid
+routes to a multiplicity, and fraction-free Bareiss elimination.
 
 Every monomial is multiplied out in exact ``Fraction`` tuples by
 ``GradedStarAlgebra.multiply``, once per substitution tuple.  The package's
 integer engine must give a positive multiple of these matrices, and the
-same ranks, nullspaces and identity verdicts.  ``bareiss_rank`` and the
-``Fraction`` RREF (``rref``, ``nullspace``) are the references for the
-package's certified modular elimination.
+same ranks, nullspaces and identity verdicts.  The package reads every
+multiplicity from characters of its arrangement matrices; the references
+here rank highest weight vectors instead: the tableau route
+(``tableau_multiplicities``) ranks the polarized vectors of a shape's
+tableaux, built as words and evaluated by the engine, and the grid route
+(``grid_multiplicity``) evaluates the unpolarized vectors on substitution
+grids by the Fraction loops.  ``bareiss_rank`` and the ``Fraction`` RREF
+(``rref``, ``nullspace``) are the references for the package's certified
+modular elimination.
 """
 
 import itertools
 from fractions import Fraction
+from math import prod
+from operator import itemgetter
 
+import numpy as np
+
+from gpw import evaluator
 from gpw.errors import (
     AssociativityViolation,
     HomogeneityViolation,
@@ -20,7 +31,14 @@ from gpw.errors import (
     NonAbelianSupportWithStar,
 )
 from gpw.evaluator import canonical_variable_order, evaluate
-from gpw.polynomials import multilinearize
+from gpw.linalg import exact_rank
+from gpw.polynomials import _sign, highest_weight_vector, invert_permutation, multilinearize
+from gpw.shapes import (
+    conjugate,
+    multipartitions,
+    standard_multitableaux,
+    tableau_to_permutation,
+)
 
 
 def _mono_value(mono, algebra, assignment, memo):
@@ -100,6 +118,115 @@ def is_identity_grid(poly, algebra):
         for component in poly.multihomogeneous_components()
         for row in grid_rows(algebra, [component])
     )
+
+
+# -- the tableau and grid routes to a multiplicity ------------------------------
+
+
+def polarized_tableau_words(shape, tabs):
+    """The polarization of ``highest_weight_vector(t, mode)`` for each
+    tableau t of one shape, in word form: each monomial becomes the tuple of
+    its letters' positions in the composition's variable order (slots in
+    order, indices ascending within a slot), a dict from word to integer
+    coefficient.
+
+    The shape's polarized vector is built once.  Per slot and per choice of
+    one permutation pi_c for every column c, cell i of column c carries row
+    variable pi_c(i) with sign prod sgn(pi_c) (the product of column
+    standard polynomials); polarization then hands each row's consecutive
+    fresh copies to that row's cells in every order.  No two choices give
+    the same word, so every coefficient is +1 or -1.  The mode only names
+    the letters, so the words serve both modes.  Polarization renames
+    letters and the position action moves positions, so the two commute:
+    tableau T's column is the shape's vector acted on by the inverse of
+    T's permutation, ``word_T[sigma(q) - 1] = word[q]``.
+    """
+    vector = {(): 1}
+    offset = 0
+    for lam in shape.components:
+        slot = _polarized_slot_words(lam, offset)
+        vector = {w + v: c * d for w, c in vector.items() for v, d in slot}
+        offset += sum(lam)
+    columns = []
+    for tab in tabs:
+        order = [p - 1 for p in invert_permutation(tableau_to_permutation(tab))]
+        # the identity (the only order when n = 1, where itemgetter would
+        # return a bare letter instead of a word) shares the shape's vector
+        if order == list(range(len(order))):
+            columns.append(vector)
+        else:
+            permute = itemgetter(*order)
+            columns.append({permute(w): c for w, c in vector.items()})
+    return columns
+
+
+def _polarized_slot_words(lam, offset):
+    """The polarized shape vector of one slot's partition, positions local
+    to the slot's cells, letters shifted by ``offset``."""
+    size = sum(lam)
+    starts = list(itertools.accumulate(conjugate(lam), initial=0))
+    copies = [
+        range(offset + first, offset + first + part)
+        for first, part in zip(itertools.accumulate(lam, initial=0), lam)
+    ]
+    terms = []
+    for perms in itertools.product(
+        *(itertools.permutations(range(h)) for h in conjugate(lam))
+    ):
+        sign = prod(map(_sign, perms))
+        cells = [[] for _ in lam]  # cells[r]: row r's positions
+        for start, perm in zip(starts, perms):
+            for i, r in enumerate(perm):
+                cells[r].append(start + i)
+        for assignment in itertools.product(*map(itertools.permutations, copies)):
+            word = [0] * size
+            for positions, letters in zip(cells, assignment):
+                for p, letter in zip(positions, letters):
+                    word[p] = letter
+            terms.append((tuple(word), sign))
+    return terms
+
+
+def uses_empty_slot(algebra, comp):
+    """Does the composition use a slot whose component has no basis?  Then
+    every polynomial of its multidegree evaluates to 0."""
+    bases = evaluator._slot_bases(algebra)
+    return any(count and not len(bases[slot]) for slot, count in enumerate(comp))
+
+
+def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):
+    """The tableau route: every shape of a composition with the rank of the
+    polarized highest weight vectors of its tableaux ``fillings(shape)``
+    (standard by default) on every tuple of the composition's basis
+    elements, the word columns of all shapes evaluated by the engine in one
+    call."""
+    shapes = multipartitions(comp)
+    if uses_empty_slot(algebra, comp):
+        return {shape: 0 for shape in shapes}
+    bases = evaluator._slot_bases(algebra)
+    vectors = [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
+    columns, blocks = [], []
+    for shape in shapes:
+        start = len(columns)
+        columns.extend(polarized_tableau_words(shape, fillings(shape)))
+        blocks.append((shape, start, len(columns)))
+    words = sorted(set().union(*columns))
+    row = {w: i for i, w in enumerate(words)}
+    coefficients = np.zeros((len(words), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        for w, c in column.items():
+            coefficients[row[w], j] = c
+    (matrix,) = evaluator._word_combinations(algebra, words, [(vectors, coefficients)])
+    return {shape: exact_rank(matrix[:, start:stop]) for shape, start, stop in blocks}
+
+
+def grid_multiplicity(algebra, shape):
+    """The grid route: the rank of the highest weight vectors of a shape's
+    standard multitableaux on every tuple of grid points (``grid_rows``)."""
+    if uses_empty_slot(algebra, shape.weight):
+        return 0
+    polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
+    return len(rref(grid_rows(algebra, polys))[0])
 
 
 # -- algebra validation ---------------------------------------------------------

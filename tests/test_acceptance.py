@@ -16,6 +16,7 @@ from gpw.classify import (
 )
 from gpw.evaluator import (
     cocharacter_table,
+    composition_multiplicities,
     evaluate,
     is_identity,
     multiplicity,
@@ -33,6 +34,8 @@ from gpw.shapes import (
     standard_multitableaux,
     tableau_to_permutation,
 )
+
+import oracle
 
 
 def _gate(label: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -242,13 +245,13 @@ def test_multiplicity_routes_agree(ut2_g, k_g, e2):
         slots = len(algebra.group) * (2 if algebra.mode == "star" else 1)
         for n in range(1, 5):
             for comp in compositions(n, slots):
-                for shape in multipartitions(comp):
-                    standard = multiplicity(algebra, shape, fillings="standard")
-                    every = multiplicity(algebra, shape, fillings="all")
-                    grid = multiplicity(algebra, shape, fillings="grid")
-                    ok = ok and standard == every == grid
+                standard = oracle.tableau_multiplicities(algebra, comp)
+                every = oracle.tableau_multiplicities(algebra, comp, all_multitableaux)
+                for shape, m in composition_multiplicities(algebra, comp):
+                    grid = oracle.grid_multiplicity(algebra, shape)
+                    ok = ok and m == standard[shape] == every[shape] == grid
     _gate(
-        "standard-filling, all-filling and grid multiplicities agree",
+        "character, standard-filling, all-filling and grid multiplicities agree",
         ok,
         time.monotonic() - started,
         300.0,

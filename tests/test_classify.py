@@ -53,7 +53,7 @@ def test_ut2_admits_no_sandwich_identity(ut2_g, c2):
 def test_full_rank_certificate_is_checked_without_assert(ut2_g, c2, monkeypatch):
     # ut2 has no grade-g witness; a rank that disagrees with the empty
     # nullspace is a consistency failure, also under ``python -O``
-    monkeypatch.setattr(EvaluationMatrix, "rank", lambda self, columns=None: 2)
+    monkeypatch.setattr(EvaluationMatrix, "rank", lambda self: 2)
     with pytest.raises(ConsistencyViolation):
         find_sandwich_identity(ut2_g, c2.element("g"), 3)
 

@@ -1,11 +1,11 @@
 """The character route of ``cocharacter_table`` against the tableau route.
 
 ``cocharacter_table`` reads every multiplicity of a composition from traces
-on its arrangement matrix; ``multiplicity`` ranks the shape's polarized
-tableau vectors.  The two must agree on every shape: on the builtins up to
-n=6 and on random small graded and star algebras.  A starting prime so
-small that the elimination must go on to further primes, and the runtime
-check on the multiplicities, are exercised by forcing them.
+on its arrangement matrix; the oracle's tableau route ranks the shape's
+polarized tableau vectors.  The two must agree on every shape: on the
+builtins up to n=6 and on random small graded and star algebras.  A
+starting prime so small that the elimination must go on to further primes,
+and the runtime check on the multiplicities, are exercised by forcing them.
 """
 
 import weakref
@@ -18,52 +18,33 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gpw import evaluator, linalg, modes
 from gpw.errors import CapExceeded, ConsistencyViolation
 from gpw.evaluator import (
+    _arrangement_matrix,
     _arrangements,
     _character_sums,
     _class_representatives,
-    _composition_vectors,
-    _indexed_columns,
     _slot_bases,
-    _word_columns,
+    _word_combinations,
     cocharacter_table,
     composition_multiplicities,
     multiplicity,
 )
-from gpw.linalg import exact_rank
-from gpw.polynomials import polarized_tableau_words
 from gpw.shapes import (
     Multipartition,
     character,
     class_size,
     compositions,
     multipartitions,
-    standard_multitableaux,
 )
 
+import oracle
 from test_engine import algebras
 
 
-def tableau_route(algebra, comp):
-    """Every shape's multiplicity as ``multiplicity`` computes it, with the
-    tableau columns of all shapes built in one engine call."""
-    vectors = _composition_vectors(_slot_bases(algebra), comp)
-    shapes = multipartitions(comp)
-    if vectors is None:
-        return {shape: 0 for shape in shapes}
-    columns, blocks = [], []
-    for shape in shapes:
-        start = len(columns)
-        columns.extend(polarized_tableau_words(shape, standard_multitableaux(shape)))
-        blocks.append((shape, start, len(columns)))
-    matrix = _word_columns(algebra, vectors, columns)
-    return {shape: exact_rank(matrix[:, start:stop]) for shape, start, stop in blocks}
-
-
-def assert_routes_agree(algebra, n, route):
+def assert_routes_agree(algebra, n):
     table = cocharacter_table(algebra, n, cap=n)
     listed = dict(table.entries)
     for comp, slice_c in table.slice_codims:
-        expected = route(algebra, comp)
+        expected = oracle.tableau_multiplicities(algebra, comp)
         assert {shape: listed.get(shape, 0) for shape in expected} == expected
         assert sum(m * shape.degree() for shape, m in expected.items()) == slice_c
 
@@ -72,20 +53,17 @@ def assert_routes_agree(algebra, n, route):
 def test_character_route_matches_tableau_route_on_builtins(name, request):
     algebra = request.getfixturevalue(name)
     for n in range(1, 7):
-        assert_routes_agree(algebra, n, tableau_route)
-
-
-def each_multiplicity(algebra, comp):
-    return {shape: multiplicity(algebra, shape) for shape in multipartitions(comp)}
+        assert_routes_agree(algebra, n)
 
 
 @pytest.mark.parametrize("star", [False, True])
 def test_character_route_matches_multiplicity_on_random_algebras(star):
+    # the tableau route's multiplicities, shape by shape
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def check(data):
         algebra = data.draw(algebras(star))
-        assert_routes_agree(algebra, data.draw(st.integers(1, 4)), each_multiplicity)
+        assert_routes_agree(algebra, data.draw(st.integers(1, 4)))
 
     check()
 
@@ -96,14 +74,14 @@ def test_one_slot_multiplicities_come_from_one_composition(e2):
         comp = tuple(4 if s == slot else 0 for s in range(slots))
         got = composition_multiplicities(e2, comp)
         assert [shape for shape, _ in got] == multipartitions(comp)
+        assert dict(got) == oracle.tableau_multiplicities(e2, comp)
         assert all(m == multiplicity(e2, shape) for shape, m in got)
 
 
 def test_empty_slot_shapes_are_left_out_but_answer_zero(e2):
     table = cocharacter_table(e2, 3)
     listed = {shape.weight for shape, _ in table.entries}
-    bases = _slot_bases(e2)
-    empty = [comp for comp, _ in table.slice_codims if _composition_vectors(bases, comp) is None]
+    empty = [comp for comp, _ in table.slice_codims if oracle.uses_empty_slot(e2, comp)]
     assert empty and not listed & set(empty)
     for comp in empty:
         for shape in multipartitions(comp):
@@ -113,12 +91,15 @@ def test_empty_slot_shapes_are_left_out_but_answer_zero(e2):
 
 
 def test_arrangement_matrix_skips_the_column_loop(k_g):
+    # the arrangement matrix is the front end's matrix of the arrangements
+    # with unit coefficients, built without the coefficient product
     bases = _slot_bases(k_g)
+    words = _arrangements(4)
+    unit = np.eye(len(words), dtype=np.int64)
     for comp in compositions(4, 2):
-        vectors = _composition_vectors(bases, comp)
-        words = _arrangements(4)
-        direct = _indexed_columns(k_g, vectors, words)
-        looped = _word_columns(k_g, vectors, [{w: 1} for w in words])
+        vectors = [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
+        direct = _arrangement_matrix(k_g, comp)
+        (looped,) = _word_combinations(k_g, words, [(vectors, unit)])
         assert direct.dtype == looped.dtype
         assert np.array_equal(direct, looped)
 
@@ -135,7 +116,7 @@ def test_empty_arrangement_matrices_skip_the_elimination(e2, monkeypatch):
 
     monkeypatch.setattr(evaluator, "echelon", counted)
     table = cocharacter_table(e2, 4)
-    live = [comp for comp, _ in table.slice_codims if _composition_vectors(_slot_bases(e2), comp)]
+    live = [comp for comp, _ in table.slice_codims if not oracle.uses_empty_slot(e2, comp)]
     dead = [comp for comp, c in table.slice_codims if comp in live and c == 0]
     assert dead and 0 not in seen
     assert len(seen) == sum(1 for _, c in table.slice_codims if c)

@@ -2,9 +2,10 @@
 
 The strongest anchor here is an external one: with the trivial grading the
 total codimension of upper-triangular 2x2 matrices must reproduce the
-classical sequence 2^(n-1)(n-2) + 2.  Everything else cross-checks the two
-independent evaluation routes (polarized standard fillings vs. substitution
-grids) against each other and against hand-computed small cases.
+classical sequence 2^(n-1)(n-2) + 2.  Everything else cross-checks the
+independent evaluation routes (simplex lattices vs. substitution grids, and
+the character route to a multiplicity vs. the oracle's tableau and grid
+routes) against each other and against hand-computed small cases.
 """
 
 import random
@@ -33,6 +34,7 @@ from gpw.evaluator import (
 from gpw.polynomials import GradedPoly, Variable, apply_position_permutation, parse_poly
 from gpw.shapes import Multipartition
 
+import oracle
 from conftest import ut3_document
 
 
@@ -161,9 +163,9 @@ def test_identity_work_cap_refuses_before_building(route, m2_transpose, monkeypa
     if route is build_evaluation_matrix:
         calls = [lambda: route(m2_transpose, [huge])]
     elif route is multiplicity:
-        # the standard polynomial s_6 on 2^3 grid points per variable
+        # the 720 arrangements of six symmetric letters on 3^6 basis tuples
         shape = gpw.parse_shape("((1,1,1,1,1,1)@1+)", group, "star")
-        calls = [lambda: route(m2_transpose, shape, fillings="grid")]
+        calls = [lambda: route(m2_transpose, shape)]
     else:
         calls = [lambda p=p: route(p, m2_transpose) for p in (huge, small + huge)]
     for call in calls:
@@ -449,10 +451,11 @@ def test_multiplicity_routes_agree_on_a_sample(k_g, e2, c2, c2xc2):
     ]
     for shape in shapes:
         algebra = k_g if shape.components.__len__() == 2 else e2
-        m_standard = gpw.multiplicity(algebra, shape, fillings="standard")
-        m_all = gpw.multiplicity(algebra, shape, fillings="all")
-        m_grid = gpw.multiplicity(algebra, shape, fillings="grid")
-        assert m_standard == m_all == m_grid, shape
+        comp = shape.weight
+        m_standard = oracle.tableau_multiplicities(algebra, comp)[shape]
+        m_all = oracle.tableau_multiplicities(algebra, comp, gpw.all_multitableaux)[shape]
+        m_grid = oracle.grid_multiplicity(algebra, shape)
+        assert gpw.multiplicity(algebra, shape) == m_standard == m_all == m_grid, shape
 
 
 def test_degenerate_compositions_contribute_nothing(k_g):
@@ -478,9 +481,8 @@ def test_hard_cap_holds_in_every_degree_n_library_call(field, e2):
         slice_codimension(field, (above,))
     with pytest.raises(CapExceeded):
         total_codimension(field, above)
-    for fillings in ("standard", "all", "grid"):
-        with pytest.raises(CapExceeded):
-            gpw.multiplicity(field, Multipartition(((above,),)), fillings=fillings)
+    with pytest.raises(CapExceeded):
+        gpw.multiplicity(field, Multipartition(((above,),)))
     # refused before any composition is listed: there are C(57, 7), about
     # 2.6e8, compositions of 50 into the 8 star slots over C2 x C2
     with pytest.raises(CapExceeded):

@@ -22,7 +22,6 @@ from gpw.polynomials import (
     invert_permutation,
     multilinearize,
     parse_poly,
-    polarized_tableau_words,
     standard_poly,
 )
 from gpw.evaluator import composition_variables
@@ -34,6 +33,8 @@ from gpw.shapes import (
     multipartitions,
     standard_multitableaux,
 )
+
+from oracle import polarized_tableau_words
 
 
 def x(i, grade=0):
@@ -76,6 +77,21 @@ def test_multihomogeneous_components_split():
     assert len(comps) == 2
     assert mono(x(1)) in comps
     assert mono(x(1), x(2)) + mono(x(2), x(1)) in comps
+
+
+def test_one_multidegree_is_its_own_component():
+    p = mono(x(1), x(2)) - mono(x(2), x(1)).scale(3)
+    (component,) = p.multihomogeneous_components()
+    assert component is p
+
+
+def test_mixed_components_come_in_multidegree_order():
+    p = mono(x(2), x(2)) + mono(x(1)) + mono(x(1), x(2)) - mono(x(2), x(1))
+    assert p.multihomogeneous_components() == [
+        mono(x(1)),
+        mono(x(1), x(2)) - mono(x(2), x(1)),
+        mono(x(2), x(2)),
+    ]
 
 
 # -- the parser -------------------------------------------------------------------
@@ -274,7 +290,7 @@ def test_already_multilinear_is_untouched():
     assert multilinearize(p) == p
 
 
-# -- polarized tableau words ---------------------------------------------------------
+# -- the oracle's polarized tableau words -------------------------------------------------
 
 
 def _assert_words_match_polarization(shape, tabs, mode):
