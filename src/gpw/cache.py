@@ -4,6 +4,12 @@ Entries are keyed by (algebra digest, operation, parameters, output format)
 and invalidated by engine version, a fingerprint of the package's sources:
 an entry written by any other code is ignored and recomputed.  A corrupt
 entry is never fatal — it produces a warning on stderr and a recompute.
+
+An entry is a UTF-8 file of one line of JSON, the header (engine version,
+algebra digest, operation, parameters, exit code and the payload's length
+in characters), followed by the rendered payload verbatim, so a replay
+neither escapes nor parses the report.  A payload of another length than
+its header states, e.g. one cut short, counts as corrupt.
 """
 
 from __future__ import annotations
@@ -55,17 +61,20 @@ class ResultCache:
         if not path.exists():
             return None
         try:
-            entry = json.loads(path.read_text())
-            if not isinstance(entry, dict):
-                raise ValueError("entry is not an object")
-            if entry.get("engine_version") != engine_version():
+            with open(path, encoding="utf-8", newline="") as fh:
+                line, _, payload = fh.read().partition("\n")
+            header = json.loads(line)
+            if not isinstance(header, dict):
+                raise ValueError("header is not an object")
+            if header.get("engine_version") != engine_version():
                 return None  # stale: written by another build
-            payload = entry["payload"]
-            code = entry["exit_code"]
-            if not isinstance(payload, str) or not isinstance(code, int):
-                raise ValueError("payload/exit_code have wrong types")
+            code, length = header["exit_code"], header["payload_length"]
+            if not isinstance(code, int) or not isinstance(length, int):
+                raise ValueError("exit_code/payload_length have wrong types")
+            if len(payload) != length:
+                raise ValueError(f"payload has {len(payload)} characters, not {length}")
             return payload, code
-        except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+        except (ValueError, KeyError, OSError) as exc:
             print(
                 f"warning: ignoring corrupt cache entry {path.name}: {exc}",
                 file=sys.stderr,
@@ -81,20 +90,21 @@ class ResultCache:
         payload: str,
         exit_code: int = 0,
     ) -> None:
-        entry = {
+        header = {
             "engine_version": engine_version(),
             "algebra": digest,
             "operation": operation,
             "params": params,
-            "payload": payload,
             "exit_code": exit_code,
+            "payload_length": len(payload),
         }
         # a temporary file of its own per writer, so concurrent stores of
         # one key never interleave; os.replace makes the entry appear whole
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f"{key}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(entry, sort_keys=True, indent=2))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                fh.write(payload)
             os.replace(tmp, self._path(key))
         except BaseException:
             os.unlink(tmp)

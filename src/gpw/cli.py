@@ -64,7 +64,7 @@ def _meta(command: str, algebra: GradedStarAlgebra, **extra) -> dict:
 
 def _emit(args, payload: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(payload)
+        Path(args.out).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
 
@@ -112,7 +112,7 @@ def _codim(args, algebra):
     for comp, c in breakdown.items():
         weight = multinomial(comp)
         table.append([format_composition(comp), c, weight, weight * c])
-        entries.append({"composition": list(comp), "slice_codim": c, "weight": weight})
+        entries.append({"composition": comp, "slice_codim": c, "weight": weight})
     table.append(["TOTAL", "", "", total])
     meta = {"n": args.n, "slots": slot_legend(algebra.group, algebra.mode), "total": total}
     return meta, table, {"entries": entries, "total": total}, 0
@@ -136,7 +136,7 @@ def _cochar(args, algebra):
     extras = {
         "support": support,
         "slice_codims": [
-            {"composition": list(comp), "slice_codim": c}
+            {"composition": comp, "slice_codim": c}
             for comp, c in table_obj.slice_codims
         ],
         "total": table_obj.total_codim,

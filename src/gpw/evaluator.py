@@ -847,16 +847,25 @@ def multiplicity(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
 
 @dataclass
 class CocharacterTable:
-    """Degree-n cocharacter data.  ``entries`` lists the shapes of every
-    composition without an empty slot; the shapes of the others have
-    multiplicity 0 and are left out."""
+    """Degree-n cocharacter data.  ``live_codims`` holds the slice
+    codimension of each composition that leaves every empty slot empty, in
+    the order of :func:`compositions`, and ``entries`` the shapes of those
+    compositions.  Every other composition has slice codimension 0 and
+    shapes of multiplicity 0, which are left out: ``slice_codims`` lists all
+    ``slots`` compositions only when it is read."""
 
     algebra_name: str
     mode: str
     n: int
-    slice_codims: list[tuple[Composition, int]]
+    slots: int
+    live_codims: dict[Composition, int]
     entries: list[tuple[Multipartition, int]]
     total_codim: int
+
+    @property
+    def slice_codims(self) -> list[tuple[Composition, int]]:
+        live = self.live_codims
+        return [(comp, live.get(comp, 0)) for comp in compositions(self.n, self.slots)]
 
     def support(self) -> list[tuple[Multipartition, int]]:
         return [(shape, m) for shape, m in self.entries if m > 0]
@@ -868,7 +877,8 @@ class CocharacterTable:
         for s, m in self.entries:
             if s == shape:
                 return m
-        if shape.weight in dict(self.slice_codims):
+        weight = shape.weight
+        if len(weight) == self.slots and sum(weight) == self.n:
             return 0  # a composition with an empty slot
         raise KeyError(shape)
 
@@ -879,9 +889,9 @@ def cocharacter_table(
     """Full degree-n cocharacter data: every multipartition's multiplicity,
     every composition's slice codimension, and the total codimension.
 
-    The compositions using a slot whose component is empty are found in one
-    pass; each has slice codimension 0 and no further work.  The matrices of
-    all others, whose columns are the n! arrangements, come from one walk
+    Only the compositions that leave each empty slot empty are visited; the
+    others have slice codimension 0 and need no work.  Their matrices, whose
+    columns are the n! arrangements, come from one walk
     (:func:`_arrangement_matrices`), and for each (:func:`_slice_cocharacter`)
     its rank is the slice codimension and traces on it give every shape's
     multiplicity.  A multiplicity that is not a nonnegative integer raises
@@ -892,16 +902,12 @@ def cocharacter_table(
     _check_degree(n, cap)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     comps, matrices = _arrangement_matrices(algebra, n)
-    slices = dict(zip(comps, map(partial(_slice_cocharacter, algebra), comps, matrices)))
-    slice_codims: list[tuple[Composition, int]] = []
+    live_codims: dict[Composition, int] = {}
     entries: list[tuple[Multipartition, int]] = []
     total = 0
-    for comp in compositions(n, slots):
-        if comp not in slices:
-            slice_codims.append((comp, 0))
-            continue
-        slice_c, counts = slices[comp]
-        slice_codims.append((comp, slice_c))
+    slices = map(partial(_slice_cocharacter, algebra), comps, matrices)
+    for comp, (slice_c, counts) in zip(comps, slices):
+        live_codims[comp] = slice_c
         entries.extend(counts)
         total += multinomial(comp) * slice_c
-    return CocharacterTable(algebra.name, algebra.mode, n, slice_codims, entries, total)
+    return CocharacterTable(algebra.name, algebra.mode, n, slots, live_codims, entries, total)

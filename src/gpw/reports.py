@@ -14,10 +14,20 @@ json's own encoder, ints (of any size) in decimal, bools and None as
 ``true``/``false``/``null``, tuples as lists.  Any other value (a float, a
 dict with a key that is not a str) goes through ``json.dumps`` itself, so it
 prints, or fails, as json has it.
+
+Scalars and dicts render value by value; a list renders its elements as one
+column.  A column of ints or of strs is one ``map`` (small non-negative ints
+read from a table of their texts), a column of non-empty int lists one
+``map`` per list, and a column of dicts that share one set of str keys
+renders each key's values as a column and fills one ``%`` template per
+record.  Any other column goes element by element.  So a report of
+thousands of records, such as the ``slice_codims`` of a star-mode
+``cochar``, costs a few calls per key, not one per value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from . import modes
@@ -139,12 +149,52 @@ def render(payload: dict, as_json: bool) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
+_SMALL_INTS = [str(i) for i in range(1024)]
+
+
+def _int_text(ints: list[int]):
+    """The decimal text of an all-int list's elements, small non-negative
+    ones looked up in a table."""
+    if 0 <= min(ints) and max(ints) < len(_SMALL_INTS):
+        return _SMALL_INTS.__getitem__
+    return int.__repr__
+
+
+def _column(values: list, pad: str) -> list[str]:
+    """``[_json(v, pad) for v in values]``, a column at a time where the
+    values share a kind: all ints, all strs, all non-empty int lists, or all
+    dicts with one set of str keys, whose values then render key by key as
+    columns into one ``%`` template.  ``type(v) is int`` keeps bools out of
+    the int paths."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(_int_text(values), values))
+    if kinds == {str}:
+        return list(map(_quote, values))
+    if kinds <= {list, tuple} and all(values):
+        flat = list(itertools.chain.from_iterable(values))
+        if set(map(type, flat)) == {int}:
+            inner = pad + "  "
+            sep = ",\n" + inner
+            wrap = "[\n" + inner + "%s\n" + pad + "]"
+            convert = itertools.repeat(_int_text(flat))
+            return list(map(wrap.__mod__, map(sep.join, map(map, convert, values))))
+    elif kinds == {dict}:
+        keys = values[0].keys()
+        if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
+            names = sorted(keys)
+            inner = pad + "  "
+            fields = (",\n" + inner).join(_quote(k).replace("%", "%%") + ": %s" for k in names)
+            template = "{\n" + inner + fields + "\n" + pad + "}"
+            columns = [_column([v[k] for v in values], inner) for k in names]
+            return list(map(template.__mod__, zip(*columns)))
+    return [_json(v, pad) for v in values]
 
 
 def _json(value, pad: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``:
-    each container joined at its indent, an all-int list in one join.
-    ``type(x) is int`` keeps bools out of the int path."""
+    scalars and dicts value by value, each list's elements as one
+    :func:`_column`.  ``type(x) is int`` keeps bools out of the int path."""
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -160,10 +210,7 @@ def _json(value, pad: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
-            body = (",\n" + inner).join(map(int.__repr__, value))
-        else:
-            body = (",\n" + inner).join([_json(v, inner) for v in value])
+        body = (",\n" + inner).join(_column(value, inner))
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(value, dict) and all(type(k) is str for k in value):
         if not value:

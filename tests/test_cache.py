@@ -63,6 +63,18 @@ def test_concurrent_stores_of_one_key_leave_one_valid_entry(tmp_path):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
-    json.loads((tmp_path / f"{key}.json").read_text())
+    header, body = (tmp_path / f"{key}.json").read_text(encoding="utf-8").split("\n", 1)
+    assert len(body) == json.loads(header)["payload_length"]
     payload, code = store.lookup(key)
     assert payload in payloads and code == 0
+
+
+def test_a_non_ascii_payload_round_trips_byte_for_byte(tmp_path):
+    store = ResultCache(tmp_path)
+    key = ResultCache.key("digest", "codim", {"n": 2}, "tsv")
+    payload = "# algebra: ut2-réflexion\r\n😀\tπ\rend\n"
+    store.store(key, "digest", "codim", {"n": 2}, payload, 1)
+    raw = (tmp_path / f"{key}.json").read_bytes()
+    assert raw.endswith(b"\n" + payload.encode("utf-8"))
+    assert store.lookup(key) == (payload, 1)
+

@@ -2,6 +2,10 @@
 caps, and the results cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +269,26 @@ def test_builtin_grassmann_needs_a_usable_pair(capsys):
     assert rc == 2  # c2 has no pair g != h of non-identity elements
 
 
+def test_out_is_written_as_utf8_under_the_c_locale(capsys, tmp_path, docs):
+    document = json.loads(Path(docs["ut2_reflection"]).read_text())
+    document["name"] = "ut2-réflexion"
+    path = tmp_path / "accent.json"
+    path.write_text(json.dumps(document))  # ASCII: the name is escaped
+    argv = ["cochar", str(path), "--n", "3"]
+    rc, expected, _ = run(capsys, *argv)
+    assert rc == 0 and "# algebra: ut2-réflexion\n" in expected
+    out = tmp_path / "report.tsv"
+    src = str(Path(gpw.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpw.cli", *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
 # -- cache ------------------------------------------------------------------------------
 
 
@@ -308,14 +332,28 @@ def test_stale_cache_entry_is_silently_recomputed(capsys, tmp_path, docs):
     argv = ["codim", docs["ut2_g"], "--n", "2", "--cache", str(cache_dir)]
     _, fresh, _ = run(capsys, *argv)
     (entry,) = cache_dir.glob("*.json")
-    stale = json.loads(entry.read_text())
+    header, payload = entry.read_text(encoding="utf-8").split("\n", 1)
+    stale = json.loads(header)
     stale["engine_version"] = "0.0.0"
-    entry.write_text(json.dumps(stale))
+    entry.write_text(json.dumps(stale) + "\n" + payload, encoding="utf-8")
     rc, out, err = run(capsys, *argv)
     assert rc == 0
     assert out == fresh
     assert "warning" not in err
-    assert json.loads(entry.read_text())["engine_version"] != "0.0.0"
+    assert json.loads(entry.read_text().split("\n", 1)[0])["engine_version"] != "0.0.0"
+
+
+def test_truncated_cache_entry_warns_and_recomputes(capsys, tmp_path, docs):
+    cache_dir = tmp_path / "cache"
+    argv = ["cochar", docs["grassmann2"], "--n", "3", "--json", "--cache", str(cache_dir)]
+    _, fresh, _ = run(capsys, *argv)
+    (entry,) = cache_dir.glob("*.json")
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[: len(whole) // 2])  # the header line stays intact
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (0, fresh)
+    assert f"warning: ignoring corrupt cache entry {entry.name}: payload has" in err
+    assert entry.read_bytes() == whole
 
 
 def test_cache_key_separates_formats(capsys, tmp_path, docs):

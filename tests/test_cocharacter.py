@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gpw import evaluator, linalg, modes
+from gpw import evaluator, linalg, modes, shapes
+from gpw.algebras import builtin_grassmann2
+from gpw.classify import star_multone_report
 from gpw.errors import CapExceeded, ConsistencyViolation
 from gpw.evaluator import (
     _arrangement_matrix,
@@ -27,7 +29,9 @@ from gpw.evaluator import (
     cocharacter_table,
     composition_multiplicities,
     multiplicity,
+    slice_codimension,
 )
+from gpw.groups import parse_group_shorthand
 from gpw.shapes import (
     Multipartition,
     character,
@@ -88,6 +92,49 @@ def test_empty_slot_shapes_are_left_out_but_answer_zero(e2):
             assert table.multiplicity_of(shape) == 0
     with pytest.raises(KeyError):
         table.multiplicity_of(Multipartition(((1,),) + ((),) * (len(empty[0]) - 1)))
+
+
+@pytest.fixture(scope="module")
+def e2_c2xc2xc2():
+    group = parse_group_shorthand("c2xc2xc2")
+    return builtin_grassmann2(group, group.element("(0,0,1)"), group.element("(0,1,0)"))
+
+
+def test_empty_slot_compositions_are_listed_only_when_read(e2_c2xc2xc2, monkeypatch):
+    # 16 slots: 3876 compositions of 4, of which 35 leave every empty slot empty
+    listed = []
+    original = shapes._compositions
+
+    def counted(n, slots):
+        listed.append((n, slots))
+        return original(n, slots)
+
+    monkeypatch.setattr(shapes, "_compositions", counted)
+    table = cocharacter_table(e2_c2xc2xc2, 4)
+    assert len(table.live_codims) == 35 and table.max_multiplicity() == 1
+    assert (4, 16) not in listed
+    assert len(table.slice_codims) == 3876
+    assert listed.count((4, 16)) == 1
+
+
+@pytest.mark.parametrize("name, n", [("ut2_g", 4), ("k_g", 4), ("e2", 4), ("e2_c2xc2xc2", 4)])
+def test_slice_codims_embed_the_live_compositions_in_order(name, n, request):
+    algebra = request.getfixturevalue(name)
+    table = cocharacter_table(algebra, n)
+    slots = modes.slot_count(len(algebra.group), algebra.mode)
+    every = compositions(n, slots)
+    live = [comp for comp in every if not oracle.uses_empty_slot(algebra, comp)]
+    assert list(table.live_codims) == live
+    assert table.live_codims == {comp: slice_codimension(algebra, comp) for comp in live}
+    assert table.slice_codims == [(comp, table.live_codims.get(comp, 0)) for comp in every]
+
+
+def test_the_multiplicity_one_report_never_lists_empty_slot_compositions(e2, monkeypatch):
+    def unread(table):
+        raise AssertionError("slice_codims read")
+
+    monkeypatch.setattr(evaluator.CocharacterTable, "slice_codims", property(unread))
+    assert star_multone_report(e2, empirical_n=4).empirical_max_multiplicity == 1
 
 
 def test_arrangement_matrix_skips_the_column_loop(k_g):

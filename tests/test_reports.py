@@ -28,6 +28,41 @@ _values = st.recursive(
 )
 
 
+# lists of records that share their keys, each key's values of one kind, so
+# that whole columns take the column renderer's ways; now and then a record
+# with other keys
+_keys = st.sampled_from(["%", "%s", "%%", "%(a)s", "é", 'k"', "a", "b", ""]) | _text
+_table_ints = st.integers(0, 1023) | st.integers(1020, 1030) | st.integers(-3, 3) | _ints
+_int_lists = st.lists(_table_ints, max_size=4)
+_column_kinds = st.sampled_from(
+    [
+        _table_ints,
+        st.integers(0, 1023),
+        st.lists(_table_ints, min_size=1, max_size=4),
+        st.lists(_table_ints, min_size=1, max_size=4).map(tuple),
+        _int_lists | _int_lists.map(tuple),
+        st.lists(_int_lists, max_size=3),
+        st.booleans() | _table_ints,
+        st.none() | _text,
+        _text,
+        _scalars | _int_lists,
+    ]
+)
+
+
+@st.composite
+def _records(draw, depth=0):
+    keys = draw(st.lists(_keys, min_size=1, max_size=4, unique=True))
+    kinds = [draw(_column_kinds) for _ in keys]
+    if depth < 1 and draw(st.booleans()):
+        kinds[0] = _records(depth + 1)
+    rows = [{k: draw(kind) for k, kind in zip(keys, kinds)} for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.integers(0, 3)) == 0:
+        other = st.dictionaries(_keys, _scalars | _int_lists, max_size=3)
+        rows.insert(draw(st.integers(0, len(rows))), draw(other))
+    return rows
+
+
 def _reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
@@ -44,6 +79,13 @@ def test_render_matches_json_dumps_plus_newline(payload):
     assert render(payload, True) == _reference(payload) + "\n"
 
 
+@settings(max_examples=400, deadline=None)
+@given(_records())
+def test_column_renderer_matches_json_dumps_on_shared_key_records(records):
+    assert _json(records, "") == _reference(records)
+    assert _json({"%s": records}, "    ") == _reference({"%s": records}).replace("\n", "\n    ")
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -57,6 +99,16 @@ def test_render_matches_json_dumps_plus_newline(payload):
         # handed to json.dumps: floats and keys that are not str
         {"x": 1.5, "y": [0.25, float("inf")], "n": {2: "two", 1: "one"}},
         {True: 1, False: [1, {"k": 2}]},
+        # columns: the small-int table's edges, bools among ints, % in keys
+        [0, 1023, 1024, -1, 2**63],
+        [[0, 1023], (1024,), [-1, 2**64]],
+        [[1], []],
+        [{"a": 1}, {"a": True}, {"a": 1024}],
+        [{"%": [1, 2], "%s": "x", "é": None, 'k"': (3,)}, {"%": [4], "%s": "%d", "é": 1, 'k"': (5,)}],
+        [{"a": 1}, {"b": 1}],
+        [{"a": {"b": [1]}}, {"a": {"b": [2, 3]}}],
+        [{"a": 1.5}, {"a": 2}],
+        [{1: "x"}, {1: "y"}],
     ],
 )
 def test_renderer_edge_cases(value):
