@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from . import modes
+from . import limits, modes
 from .errors import (
     AssociativityViolation,
     ElementNotOrderTwo,
@@ -108,6 +108,7 @@ class GradedStarAlgebra:
             raise SchemaError("one grade per basis vector required")
         if any(not 0 <= g < len(group) for g in grades):
             raise SchemaError("grade index out of range")
+        limits.charge(dim**4)  # the associativity check's arrays
 
         zero = tuple(Fraction(0) for _ in range(dim))
         table: list[list[Vector]] = [[zero] * dim for _ in range(dim)]

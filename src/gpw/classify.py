@@ -33,17 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import modes
+from . import limits, modes
 from .algebras import GradedStarAlgebra, builtin_ut2
 from .errors import (
-    CapExceeded,
     ConsistencyViolation,
     InputError,
     ModeMismatch,
     PreconditionViolation,
 )
 from .evaluator import (
-    HARD_N_CAP,
     _arrangement_matrices,
     _slice_cocharacter,
     build_evaluation_matrix,
@@ -97,10 +95,9 @@ def find_sandwich_identity(
     """
     if algebra.mode != modes.GRADED:
         raise ModeMismatch("sandwich classification works on graded-mode algebras")
+    limits.check_degree(n)
     if n < 2:
         raise InputError("sandwich identities need degree at least 2")
-    if n > HARD_N_CAP:
-        raise CapExceeded(f"degree {n} above the hard cap {HARD_N_CAP}")
     candidates = _sandwich_candidates(algebra.mode, algebra.group.identity, grade, n)
     matrix = build_evaluation_matrix(algebra, candidates)
     basis = matrix.nullspace()
@@ -152,9 +149,9 @@ def bounded_multiplicity_report(
     """
     if algebra.mode != modes.GRADED:
         raise ModeMismatch("boundedness classification works on graded-mode algebras")
+    limits.check_degree(n_max)
     if n_max < 2:
         raise InputError("n_max must be at least 2")
-    n_max = min(n_max, HARD_N_CAP)
     findings = []
     for grade in algebra.group:
         witness = None
@@ -174,9 +171,7 @@ def bounded_multiplicity_report(
     )
     observed = 0
     for n in range(1, n_max + 1):
-        observed = max(
-            observed, cocharacter_table(algebra, n, cap=n_max).max_multiplicity()
-        )
+        observed = max(observed, cocharacter_table(algebra, n).max_multiplicity())
     return BoundedReport(algebra.name, n_max, tuple(findings), verdict, observed)
 
 
@@ -236,7 +231,7 @@ def star_multone_report(
     an internal error, not a report entry)."""
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
-    empirical_n = min(empirical_n, HARD_N_CAP)
+    limits.check_degree(empirical_n)
     group = algebra.group
     kinds = (modes.SYM, modes.SKEW)
     keys = [(g, k1, h, k2) for g in group for h in group if g != h for k1 in kinds for k2 in kinds]
@@ -255,10 +250,7 @@ def star_multone_report(
     verdict = "SATISFIED" if satisfied else "NOT-SATISFIED"
     observed = 0
     for n in range(1, empirical_n + 1):
-        observed = max(
-            observed,
-            cocharacter_table(algebra, n, cap=empirical_n).max_multiplicity(),
-        )
+        observed = max(observed, cocharacter_table(algebra, n).max_multiplicity())
     if satisfied and observed > 1:
         raise ConsistencyViolation(
             f"commutation lists SATISFIED on {algebra.name} but a multiplicity "
@@ -291,13 +283,11 @@ def hwv_factorization_check(
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("factorization check requires a star-mode algebra")
+    limits.check_degree(tab.shape.n)
     if star_multone_report(algebra, empirical_n=1).verdict != "SATISFIED":
         raise PreconditionViolation(
             "factorization check requires the commutation lists to be satisfied"
         )
-    n = tab.shape.n
-    if n > HARD_N_CAP - 1:
-        raise CapExceeded(f"degree {n} above the factorization cap {HARD_N_CAP - 1}")
     whole = highest_weight_vector(tab, algebra.mode)
     product = GradedPoly.one(algebra.mode)
     blank = [()] * len(tab.shape.components)
@@ -375,7 +365,7 @@ def verify_multone_lemmas(
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("these criteria concern star-mode algebras")
-    n_max = min(n_max, HARD_N_CAP)
+    limits.check_degree(n_max)
     group = algebra.group
     mode = algebra.mode
     from_three = range(3, n_max + 1)

@@ -18,7 +18,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__
+from . import __version__, limits
 from .algebras import (
     GradedStarAlgebra,
     builtin_grassmann2,
@@ -33,22 +33,11 @@ from .classify import (
 )
 from .documents import algebra_digest, dumps_algebra, load_algebra
 from .errors import CapExceeded, ConsistencyViolation, InputError, PreconditionViolation
-from .evaluator import HARD_N_CAP, cocharacter_table, is_identity, total_codimension
+from .evaluator import cocharacter_table, is_identity, total_codimension
 from .groups import parse_group_shorthand
 from .polynomials import parse_poly
 from .reports import format_composition, format_shape, render, slot_legend
 from .shapes import multinomial
-
-
-def _effective_cap(n_max: int | None, default: int) -> int:
-    cap = default if n_max is None else n_max
-    if cap > HARD_N_CAP:
-        raise CapExceeded(
-            f"--n-max {cap} is above the hard maximum {HARD_N_CAP}"
-        )
-    if cap < 1:
-        raise InputError("--n-max must be positive")
-    return cap
 
 
 def _meta(command: str, algebra: GradedStarAlgebra, **extra) -> dict:
@@ -63,8 +52,13 @@ def _meta(command: str, algebra: GradedStarAlgebra, **extra) -> dict:
 
 
 def _emit(args, payload: str) -> None:
+    """Write the report as UTF-8, to ``--out`` or to stdout whatever the
+    locale; a stdout without a byte buffer (a ``StringIO``) takes the text."""
     if getattr(args, "out", None):
         Path(args.out).write_text(payload, encoding="utf-8")
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload.encode("utf-8"))
     else:
         sys.stdout.write(payload)
 
@@ -119,7 +113,7 @@ def _codim(args, algebra):
 
 
 def _cochar(args, algebra):
-    table_obj = cocharacter_table(algebra, args.n, cap=args.n_max)
+    table_obj = cocharacter_table(algebra, args.n)
     group, mode = algebra.group, algebra.mode
     table = [["shape", "multiplicity", "degree"]]
     support = []
@@ -307,12 +301,14 @@ def run_report(report: Report, args) -> int:
     """Load, cap, replay from the cache or compute, render, emit."""
     algebra = load_algebra(args.file)
     if report.n_max is not None:
-        args.n_max = _effective_cap(args.n_max, report.n_max)
+        if args.n_max is None:
+            args.n_max = report.n_max
+        limits.check_degree(args.n_max)
         n = getattr(args, "n", None)
         if n is not None and n > args.n_max:
             raise CapExceeded(
                 f"n={n} above the cap {args.n_max}; raise it with --n-max "
-                f"(hard maximum {HARD_N_CAP})"
+                f"(hard maximum {limits.HARD_N_CAP})"
             )
 
     cache = cache_from_environment(args.cache)
@@ -421,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--n-max",
                 type=int,
                 default=None,
-                help=f"degree cap (default {report.n_max}, hard max {HARD_N_CAP})",
+                help=f"degree cap (default {report.n_max}, hard max {limits.HARD_N_CAP})",
             )
         common(p)
         p.set_defaults(func=partial(run_report, report))

@@ -164,9 +164,10 @@ def loads_algebra(text: str) -> GradedStarAlgebra:
 
 
 def load_algebra(path: str | Path) -> GradedStarAlgebra:
+    """Read a document as UTF-8, the encoding of JSON (RFC 8259)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     return loads_algebra(text)
 

@@ -70,14 +70,14 @@ basis itself.  The independent full-grid oracle, :func:`is_identity_grid`,
 substitutes every t in {0..m}^d instead.  Integer structure tables and
 bases are computed once per algebra.
 
-One work cap bounds every matrix: each level of the walk, the assembled
-rows and the lattice or grid points are counted exactly and refused with
-:class:`CapExceeded` above :data:`WORK_CAP` entries before they are
-allocated (:func:`_charge`); a batch that the cap refuses is walked in
-halves, one after the other, so only a single problem above it is
-refused and the matrices of one walk are dropped before the next is
-built.  :data:`HARD_N_CAP` caps the degree, which bounds the n!
-arrangements and the listing of compositions.
+The two limits of :mod:`gpw.limits` bound the work.  Each level of the
+walk, the assembled rows and the lattice or grid points are counted
+exactly and charged to the work cap before they are allocated; a batch
+that the cap refuses is walked in halves, one after the other, so only a
+single problem above it is refused and the matrices of one walk are
+dropped before the next is built.  Every arrangement matrix passes the
+degree check first, which bounds the n! arrangements; a listing of
+compositions is charged where it is built (:func:`~gpw.shapes.compositions`).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from operator import itemgetter, mul
 
 import numpy as np
 
-from . import modes
+from . import limits, modes
 from .algebras import GradedStarAlgebra, Vector
 from .errors import (
     CapExceeded,
@@ -128,10 +128,6 @@ from .shapes import (
 # perfbench/tracer.py wraps these names here, so they stay importable
 from .polynomials import highest_weight_vector, multilinearize  # noqa: F401
 from .shapes import all_multitableaux, standard_multitableaux  # noqa: F401
-
-DEFAULT_N_CAP = 5
-HARD_N_CAP = 7
-WORK_CAP = 2**25  # entries one array of the engine may hold (0.25 GB of int64)
 
 
 def canonical_variable_order(variables, mode: str) -> tuple[Variable, ...]:
@@ -199,12 +195,6 @@ def evaluate(
 # -- the integer evaluation engine ---------------------------------------------
 
 
-def _charge(entries: int) -> None:
-    """The engine's one work limit: no array above WORK_CAP entries."""
-    if entries > WORK_CAP:
-        raise CapExceeded(f"an array of {entries} entries is above the work cap {WORK_CAP}")
-
-
 def _integer(algebra: GradedStarAlgebra, key: tuple[int, str] | None) -> np.ndarray:
     """Scaled to integers once per algebra, kept on it and shared
     read-only: the ``key=(grade, kind)`` component basis, one row per basis
@@ -223,7 +213,7 @@ def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
     basis rows, and the basis rows themselves at degree 1."""
     if degree == 1:
         return basis
-    _charge(comb(degree + len(basis) - 1, degree) * basis.shape[1])
+    limits.charge(comb(degree + len(basis) - 1, degree) * basis.shape[1])
     weights = compositions(degree, len(basis))
     return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
 
@@ -231,7 +221,7 @@ def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
 def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
     """Every combination sum(t_j * b_j) with integer t_j in 0..degree, in
     ``itertools.product`` order of the t."""
-    _charge((degree + 1) ** len(basis) * basis.shape[1])
+    limits.charge((degree + 1) ** len(basis) * basis.shape[1])
     weights = list(itertools.product(range(degree + 1), repeat=len(basis)))
     return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
 
@@ -350,7 +340,7 @@ def _walk(
     keys = (lettered + trie.letters[0]).reshape(-1)  # (problem, letter) of each node
     lens = size[keys]  # level 0: every value of each node's letter
     child = np.arange(len(lens)).repeat(lens)  # the node of each pair
-    _charge(len(child) * dim)
+    limits.charge(len(child) * dim)
     digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
     index = digit * stride[keys][child]
     value = candidates.take(first[keys][child] + digit, axis=0)
@@ -369,7 +359,7 @@ def _walk(
             branch = (size[keys].reshape(count, -1) ** new).reshape(-1)
             lens = counts[parents] * branch
             ends = lens.cumsum()
-            _charge(int(ends[-1]) * dim)
+            limits.charge(int(ends[-1]) * dim)
             # pair j of child u (pairs from E_u on, its parent's from S_u on) is
             # digit of parent pair source: j - E_u == (source - S_u) * branch + digit
             shift = (counts.cumsum() - counts)[parents] * branch - (ends - lens)
@@ -378,7 +368,7 @@ def _walk(
             index = index[source] + digit * stride[keys][child]
             value = value.take(source, axis=0)
         if multiply:
-            _charge(len(child) * dim * dim)
+            limits.charge(len(child) * dim * dim)
             key = keys[child]
             choice = (first[key] + index // stride[key] % size[key]).astype(np.intp)
             value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
@@ -393,7 +383,7 @@ def _walk(
     fresh = numbers != np.concatenate(([-1], numbers[:-1]))
     row = (fresh.cumsum() - 1)[order.argsort()]
     numbers = numbers[fresh]
-    _charge(len(numbers) * words)
+    limits.charge(len(numbers) * words)
     rows = np.zeros((len(numbers), words), dtype=table.dtype)
     rows[row, trie.order[leaf]] = value[pair, k]
     ends = numbers.searchsorted(np.arange(count + 1, dtype=itype) * offset).tolist()
@@ -471,7 +461,7 @@ def _word_combinations(
     for (_, coefficients), rows in zip(
         members, _word_matrices(algebra, batch, _word_trie(words), s)
     ):
-        _charge(len(rows) * coefficients.shape[1])
+        limits.charge(len(rows) * coefficients.shape[1])
         combined = rows @ coefficients.astype(rows.dtype)
         yield combined.compress(combined.any(axis=1), axis=0)
 
@@ -580,8 +570,8 @@ def identities(polys: list[GradedPoly], algebra: GradedStarAlgebra) -> list[bool
     their variables' grades and kinds, are decided in one walk of its trie.
     A polynomial is decided False by its first component found not to
     vanish, and its components are not walked after that.  A batch above
-    the work cap, :data:`WORK_CAP`, is walked in halves, so only a component
-    above it on its own raises :class:`CapExceeded`.
+    the work cap, :data:`gpw.limits.WORK_CAP`, is walked in halves, so only
+    a component above it on its own raises :class:`CapExceeded`.
     """
     return _vanishes(polys, algebra, _simplex)
 
@@ -614,16 +604,6 @@ def _check_composition(algebra: GradedStarAlgebra, comp: Composition) -> None:
         raise InputError("composition parts must be nonnegative")
 
 
-def _check_degree(n: int, cap: int = HARD_N_CAP) -> None:
-    """The degree cap of every degree-n computation: ``cap``, and never
-    more than :data:`HARD_N_CAP`."""
-    limit = min(cap, HARD_N_CAP)
-    if n > limit:
-        raise CapExceeded(
-            f"n={n} exceeds the cap {limit} (hard maximum {HARD_N_CAP})"
-        )
-
-
 def _arrangements(n: int) -> list[Word]:
     """The n! arrangements of a composition's variables: the words that are
     permutations of ``range(n)``, in ``itertools.permutations`` order."""
@@ -632,7 +612,7 @@ def _arrangements(n: int) -> list[Word]:
 
 @cache
 def _arrangement_trie(n: int) -> _WordTrie:
-    """The trie of the n! arrangements, built once per degree, n <= HARD_N_CAP."""
+    """The trie of the n! arrangements, built once per checked degree."""
     return _word_trie(_arrangements(n))
 
 
@@ -652,7 +632,8 @@ def _arrangement_matrices(
     empty slot empty, and their arrangement matrices, in that order, all
     from one walk of the arrangement trie and walked as they are taken.  A
     composition that uses an empty slot has a letter without values, and
-    its matrix has no rows."""
+    its matrix has no rows.  The degree is checked first."""
+    limits.check_degree(n)
     bases = _slot_bases(algebra)
     if comps is None:
         live = [slot for slot, basis in enumerate(bases) if len(basis)]
@@ -667,7 +648,6 @@ def _arrangement_matrices(
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:
     """The arrangement matrix of one composition."""
     _check_composition(algebra, comp)
-    _check_degree(sum(comp))
     return next(_arrangement_matrices(algebra, sum(comp), [comp])[1])
 
 
@@ -688,9 +668,6 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     which positions carry which slot's variables.  Each slice is
     :func:`slice_codimension`, all of them from one walk.
     """
-    if n < 1:
-        raise InputError("degree must be at least 1")
-    _check_degree(n)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     comps, matrices = _arrangement_matrices(algebra, n)
     ranks = dict(zip(comps, map(_slice_rank, matrices)))
@@ -770,7 +747,7 @@ def _character_sums(comp: Composition, traces: list[int]) -> np.ndarray:
     chi_(lambda_i)(rho_i).  The Young subgroup is a product over its slots,
     so this is the trace vector, read as a tensor with one axis per slot,
     contracted on each nonempty slot's axis with that slot's weighted
-    character table.  With n <= HARD_N_CAP every sum is far below 2**63."""
+    character table.  Within the degree check every sum is far below 2**63."""
     tensor = np.array(traces, dtype=np.int64).reshape([len(partitions(m)) for m in comp])
     for axis, m in enumerate(comp):
         if m:
@@ -883,9 +860,7 @@ class CocharacterTable:
         raise KeyError(shape)
 
 
-def cocharacter_table(
-    algebra: GradedStarAlgebra, n: int, cap: int = DEFAULT_N_CAP
-) -> CocharacterTable:
+def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     """Full degree-n cocharacter data: every multipartition's multiplicity,
     every composition's slice codimension, and the total codimension.
 
@@ -897,9 +872,6 @@ def cocharacter_table(
     multiplicity.  A multiplicity that is not a nonnegative integer raises
     :class:`ConsistencyViolation`, since only a bug can produce it.
     """
-    if n < 1:
-        raise InputError("degree must be at least 1")
-    _check_degree(n, cap)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     comps, matrices = _arrangement_matrices(algebra, n)
     live_codims: dict[Composition, int] = {}

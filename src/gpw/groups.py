@@ -9,7 +9,9 @@ associativity), so downstream code may assume a genuine group.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
+from . import limits
 from .errors import NoIdentity, NonAssociativeTable, NotLatinSquare, SchemaError
 
 
@@ -29,8 +31,9 @@ class FiniteGroup:
         spec: dict | None = None,
     ):
         labels = tuple(labels)
-        table = tuple(tuple(row) for row in table)
         k = len(labels)
+        limits.charge(k**3)  # the associativity loop
+        table = tuple(tuple(row) for row in table)
         if k == 0:
             raise SchemaError("a group needs at least one element")
         if len(set(labels)) != k:
@@ -148,6 +151,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with labels 1, g, g2, ...; one per order."""
     if n < 1:
         raise SchemaError("cyclic group order must be >= 1")
+    limits.charge(n**3)  # FiniteGroup's associativity loop, before the table
     labels = tuple("1" if i == 0 else "g" if i == 1 else f"g{i}" for i in range(n))
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(labels, table, identity=0, spec={"kind": "cyclic", "order": n})
@@ -163,6 +167,7 @@ def product_of_cyclics(orders: tuple[int, ...] | list[int]) -> FiniteGroup:
 def _product_of_cyclics(orders: tuple[int, ...]) -> FiniteGroup:
     if not orders or any(n < 1 for n in orders):
         raise SchemaError("product orders must be positive")
+    limits.charge(prod(orders) ** 3)  # as in cyclic
     tuples: list[tuple[int, ...]] = [()]
     for n in orders:
         tuples = [t + (i,) for t in tuples for i in range(n)]

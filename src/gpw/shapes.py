@@ -23,20 +23,18 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, prod
+from math import comb, factorial, prod
 
-from .errors import CapExceeded
+from . import limits
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
-
-ALL_FILLINGS_CAP = 6
 
 
 def compositions(n: int, slots: int) -> list[Composition]:
     """All compositions of n into ``slots`` parts, first part descending
     (so e.g. compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]); a fresh list
-    of the ones computed once per (n, slots)."""
+    of the ones computed once per (n, slots), charged to the work cap."""
     return list(_compositions(n, slots))
 
 
@@ -47,6 +45,7 @@ def _compositions(n: int, slots: int) -> tuple[Composition, ...]:
     if slots == 0:
         return ((),) if n == 0 else ()
     places = n + slots - 1
+    limits.charge(comb(places, slots - 1) * slots)
     bar_sets = reversed(list(itertools.combinations(range(places), slots - 1)))
     return tuple(
         tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places))) for bars in bar_sets
@@ -300,11 +299,11 @@ def standard_multitableaux(shape: Multipartition) -> list[Multitableau]:
     return tableaux
 
 
-def all_multitableaux(shape: Multipartition, cap: int = ALL_FILLINGS_CAP) -> list[Multitableau]:
-    """All n! fillings of the shape, in lexicographic entry order."""
+def all_multitableaux(shape: Multipartition) -> list[Multitableau]:
+    """All n! fillings of the shape, in lexicographic entry order, for a
+    degree n that passes the degree check."""
     n = shape.n
-    if n > cap:
-        raise CapExceeded(f"all fillings requested for n={n} > cap {cap}")
+    limits.check_degree(n)
     return [
         permutation_to_tableau(shape, sigma)
         for sigma in itertools.permutations(range(1, n + 1))

@@ -1,11 +1,36 @@
 """Shared fixtures: the stock algebras every test module pokes at."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import gpw
 from gpw.cli import main
+
+
+def peak_bytes(call) -> int:
+    """The peak of traced allocations while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def run_under_c_locale(*argv) -> subprocess.CompletedProcess:
+    """``python -m gpw.cli argv`` in a fresh process under the C locale, with
+    neither UTF-8 mode nor locale coercion: the encoding Python picks for
+    files and streams is ASCII there."""
+    src = str(Path(gpw.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "gpw.cli", *argv], env=env, capture_output=True)
 
 
 @pytest.fixture(scope="session")

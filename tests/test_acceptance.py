@@ -77,7 +77,7 @@ def test_sandwich_algebra_support(c2, k_g):
             parse_shape(f"(({n - 2})@1,(1,1)@g)", c2, "graded"),
             parse_shape(f"(({n - 1})@1,(1)@g)", c2, "graded"),
         }
-        table = cocharacter_table(k_g, n, cap=n)
+        table = cocharacter_table(k_g, n)
         support = dict(table.support())
         ok = ok and set(support) == expected
         ok = ok and all(m <= 2 for m in support.values())
@@ -105,7 +105,7 @@ def test_anticommuting_pair_support(c2xc2, e2):
             shape(f"({n - 1})@(0,0)+", "(1)@(1,1)-"),
             shape(*head, "(1)@(1,0)-", "(1)@(0,1)-"),
         }
-        table = cocharacter_table(e2, n, cap=n)
+        table = cocharacter_table(e2, n)
         support = dict(table.support())
         ok = ok and set(support) == expected
         ok = ok and all(m == 1 for m in support.values())
@@ -122,7 +122,7 @@ def test_codimension_consistency(ut2_g, k_g, e2):
     ok = True
     for algebra in (ut2_g, k_g, e2):
         for n in range(1, 5):
-            table = cocharacter_table(algebra, n, cap=n)
+            table = cocharacter_table(algebra, n)
             by_comp = {}
             for shape, m in table.entries:
                 by_comp.setdefault(shape.weight, 0)

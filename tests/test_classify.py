@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gpw
 import oracle
-from gpw import evaluator, modes
+from gpw import evaluator, limits, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
     _coefficient_scans,
@@ -246,7 +246,7 @@ def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
     # refuses
     expected = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     charged, alone = [], []
-    charge, walk = evaluator._charge, evaluator._walk
+    charge, walk = limits.charge, evaluator._walk
 
     def counted(entries):
         charged.append(entries)
@@ -261,14 +261,14 @@ def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
         return walk(table, batch, trie)
 
     with monkeypatch.context() as patch:
-        patch.setattr(evaluator, "_charge", counted)
+        patch.setattr(limits, "charge", counted)
         patch.setattr(evaluator, "_walk", each_alone_first)
         verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     single = max(alone)
     assert single < max(charged)
-    monkeypatch.setattr(evaluator, "WORK_CAP", single)
+    monkeypatch.setattr(limits, "WORK_CAP", single)
     assert verify_multone_lemmas(e2_c2xc2xc2, n_max=5) == expected
-    monkeypatch.setattr(evaluator, "WORK_CAP", single - 1)
+    monkeypatch.setattr(limits, "WORK_CAP", single - 1)
     with pytest.raises(CapExceeded):
         verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
 

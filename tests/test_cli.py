@@ -2,15 +2,14 @@
 caps, and the results cache."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import gpw.evaluator
+import gpw.limits
 from gpw.cli import main
+
+from conftest import peak_bytes, run_under_c_locale
 
 
 def run(capsys, *argv):
@@ -174,7 +173,7 @@ def test_identity_rejects_the_zero_polynomial(capsys, docs):
 def test_identity_over_the_work_cap_exits_two_before_building(capsys, monkeypatch, docs, fmt):
     # the nonzero pairs of a multilinear y-monomial on M2 with the transpose
     # grow about threefold per letter; a 30-letter monomial on ut2 is decided
-    monkeypatch.setattr(gpw.evaluator, "WORK_CAP", 2**16)
+    monkeypatch.setattr(gpw.limits, "WORK_CAP", 2**16)
     poly = "*".join(f"y{{{i},1}}" for i in range(1, 13))
     rc, out, err = run(capsys, "identity", docs["m2"], f"--poly={poly}", *fmt)
     assert (rc, out) == (2, "")
@@ -182,6 +181,44 @@ def test_identity_over_the_work_cap_exits_two_before_building(capsys, monkeypatc
     poly = "*".join(f"x{{{i},1}}" for i in range(1, 31))
     rc, out, _ = run(capsys, "identity", docs["ut2_trivial"], f"--poly={poly}", *fmt)
     assert rc == 1 and "false" in out
+
+
+# zero-product graded documents: (group block, grade label, dimension)
+OVERSIZED_DOCUMENTS = {
+    "dim80": ({"kind": "cyclic", "order": 1}, "1", 80),
+    "c100000": ({"kind": "cyclic", "order": 10**5}, "1", 1),
+    "c400xc400": ({"kind": "product", "orders": [400, 400]}, "(0,0)", 1),
+}
+
+
+@pytest.mark.parametrize(
+    "command, size",
+    [("codim", "c64"), ("cochar", "c64"), *(("validate", size) for size in OVERSIZED_DOCUMENTS)],
+)
+def test_oversized_inputs_exit_two_within_the_work_cap(capsys, tmp_path, command, size):
+    # each asks for far more than the work cap: the 10,424,128 compositions
+    # of 5 into the 64 slots of ut2 over C64, the 80^4-entry associativity
+    # arrays of an 80-dimensional algebra, or the associativity loop over a
+    # group of order 10^5 or 400^2; each is refused before it is allocated
+    path = tmp_path / f"{size}.json"
+    if size == "c64":
+        assert main(["builtin", "ut2", "--group", "c64", "--g", "g", "--out", str(path)]) == 0
+        capsys.readouterr()
+    else:
+        group, grade, dim = OVERSIZED_DOCUMENTS[size]
+        basis = [f"b{i}" for i in range(dim)]
+        document = {"format_version": 1, "name": size, "mode": "graded", "group": group,
+                    "basis": basis, "grading": [grade] * dim, "structure": []}
+        path.write_text(json.dumps(document))
+    argv = [command, str(path), *(["--n", "5"] if command != "validate" else [])]
+
+    def refused():
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert "work cap" in (out if command == "validate" else err)
+
+    # an eighth of one int64 array at the work cap
+    assert peak_bytes(refused) < gpw.limits.WORK_CAP
 
 
 @pytest.mark.parametrize("command", ["codim", "cochar"])
@@ -269,7 +306,9 @@ def test_builtin_grassmann_needs_a_usable_pair(capsys):
     assert rc == 2  # c2 has no pair g != h of non-identity elements
 
 
-def test_out_is_written_as_utf8_under_the_c_locale(capsys, tmp_path, docs):
+def _accented_report(capsys, tmp_path, docs):
+    """The argv of a cochar report on an ASCII document whose algebra name
+    is not ASCII, and the report's text."""
     document = json.loads(Path(docs["ut2_reflection"]).read_text())
     document["name"] = "ut2-réflexion"
     path = tmp_path / "accent.json"
@@ -277,16 +316,23 @@ def test_out_is_written_as_utf8_under_the_c_locale(capsys, tmp_path, docs):
     argv = ["cochar", str(path), "--n", "3"]
     rc, expected, _ = run(capsys, *argv)
     assert rc == 0 and "# algebra: ut2-réflexion\n" in expected
+    return argv, expected
+
+
+def test_out_is_written_as_utf8_under_the_c_locale(capsys, tmp_path, docs):
+    argv, expected = _accented_report(capsys, tmp_path, docs)
     out = tmp_path / "report.tsv"
-    src = str(Path(gpw.__file__).resolve().parents[1])
-    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gpw.cli", *argv, "--out", str(out)],
-        env=env,
-        capture_output=True,
-    )
+    proc = run_under_c_locale(*argv, "--out", str(out))
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_stdout_is_written_as_utf8_under_the_c_locale(capsys, tmp_path, docs):
+    # the same bytes that --out writes, where an ASCII stdout would refuse them
+    argv, expected = _accented_report(capsys, tmp_path, docs)
+    proc = run_under_c_locale(*argv)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == expected.encode("utf-8")
 
 
 # -- cache ------------------------------------------------------------------------------

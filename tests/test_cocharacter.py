@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gpw import evaluator, linalg, modes, shapes
+from gpw import evaluator, limits, linalg, modes, shapes
 from gpw.algebras import builtin_grassmann2
 from gpw.classify import star_multone_report
 from gpw.errors import CapExceeded, ConsistencyViolation
@@ -45,7 +45,7 @@ from test_engine import algebras
 
 
 def assert_routes_agree(algebra, n):
-    table = cocharacter_table(algebra, n, cap=n)
+    table = cocharacter_table(algebra, n)
     listed = dict(table.entries)
     for comp, slice_c in table.slice_codims:
         expected = oracle.tableau_multiplicities(algebra, comp)
@@ -177,14 +177,14 @@ def _one_walk_cap(algebra, n, monkeypatch):
     """The largest charge of one composition's walk at degree n, and the
     largest of the walk of all of them, which is larger."""
     charged = []
-    original = evaluator._charge
+    original = limits.charge
 
     def counted(entries):
         charged.append(entries)
         original(entries)
 
     with monkeypatch.context() as patch:
-        patch.setattr(evaluator, "_charge", counted)
+        patch.setattr(limits, "charge", counted)
         table = cocharacter_table(algebra, n)
         batch = max(charged)
         charged.clear()
@@ -201,10 +201,10 @@ def test_a_batch_above_the_work_cap_is_split(e2, monkeypatch):
     codims = evaluator.total_codimension(e2, 4)
     single, batch = _one_walk_cap(e2, 4, monkeypatch)
     assert single < batch
-    monkeypatch.setattr(evaluator, "WORK_CAP", single)
+    monkeypatch.setattr(limits, "WORK_CAP", single)
     assert cocharacter_table(e2, 4) == expected
     assert evaluator.total_codimension(e2, 4) == codims
-    monkeypatch.setattr(evaluator, "WORK_CAP", single - 1)
+    monkeypatch.setattr(limits, "WORK_CAP", single - 1)
     with pytest.raises(CapExceeded):
         cocharacter_table(e2, 4)
 
@@ -214,7 +214,7 @@ def test_a_split_batch_holds_one_walk_at_a_time(route, e2, monkeypatch):
     # the cap bounds one walk, so the matrices of a walk are all dropped
     # before the next part of a split batch is walked
     single, _ = _one_walk_cap(e2, 4, monkeypatch)
-    monkeypatch.setattr(evaluator, "WORK_CAP", single)
+    monkeypatch.setattr(limits, "WORK_CAP", single)
     held = []
     original = evaluator._walk
 

@@ -17,6 +17,8 @@ from gpw.documents import (
 )
 from gpw.errors import InputError, SchemaError
 
+from conftest import run_under_c_locale
+
 
 @pytest.mark.parametrize(
     "fixture_name", ["ut2_g", "ut2_trivial", "k_g", "e2", "m2_transpose"]
@@ -74,6 +76,25 @@ def test_save_and_load(tmp_path, m2_transpose):
 def test_load_missing_file_is_a_schema_error(tmp_path):
     with pytest.raises(SchemaError, match="cannot read"):
         load_algebra(tmp_path / "nope.json")
+
+
+def test_documents_are_read_as_utf8_under_the_c_locale(tmp_path, ut2_g):
+    # JSON is UTF-8: a raw UTF-8 name loads whatever the locale, and bytes
+    # that are not UTF-8 are a schema error, exit code 2
+    text = dumps_algebra(ut2_g).replace(ut2_g.name, "ut2-réflexion")
+    accented = tmp_path / "accented.json"
+    accented.write_bytes(text.encode("utf-8"))
+    assert load_algebra(accented).name == "ut2-réflexion"
+    proc = run_under_c_locale("validate", str(accented))
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert "# algebra: ut2-réflexion\n".encode("utf-8") in proc.stdout
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(text.encode("utf-8").replace("é".encode("utf-8"), b"\xff"))
+    with pytest.raises(SchemaError, match="cannot read"):
+        load_algebra(broken)
+    proc = run_under_c_locale("validate", str(broken))
+    assert proc.returncode == 2, proc.stderr.decode(errors="replace")
+    assert b"status\tinvalid\nviolation\tSchemaError" in proc.stdout
 
 
 def test_loads_rejects_non_json():

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gpw
 import oracle
-from gpw import evaluator, modes
+from gpw import evaluator, limits, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.errors import CapExceeded, InputError
 from gpw.evaluator import (
@@ -555,7 +555,7 @@ def test_word_walk_matches_per_word_products(big, cap, monkeypatch):
     # cases (27 tuples x 3 x 3 x 12 words at most), the walk gives exactly
     # the oracle's nonzero rows or refuses: it refuses when those rows alone
     # are above the cap, and decides when a dense walk's arrays would fit
-    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+    monkeypatch.setattr(limits, "WORK_CAP", cap)
     scale = 2**70 if big else 1  # far past int64 after one product
 
     @EXAMPLES

@@ -9,7 +9,6 @@ routes) against each other and against hand-computed small cases.
 """
 
 import random
-import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,11 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpw
-from gpw import evaluator
+from gpw import evaluator, limits
 from gpw.errors import CapExceeded, GradeMismatch, InputError, KindMismatch, ModeMismatch
 from gpw.evaluator import (
-    DEFAULT_N_CAP,
-    HARD_N_CAP,
     build_evaluation_matrix,
     evaluate,
     identities,
@@ -31,11 +28,12 @@ from gpw.evaluator import (
     slice_codimension,
     total_codimension,
 )
+from gpw.limits import HARD_N_CAP
 from gpw.polynomials import GradedPoly, Variable, apply_position_permutation, parse_poly
-from gpw.shapes import Multipartition
+from gpw.shapes import Multipartition, Multitableau
 
 import oracle
-from conftest import ut3_document
+from conftest import peak_bytes, ut3_document
 
 
 FIELD_DOC = (
@@ -137,17 +135,6 @@ def test_mode_mismatch_is_detected(ut2_g, e2, c2, c2xc2):
         is_identity(parse_poly("x{1,(0,0)}", "graded", c2xc2), e2)
 
 
-def _peak_bytes(call):
-    """The peak of traced allocations while ``call`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 @pytest.mark.parametrize(
     "route", [is_identity, is_identity_grid, build_evaluation_matrix, multiplicity]
 )
@@ -155,7 +142,7 @@ def test_identity_work_cap_refuses_before_building(route, m2_transpose, monkeypa
     # the products of symmetric 2x2 matrices span M2, so the nonzero pairs of
     # a multilinear y-monomial grow about threefold per letter
     cap = 2**16
-    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+    monkeypatch.setattr(limits, "WORK_CAP", cap)
     group = m2_transpose.group
     huge = parse_poly("*".join(f"y{{{i},1}}" for i in range(1, 13)), "star", group)
     # an identity, since the g component is zero: the huge one is tested too
@@ -174,7 +161,7 @@ def test_identity_work_cap_refuses_before_building(route, m2_transpose, monkeypa
                 call()
 
         # no array above the cap, of 8-byte entries, was allocated
-        assert _peak_bytes(refused) < 4 * 8 * cap
+        assert peak_bytes(refused) < 4 * 8 * cap
 
 
 def test_a_list_refuses_only_its_polynomial_above_the_work_cap(m2_transpose, monkeypatch):
@@ -182,7 +169,7 @@ def test_a_list_refuses_only_its_polynomial_above_the_work_cap(m2_transpose, mon
     # the one on the zero g component is decided before the huge one alone
     # is refused
     cap = 2**16
-    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+    monkeypatch.setattr(limits, "WORK_CAP", cap)
     group = m2_transpose.group
 
     def monomial(grade):
@@ -195,7 +182,7 @@ def test_a_list_refuses_only_its_polynomial_above_the_work_cap(m2_transpose, mon
             identities([*small, monomial("g"), monomial(1)], m2_transpose)
 
     # no array above the cap, of 8-byte entries, was allocated
-    assert _peak_bytes(refused) < 4 * 8 * cap
+    assert peak_bytes(refused) < 4 * 8 * cap
     assert identities([*small, monomial("g")], m2_transpose) == [True, False, True]
 
 
@@ -215,13 +202,13 @@ def ut3_trivial():
 )
 def test_arrangement_matrices_share_the_work_cap(route, ut3_trivial, monkeypatch):
     cap = 2**16
-    monkeypatch.setattr(evaluator, "WORK_CAP", cap)
+    monkeypatch.setattr(limits, "WORK_CAP", cap)
 
     def refused():
         with pytest.raises(CapExceeded, match="work cap"):
             route(ut3_trivial)
 
-    assert _peak_bytes(refused) < 4 * 8 * cap
+    assert peak_bytes(refused) < 4 * 8 * cap
     monkeypatch.undo()
     assert slice_codimension(ut3_trivial, (5,)) > 0
 
@@ -293,9 +280,9 @@ def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
 )
 def test_identity_work_estimate(route, poly, work, ut2_trivial, trivial_group, monkeypatch):
     p = parse_poly(poly, "graded", trivial_group)
-    monkeypatch.setattr(evaluator, "WORK_CAP", work)
+    monkeypatch.setattr(limits, "WORK_CAP", work)
     route(p, ut2_trivial)
-    monkeypatch.setattr(evaluator, "WORK_CAP", work - 1)
+    monkeypatch.setattr(limits, "WORK_CAP", work - 1)
     with pytest.raises(CapExceeded):
         route(p, ut2_trivial)
 
@@ -468,21 +455,40 @@ def test_degenerate_compositions_contribute_nothing(k_g):
 
 
 def test_caps_are_enforced(field):
-    with pytest.raises(CapExceeded):
-        gpw.cocharacter_table(field, DEFAULT_N_CAP + 1)
     assert HARD_N_CAP == 7
-    table = gpw.cocharacter_table(field, 6, cap=6)
+    table = gpw.cocharacter_table(field, 6)
     assert table.total_codim == 1
 
 
+def _one_row(n: int, slots: int) -> Multitableau:
+    """The canonical tableau of the one-row shape of degree n in the first
+    of ``slots`` slots (every slot empty at n = 0)."""
+    lam, rows = ((n,), (tuple(range(1, n + 1)),)) if n else ((), ())
+    blank = ((),) * (slots - 1)
+    return Multitableau(Multipartition((lam, *blank)), (rows, *blank))
+
+
 def test_hard_cap_holds_in_every_degree_n_library_call(field, e2):
-    above = HARD_N_CAP + 1
-    with pytest.raises(CapExceeded):
-        slice_codimension(field, (above,))
-    with pytest.raises(CapExceeded):
-        total_codimension(field, above)
-    with pytest.raises(CapExceeded):
-        gpw.multiplicity(field, Multipartition(((above,),)))
+    # one degree rule everywhere: above the hard cap is refused, and so is
+    # degree 0, with a plain InputError; no call clamps or skips its work
+    calls = {
+        "cocharacter_table": lambda n: gpw.cocharacter_table(field, n),
+        "total_codimension": lambda n: total_codimension(field, n),
+        "slice_codimension": lambda n: slice_codimension(field, (n,)),
+        "multiplicity": lambda n: gpw.multiplicity(field, _one_row(n, 1).shape),
+        "find_sandwich_identity": lambda n: gpw.find_sandwich_identity(field, 0, n),
+        "bounded_multiplicity_report": lambda n: gpw.bounded_multiplicity_report(field, n),
+        "star_multone_report": lambda n: gpw.star_multone_report(e2, n),
+        "verify_multone_lemmas": lambda n: gpw.verify_multone_lemmas(e2, n),
+        "hwv_factorization_check": lambda n: gpw.hwv_factorization_check(e2, _one_row(n, 8)),
+        "all_multitableaux": lambda n: gpw.all_multitableaux(_one_row(n, 1).shape),
+    }
+    for name, call in calls.items():
+        with pytest.raises(CapExceeded, match="hard maximum"):
+            call(HARD_N_CAP + 1)
+        with pytest.raises(InputError) as refused:
+            call(0)
+        assert refused.type is InputError, name
     # refused before any composition is listed: there are C(57, 7), about
     # 2.6e8, compositions of 50 into the 8 star slots over C2 x C2
     with pytest.raises(CapExceeded):

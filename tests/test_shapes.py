@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpw
 from gpw.errors import CapExceeded
+from gpw.limits import HARD_N_CAP
 from gpw.shapes import (
     Multipartition,
     Multitableau,
@@ -206,7 +207,9 @@ def test_canonical_tableau_comes_first():
 def test_all_fillings_enumerates_every_bijection():
     shape = Multipartition(((2,), (1,)))
     assert len(all_multitableaux(shape)) == factorial(3)
-    big = Multipartition(((7,),))
+    # the one degree cap: all 5040 fillings at the cap, none above it
+    assert len(all_multitableaux(Multipartition(((HARD_N_CAP,),)))) == factorial(HARD_N_CAP)
+    big = Multipartition(((HARD_N_CAP + 1,),))
     with pytest.raises(CapExceeded):
         all_multitableaux(big)
 
