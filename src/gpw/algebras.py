@@ -52,19 +52,23 @@ def _first(defects: np.ndarray) -> tuple[int, ...] | None:
     return tuple(map(int, hits[0])) if len(hits) else None
 
 
-def _associativity_defects(table: np.ndarray) -> np.ndarray:
-    """``[i, j, k]`` true where (e_i e_j) e_k != e_i (e_j e_k), for an
-    integer structure table ``[i, j]`` = e_i * e_j: both sides are the same
-    positive multiple of the rational products."""
+def _associativity_defect(table: np.ndarray) -> tuple[int, int, int] | None:
+    """The first basis triple (i, j, k), in row-major order, with
+    (e_i e_j) e_k != e_i (e_j e_k), or None, for an integer structure table
+    ``[i, j]`` = e_i * e_j: both sides are the same positive multiple of the
+    rational products.  One left factor e_i at a time, so that each side
+    holds dim^3 entries."""
     dim = len(table)
     t = max_abs(table)
     table = table.astype(exact_dtype(dim * t * t))
     pairs = table.reshape(dim * dim, dim)
-    # left[(i, j), (k, l)] = ((e_i e_j) e_k)_l;  right[(j, k), (i, l)] = (e_i (e_j e_k))_l
-    left = (pairs @ table.reshape(dim, dim * dim)).reshape(dim, dim, dim, dim)
-    right = pairs @ table.transpose(1, 0, 2).reshape(dim, dim * dim)
-    right = right.reshape(dim, dim, dim, dim).transpose(2, 0, 1, 3)
-    return (left != right).any(axis=3)
+    for i, row in enumerate(table):  # row[m] = e_i e_m
+        # left[(j, k), l] = ((e_i e_j) e_k)_l;  right[(j, k), l] = (e_i (e_j e_k))_l
+        left = (row @ table.reshape(dim, dim * dim)).reshape(dim * dim, dim)
+        defects = (left != pairs @ row).any(axis=1)
+        if defects.any():
+            return (i, *divmod(int(defects.argmax()), dim))
+    return None
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,10 @@ class GradedStarAlgebra:
         if len(set(basis_labels)) != dim:
             raise SchemaError("basis labels must be distinct")
         if len(grades) != dim:
-            raise SchemaError("one grade per basis vector required")
+            raise SchemaError("grading must assign one grade label per basis vector")
         if any(not 0 <= g < len(group) for g in grades):
             raise SchemaError("grade index out of range")
-        limits.charge(dim**4)  # the associativity check's arrays
+        limits.charge(dim**4)  # the associativity check's work
 
         zero = tuple(Fraction(0) for _ in range(dim))
         table: list[list[Vector]] = [[zero] * dim for _ in range(dim)]
@@ -117,8 +121,14 @@ class GradedStarAlgebra:
                 raise SchemaError(f"structure index ({i},{j}) out of range")
             vec = tuple(_frac(v) for v in vec)
             if len(vec) != dim:
-                raise SchemaError(f"product of ({i},{j}) has wrong length")
+                raise SchemaError(f"structure vector for ({i},{j}) must have length {dim}")
             table[i][j] = vec
+        if involution is not None:
+            involution = tuple(tuple(_frac(v) for v in row) for row in involution)
+            if len(involution) != dim:
+                raise SchemaError("involution must be a square matrix on the basis")
+            if any(len(row) != dim for row in involution):
+                raise SchemaError("involution rows must match the basis length")
 
         self.name = name
         self.group = group
@@ -148,7 +158,7 @@ class GradedStarAlgebra:
                 f"{group.label(expected[i][j])}"
             )
 
-        hit = _first(_associativity_defects(integer_table))
+        hit = _associativity_defect(integer_table)
         if hit is not None:
             i, j, k = hit
             raise AssociativityViolation(
@@ -156,11 +166,8 @@ class GradedStarAlgebra:
                 f" != {basis_labels[i]}·({basis_labels[j]}·{basis_labels[k]})"
             )
 
+        self.involution = involution
         if involution is not None:
-            mat = tuple(tuple(_frac(v) for v in row) for row in involution)
-            if len(mat) != dim or any(len(row) != dim for row in mat):
-                raise SchemaError("involution matrix must be square of the algebra dimension")
-            self.involution = mat
             support = sorted({g for g in grades})
             for a in support:
                 for b in support:
@@ -170,8 +177,6 @@ class GradedStarAlgebra:
                             "do not commute"
                         )
             self._check_involution(integer_table)
-        else:
-            self.involution = None
 
     def _check_involution(self, table: np.ndarray) -> None:
         """∗∘∗ = id, ∗ preserves grades, and (e_i e_j)∗ = e_j∗ e_i∗, in
@@ -389,5 +394,3 @@ def builtin_grassmann2(group: FiniteGroup, g: int, h: int) -> GradedStarAlgebra:
         involution=invol,
     )
 
-
-BUILTIN_NAMES = ("ut2", "k_g", "grassmann2")

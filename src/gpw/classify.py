@@ -318,7 +318,6 @@ class LemmaFinding:
     criterion: str
     grade: int
     kind: str
-    hypothesis: tuple[str, ...]  # display of the hypothesis identities
     hypothesis_holds: bool
     degrees_checked: tuple[int, ...]
     conclusion_holds: bool | None  # None when nothing was in range
@@ -400,7 +399,6 @@ def verify_multone_lemmas(
     # a slot's criteria share its polynomial objects: each is decided once
     polys = {id(p): p for _, _, _, hypothesis, _, _ in criteria for p in hypothesis}
     verdicts = dict(zip(polys, identities(list(polys.values()), algebra)))
-    shown = {key: p.display(group) for key, p in polys.items()}
     slots = modes.slot_count(len(group), mode)
 
     def one_slot(grade, kind, n):
@@ -424,22 +422,11 @@ def verify_multone_lemmas(
             slot_max[comp] = max(m for _, m in _slice_cocharacter(algebra, comp, matrix)[1])
 
     findings = []
-    for (criterion, g, kind, hypothesis, _, _), (holds, degrees) in zip(criteria, checks):
+    for (criterion, g, kind, _, _, _), (holds, degrees) in zip(criteria, checks):
         conclusion = None
         best = None
         if holds and degrees:
             best = max(slot_max[one_slot(g, kind, d)] for d in degrees)
             conclusion = best <= 1
-        findings.append(
-            LemmaFinding(
-                criterion,
-                g,
-                kind,
-                tuple(shown[id(p)] for p in hypothesis),
-                holds,
-                degrees,
-                conclusion,
-                best,
-            )
-        )
+        findings.append(LemmaFinding(criterion, g, kind, holds, degrees, conclusion, best))
     return LemmaReport(algebra.name, n_max, tuple(findings))

@@ -55,7 +55,9 @@ letters' values and an integer coefficient matrix with one row per word
 :func:`build_evaluation_matrix` are a batch of one, one column per
 polynomial; the multihomogeneous components of a list of polynomials, for
 both identity routes, are one batch per shared word list, one column each
-(:func:`_vanishes`).  They are evaluated unpolarized, on their variables'
+(:func:`_vanishes`).  All three, and :func:`evaluate`, take polynomials
+by one rule, :func:`_check_evaluable`: the algebra's mode and no constant
+term.  They are evaluated unpolarized, on their variables'
 **simplex lattices**: a
 variable of multiplicity m over a component with basis b_1..b_d takes the
 C(m+d-1, m) values sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m,
@@ -163,6 +165,16 @@ def check_homogeneous(algebra: GradedStarAlgebra, var: Variable, vec: Vector) ->
         raise KindMismatch(f"value for {var.display(algebra.group)} is not {want}")
 
 
+def _check_evaluable(polys: list[GradedPoly], algebra: GradedStarAlgebra) -> None:
+    """The evaluator's one input rule: polynomials of the algebra's mode,
+    without a constant term."""
+    for poly in polys:
+        if poly.mode != algebra.mode:
+            raise ModeMismatch(f"{poly.mode} polynomial evaluated on {algebra.mode} algebra")
+        if () in poly.terms:
+            raise InputError("constant terms cannot be evaluated in this algebra")
+
+
 def evaluate(
     poly: GradedPoly,
     algebra: GradedStarAlgebra,
@@ -170,10 +182,7 @@ def evaluate(
     check: bool = True,
 ) -> Vector:
     """Substitute homogeneous elements for variables and multiply out."""
-    if poly.mode != algebra.mode:
-        raise ModeMismatch(
-            f"{poly.mode} polynomial evaluated on {algebra.mode} algebra"
-        )
+    _check_evaluable([poly], algebra)
     if check:
         for var in poly.variables():
             if var not in assignment:
@@ -181,8 +190,6 @@ def evaluate(
             check_homogeneous(algebra, var, assignment[var])
     total = list(algebra.zero())
     for mono, coeff in poly.terms.items():
-        if not mono:
-            raise InputError("constant terms cannot be evaluated in this algebra")
         value = assignment[mono[0]]
         for var in mono[1:]:
             value = algebra.multiply(value, assignment[var])
@@ -484,28 +491,20 @@ class EvaluationMatrix:
 
 
 def build_evaluation_matrix(
-    algebra: GradedStarAlgebra,
-    polys: list[GradedPoly],
-    variables: tuple[Variable, ...] | None = None,
+    algebra: GradedStarAlgebra, polys: list[GradedPoly]
 ) -> EvaluationMatrix:
     """Evaluate polynomials sharing one multidegree on every tuple of their
     variables' simplex points (basis elements, when multilinear), in the
-    order of ``variables``, canonical by default.  A combination of the
-    polynomials is an identity exactly when it is in the nullspace."""
+    canonical order of the variables.  A combination of the polynomials is
+    an identity exactly when it is in the nullspace."""
     if not polys:
         raise InputError("need at least one polynomial")
-    if any(p.mode != algebra.mode for p in polys):
-        raise ModeMismatch("polynomial mode does not match the algebra")
-    if len({frozenset(Counter(m).items()) for p in polys for m in p.terms}) > 1:
+    _check_evaluable(polys, algebra)
+    degrees = [p.multidegree() for p in polys if not p.is_zero]
+    if any(d != degrees[0] for d in degrees):
         raise InputError("evaluation matrices need polynomials of one multidegree")
-    names = {v for p in polys for v in p.variables()}
-    if variables is None:
-        variables = canonical_variable_order(names, algebra.mode)
-    elif sorted(variables) != sorted(names):
-        raise InputError("variables must list each of the polynomials' variables once")
-    if any(() in p.terms for p in polys):
-        raise InputError("constant terms cannot be evaluated in this algebra")
-    degree = Counter(next((mono for p in polys for mono in p.terms), ()))
+    degree = degrees[0] if degrees else Counter()
+    variables = canonical_variable_order(degree, algebra.mode)
     words, coefficients = _coefficient_matrix(variables, polys)
     vectors = _letter_values(algebra, variables, degree, _simplex)
     (rows,) = _word_combinations(algebra, words, [(vectors, coefficients)])
@@ -535,11 +534,7 @@ def _vanishes(polys: list[GradedPoly], algebra: GradedStarAlgebra, points) -> li
     row is left.  Groups are walked in the order they first appear, and the
     components of a polynomial already decided False are left out of the
     later ones."""
-    for poly in polys:
-        if poly.mode != algebra.mode:
-            raise ModeMismatch(f"{poly.mode} polynomial tested on {algebra.mode} algebra")
-        if () in poly.terms:
-            raise InputError("constant terms cannot be evaluated in this algebra")
+    _check_evaluable(polys, algebra)
     groups: dict[tuple[Word, ...], list] = {}
     for i, poly in enumerate(polys):
         for component in poly.multihomogeneous_components():

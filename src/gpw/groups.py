@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 
+import numpy as np
+
 from . import limits
 from .errors import NoIdentity, NonAssociativeTable, NotLatinSquare, SchemaError
 
@@ -32,7 +34,7 @@ class FiniteGroup:
     ):
         labels = tuple(labels)
         k = len(labels)
-        limits.charge(k**3)  # the associativity loop
+        limits.charge(k**3)  # the associativity check
         table = tuple(tuple(row) for row in table)
         if k == 0:
             raise SchemaError("a group needs at least one element")
@@ -45,40 +47,39 @@ class FiniteGroup:
                 if not isinstance(v, int) or not 0 <= v < k:
                     raise SchemaError(f"table entry {v!r} out of range")
 
-        full = frozenset(range(k))
-        for i, row in enumerate(table):
-            if frozenset(row) != full:
-                raise NotLatinSquare(f"row {labels[i]!r} repeats an element")
-        for j in range(k):
-            if frozenset(table[i][j] for i in range(k)) != full:
-                raise NotLatinSquare(f"column {labels[j]!r} repeats an element")
+        t = np.array(table)
+        full = np.arange(k)
+        seen = np.zeros((2, k, k), dtype=bool)
+        seen[0, full[:, None], t] = True  # [0, i, v]: v occurs in row i
+        seen[1, t, full] = True  # [1, v, j]: v occurs in column j
+        repeats = ~seen[0].all(axis=1)
+        if repeats.any():
+            raise NotLatinSquare(f"row {labels[int(repeats.argmax())]!r} repeats an element")
+        repeats = ~seen[1].all(axis=0)
+        if repeats.any():
+            raise NotLatinSquare(f"column {labels[int(repeats.argmax())]!r} repeats an element")
 
+        # acts[e]: e x = x = x e for every x
+        acts = (t == full).all(axis=1) & (t == full[:, None]).all(axis=0)
         if identity is None:
-            identity = next(
-                (
-                    e
-                    for e in range(k)
-                    if all(table[e][x] == x and table[x][e] == x for x in range(k))
-                ),
-                None,
-            )
-            if identity is None:
+            if not acts.any():
                 raise NoIdentity("table has no two-sided identity element")
+            identity = int(acts.argmax())
         else:
             if not 0 <= identity < k:
                 raise SchemaError("declared identity index out of range")
-            if any(table[identity][x] != x or table[x][identity] != x for x in range(k)):
+            if not acts[identity]:
                 raise NoIdentity(f"declared identity {labels[identity]!r} does not act as one")
 
         for a in range(k):
-            for b in range(k):
-                ab = table[a][b]
-                for c in range(k):
-                    if table[ab][c] != table[a][table[b][c]]:
-                        raise NonAssociativeTable(
-                            f"({labels[a]}·{labels[b]})·{labels[c]} != "
-                            f"{labels[a]}·({labels[b]}·{labels[c]})"
-                        )
+            # [b, c]: (a b) c against a (b c)
+            defects = t[t[a]] != t[a][t]
+            if defects.any():
+                b, c = map(int, np.argwhere(defects)[0])
+                raise NonAssociativeTable(
+                    f"({labels[a]}·{labels[b]})·{labels[c]} != "
+                    f"{labels[a]}·({labels[b]}·{labels[c]})"
+                )
 
         self.labels = labels
         self.table = table
@@ -88,12 +89,8 @@ class FiniteGroup:
                              "identity": labels[identity]}
         # a validated Latin square with identity and associativity has
         # two-sided inverses; record them
-        self._inv = tuple(
-            next(b for b in range(k) if table[a][b] == identity) for a in range(k)
-        )
-        self._abelian = all(
-            table[a][b] == table[b][a] for a in range(k) for b in range(a)
-        )
+        self._inv = tuple(map(int, (t == identity).argmax(axis=1)))
+        self._abelian = bool((t == t.T).all())
 
     # -- element operations ----------------------------------------------
 
@@ -151,7 +148,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with labels 1, g, g2, ...; one per order."""
     if n < 1:
         raise SchemaError("cyclic group order must be >= 1")
-    limits.charge(n**3)  # FiniteGroup's associativity loop, before the table
+    limits.charge(n**3)  # FiniteGroup's associativity check, before the table
     labels = tuple("1" if i == 0 else "g" if i == 1 else f"g{i}" for i in range(n))
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return FiniteGroup(labels, table, identity=0, spec={"kind": "cyclic", "order": n})
@@ -188,8 +185,6 @@ def from_table(labels, rows, identity_label: str | None = None) -> FiniteGroup:
     """Build a group from a table whose entries are element labels."""
     labels = tuple(labels)
     pos = {lab: i for i, lab in enumerate(labels)}
-    if len(pos) != len(labels):
-        raise SchemaError("group labels must be distinct")
     try:
         table = tuple(tuple(pos[v] for v in row) for row in rows)
     except (KeyError, TypeError) as exc:
@@ -212,17 +207,32 @@ def build_group(spec: dict) -> FiniteGroup:
     if kind == "cyclic":
         if "order" not in spec:
             raise SchemaError("cyclic group block needs an 'order'")
+        if not _is_int(spec["order"]):
+            raise SchemaError("cyclic group order must be an integer")
         return cyclic(spec["order"])
     if kind == "product":
         if "orders" not in spec:
             raise SchemaError("product group block needs 'orders'")
+        if not isinstance(spec["orders"], list) or not all(map(_is_int, spec["orders"])):
+            raise SchemaError("product group orders must be a list of integers")
         return product_of_cyclics(spec["orders"])
     if kind == "table":
         missing = {"labels", "table"} - spec.keys()
         if missing:
             raise SchemaError(f"table group block missing {sorted(missing)}")
-        return from_table(spec["labels"], spec["table"], spec.get("identity"))
+        labels, rows, identity = spec["labels"], spec["table"], spec.get("identity")
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise SchemaError("table group labels must be strings")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise SchemaError("table group rows must be lists of labels")
+        if identity is not None and not isinstance(identity, str):
+            raise SchemaError("table group identity must be a label")
+        return from_table(labels, rows, identity)
     raise SchemaError(f"unknown group kind {kind!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_group_shorthand(text: str) -> FiniteGroup:

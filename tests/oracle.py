@@ -1,6 +1,7 @@
-"""Reference oracle for the evaluator, for algebra validation and for
-exact linear algebra: the plain Fraction loops, the tableau and grid
-routes to a multiplicity, and fraction-free Bareiss elimination.
+"""Reference oracle for the evaluator, for group and algebra validation and
+for exact linear algebra: the plain Fraction and group-table loops, the
+tableau and grid routes to a multiplicity, and fraction-free Bareiss
+elimination.
 
 Every monomial is multiplied out in exact ``Fraction`` tuples by
 ``GradedStarAlgebra.multiply``, once per substitution tuple.  The package's
@@ -28,7 +29,10 @@ from gpw.errors import (
     AssociativityViolation,
     HomogeneityViolation,
     InvolutionViolation,
+    NoIdentity,
     NonAbelianSupportWithStar,
+    NonAssociativeTable,
+    NotLatinSquare,
 )
 from gpw.evaluator import canonical_variable_order, evaluate
 from gpw.linalg import exact_rank
@@ -244,6 +248,35 @@ def _product(table, u, v):
 
 def _image(involution, u):
     return [sum((row[j] * u[j] for j in range(len(u))), Fraction(0)) for row in involution]
+
+
+def group_violation(labels, table, identity=None):
+    """The exception type and message ``FiniteGroup`` must raise for a
+    k x k table of indices in range, found by plain loops in the
+    constructor's order, or None when the table is a group."""
+    k = len(labels)
+    full = set(range(k))
+    for i, row in enumerate(table):
+        if set(row) != full:
+            return NotLatinSquare, f"row {labels[i]!r} repeats an element"
+    for j in range(k):
+        if {table[i][j] for i in range(k)} != full:
+            return NotLatinSquare, f"column {labels[j]!r} repeats an element"
+
+    def acts(e):
+        return all(table[e][x] == x and table[x][e] == x for x in range(k))
+
+    if identity is None:
+        if not any(map(acts, range(k))):
+            return NoIdentity, "table has no two-sided identity element"
+    elif not acts(identity):
+        return NoIdentity, f"declared identity {labels[identity]!r} does not act as one"
+    for a, b, c in itertools.product(range(k), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return NonAssociativeTable, (
+                f"({labels[a]}·{labels[b]})·{labels[c]} != {labels[a]}·({labels[b]}·{labels[c]})"
+            )
+    return None
 
 
 def law_violation(group, labels, grades, table, involution=None):

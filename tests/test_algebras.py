@@ -23,10 +23,11 @@ from gpw.errors import (
     InvolutionViolation,
     NonAbelianSupportWithStar,
     PreconditionViolation,
+    SchemaError,
     StarRequired,
 )
 
-from conftest import m2_transpose_document
+from conftest import m2_transpose_document, peak_bytes
 
 
 def matmul(a, b):
@@ -191,6 +192,33 @@ def test_bad_structure_constants_are_rejected():
     with pytest.raises(AssociativityViolation) as info:
         gpw.loads_algebra(json.dumps(doc))
     assert str(info.value) == "(e11·e11)·e11 != e11·(e11·e11)"
+
+
+def test_the_constructor_owns_the_length_rules_and_their_wording():
+    # the document reader leaves every length to the constructor, so a
+    # direct call says what `gpw validate` says for the document
+    c1 = gpw.cyclic(1)
+    cases = [
+        ((0,), {}, None, "grading must assign one grade label per basis vector"),
+        ((0, 0), {(0, 0): (1,)}, None, "structure vector for (0,0) must have length 2"),
+        ((0, 0), {}, ((1, 0),), "involution must be a square matrix on the basis"),
+        ((0, 0), {}, ((1, 0), (1,)), "involution rows must match the basis length"),
+    ]
+    for grades, structure, involution, message in cases:
+        with pytest.raises(SchemaError) as info:
+            gpw.GradedStarAlgebra("short", c1, ("a", "b"), grades, structure, involution)
+        assert str(info.value) == message
+
+
+def test_associativity_is_checked_one_left_factor_at_a_time():
+    # the two sides are compared for one e_i at a time, dim^3 entries each,
+    # where both whole dim^4 products would take 8 * dim^4 bytes apiece
+    dim = 40
+    document = {"format_version": 1, "name": "zero", "mode": "graded",
+                "group": {"kind": "cyclic", "order": 1}, "basis": [f"b{i}" for i in range(dim)],
+                "grading": ["1"] * dim, "structure": []}
+    text = json.dumps(document)
+    assert peak_bytes(lambda: gpw.loads_algebra(text)) < 8 * dim**4
 
 
 def test_associativity_violation_names_the_first_failing_triple():

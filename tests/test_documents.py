@@ -15,6 +15,7 @@ from gpw.documents import (
     loads_algebra,
     save_algebra,
 )
+from gpw.cli import main
 from gpw.errors import InputError, SchemaError
 
 from conftest import run_under_c_locale
@@ -102,82 +103,150 @@ def test_loads_rejects_non_json():
         loads_algebra("{")
 
 
-def _doc(e2):
-    return algebra_to_document(e2)
+MISSING_KEYS = ["format_version", "name", "mode", "group", "basis", "grading", "structure"]
+BAD_RATIONALS = ["1.5", 2.5, True, "1/0", "", None]
+
+# every rejected document below, by name: the fixture whose document it
+# edits, the edit, and the violation line `gpw validate` prints for it
+REJECTED = {}
 
 
-@pytest.mark.parametrize(
-    "key", ["format_version", "name", "mode", "group", "basis", "grading", "structure"]
+def _rejects(name, violation, fixture="e2"):
+    def register(edit):
+        REJECTED[name] = (fixture, edit, violation)
+        return edit
+
+    return register
+
+
+def _edited(algebra, name):
+    doc = algebra_to_document(algebra)
+    REJECTED[name][1](doc)
+    return doc
+
+
+for _key in MISSING_KEYS:
+    _rejects(f"missing {_key}", f"SchemaError\tdocument is missing {_key!r}")(
+        lambda doc, key=_key: doc.pop(key)
+    )
+for _bad, _violation in zip(
+    BAD_RATIONALS,
+    [
+        """SchemaError\tnot a rational: '1.5' (use e.g. "-5/7")""",
+        """SchemaError\tnot a rational: 2.5 (use e.g. "-5/7")""",
+        "SchemaError\tnot a rational: True",
+        """SchemaError\tnot a rational: '1/0' (use e.g. "-5/7")""",
+        """SchemaError\tnot a rational: '' (use e.g. "-5/7")""",
+        """SchemaError\tnot a rational: None (use e.g. "-5/7")""",
+    ],
+):
+    _rejects(f"rational {_bad!r}", _violation)(
+        lambda doc, bad=_bad: doc["structure"][0][2].__setitem__(0, bad)
+    )
+
+
+@_rejects("format_version 2", "SchemaError\tunsupported format_version 2 (this build reads 1)")
+def _future_version(doc):
+    doc["format_version"] = 2
+
+
+@_rejects("unknown grade label", "SchemaError\tgrade label '(7,7)' is not an element of the group")
+def _unknown_grade(doc):
+    doc["grading"][1] = "(7,7)"
+
+
+@_rejects("short grading", "SchemaError\tgrading must assign one grade label per basis vector")
+def _short_grading(doc):
+    doc["grading"] = doc["grading"][:-1]
+
+
+@_rejects("duplicate structure entry", "SchemaError\tduplicate structure entry for (0,0)")
+def _duplicate_entry(doc):
+    doc["structure"].append(list(doc["structure"][0]))
+
+
+@_rejects("long structure vector", "SchemaError\tstructure vector for (0,0) must have length 4")
+def _long_vector(doc):
+    doc["structure"][0][2] = doc["structure"][0][2] + ["0"]
+
+
+@_rejects("star without involution", "SchemaError\tstar mode requires an involution matrix")
+def _no_involution(doc):
+    del doc["involution"]
+
+
+@_rejects(
+    "graded with involution", "SchemaError\tgraded mode must not declare an involution", "ut2_g"
 )
+def _graded_involution(doc):
+    doc["involution"] = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+
+
+@_rejects("ragged involution", "SchemaError\tinvolution rows must match the basis length")
+def _ragged_involution(doc):
+    doc["involution"][0] = doc["involution"][0][:-1]
+
+
+@_rejects("short involution", "SchemaError\tinvolution must be a square matrix on the basis")
+def _short_involution(doc):
+    doc["involution"].pop()
+
+
+@_rejects("1*1 = e1", "HomogeneityViolation\t1·1 has a component of grade (0,1), expected (0,0)")
+def _one_squared_is_e1(doc):
+    doc["structure"] = [[0, 0, ["0", "1", "0", "0"]]]
+
+
+@pytest.mark.parametrize("key", MISSING_KEYS)
 def test_missing_key_is_rejected(e2, key):
-    doc = _doc(e2)
-    del doc[key]
     with pytest.raises(SchemaError, match=key):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, f"missing {key}"))
 
 
 def test_future_format_version_is_rejected(e2):
-    doc = _doc(e2)
-    doc["format_version"] = 2
     with pytest.raises(SchemaError, match="format_version"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "format_version 2"))
 
 
-@pytest.mark.parametrize("bad", ["1.5", 2.5, True, "1/0", "", None])
+@pytest.mark.parametrize("bad", BAD_RATIONALS)
 def test_bad_rationals_are_rejected(e2, bad):
-    doc = _doc(e2)
-    doc["structure"][0][2][0] = bad
     with pytest.raises(SchemaError, match="rational"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, f"rational {bad!r}"))
 
 
 def test_unknown_grade_label_is_rejected(e2):
-    doc = _doc(e2)
-    doc["grading"][1] = "(7,7)"
     with pytest.raises(SchemaError, match="grade label"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "unknown grade label"))
 
 
 def test_grading_length_must_match_basis(e2):
-    doc = _doc(e2)
-    doc["grading"] = doc["grading"][:-1]
     with pytest.raises(SchemaError, match="grading"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "short grading"))
 
 
 def test_duplicate_structure_entry_is_rejected(e2):
-    doc = _doc(e2)
-    doc["structure"].append(list(doc["structure"][0]))
     with pytest.raises(SchemaError, match="duplicate"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "duplicate structure entry"))
 
 
 def test_structure_vector_length_is_checked(e2):
-    doc = _doc(e2)
-    doc["structure"][0][2] = doc["structure"][0][2] + ["0"]
     with pytest.raises(SchemaError, match="length"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "long structure vector"))
 
 
 def test_star_mode_requires_involution(e2):
-    doc = _doc(e2)
-    del doc["involution"]
     with pytest.raises(SchemaError, match="involution"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "star without involution"))
 
 
 def test_graded_mode_rejects_involution(ut2_g):
-    doc = algebra_to_document(ut2_g)
-    doc["involution"] = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     with pytest.raises(SchemaError, match="graded mode"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(ut2_g, "graded with involution"))
 
 
 def test_ragged_involution_is_rejected(e2):
-    doc = _doc(e2)
-    doc["involution"][0] = doc["involution"][0][:-1]
     with pytest.raises(SchemaError, match="involution"):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "ragged involution"))
 
 
 @pytest.mark.parametrize(
@@ -213,7 +282,17 @@ def _first_label(spec):
 def test_loading_funnels_through_validation(e2):
     # a document whose structure constants break the algebra axioms must not
     # load, even though it is schema-valid JSON
-    doc = _doc(e2)
-    doc["structure"] = [[0, 0, ["0", "1", "0", "0"]]]  # 1*1 = e1
     with pytest.raises(InputError):
-        document_to_algebra(doc)
+        document_to_algebra(_edited(e2, "1*1 = e1"))
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_validate_prints_each_rejection(tmp_path, capsys, request, name):
+    fixture, _, violation = REJECTED[name]
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps(_edited(request.getfixturevalue(fixture), name)))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "# command: validate\n# engine: gpw 0.1.0\nstatus\tinvalid\n"
+        f"violation\t{violation}\n"
+    )

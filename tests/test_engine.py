@@ -225,7 +225,8 @@ def test_engine_matrix_matches_the_oracle(star):
         words = list(permutations(variables))
         polys = [random_combination(data.draw, mode, words) for _ in range(data.draw(st.integers(1, 4)))]
         polys = [p for p in polys if not p.is_zero] or [GradedPoly.monomial(mode, variables)]
-        matrix = build_evaluation_matrix(algebra, polys, variables)
+        matrix = build_evaluation_matrix(algebra, polys)
+        assert matrix.variables == variables
         expected = oracle.basis_rows(algebra, polys, variables)
         if expected:
             assert_positive_multiple(matrix.rows, expected)
@@ -241,14 +242,11 @@ def test_engine_matrix_matches_the_oracle(star):
                     assert is_identity(combined, algebra) and is_identity_grid(combined, algebra)
         else:
             assert matrix.rows.size == 0
-        # mixed multidegrees, and variables that are not the polynomials' set
+        # mixed multidegrees
         doubled = GradedPoly.monomial(mode, variables + variables[:1])
         for bad in ([*polys, doubled], [polys[0] + doubled]):
             with pytest.raises(InputError):
                 build_evaluation_matrix(algebra, bad)
-        for wrong in (variables[1:], variables + variables[:1]):
-            with pytest.raises(InputError):
-                build_evaluation_matrix(algebra, polys, wrong)
         # repeated letters: the lattice nullspace is the grid oracle's
         letters = _slot_letters(algebra)
         first = data.draw(st.sampled_from(letters))

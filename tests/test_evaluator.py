@@ -221,10 +221,26 @@ def test_evaluation_matrix_input_errors(ut2_g, e2, c2):
         build_evaluation_matrix(e2, [x12])
     with pytest.raises(InputError):  # two multidegrees
         build_evaluation_matrix(ut2_g, [x12, parse_poly("x{1,g}*x{1,g}", "graded", c2)])
-    with pytest.raises(InputError):
-        build_evaluation_matrix(ut2_g, [x12], (Variable("x", 1, 1),))
     with pytest.raises(InputError):  # constant terms
         build_evaluation_matrix(ut2_g, [GradedPoly.one("graded")])
+
+
+def test_every_front_end_takes_polynomials_by_one_rule(ut2_g, c2):
+    star = parse_poly("y{1,1}*y{2,g}", "star", c2)
+    constant = GradedPoly.one("graded") + parse_poly("x{1,g}", "graded", c2)
+    routes = {
+        "evaluate": lambda p: evaluate(p, ut2_g, {}, check=False),
+        "build_evaluation_matrix": lambda p: build_evaluation_matrix(ut2_g, [p]),
+        "_vanishes": lambda p: evaluator._vanishes([p], ut2_g, evaluator._simplex),
+    }
+    for poly, kind, message in [
+        (star, ModeMismatch, "star polynomial evaluated on graded algebra"),
+        (constant, InputError, "constant terms cannot be evaluated in this algebra"),
+    ]:
+        for name, route in routes.items():
+            with pytest.raises(kind) as info:
+                route(poly)
+            assert str(info.value) == message, name
 
 
 @pytest.mark.parametrize(

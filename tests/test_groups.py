@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gpw
+import oracle
 from gpw.errors import SchemaError, NoIdentity, NonAssociativeTable, NotLatinSquare
 from gpw.groups import build_group, from_table, parse_group_shorthand
 
@@ -148,3 +149,70 @@ def test_cyclic_groups_are_built_once_and_documents_copy_their_spec():
     document["group"]["kind"] = "cyclic"
     assert product.spec == {"kind": "product", "orders": [2, 2, 2]}
     assert gpw.product_of_cyclics([2, 2, 2]).spec == product.spec
+
+
+@st.composite
+def _group_tables(draw):
+    """Labels, a table and a declared identity (or None): random entries,
+    random permutations as rows, a Latin square isotopic to a cyclic group,
+    a relabelled cyclic group, or a relabelled copy of the non-associative
+    loop above."""
+    kind = draw(st.sampled_from(["random", "rows", "latin", "group", "loop"]))
+    k = 5 if kind == "loop" else draw(st.integers(1, 5))
+    names = draw(st.permutations(range(k)))
+    if kind == "random":
+        table = [[draw(st.integers(0, k - 1)) for _ in range(k)] for _ in range(k)]
+    elif kind == "rows":
+        table = [list(draw(st.permutations(range(k)))) for _ in range(k)]
+    elif kind == "latin":
+        rows, columns = draw(st.permutations(range(k))), draw(st.permutations(range(k)))
+        table = [[names[(rows[i] + columns[j]) % k] for j in range(k)] for i in range(k)]
+    else:
+        base = NONASSOCIATIVE_LOOP if kind == "loop" else [
+            [(i + j) % k for j in range(k)] for i in range(k)
+        ]
+        table = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                table[names[i]][names[j]] = names[base[i][j]]
+    identity = draw(st.none() | st.integers(0, k - 1))
+    return tuple(f"x{i}" for i in range(k)), table, identity
+
+
+@given(_group_tables())
+def test_array_checks_name_what_the_plain_loops_name(case):
+    labels, table, identity = case
+    expected = oracle.group_violation(labels, table, identity)
+    if expected is None:
+        G = gpw.FiniteGroup(labels, table, identity)
+        k = len(labels)
+        assert G.identity == next(e for e in range(k) if all(table[e][x] == x for x in range(k)))
+        assert all(table[a][G.inv(a)] == G.identity for a in range(k))
+        assert G.is_abelian == all(table[a][b] == table[b][a] for a in range(k) for b in range(k))
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            gpw.FiniteGroup(labels, table, identity)
+        assert str(info.value) == message
+
+
+def test_from_table_leaves_distinct_labels_to_the_group():
+    with pytest.raises(SchemaError, match="group labels must be distinct"):
+        from_table(["e", "e"], [["e", "e"], ["e", "e"]])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "cyclic", "order": "2"},
+        {"kind": "cyclic", "order": 2.0},
+        {"kind": "product", "orders": 4},
+        {"kind": "product", "orders": ["2", "2"]},
+        {"kind": "table", "labels": [["e"]], "table": [[["e"]]]},
+        {"kind": "table", "labels": ["e"], "table": [["e"]], "identity": ["e"]},
+        {"kind": "table", "labels": ["e", "a"], "table": ["ea", "ae"]},
+    ],
+)
+def test_group_blocks_of_the_wrong_json_type_are_schema_errors(spec):
+    with pytest.raises(SchemaError):
+        build_group(spec)
