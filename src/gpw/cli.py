@@ -301,8 +301,6 @@ def run_report(report: Report, args) -> int:
     """Load, cap, replay from the cache or compute, render, emit."""
     algebra = load_algebra(args.file)
     if report.n_max is not None:
-        if args.n_max is None:
-            args.n_max = report.n_max
         limits.check_degree(args.n_max)
         n = getattr(args, "n", None)
         if n is not None and n > args.n_max:
@@ -416,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--n-max",
                 type=int,
-                default=None,
+                default=report.n_max,
                 help=f"degree cap (default {report.n_max}, hard max {limits.HARD_N_CAP})",
             )
         common(p)

@@ -17,11 +17,13 @@ out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
 at a time over the (node, partial substitution tuple) pairs whose value is
 nonzero, with one batched product per level, for a whole batch of problems
 on one trie (all compositions of a degree, all commutation pairs, all
-identity components on one word list).  A
-matrix keeps only the nonzero rows of the dense one, in its order, which
-changes no rank, nullspace or zero test.  Entries are int64 only when an
-a-priori bound on every entry stays below 2**62; otherwise they are Python
-ints, so nothing wraps.
+identity components on one word list).  The words of one walk are sorted,
+distinct and of one length, and each uses every letter, as every caller
+builds them; other words raise :class:`ValueError`.  A matrix keeps only
+the nonzero rows of the dense one, in its order, without their row numbers,
+which changes no rank, nullspace or zero test.  Entries are int64 only when
+an a-priori bound on every entry stays below 2**62; otherwise they are
+Python ints, so nothing wraps.
 
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
@@ -56,9 +58,9 @@ letters' values and an integer coefficient matrix with one row per word
 polynomial; the multihomogeneous components of a list of polynomials, for
 both identity routes, are one batch per shared word list, one column each
 (:func:`_vanishes`).  All three, and :func:`evaluate`, take polynomials
-by one rule, :func:`_check_evaluable`: the algebra's mode and no constant
-term.  They are evaluated unpolarized, on their variables'
-**simplex lattices**: a
+by one rule, :func:`_check_evaluable`: the algebra's mode, no constant
+term and every variable's grade in the algebra's group.  They are
+evaluated unpolarized, on their variables' **simplex lattices**: a
 variable of multiplicity m over a component with basis b_1..b_d takes the
 C(m+d-1, m) values sum(t_j * b_j), t_j >= 0 integers with sum(t_j) == m,
 and monomials are words with repeated letters.  This is exact: each
@@ -91,7 +93,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial, lcm, prod
-from operator import itemgetter, mul
+from operator import mul
 
 import numpy as np
 
@@ -149,6 +151,11 @@ def composition_variables(comp: Composition, mode: str) -> tuple[Variable, ...]:
 
 
 def check_homogeneous(algebra: GradedStarAlgebra, var: Variable, vec: Vector) -> None:
+    if len(vec) != algebra.dim:
+        raise InputError(
+            f"value for {var.display(algebra.group)} has {len(vec)} coordinates, "
+            f"not the algebra's dimension {algebra.dim}"
+        )
     inside = set(algebra.component_indices(var.grade))
     for i, coord in enumerate(vec):
         if coord != 0 and i not in inside:
@@ -167,12 +174,19 @@ def check_homogeneous(algebra: GradedStarAlgebra, var: Variable, vec: Vector) ->
 
 def _check_evaluable(polys: list[GradedPoly], algebra: GradedStarAlgebra) -> None:
     """The evaluator's one input rule: polynomials of the algebra's mode,
-    without a constant term."""
+    without a constant term, in variables whose grades are in its group."""
+    order = len(algebra.group)
     for poly in polys:
         if poly.mode != algebra.mode:
             raise ModeMismatch(f"{poly.mode} polynomial evaluated on {algebra.mode} algebra")
         if () in poly.terms:
             raise InputError("constant terms cannot be evaluated in this algebra")
+        for var in poly.variables():
+            if not 0 <= var.grade < order:
+                raise InputError(
+                    f"variable {var.display()} has grade {var.grade}, not one of the "
+                    f"{order} grades of the algebra's group"
+                )
 
 
 def evaluate(
@@ -235,15 +249,14 @@ def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _WordTrie:
-    """The prefix trie of distinct words of one length n, level by level: on
-    level l (the prefixes of length l + 1), ``parents[l]``, ``letters[l]``
-    and ``new[l]`` give each node's parent on level l - 1 (the root, 0, on
-    level 0), its last letter and whether that letter is new to its prefix.
-    Nodes are numbered along the sorted words, so siblings are consecutive;
-    ``order`` gives each leaf's word, which has ``fewest`` or more distinct
+    """The prefix trie of sorted, distinct words of one length n, level by
+    level: on level l (the prefixes of length l + 1), ``parents[l]``,
+    ``letters[l]`` and ``new[l]`` give each node's parent on level l - 1
+    (the root, 0, on level 0), its last letter and whether that letter is
+    new to its prefix.  Nodes are numbered along the words, so siblings are
+    consecutive and leaf i is word i, which has ``fewest`` or more distinct
     letters."""
 
-    order: np.ndarray
     parents: list[np.ndarray]
     letters: list[np.ndarray]
     new: list[np.ndarray]
@@ -251,18 +264,17 @@ class _WordTrie:
 
 
 def _word_trie(words: Sequence[Word]) -> _WordTrie:
-    """The prefix trie of ``words``, which are distinct and of one length."""
+    """The prefix trie of ``words``, which are sorted, distinct and of one
+    length."""
     n = len(words[0]) if words else 0
-    order = sorted(range(len(words)), key=words.__getitem__)
     last = [-1] * n  # the newest node on each level
     distinct = [0] * (n + 1)  # new letters along the newest node's path
     fewest = n if words else 0
     levels: list[list[int]] = [[] for _ in range(3 * n)]  # parents, letters, new
     previous: Word | None = None
-    for w in order:
-        word = words[w]
-        if len(word) != n or word == previous:  # sorted, a duplicate follows its twin
-            raise ValueError("the words of one trie must be distinct and share one length")
+    for word in words:
+        if len(word) != n or (previous is not None and word <= previous):
+            raise ValueError("the words of one trie must be sorted, distinct and share one length")
         depth = 0
         while previous and word[depth] == previous[depth]:
             depth += 1
@@ -279,17 +291,17 @@ def _word_trie(words: Sequence[Word]) -> _WordTrie:
     flat = np.array([i for level in levels for i in level], dtype=np.intp)
     ends = list(itertools.accumulate(map(len, levels), initial=0))
     cut = [flat[a:b] for a, b in zip(ends, ends[1:])]
-    return _WordTrie(np.array(order, dtype=np.intp), cut[:n], cut[n : 2 * n], cut[2 * n :], fewest)
+    return _WordTrie(cut[:n], cut[n : 2 * n], cut[2 * n :], fewest)
 
 
 def _word_rows(
     table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[np.ndarray]:
     """For each problem of ``batch``, each letter's candidate values, the
-    row numbers t * dim + k, ascending, and the nonzero rows of the words of
-    ``trie`` on every substitution tuple (t a tuple's place in
-    ``itertools.product`` order over the letters, and k a coordinate), one
-    column per word in its original order.
+    nonzero rows of the words of ``trie`` on every substitution tuple, in
+    (tuple, coordinate) order (tuples in ``itertools.product`` order over
+    the letters), one column per word; no row numbers are returned.  Every
+    word uses every letter, else :class:`ValueError` is raised.
 
     All problems share one walk of the trie, one level at a time over the
     (problem, node, partial tuple) triples whose value is nonzero: a node's
@@ -312,16 +324,16 @@ def _word_rows(
     yield from walked
 
 
-def _walk(
-    table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> list[np.ndarray]:
     """:func:`_word_rows` in one walk, each problem on its own copy of the
     trie; a problem with a letter without values has no pairs."""
-    dim, words = table.shape[0], len(trie.order)
+    dim, words = table.shape[0], len(trie.new[-1]) if trie.new else 0
     sizes = [list(map(len, vectors)) for vectors in batch]
     if not trie.parents or not any(map(all, sizes)):  # no letters, or no values: no rows
-        return [(np.zeros(0, dtype=np.int64), np.zeros((0, words), dtype=table.dtype))] * len(batch)
+        return [np.zeros((0, words), dtype=table.dtype)] * len(batch)
     count, letters = len(batch), len(sizes[0])
+    if trie.fewest < letters:
+        raise ValueError("every word of the walk must use every letter")
     sizes = [s if all(s) else [0] * letters for s in sizes]
     distinct = {id(v): v for vectors in batch for v in vectors}  # letters may share values
     start = dict(zip(distinct, itertools.accumulate(map(len, distinct.values()), initial=0)))
@@ -335,13 +347,6 @@ def _walk(
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
     right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
-    steps = [(*level, True) for level in zip(trie.parents[1:], trie.letters[1:], trie.new[1:])]
-    for j in range(letters if trie.fewest < letters else 0):
-        # one more level, on which every leaf is its own child, per letter
-        used = trie.letters[0] == j
-        for parents, level_letters in zip(trie.parents[1:], trie.letters[1:]):
-            used = used[parents] | (level_letters == j)
-        steps.append((np.arange(words), np.full(words, j), ~used, False))
     problems = np.arange(count)[:, None]  # node u of a level of width w is node p * w + u
     lettered = problems * letters
     keys = (lettered + trie.letters[0]).reshape(-1)  # (problem, letter) of each node
@@ -351,7 +356,7 @@ def _walk(
     digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
     index = digit * stride[keys][child]
     value = candidates.take(first[keys][child] + digit, axis=0)
-    for parents, level, new, multiply in steps:
+    for parents, level, new in zip(trie.parents[1:], trie.letters[1:], trie.new[1:]):
         keys = (lettered + level).reshape(-1)
         if len(parents) * count > len(lens) or new.any():  # else each pair has one child
             keep = value.any(axis=1)
@@ -374,27 +379,20 @@ def _walk(
             source, digit = np.divmod(np.arange(len(child)) + shift[child], branch[child])
             index = index[source] + digit * stride[keys][child]
             value = value.take(source, axis=0)
-        if multiply:
-            limits.charge(len(child) * dim * dim)
-            key = keys[child]
-            choice = (first[key] + index // stride[key] % size[key]).astype(np.intp)
-            value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
+        limits.charge(len(child) * dim * dim)
+        key = keys[child]
+        choice = (first[key] + index // stride[key] % size[key]).astype(np.intp)
+        value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
     pair, k = value.nonzero()
-    leaf = child[pair]
-    numbers = index[pair] * dim + k
-    offset = span * dim  # problem i's numbers are raised by i * offset
-    problem, leaf = np.divmod(leaf, words)
-    numbers += problem.astype(itype) * offset
-    order = numbers.argsort()
-    numbers = numbers[order]  # numbers[fresh] are the distinct ones
-    fresh = numbers != np.concatenate(([-1], numbers[:-1]))
-    row = (fresh.cumsum() - 1)[order.argsort()]
-    numbers = numbers[fresh]
+    problem, leaf = np.divmod(child[pair], words)
+    offset = span * dim  # problem i's row numbers t * dim + k are raised by i * offset
+    numbers = index[pair] * dim + k + problem.astype(itype) * offset
+    numbers, row = np.unique(numbers, return_inverse=True)
     limits.charge(len(numbers) * words)
     rows = np.zeros((len(numbers), words), dtype=table.dtype)
-    rows[row, trie.order[leaf]] = value[pair, k]
+    rows[row, leaf] = value[pair, k]
     ends = numbers.searchsorted(np.arange(count + 1, dtype=itype) * offset).tolist()
-    return [(numbers[a:b] - i * offset, rows[a:b]) for i, (a, b) in enumerate(zip(ends, ends[1:]))]
+    return [rows[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _coefficient_matrix(
@@ -449,7 +447,7 @@ def _word_matrices(
     dtype = exact_dtype(max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1)))
     distinct = {key: v.astype(dtype) for key, v in distinct.items()}
     batch = [[distinct[id(v)] for v in vectors] for vectors in batch]
-    return map(itemgetter(1), _word_rows(table.astype(dtype), batch, trie))
+    return _word_rows(table.astype(dtype), batch, trie)
 
 
 def _word_combinations(

@@ -221,7 +221,7 @@ def test_a_split_batch_holds_one_walk_at_a_time(route, e2, monkeypatch):
     def tracked(*args):
         assert all(ref() is None for ref in held)
         walked = original(*args)
-        held.extend(weakref.ref(rows) for _, rows in walked)
+        held.extend(map(weakref.ref, walked))
         return walked
 
     monkeypatch.setattr(evaluator, "_walk", tracked)

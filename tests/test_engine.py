@@ -11,6 +11,7 @@ a positive multiple of the oracle's matrix, the same ranks and nullspaces
 identity verdicts on both routes.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -514,35 +515,35 @@ def word_products(table, vectors, words):
 @st.composite
 def walks(draw, positions=st.integers(1, 3), length=st.integers(1, 4)):
     """A random integer structure table, candidate values per position and
-    distinct words of one length; the many zeros make prefixes vanish."""
+    sorted, distinct words of one length that each use every position, as
+    the walk's callers build them; the many zeros make prefixes vanish."""
     dim = draw(st.integers(1, 3))
-    positions = draw(positions)
+    length = draw(length)
+    positions = draw(positions.filter(lambda p: p <= length))
     table = [[[draw(ENTRY) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
     vectors = [
         [[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))]
         for _ in range(positions)
     ]
-    letter = st.integers(0, positions - 1)
-    length = draw(length)
-    words = draw(st.lists(st.tuples(*[letter] * length), min_size=1, max_size=12, unique=True))
+    onto = [w for w in product(range(positions), repeat=length) if len(set(w)) == positions]
+    words = sorted(draw(st.lists(st.sampled_from(onto), min_size=1, max_size=12, unique=True)))
     return table, vectors, words
 
 
 def walk(table, vectors, words, dtype=np.int64):
-    """The walk's row numbers and rows, with the oracle's rows, one per
-    (tuple, coordinate) and one column per word."""
-    [(numbers, rows)] = _word_rows(
+    """The walk's rows, with the oracle's rows, one per (tuple, coordinate)
+    and one column per word."""
+    [rows] = _word_rows(
         np.array(table, dtype=dtype),
         [[np.array(v, dtype=dtype).reshape(len(v), len(table)) for v in vectors]],
         _word_trie(words),
     )
-    return numbers.tolist(), rows.tolist(), [list(row) for row in zip(*word_products(table, vectors, words))]
+    return rows.tolist(), [list(row) for row in zip(*word_products(table, vectors, words))]
 
 
-def assert_nonzero_rows(numbers, rows, expected):
+def assert_nonzero_rows(rows, expected):
     """The row contract: exactly the nonzero rows of the dense matrix, in
-    its order, with their row numbers."""
-    assert numbers == [i for i, row in enumerate(expected) if any(row)]
+    its order."""
     assert rows == [row for row in expected if any(row)]
 
 
@@ -612,14 +613,15 @@ def test_word_walk_on_rational_bases(star):
 @pytest.mark.parametrize("scale", [1, 3, 2**15])
 def test_vanishing_prefixes_end_their_subtrees(scale):
     # e0 is a unit and e1 * e1 == 0, so every word with two adjacent 1s
-    # vanishes, exactly at every scale: at 2**15 the int64 values reach 3 * 2**60
+    # vanishes, exactly at every scale: letter 1 is 3 * e1, so at 2**15 the
+    # int64 values reach 3 * 2**60
     table = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
-    vectors = [[[c * scale for c in vec] for vec in vecs] for vecs in [[[1, 0], [0, 1]], [[0, 1]], [[0, 1], [1, 1]]]]
-    words = [w for w in product(range(3), repeat=4) if w != (2, 2, 2, 2)]
-    numbers, rows, expected = walk(table, vectors, words)
+    vectors = [[[c * scale for c in vec] for vec in vecs] for vecs in [[[1, 0], [0, 1]], [[0, 3]], [[0, 1], [1, 1]]]]
+    words = [w for w in product(range(3), repeat=4) if len(set(w)) == 3]
+    rows, expected = walk(table, vectors, words)
     assert any(not any(column) for column in zip(*expected)) and any(map(any, expected))
     assert max(map(max, expected)) == 3 * scale**4
-    assert_nonzero_rows(numbers, rows, expected)
+    assert_nonzero_rows(rows, expected)
 
 
 @st.composite
@@ -663,9 +665,9 @@ def test_a_batch_walks_each_problem_as_if_alone(big):
             )
         )
         assert len(got) == len(problems)
-        for (numbers, rows), problem in zip(got, problems):
+        for rows, problem in zip(got, problems):
             expected = [list(row) for row in zip(*word_products(table, [pool[i] for i in problem], words))]
-            assert_nonzero_rows(numbers.tolist(), rows.tolist(), expected)
+            assert_nonzero_rows(rows.tolist(), expected)
 
     check()
 
@@ -678,6 +680,61 @@ def test_a_trie_needs_distinct_words():
 def test_a_trie_needs_words_of_one_length():
     with pytest.raises(ValueError, match="one length"):
         _word_trie([(0, 1), (0,)])
+
+
+def test_a_trie_needs_sorted_words():
+    with pytest.raises(ValueError, match="sorted"):
+        _word_trie([(1, 0), (0, 1)])
+
+
+def test_a_walk_needs_words_that_use_every_letter():
+    # (0, 0) misses letter 1, which has values
+    table = np.ones((1, 1, 1), dtype=np.int64)
+    vectors = [np.ones((1, 1), dtype=np.int64)] * 2
+    with pytest.raises(ValueError, match="every letter"):
+        list(_word_rows(table, [vectors], _word_trie([(0, 0), (0, 1)])))
+
+
+@pytest.mark.parametrize("mode", [modes.GRADED, modes.STAR])
+def test_coefficient_matrices_meet_the_walk_contract(mode):
+    # the word lists that the front end builds for the multihomogeneous
+    # components of random polynomials, one component or several of one
+    # multidegree at a time: sorted, distinct, of one length, and each word
+    # uses every letter
+    slots = modes.slot_count(2, mode)
+    variable = st.builds(
+        lambda slot, index: Variable(*reversed(modes.slot_grade_kind(slot, mode)), index),
+        st.integers(0, slots - 1),
+        st.integers(1, 3),
+    )
+
+    @EXAMPLES
+    @given(data=st.data())
+    def check(data):
+        # a few multidegrees, shared by polynomials whose monomials are
+        # rearrangements of them
+        degree = st.lists(variable, min_size=1, max_size=4)
+        degrees = data.draw(st.lists(degree, min_size=1, max_size=3))
+        groups = {}
+        for _ in range(data.draw(st.integers(1, 3))):
+            terms = {
+                tuple(mono): data.draw(NONZERO)
+                for letters in data.draw(st.lists(st.sampled_from(degrees), min_size=1, max_size=2))
+                for mono in data.draw(st.lists(st.permutations(letters), min_size=1, max_size=4))
+            }
+            for component in GradedPoly(mode, terms).multihomogeneous_components():
+                groups.setdefault(frozenset(component.multidegree().items()), []).append(component)
+        for group in groups.values():
+            for members in [group[:1], group]:
+                degree = Counter(next(iter(members[0].terms)))
+                variables = canonical_variable_order(degree, mode)
+                words, _ = evaluator._coefficient_matrix(variables, members)
+                assert list(words) == sorted(set(words))
+                assert {len(w) for w in words} == {sum(degree.values())}
+                assert all(set(w) == set(range(len(variables))) for w in words)
+                assert _word_trie(words).fewest == len(variables)
+
+    check()
 
 
 def test_cocharacter_table_builds_one_trie_per_degree(e2, monkeypatch):

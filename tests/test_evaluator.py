@@ -243,6 +243,34 @@ def test_every_front_end_takes_polynomials_by_one_rule(ut2_g, c2):
             assert str(info.value) == message, name
 
 
+@pytest.mark.parametrize("grade", [9, -1])
+def test_every_entry_point_rejects_a_grade_outside_the_group(grade, k_g):
+    # k_g's group has two grades; a variable of any other grade is refused,
+    # never evaluated as if it were an identity
+    poly = GradedPoly.monomial("graded", [Variable("x", grade, 1), Variable("x", 0, 2)])
+    e = k_g.basis_vector(0)
+    message = f"has grade {grade}, not one of the 2 grades of the algebra's group"
+    routes = {
+        "identities": lambda: identities([poly], k_g),
+        "is_identity": lambda: is_identity(poly, k_g),
+        "is_identity_grid": lambda: is_identity_grid(poly, k_g),
+        "build_evaluation_matrix": lambda: build_evaluation_matrix(k_g, [poly]),
+        "evaluate": lambda: evaluate(poly, k_g, dict.fromkeys(poly.variables(), e)),
+        "find_sandwich_identity": lambda: gpw.find_sandwich_identity(k_g, grade, 3),
+    }
+    for name, route in routes.items():
+        with pytest.raises(InputError) as info:
+            route()
+        assert type(info.value) is InputError and str(info.value).endswith(message), name
+
+
+def test_evaluate_needs_values_of_the_algebra_dimension(ut2_g, c2):
+    p = parse_poly("x{1,1}", "graded", c2)
+    with pytest.raises(InputError) as info:
+        evaluate(p, ut2_g, {Variable("x", 0, 1): (Fraction(1),)})
+    assert str(info.value) == "value for x{1,1} has 1 coordinates, not the algebra's dimension 3"
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda group: gpw.builtin_k(group, 1), lambda group: gpw.builtin_ut2(group, 1)],
