@@ -6,9 +6,10 @@ a grade (group element index) per basis vector, and — in star mode — an
 involution matrix.  Construction validates everything: homogeneity of the
 product, associativity on basis triples, the involution laws, and (in star
 mode) that the grading support commutes.  The laws are checked in exact
-integers, on the structure table scaled by the lcm of its denominators (kept
-on the algebra for the evaluator) and the involution scaled by the lcm of
-its own; a violation names the first failing basis triple or pair.
+integers, on the structure table scaled by the lcm of its denominators and
+the involution scaled by the lcm of its own; a violation names the first
+failing basis triple or pair.  The algebra alone owns its exact forms, each
+built once: that table and the integer bases of its components.
 
 Coordinates are dense tuples of ``Fraction``; dimensions here are tiny.
 """
@@ -88,10 +89,12 @@ class HomBasis:
 class GradedStarAlgebra:
     """Immutable graded algebra with optional involution.
 
-    ``structure[(i, j)]`` (sparse, only nonzero products) gives the
-    coordinates of the product of basis vectors i and j.  ``involution`` is a
-    matrix whose column j holds the coordinates of the image of basis vector
-    j, i.e. ``involve(u)[i] = sum_j involution[i][j] u[j]``.
+    ``structure`` keeps the nonzero products given to the constructor, as
+    ``((i, j), e_i e_j)`` pairs in (i, j) order, and ``integer_table[i, j]``
+    is e_i e_j times the lcm of their denominators, a (dim, dim, dim) object
+    array shared read-only.  ``involution`` is a matrix whose column j holds
+    the coordinates of the image of basis vector j, i.e.
+    ``involve(u)[i] = sum_j involution[i][j] u[j]``.
     """
 
     def __init__(
@@ -114,15 +117,15 @@ class GradedStarAlgebra:
             raise SchemaError("grade index out of range")
         limits.charge(dim**4)  # the associativity check's work
 
-        zero = tuple(Fraction(0) for _ in range(dim))
-        table: list[list[Vector]] = [[zero] * dim for _ in range(dim)]
+        products: dict[tuple[int, int], Vector] = {}
         for (i, j), vec in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise SchemaError(f"structure index ({i},{j}) out of range")
             vec = tuple(_frac(v) for v in vec)
             if len(vec) != dim:
                 raise SchemaError(f"structure vector for ({i},{j}) must have length {dim}")
-            table[i][j] = vec
+            if any(vec):
+                products[i, j] = vec
         if involution is not None:
             involution = tuple(tuple(_frac(v) for v in row) for row in involution)
             if len(involution) != dim:
@@ -135,19 +138,17 @@ class GradedStarAlgebra:
         self.dim = dim
         self.basis_labels = tuple(basis_labels)
         self.grades = tuple(grades)
-        self._table = tuple(tuple(row) for row in table)
-        self._bases: dict[tuple[int, str], HomBasis] = {}
-        # integer scalings: the structure table, [i, j] the product e_i * e_j,
-        # and the evaluator's component bases, built on first use
-        integer_table = integer_vectors(
-            [vec for row in self._table for vec in row], dim
-        ).reshape(dim, dim, dim)
-        self._integer: dict = {None: integer_table}
-        self._digest: str | None = None  # documents.algebra_digest, on first use
+        self.structure = tuple(sorted(products.items()))
+        # (grade, kind) -> the component's basis and its integer scaling
+        self._bases: dict[tuple[int, str], tuple[HomBasis, np.ndarray]] = {}
+        table = self.integer_table = np.zeros((dim, dim, dim), dtype=object)
+        scaled_products = integer_vectors([vec for _, vec in self.structure], dim)
+        for ((i, j), _), product in zip(self.structure, scaled_products):
+            table[i, j] = product
 
         expected = [[group.mul(a, b) for b in grades] for a in grades]
         hit = _first(
-            (integer_table != 0)
+            (table != 0)
             & (np.array(grades) != np.array(expected)[:, :, None])
         )
         if hit is not None:
@@ -158,7 +159,7 @@ class GradedStarAlgebra:
                 f"{group.label(expected[i][j])}"
             )
 
-        hit = _associativity_defect(integer_table)
+        hit = _associativity_defect(table)
         if hit is not None:
             i, j, k = hit
             raise AssociativityViolation(
@@ -176,7 +177,7 @@ class GradedStarAlgebra:
                             f"support grades {group.label(a)} and {group.label(b)} "
                             "do not commute"
                         )
-            self._check_involution(integer_table)
+            self._check_involution(table)
 
     def _check_involution(self, table: np.ndarray) -> None:
         """∗∘∗ = id, ∗ preserves grades, and (e_i e_j)∗ = e_j∗ e_i∗, in
@@ -231,16 +232,11 @@ class GradedStarAlgebra:
 
     def multiply(self, u: Vector, v: Vector) -> Vector:
         acc = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self._table[i]
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                coeff = ui * vj
-                for k, s in enumerate(row[j]):
-                    if s != 0:
+        for (i, j), product in self.structure:
+            if u[i] and v[j]:
+                coeff = u[i] * v[j]
+                for k, s in enumerate(product):
+                    if s:
                         acc[k] += coeff * s
         return tuple(acc)
 
@@ -268,9 +264,19 @@ class GradedStarAlgebra:
         component dimension.  Each (grade, kind) basis is computed once per
         algebra and then returned shared (a ``HomBasis`` is immutable).
         """
+        return self._component(grade, kind)[0]
+
+    def integer_basis(self, grade: int, kind: str = modes.PLAIN) -> np.ndarray:
+        """The ``homogeneous_basis`` scaled by the lcm of its denominators,
+        one row per basis vector: built with it, once per algebra, and
+        shared read-only."""
+        return self._component(grade, kind)[1]
+
+    def _component(self, grade: int, kind: str) -> tuple[HomBasis, np.ndarray]:
         key = (grade, kind)
         if key not in self._bases:
-            self._bases[key] = self._homogeneous_basis(grade, kind)
+            basis = self._homogeneous_basis(grade, kind)
+            self._bases[key] = (basis, integer_vectors(basis.vectors, self.dim))
         return self._bases[key]
 
     def _homogeneous_basis(self, grade: int, kind: str) -> HomBasis:

@@ -18,6 +18,7 @@ import copy
 import hashlib
 import json
 import re
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,12 +53,7 @@ def _require(doc: dict, key: str, types) -> object:
 
 
 def algebra_to_document(algebra: GradedStarAlgebra) -> dict:
-    structure = [
-        [i, j, [str(c) for c in product]]
-        for i, row in enumerate(algebra._table)
-        for j, product in enumerate(row)
-        if any(product)
-    ]
+    structure = [[i, j, [str(c) for c in product]] for (i, j), product in algebra.structure]
     doc = {
         "format_version": FORMAT_VERSION,
         "name": algebra.name,
@@ -161,11 +157,14 @@ def save_algebra(algebra: GradedStarAlgebra, path: str | Path) -> None:
     Path(path).write_text(dumps_algebra(algebra))
 
 
+_digests: weakref.WeakKeyDictionary[GradedStarAlgebra, str] = weakref.WeakKeyDictionary()
+
+
 def algebra_digest(algebra: GradedStarAlgebra) -> str:
-    """Computed once per algebra, which is immutable, and kept on it."""
-    if algebra._digest is None:
+    """Computed once per algebra, which is immutable, and kept while it lives."""
+    if algebra not in _digests:
         canonical = json.dumps(
             algebra_to_document(algebra), sort_keys=True, separators=(",", ":")
         )
-        algebra._digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return algebra._digest
+        _digests[algebra] = hashlib.sha256(canonical.encode()).hexdigest()
+    return _digests[algebra]

@@ -71,8 +71,9 @@ unique Lagrange interpolations", 1977), and a product of unisolvent sets
 is unisolvent for the tensor product.  So a combination of polynomials is
 an identity exactly when it vanishes there.  At m = 1 the points are the
 basis itself.  The independent full-grid oracle, :func:`is_identity_grid`,
-substitutes every t in {0..m}^d instead.  Integer structure tables and
-bases are computed once per algebra.
+substitutes every t in {0..m}^d instead.  The engine reads the integer
+structure table and component bases that each algebra builds once and owns
+(``integer_table``, ``integer_basis``).
 
 The two limits of :mod:`gpw.limits` bound the work.  Each level of the
 walk, the assembled rows and the lattice or grid points are counted
@@ -112,7 +113,6 @@ from .linalg import (
     echelon,
     exact_dtype,
     exact_rank,
-    integer_vectors,
     max_abs,
     nullspace,
     scaled,
@@ -193,15 +193,13 @@ def evaluate(
     poly: GradedPoly,
     algebra: GradedStarAlgebra,
     assignment: dict[Variable, Vector],
-    check: bool = True,
 ) -> Vector:
     """Substitute homogeneous elements for variables and multiply out."""
     _check_evaluable([poly], algebra)
-    if check:
-        for var in poly.variables():
-            if var not in assignment:
-                raise InputError(f"no value assigned to {var.display(algebra.group)}")
-            check_homogeneous(algebra, var, assignment[var])
+    for var in poly.variables():
+        if var not in assignment:
+            raise InputError(f"no value assigned to {var.display(algebra.group)}")
+        check_homogeneous(algebra, var, assignment[var])
     total = list(algebra.zero())
     for mono, coeff in poly.terms.items():
         value = assignment[mono[0]]
@@ -214,17 +212,6 @@ def evaluate(
 
 
 # -- the integer evaluation engine ---------------------------------------------
-
-
-def _integer(algebra: GradedStarAlgebra, key: tuple[int, str] | None) -> np.ndarray:
-    """Scaled to integers once per algebra, kept on it and shared
-    read-only: the ``key=(grade, kind)`` component basis, one row per basis
-    vector, or for ``key=None`` the structure table, ``[a, i]`` the product
-    e_a * e_i (scaled when the algebra was validated)."""
-    memo = algebra._integer
-    if key not in memo:
-        memo[key] = integer_vectors(algebra.homogeneous_basis(*key).vectors, algebra.dim)
-    return memo[key]
 
 
 def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
@@ -425,7 +412,7 @@ def _letter_values(
 ) -> list[np.ndarray]:
     """Each variable's values ``points(basis, multiplicity)``, in the order
     of ``variables``."""
-    return [points(_integer(algebra, (v.grade, v.kind)), degree[v]) for v in variables]
+    return [points(algebra.integer_basis(v.grade, v.kind), degree[v]) for v in variables]
 
 
 def _word_matrices(
@@ -436,7 +423,7 @@ def _word_matrices(
     walked as they are taken.  Entries, and combinations of a row's entries
     with coefficients of absolute sum up to ``s``, are exact."""
     dim = algebra.dim
-    table = _integer(algebra, None)
+    table = algebra.integer_table
     # with vector entries up to b and structure constants up to t, a word's
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
@@ -515,7 +502,7 @@ def commutation_matrices(
     """For each pair (a, b) of variables, the nonzero rows of the integer
     evaluation matrix of the columns [ab, ba] on every pair of their basis
     elements, a's choice major; all pairs in one walk."""
-    batch = [[_integer(algebra, (v.grade, v.kind)) for v in pair] for pair in pairs]
+    batch = [[algebra.integer_basis(v.grade, v.kind) for v in pair] for pair in pairs]
     return _word_matrices(algebra, batch, _word_trie([(0, 1), (1, 0)]))
 
 
@@ -613,7 +600,7 @@ def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     """Each slot's integer component basis, in slot order."""
     mode = algebra.mode
     return [
-        _integer(algebra, modes.slot_grade_kind(slot, mode))
+        algebra.integer_basis(*modes.slot_grade_kind(slot, mode))
         for slot in range(modes.slot_count(len(algebra.group), mode))
     ]
 

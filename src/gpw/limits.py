@@ -1,8 +1,9 @@
 """gpw's two limits, owned here and nowhere else.
 
 * Every degree-n computation (codimensions, cocharacters, multiplicities,
-  the reports, the factorization check, the all-fillings listing, the
-  CLI's ``--n-max``) passes :func:`check_degree` before any work: none
+  the reports, the factorization check, the standard and all-fillings
+  listings, standard polynomials, highest weight vectors, polarization,
+  the CLI's ``--n-max``) passes :func:`check_degree` before any work: none
   clamps a degree or answers for a smaller one.
 * Every sized allocation is charged first (:func:`charge`), and one of
   more than :data:`WORK_CAP` entries is refused: the evaluator's walk

@@ -16,9 +16,9 @@ pivots are combined by the Chinese remainder theorem (Dixon 1982), until
 the lift succeeds and the modulus exceeds 2r, so that an integer of
 absolute value at most r, such as a trace, is read off X exactly.
 
-``integer_vectors`` is the one rational-to-integer scaling shared by algebra
-validation and the evaluator, and ``exact_dtype`` their one choice between
-int64 and Python ints.
+``integer_vectors`` is the one rational-to-integer scaling, of an algebra's
+structure table and component bases, and ``exact_dtype`` the one choice
+between int64 and Python ints.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import modes
+from . import limits, modes
 from .errors import (
     KindInWrongMode,
     NotMultihomogeneous,
@@ -243,6 +243,7 @@ def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
 def standard_poly(mode: str, variables) -> GradedPoly:
     """Alternating sum over all orderings of the given variables."""
     variables = tuple(variables)
+    limits.check_degree(len(variables))
     terms: dict[Monomial, Fraction] = {}
     for perm in itertools.permutations(range(len(variables))):
         sign = _sign(perm)
@@ -277,6 +278,7 @@ def highest_weight_vector(tab: Multitableau, mode: str) -> GradedPoly:
     polynomial is then acted on (by positions) with the inverse of the
     tableau's permutation.
     """
+    limits.check_degree(tab.shape.n)
     poly = GradedPoly.one(mode)
     for slot, lam in enumerate(tab.shape.components):
         grade, kind = modes.slot_grade_kind(slot, mode)
@@ -301,6 +303,7 @@ def multilinearize(poly: GradedPoly) -> GradedPoly:
     degree = poly.multidegree()  # raises NotMultihomogeneous when mixed
     if not poly.terms:
         return poly
+    limits.check_degree(sum(degree.values()))
 
     fresh: dict[Variable, list[Variable]] = {}
     by_class: dict[tuple[str, int], list[Variable]] = {}

@@ -277,6 +277,7 @@ def standard_multitableaux(shape: Multipartition) -> list[Multitableau]:
     the canonical tableau (1..n in cell order) at index 0.
     """
     n = shape.n
+    limits.check_degree(n)
     sizes = [sum(lam) for lam in shape.components]
     pool = list(range(1, n + 1))
     tableaux: list[Multitableau] = []

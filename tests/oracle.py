@@ -34,7 +34,7 @@ from gpw.errors import (
     NonAssociativeTable,
     NotLatinSquare,
 )
-from gpw.evaluator import canonical_variable_order, evaluate
+from gpw.evaluator import canonical_variable_order
 from gpw.linalg import exact_rank
 from gpw.polynomials import _sign, highest_weight_vector, invert_permutation, multilinearize
 from gpw.shapes import (
@@ -59,12 +59,11 @@ def _mono_value(mono, algebra, assignment, memo):
     return value
 
 
-def basis_rows(algebra, polys, variables):
-    """Multilinear polynomials on every tuple of component basis vectors:
+def _rows(algebra, polys, variables, candidates):
+    """The polynomials on every tuple of the variables' candidate values:
     one row per (tuple, coordinate), one column per polynomial."""
-    bases = [algebra.homogeneous_basis(v.grade, v.kind).vectors for v in variables]
     rows = []
-    for combo in itertools.product(*bases):
+    for combo in itertools.product(*candidates):
         assignment = dict(zip(variables, combo))
         memo = {}
         values = []
@@ -79,6 +78,12 @@ def basis_rows(algebra, polys, variables):
         for k in range(algebra.dim):
             rows.append([v[k] for v in values])
     return rows
+
+
+def basis_rows(algebra, polys, variables):
+    """Multilinear polynomials on every tuple of component basis vectors."""
+    bases = [algebra.homogeneous_basis(v.grade, v.kind).vectors for v in variables]
+    return _rows(algebra, polys, variables, bases)
 
 
 def grid_rows(algebra, polys):
@@ -98,13 +103,7 @@ def grid_rows(algebra, polys):
                     vec[k] += w * c
             points.append(tuple(vec))
         grids.append(points)
-    rows = []
-    for combo in itertools.product(*grids):
-        assignment = dict(zip(variables, combo))
-        values = [evaluate(p, algebra, assignment, check=False) for p in polys]
-        for k in range(algebra.dim):
-            rows.append([v[k] for v in values])
-    return rows
+    return _rows(algebra, polys, variables, grids)
 
 
 def is_identity(poly, algebra):

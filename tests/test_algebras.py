@@ -11,10 +11,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gpw
 import oracle
+from gpw.documents import algebra_digest, algebra_to_document
 from gpw import modes
 from gpw.errors import (
     AssociativityViolation,
@@ -171,6 +172,9 @@ def test_homogeneous_basis_is_computed_once_per_grade_and_kind(m2_transpose, ut2
     sym = m2_transpose.homogeneous_basis(one, modes.SYM)
     assert m2_transpose.homogeneous_basis(one, modes.SYM) is sym
     assert m2_transpose.homogeneous_basis(one, modes.SKEW).dim == 1
+    integer = m2_transpose.integer_basis(one, modes.SYM)
+    assert m2_transpose.integer_basis(one, modes.SYM) is integer
+    assert integer.shape == (sym.dim, m2_transpose.dim)
     # a refused request stays refused: errors are not remembered as bases
     for _ in range(2):
         with pytest.raises(StarRequired):
@@ -417,9 +421,55 @@ def test_integer_validation_matches_the_fraction_loops(case):
     expected = oracle.law_violation(group, labels, grades, table, star)
     if expected is None:
         algebra = gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
-        assert algebra._integer[None].shape == (dim, dim, dim)
+        assert algebra.integer_table.shape == (dim, dim, dim)
     else:
         kind, message = expected
         with pytest.raises(kind) as info:
             gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
         assert str(info.value) == message
+
+
+# -- the nonzero products an algebra keeps -----------------------------------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases(), st.data())
+def test_multiply_matches_the_dense_table_on_random_vectors(case, data):
+    group, labels, grades, table, star = case
+    assume(oracle.law_violation(group, labels, grades, table, star) is None)
+    dim = len(labels)
+    structure = {(i, j): tuple(table[i][j]) for i in range(dim) for j in range(dim)}
+    involution = None if star is None else tuple(map(tuple, star))
+    algebra = gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
+    vectors = st.tuples(*[st.sampled_from([Fraction(0)]) | _rationals] * dim)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert list(algebra.multiply(u, v)) == oracle._product(table, u, v)
+
+
+@pytest.mark.parametrize("name", ["ut2_g", "k_g", "e2", "m2_transpose"])
+def test_explicit_zero_products_change_nothing(name, request):
+    algebra = request.getfixturevalue(name)
+    dim = algebra.dim
+    zero = (Fraction(0),) * dim
+    structure = {(i, j): zero for i in range(dim) for j in range(dim)}
+    structure.update(algebra.structure)
+    padded = gpw.GradedStarAlgebra(
+        algebra.name, algebra.group, algebra.basis_labels, algebra.grades, structure,
+        algebra.involution,
+    )
+    assert padded.structure == algebra.structure
+    assert all(any(product) for _, product in padded.structure)
+    assert algebra_to_document(padded) == algebra_to_document(algebra)
+    assert algebra_digest(padded) == algebra_digest(algebra)
+    assert padded.integer_table.dtype == algebra.integer_table.dtype == object
+    assert padded.integer_table.tolist() == algebra.integer_table.tolist()
+
+
+@pytest.mark.parametrize("structure", [{}, {(0, 1): (0, 0)}], ids=["none", "zero"])
+def test_an_algebra_without_nonzero_products_builds(structure, c2):
+    algebra = gpw.GradedStarAlgebra("null", c2, ("a", "b"), (0, 1), structure)
+    assert algebra.structure == ()
+    assert algebra.integer_table.shape == (2, 2, 2)
+    assert not algebra.integer_table.any()
+    assert algebra.multiply((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))) == algebra.zero()
+    assert algebra_to_document(algebra)["structure"] == []

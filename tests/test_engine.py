@@ -602,7 +602,7 @@ def test_word_walk_on_rational_bases(star):
         bases = evaluator._slot_bases(algebra)
         vectors = [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
         assume(all(map(len, vectors)))
-        table = evaluator._integer(algebra, None).tolist()
+        table = algebra.integer_table.tolist()
         vectors = [v.tolist() for v in vectors]
         words = list(permutations(range(len(vectors))))
         assert_nonzero_rows(*walk(table, vectors, words, object))

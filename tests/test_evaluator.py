@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpw
-from gpw import evaluator, limits
+from gpw import algebras, evaluator, limits
 from gpw.errors import CapExceeded, GradeMismatch, InputError, KindMismatch, ModeMismatch
 from gpw.evaluator import (
     build_evaluation_matrix,
@@ -229,7 +229,7 @@ def test_every_front_end_takes_polynomials_by_one_rule(ut2_g, c2):
     star = parse_poly("y{1,1}*y{2,g}", "star", c2)
     constant = GradedPoly.one("graded") + parse_poly("x{1,g}", "graded", c2)
     routes = {
-        "evaluate": lambda p: evaluate(p, ut2_g, {}, check=False),
+        "evaluate": lambda p: evaluate(p, ut2_g, {}),
         "build_evaluation_matrix": lambda p: build_evaluation_matrix(ut2_g, [p]),
         "_vanishes": lambda p: evaluator._vanishes([p], ut2_g, evaluator._simplex),
     }
@@ -278,15 +278,15 @@ def test_evaluate_needs_values_of_the_algebra_dimension(ut2_g, c2):
 )
 def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
     algebra = build(c2)  # a fresh algebra: only its validated table is kept
-    table = algebra._integer[None]
+    table = algebra.integer_table
     calls = []
-    original = evaluator.integer_vectors
+    original = algebras.integer_vectors
 
     def counted(vectors, dim):
         calls.append(len(vectors))
         return original(vectors, dim)
 
-    monkeypatch.setattr(evaluator, "integer_vectors", counted)
+    monkeypatch.setattr(algebras, "integer_vectors", counted)
     polys = [
         parse_poly(text, "graded", c2)
         for text in ("x{1,g}*x{2,g} - x{2,g}*x{1,g}", "x{1,1}*x{1,1}*x{2,g}", "x{1,1}*x{2,1}")
@@ -306,7 +306,7 @@ def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
     assert len(calls) == first
     expected = [algebra.homogeneous_basis(g).dim for g in c2]
     assert sorted(calls) == sorted(expected)
-    assert algebra._integer[None] is table
+    assert algebra.integer_table is table
 
 
 @pytest.mark.parametrize(
@@ -526,6 +526,14 @@ def test_hard_cap_holds_in_every_degree_n_library_call(field, e2):
         "verify_multone_lemmas": lambda n: gpw.verify_multone_lemmas(e2, n),
         "hwv_factorization_check": lambda n: gpw.hwv_factorization_check(e2, _one_row(n, 8)),
         "all_multitableaux": lambda n: gpw.all_multitableaux(_one_row(n, 1).shape),
+        "standard_multitableaux": lambda n: gpw.standard_multitableaux(_one_row(n, 1).shape),
+        "standard_poly": lambda n: gpw.standard_poly(
+            "graded", [Variable("x", 0, i) for i in range(1, n + 1)]
+        ),
+        "highest_weight_vector": lambda n: gpw.highest_weight_vector(_one_row(n, 1), "graded"),
+        "multilinearize": lambda n: gpw.multilinearize(
+            GradedPoly.monomial("graded", [Variable("x", 0, 1)] * n)
+        ),
     }
     for name, call in calls.items():
         with pytest.raises(CapExceeded, match="hard maximum"):
