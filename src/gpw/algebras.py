@@ -34,7 +34,7 @@ from .errors import (
     StarRequired,
 )
 from .groups import FiniteGroup
-from .linalg import exact_dtype, integer_vectors, max_abs, nullspace, scaled
+from .linalg import exact_dtype, exact_product, integer_vectors, max_abs, nullspace, scaled
 
 Vector = tuple[Fraction, ...]
 
@@ -60,13 +60,13 @@ def _associativity_defect(table: np.ndarray) -> tuple[int, int, int] | None:
     rational products.  One left factor e_i at a time, so that each side
     holds dim^3 entries."""
     dim = len(table)
-    t = max_abs(table)
-    table = table.astype(exact_dtype(dim * t * t))
+    # int64 when it fits, once: every row's products convert the whole table
+    table = table.astype(exact_dtype(max_abs(table)))
     pairs = table.reshape(dim * dim, dim)
     for i, row in enumerate(table):  # row[m] = e_i e_m
         # left[(j, k), l] = ((e_i e_j) e_k)_l;  right[(j, k), l] = (e_i (e_j e_k))_l
-        left = (row @ table.reshape(dim, dim * dim)).reshape(dim * dim, dim)
-        defects = (left != pairs @ row).any(axis=1)
+        left = exact_product(row, table.reshape(dim, dim * dim)).reshape(dim * dim, dim)
+        defects = (left != exact_product(pairs, row)).any(axis=1)
         if defects.any():
             return (i, *divmod(int(defects.argmax()), dim))
     return None
@@ -187,12 +187,9 @@ class GradedStarAlgebra:
         dim, labels, grades = self.dim, self.basis_labels, self.grades
         s = lcm(*(c.denominator for row in self.involution for c in row))
         star = np.array([scaled(row, s) for row in self.involution], dtype=object)
-        m, t = max_abs(star), max_abs(table)
-        dtype = exact_dtype(max(s * s, dim * m * m, s * dim * m * t, dim * dim * m * m * t))
-        star, table = star.astype(dtype), table.astype(dtype)
 
         # column j of M is the image of e_j
-        twice = (star @ star != s * s * np.eye(dim, dtype=dtype)).any(axis=0)
+        twice = (exact_product(star, star) != s * s * np.eye(dim, dtype=object)).any(axis=0)
         grade = np.array(grades)
         moved = ((star != 0) & (grade[:, None] != grade[None, :])).any(axis=0)
         hit = _first(twice | moved)
@@ -205,8 +202,8 @@ class GradedStarAlgebra:
             raise InvolutionViolation(f"involution moves {labels[j]} across grades")
 
         # image[(i, j), l] = (M (e_i e_j))_l;  swapped[j, (i, l)] = (e_j∗ e_i∗)_l
-        image = s * (table.reshape(dim * dim, dim) @ star.T)
-        swapped = star.T @ (star.T @ table).reshape(dim, dim * dim)
+        image = exact_product(table.reshape(dim * dim, dim), s * star.T)
+        swapped = exact_product(star.T, exact_product(star.T, table).reshape(dim, dim * dim))
         swapped = swapped.reshape(dim, dim, dim).transpose(1, 0, 2)
         hit = _first((image.reshape(dim, dim, dim) != swapped).any(axis=2))
         if hit is not None:

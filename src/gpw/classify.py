@@ -169,9 +169,7 @@ def bounded_multiplicity_report(
         if all(f.witness is not None for f in findings)
         else "UNDECIDED-AT-CAP"
     )
-    observed = 0
-    for n in range(1, n_max + 1):
-        observed = max(observed, cocharacter_table(algebra, n).max_multiplicity())
+    observed = max(cocharacter_table(algebra, n).max_multiplicity() for n in range(1, n_max + 1))
     return BoundedReport(algebra.name, n_max, tuple(findings), verdict, observed)
 
 
@@ -248,9 +246,9 @@ def star_multone_report(
         f.valid_coefficients for f in same_grade
     )
     verdict = "SATISFIED" if satisfied else "NOT-SATISFIED"
-    observed = 0
-    for n in range(1, empirical_n + 1):
-        observed = max(observed, cocharacter_table(algebra, n).max_multiplicity())
+    observed = max(
+        cocharacter_table(algebra, n).max_multiplicity() for n in range(1, empirical_n + 1)
+    )
     if satisfied and observed > 1:
         raise ConsistencyViolation(
             f"commutation lists SATISFIED on {algebra.name} but a multiplicity "

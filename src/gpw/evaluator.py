@@ -21,9 +21,10 @@ identity components on one word list).  The words of one walk are sorted,
 distinct and of one length, and each uses every letter, as every caller
 builds them; other words raise :class:`ValueError`.  A matrix keeps only
 the nonzero rows of the dense one, in its order, without their row numbers,
-which changes no rank, nullspace or zero test.  Entries are int64 only when
-an a-priori bound on every entry stays below 2**62; otherwise they are
-Python ints, so nothing wraps.
+which changes no rank, nullspace or zero test.  The walk's entries are
+int64 only when an a-priori bound on every entry stays below 2**62;
+otherwise they are Python ints, so nothing wraps.  Every other integer
+product is :func:`~gpw.linalg.exact_product`.
 
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
@@ -112,6 +113,7 @@ from .linalg import (
     Echelon,
     echelon,
     exact_dtype,
+    exact_product,
     exact_rank,
     max_abs,
     nullspace,
@@ -140,14 +142,6 @@ def canonical_variable_order(variables, mode: str) -> tuple[Variable, ...]:
     return tuple(
         sorted(variables, key=lambda v: (modes.slot_of(v.grade, v.kind, mode), v.index))
     )
-
-
-def composition_variables(comp: Composition, mode: str) -> tuple[Variable, ...]:
-    out = []
-    for slot, count in enumerate(comp):
-        grade, kind = modes.slot_grade_kind(slot, mode)
-        out.extend(Variable(kind, grade, i) for i in range(1, count + 1))
-    return tuple(out)
 
 
 def check_homogeneous(algebra: GradedStarAlgebra, var: Variable, vec: Vector) -> None:
@@ -223,7 +217,8 @@ def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
         return basis
     limits.charge(comb(degree + len(basis) - 1, degree) * basis.shape[1])
     weights = compositions(degree, len(basis))
-    return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
+    points = np.array(weights, dtype=np.int64).reshape(len(weights), len(basis))
+    return exact_product(points, basis)
 
 
 def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
@@ -231,7 +226,8 @@ def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
     ``itertools.product`` order of the t."""
     limits.charge((degree + 1) ** len(basis) * basis.shape[1])
     weights = list(itertools.product(range(degree + 1), repeat=len(basis)))
-    return np.array(weights, dtype=object).reshape(len(weights), len(basis)) @ basis
+    points = np.array(weights, dtype=np.int64).reshape(len(weights), len(basis))
+    return exact_product(points, basis)
 
 
 @dataclass(frozen=True)
@@ -416,12 +412,11 @@ def _letter_values(
 
 
 def _word_matrices(
-    algebra: GradedStarAlgebra, batch: list[list[np.ndarray]], trie: _WordTrie, s: int = 1
+    algebra: GradedStarAlgebra, batch: list[list[np.ndarray]], trie: _WordTrie
 ) -> Iterator[np.ndarray]:
     """The engine: the nonzero rows of :func:`_word_rows` for each problem of
     ``batch`` (integer multiples of each letter's values), in one walk,
-    walked as they are taken.  Entries, and combinations of a row's entries
-    with coefficients of absolute sum up to ``s``, are exact."""
+    walked as they are taken."""
     dim = algebra.dim
     table = algebra.integer_table
     # with vector entries up to b and structure constants up to t, a word's
@@ -431,7 +426,7 @@ def _word_matrices(
     distinct = {id(v): v for vectors in batch for v in vectors}  # letters of one slot share values
     b = max(map(max_abs, distinct.values()), default=0)
     t = max_abs(table)
-    dtype = exact_dtype(max(s, b, t, dim * b * t, s * b**n * (dim * dim * t) ** (n - 1)))
+    dtype = exact_dtype(max(b, t, dim * b * t, b**n * (dim * dim * t) ** (n - 1)))
     distinct = {key: v.astype(dtype) for key, v in distinct.items()}
     batch = [[distinct[id(v)] for v in vectors] for vectors in batch]
     return _word_rows(table.astype(dtype), batch, trie)
@@ -448,13 +443,10 @@ def _word_combinations(
     the nonzero rows of the words' values times its coefficients, in
     (substitution tuple, coordinate) order.  A column whose words share one
     multidegree is one fixed positive multiple of the rational one."""
-    s = max((max_abs(np.abs(c).sum(axis=0)) for _, c in members), default=0)
     batch = [vectors for vectors, _ in members]
-    for (_, coefficients), rows in zip(
-        members, _word_matrices(algebra, batch, _word_trie(words), s)
-    ):
+    for (_, coefficients), rows in zip(members, _word_matrices(algebra, batch, _word_trie(words))):
         limits.charge(len(rows) * coefficients.shape[1])
-        combined = rows @ coefficients.astype(rows.dtype)
+        combined = exact_product(rows, coefficients)
         yield combined.compress(combined.any(axis=1), axis=0)
 
 

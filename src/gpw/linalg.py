@@ -17,8 +17,9 @@ the lift succeeds and the modulus exceeds 2r, so that an integer of
 absolute value at most r, such as a trace, is read off X exactly.
 
 ``integer_vectors`` is the one rational-to-integer scaling, of an algebra's
-structure table and component bases, and ``exact_dtype`` the one choice
-between int64 and Python ints.
+structure table and component bases, ``exact_dtype`` the one choice of
+dtype for integer entries under a bound, and ``exact_product`` the one
+exact integer matrix product.
 """
 
 from __future__ import annotations
@@ -141,17 +142,15 @@ def _lift(residues: np.ndarray, modulus: int) -> tuple[np.ndarray, int] | None:
 
 def _reproduces(ints: np.ndarray, basis: list[int], numerators: np.ndarray, denominator: int) -> bool:
     """The exact check M[:,B] X == M, X = numerators / denominator, on the
-    columns outside B (where X is the identity it holds by construction);
-    in int64 when no sum can wrap, else in Python ints."""
+    columns outside B (where X is the identity it holds by construction)."""
     free = np.ones(ints.shape[1], dtype=bool)
     free[basis] = False
     if not free.any():
         return True
-    numerators = numerators[:, free]
-    size = max_abs(ints)
-    dtype = exact_dtype(max(len(basis) * size * max_abs(numerators), size * denominator))
-    product = ints[:, basis].astype(dtype) @ numerators.astype(dtype)
-    return np.array_equal(product, ints[:, free].astype(dtype) * denominator)
+    # denominator * M[:,F] as the outer product of M[:,F]'s entries and [denominator]
+    expected = exact_product(ints[:, free].reshape(-1, 1), np.array([[denominator]]))
+    product = exact_product(ints[:, basis], numerators[:, free])
+    return np.array_equal(product, expected.reshape(product.shape))
 
 
 class Echelon(NamedTuple):
@@ -208,12 +207,25 @@ def echelon(matrix: np.ndarray | list[Row], lift: bool = False) -> Echelon:
 # Entries that provably stay below this in absolute value can be int64:
 # no sum of two of them wraps.
 _INT64_SAFE = 2**62
+# Every integer below this in absolute value is a float64.
+_FLOAT64_EXACT = 2**53
 
 
 def exact_dtype(bound: int):
     """int64 when ``bound`` limits every entry below 2**62, else Python
     ints (object)."""
     return np.int64 if bound < _INT64_SAFE else object
+
+
+def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for integer arrays (int64 or Python ints), exactly.  When
+    inner size * max|a| * max|b| < 2**53, every partial sum, in any order,
+    blocking or fused multiply-add, is an integer below 2**53, so the
+    product runs in float64 through BLAS and returns int64; otherwise it
+    runs in Python ints (object)."""
+    if a.shape[-1] * max_abs(a) * max_abs(b) < _FLOAT64_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 def max_abs(a: np.ndarray) -> int:

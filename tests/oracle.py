@@ -24,7 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from gpw import evaluator
+from gpw import evaluator, modes
 from gpw.errors import (
     AssociativityViolation,
     HomogeneityViolation,
@@ -36,7 +36,13 @@ from gpw.errors import (
 )
 from gpw.evaluator import canonical_variable_order
 from gpw.linalg import exact_rank
-from gpw.polynomials import _sign, highest_weight_vector, invert_permutation, multilinearize
+from gpw.polynomials import (
+    Variable,
+    _sign,
+    highest_weight_vector,
+    invert_permutation,
+    multilinearize,
+)
 from gpw.shapes import (
     conjugate,
     multipartitions,
@@ -124,6 +130,16 @@ def is_identity_grid(poly, algebra):
 
 
 # -- the tableau and grid routes to a multiplicity ------------------------------
+
+
+def composition_variables(comp, mode):
+    """The variables of a composition, slot by slot: ``comp[slot]`` of the
+    slot's grade and kind, indexed from 1."""
+    out = []
+    for slot, count in enumerate(comp):
+        grade, kind = modes.slot_grade_kind(slot, mode)
+        out.extend(Variable(kind, grade, i) for i in range(1, count + 1))
+    return tuple(out)
 
 
 def polarized_tableau_words(shape, tabs):

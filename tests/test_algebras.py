@@ -7,16 +7,18 @@ structure constants.
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gpw
 import oracle
 from gpw.documents import algebra_digest, algebra_to_document
-from gpw import modes
+from gpw import algebras, linalg, modes
 from gpw.errors import (
     AssociativityViolation,
     ElementNotOrderTwo,
@@ -473,3 +475,92 @@ def test_an_algebra_without_nonzero_products_builds(structure, c2):
     assert not algebra.integer_table.any()
     assert algebra.multiply((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))) == algebra.zero()
     assert algebra_to_document(algebra)["structure"] == []
+
+
+# -- the exact checks on both sides of 2**53 ------------------------------------
+
+_M2_UNITS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+_M2_LABELS = ("e11", "e12", "e21", "e22")
+
+
+def _m2_structure():
+    """The products e_ab * e_bd = e_ad of M2."""
+    return {
+        (i, j): tuple(Fraction(int((a, d) == u)) for u in _M2_UNITS)
+        for i, (a, b) in enumerate(_M2_UNITS)
+        for j, (c, d) in enumerate(_M2_UNITS)
+        if b == c
+    }
+
+
+def _first_defect(table):
+    """The first triple (i, j, k), in row-major order, on which an integer
+    table is not associative, by plain loops."""
+    dim = len(table)
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        left = [sum(table[i][j][m] * table[m][k][l] for m in range(dim)) for l in range(dim)]
+        right = [sum(table[j][k][m] * table[i][m][l] for m in range(dim)) for l in range(dim)]
+        if left != right:
+            return i, j, k
+    return None
+
+
+@pytest.fixture
+def product_dtypes(monkeypatch):
+    """The dtype of every exact product the algebra checks take."""
+    seen = []
+
+    def recorded(a, b):
+        product = linalg.exact_product(a, b)
+        seen.append(product.dtype)
+        return product
+
+    monkeypatch.setattr(algebras, "exact_product", recorded)
+    return seen
+
+
+def test_associativity_defect_is_the_same_on_both_sides_of_2_53(product_dtypes):
+    # e11 * e12 = 2 e12 breaks associativity on a triple with left factor
+    # e11, whose products hold the table's largest entry
+    c1 = gpw.cyclic(1)
+    table = gpw.GradedStarAlgebra("m2", c1, _M2_LABELS, (0,) * 4, _m2_structure()).integer_table
+    table[0, 1, 1] = 2
+    expected = _first_defect(table.tolist())
+    assert expected is not None and expected[0] == 0
+    # both products of a left factor have the bound dim * (2 * scale)**2
+    below = math.isqrt((2**53 - 1) // 16)
+    for scale, small in [(1, True), (below, True), (below + 1, False), (2**40, False)]:
+        product_dtypes.clear()
+        assert algebras._associativity_defect(table * scale) == expected
+        assert set(product_dtypes) == {np.dtype(np.int64 if small else object)}
+
+
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        # e12 -> (k / (k + 1)) e12 squares to a multiple of e12 other than e12
+        (lambda k: {1: {1: Fraction(k, k + 1)}}, "involution applied twice does not fix e12"),
+        # e21 -> (k + 1) e12 - e21 squares to the identity, but no map
+        # fixing e11, e12 and e22 reverses e11 * e12 = e12
+        (
+            lambda k: {2: {1: Fraction(k + 1), 2: Fraction(-1)}},
+            "involution is not an anti-automorphism on (e11, e12)",
+        ),
+    ],
+    ids=["twice", "anti"],
+)
+def test_involution_violation_is_the_same_on_both_sides_of_2_53(image, message, product_dtypes):
+    # with entries of the scaled involution up to k + 1, the largest bound of
+    # its products is 4 * (k + 1)**2
+    c1 = gpw.cyclic(1)
+    below = math.isqrt((2**53 - 1) // 4) - 1
+    for k, small in [(3, True), (below, True), (below + 1, False), (2**40, False)]:
+        columns = [[Fraction(int(i == j)) for i in range(4)] for j in range(4)]
+        for j, entries in image(k).items():
+            columns[j] = [entries.get(i, Fraction(0)) for i in range(4)]
+        involution = tuple(tuple(columns[j][i] for j in range(4)) for i in range(4))
+        product_dtypes.clear()
+        with pytest.raises(InvolutionViolation) as info:
+            gpw.GradedStarAlgebra("m2", c1, _M2_LABELS, (0,) * 4, _m2_structure(), involution)
+        assert str(info.value) == message
+        assert (np.dtype(object) in product_dtypes) == (not small)

@@ -31,7 +31,6 @@ from gpw.evaluator import (
     _word_trie,
     build_evaluation_matrix,
     canonical_variable_order,
-    composition_variables,
     identities,
     is_identity,
     is_identity_grid,
@@ -222,7 +221,7 @@ def test_engine_matrix_matches_the_oracle(star):
         mode = algebra.mode
         slots = modes.slot_count(len(algebra.group), mode)
         comp = data.draw(st.sampled_from(compositions(data.draw(st.integers(1, 3)), slots)))
-        variables = composition_variables(comp, mode)
+        variables = oracle.composition_variables(comp, mode)
         words = list(permutations(variables))
         polys = [random_combination(data.draw, mode, words) for _ in range(data.draw(st.integers(1, 4)))]
         polys = [p for p in polys if not p.is_zero] or [GradedPoly.monomial(mode, variables)]

@@ -305,3 +305,43 @@ def test_certified_elimination_matches_the_oracle(case):
         block = [[m[r, c] for _, c in result.pivots] for r, _ in result.pivots]
         assert oracle.bareiss_rank(block) == rank
         assert result.modulus > 2 * rank
+
+
+# -- the one exact integer product ------------------------------------------------
+
+
+@st.composite
+def product_cases(draw):
+    """Signed integer operands a (rows x inner) and b (inner x cols, or a
+    stack of them) whose bound inner * max|a| * max|b| falls just below
+    2**53, just above it, or above 2**62; and whether it is below 2**53."""
+    rows, inner, cols = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    stack = draw(st.sampled_from([(), (1,), (3,)]))  # a 3-D right operand, as in the involution check
+    regime = draw(st.sampled_from(["below", "above", "huge"]))
+    a_max = draw(st.integers(1, 2**26))
+    cap = 2**53 if regime != "huge" else 2**62
+    b_max = cap // max(inner * a_max, 1) + (0 if regime == "below" else 1)
+    if regime == "below" and inner * a_max * b_max == cap:
+        b_max -= 1
+
+    def operand(shape, bound):
+        size = math.prod(shape)
+        flat = draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+        if size:  # one entry of the largest absolute value fixes max|operand|
+            flat[draw(st.integers(0, size - 1))] = draw(st.sampled_from([-bound, bound]))
+        dtype = object if bound >= 2**62 or draw(st.booleans()) else np.int64
+        return np.array(flat, dtype=dtype).reshape(shape)
+
+    a = operand((rows, inner), a_max)
+    b = operand((*stack, inner, cols), b_max)
+    bound = inner * linalg.max_abs(a) * linalg.max_abs(b)
+    return a, b, bound < 2**53
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases())
+def test_exact_product_matches_python_ints(case):
+    a, b, small = case
+    product = linalg.exact_product(a, b)
+    assert np.array_equal(product, a.astype(object) @ b.astype(object))
+    assert product.dtype == (np.int64 if small else object)

@@ -24,7 +24,6 @@ from gpw.polynomials import (
     parse_poly,
     standard_poly,
 )
-from gpw.evaluator import composition_variables
 from gpw.shapes import (
     Multipartition,
     Multitableau,
@@ -34,7 +33,7 @@ from gpw.shapes import (
     standard_multitableaux,
 )
 
-from oracle import polarized_tableau_words
+from oracle import composition_variables, polarized_tableau_words
 
 
 def x(i, grade=0):
