@@ -53,22 +53,36 @@ def _first(defects: np.ndarray) -> tuple[int, ...] | None:
     return tuple(map(int, hits[0])) if len(hits) else None
 
 
+# Each side of one block of the associativity check holds at most this many
+# entries, or dim^3 when a single left factor has more.
+_ASSOCIATIVITY_BLOCK = 2**15
+
+
 def _associativity_defect(table: np.ndarray) -> tuple[int, int, int] | None:
     """The first basis triple (i, j, k), in row-major order, with
     (e_i e_j) e_k != e_i (e_j e_k), or None, for an integer structure table
     ``[i, j]`` = e_i * e_j: both sides are the same positive multiple of the
-    rational products.  One left factor e_i at a time, so that each side
-    holds dim^3 entries."""
+    rational products.  A block of left factors e_i at a time, as many as
+    keep each side within ``_ASSOCIATIVITY_BLOCK`` entries and at least one,
+    so that a small algebra takes two products in all and each side of a
+    large one holds dim^3 entries."""
     dim = len(table)
-    # int64 when it fits, once: every row's products convert the whole table
+    # int64 when it fits, once: every block's products convert the whole table
     table = table.astype(exact_dtype(max_abs(table)))
     pairs = table.reshape(dim * dim, dim)
-    for i, row in enumerate(table):  # row[m] = e_i e_m
-        # left[(j, k), l] = ((e_i e_j) e_k)_l;  right[(j, k), l] = (e_i (e_j e_k))_l
-        left = exact_product(row, table.reshape(dim, dim * dim)).reshape(dim * dim, dim)
-        defects = (left != exact_product(pairs, row)).any(axis=1)
-        if defects.any():
-            return (i, *divmod(int(defects.argmax()), dim))
+    step = max(1, _ASSOCIATIVITY_BLOCK // dim**3)
+    for start in range(0, dim, step):
+        rows = table[start : start + step]  # rows[i, m] = e_i e_m
+        count = len(rows)
+        # left[i, j, k, l] = ((e_i e_j) e_k)_l;  right[i, j, k, l] = (e_i (e_j e_k))_l
+        left = exact_product(rows.reshape(count * dim, dim), table.reshape(dim, dim * dim))
+        right = exact_product(pairs, rows.transpose(1, 0, 2).reshape(dim, count * dim))
+        left = left.reshape(count, dim, dim, dim)
+        right = right.reshape(dim, dim, count, dim).transpose(2, 0, 1, 3)
+        hit = _first((left != right).any(axis=3))
+        if hit is not None:
+            i, j, k = hit
+            return start + i, j, k
     return None
 
 

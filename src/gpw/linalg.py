@@ -4,8 +4,11 @@
 list of rational rows, scaled to integers by their denominators' lcm.  It
 drops zero rows and reduces the rest modulo a word-sized prime
 (:func:`rank_mod_p`): a rank r, pivots (rows R, columns B) and the reduced
-rows X = M[R,B]^-1 M[R,:] mod p.  Reduction mod p can only collapse
-pivots, so r is at most the rational rank and M[R,B] is invertible over Q.
+rows X = M[R,B]^-1 M[R,:] mod p.  The kernel pays per pivot: it finds the
+next pivot column by a look-ahead in windows of doubling width over the
+rows below the pivots, and clears it in one update of only the rows with
+an entry there.  Reduction mod p can only collapse pivots, so r is at most
+the rational rank and M[R,B] is invertible over Q.
 The rank is certified when r == min(rows, cols), or when X lifts to Q
 (small symmetric residues as integers, the rest by rational reconstruction,
 Wang 1981) and passes the exact check M[:,B] X == M: then every column of
@@ -50,43 +53,66 @@ def rank_mod_p(
     Each pivot is taken in the lowest-numbered remaining row, so that a
     prime dividing no minor of the matrix gives the pivots of the same
     elimination over Q.  The elimination stops as soon as every row below
-    the pivots is zero."""
+    the pivots is zero.
+
+    The cost is per pivot, not per column.  The rows below the pivots are
+    zero left of the current column, so the next pivot column is the first
+    column where they are not: the column after the last pivot is probed
+    first, and when it is empty the search goes on in windows of doubling
+    width, one ``any`` each, so a gap of d empty columns costs about
+    log2(d) probes over about 2d columns.  The pivot column is then
+    cleared in one update of only the rows with a nonzero entry there,
+    above and below the pivot, over the columns from the pivot on (left of
+    it the pivot row is zero)."""
     if matrix.dtype != np.int64:
         raise TypeError("modular kernel expects an int64 matrix")
     a = matrix
-    rows, cols = a.shape
-    order = np.arange(rows)
+    order = np.arange(len(a))
     live = int(np.count_nonzero(a.any(axis=1)))  # nonzero rows below the pivots
-    rank = 0
-    for col in range(cols):
-        if not live:
-            break
-        nz = rank + np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = int(nz[np.argmin(order[nz])])
+    rank = col = 0
+    while live:
+        below = a[rank:, col].nonzero()[0]
+        if not below.size:
+            col = _first_nonzero_column(a[rank:], col + 1)
+            below = a[rank:, col].nonzero()[0]
+        piv = rank + int(below[order[rank + below].argmin()])
         if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
+            a[[rank, piv], col:] = a[[piv, rank], col:]
             order[[rank, piv]] = order[[piv, rank]]
         if pivots is not None:
             pivots.append((int(order[rank]), col))
-        a[rank] = (a[rank] * pow(int(a[rank, col]), -1, prime)) % prime
-        live -= 1 + _eliminate(a[rank + 1 :], a[rank], col, prime)
-        _eliminate(a[:rank], a[rank], col, prime)
+        pivot_row = a[rank, col:]
+        pivot_row *= pow(int(pivot_row[0]), -1, prime)
+        pivot_row %= prime
+        hit = a[:, col].nonzero()[0]
+        hit = hit[hit != rank]
+        if hit.size:
+            block = a[hit, col:]
+            block -= block[:, :1] * pivot_row
+            # block mod prime: numpy divides by a scalar about twice as fast
+            # as it takes the remainder
+            block -= block // prime * prime
+            a[hit, col:] = block
+            # rows above the pivot keep their own pivots; count the rows below that vanished
+            lower = block[hit.searchsorted(rank) :]
+            live -= len(lower) - int(np.count_nonzero(lower.any(axis=1)))
+        live -= 1
         rank += 1
+        col += 1
     return rank
 
 
-def _eliminate(block: np.ndarray, pivot_row: np.ndarray, col: int, prime: int) -> int:
-    """Clear column ``col`` of ``block`` with the unit pivot row; returns
-    how many of the rows it changed became zero."""
-    factors = block[:, col]
-    hit = factors != 0
-    if not hit.any():
-        return 0
-    updated = (block[hit] - factors[hit, None] * pivot_row[None, :]) % prime
-    block[hit] = updated
-    return len(updated) - int(np.count_nonzero(updated.any(axis=1)))
+def _first_nonzero_column(block: np.ndarray, start: int) -> int:
+    """The first column from ``start`` on in which ``block`` has a nonzero
+    entry, searched in windows of doubling width; ``block.shape[1]`` if
+    there is none."""
+    width = 1
+    while start < block.shape[1]:
+        found = block[:, start : start + width].any(axis=0).nonzero()[0]
+        if found.size:
+            return start + int(found[0])
+        start, width = start + width, 2 * width
+    return block.shape[1]
 
 
 @cache

@@ -28,8 +28,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import limits, modes
 from .errors import (
@@ -42,8 +42,7 @@ from .groups import FiniteGroup
 from .shapes import Multitableau, tableau_to_permutation
 
 
-@dataclass(frozen=True, order=True)
-class Variable:
+class Variable(NamedTuple):
     kind: str  # modes.PLAIN | modes.SYM | modes.SKEW
     grade: int
     index: int

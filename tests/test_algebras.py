@@ -527,12 +527,27 @@ def test_associativity_defect_is_the_same_on_both_sides_of_2_53(product_dtypes):
     table[0, 1, 1] = 2
     expected = _first_defect(table.tolist())
     assert expected is not None and expected[0] == 0
-    # both products of a left factor have the bound dim * (2 * scale)**2
+    # both products of the one block of left factors have the bound dim * (2 * scale)**2
     below = math.isqrt((2**53 - 1) // 16)
     for scale, small in [(1, True), (below, True), (below + 1, False), (2**40, False)]:
         product_dtypes.clear()
         assert algebras._associativity_defect(table * scale) == expected
         assert set(product_dtypes) == {np.dtype(np.int64 if small else object)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.tuples(*[st.integers(0, 4)] * 3), st.integers(-2, 2).filter(bool))
+def test_associativity_blocks_keep_the_first_failing_triple(factors, entry, delta):
+    # the group algebra of C5 with one entry changed, checked in blocks of 1
+    # to 6 left factors, so that blocks end inside the table and the last is short
+    dim = 5
+    table = np.zeros((dim, dim, dim), dtype=object)
+    for i, j in itertools.product(range(dim), repeat=2):
+        table[i, j, (i + j) % dim] = 1
+    table[entry] += delta
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebras, "_ASSOCIATIVITY_BLOCK", factors * dim**3)
+        assert algebras._associativity_defect(table) == _first_defect(table.tolist())
 
 
 @pytest.mark.parametrize(

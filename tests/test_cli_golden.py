@@ -10,6 +10,7 @@ substitution tuples vanish.  Error runs pin an empty stdout and exit
 code 2."""
 
 import hashlib
+import json as jsonlib
 
 import pytest
 
@@ -248,3 +249,22 @@ def test_verdicts_on_high_powers(capsys, monkeypatch, docs, m, document, letter,
     assert main(["identity", docs[document], f"--poly={poly}"]) == code
     verdict = "true" if code == 0 else "false"
     assert f"is_identity\t{verdict}" in capsys.readouterr().out
+
+
+def test_ut3_codimension_at_6_is_the_closed_form(capsys, monkeypatch, docs):
+    # ut3 at n=6, pinned byte for byte above, is the largest rank-deficient
+    # matrix the modular kernel meets in these runs (3009 x 720, rank 630).
+    # c_n(UT_3) = 3^(n-2)(n^2-7n+9) + 3(n-2)2^(n-1) + 3, from T(UT_3) = C^3
+    # with C the commutator T-ideal (Maltsev) and Drensky's product formula
+    monkeypatch.delenv("GPW_CACHE", raising=False)
+    n = 6
+    closed_form = 3 ** (n - 2) * (n * n - 7 * n + 9) + 3 * (n - 2) * 2 ** (n - 1) + 3
+    assert closed_form == 630
+    reports = {}
+    for command in ("codim", "cochar"):
+        assert main([command, docs["ut3_trivial"], "--n", "6", "--n-max", "6", "--json"]) == 0
+        reports[command] = jsonlib.loads(capsys.readouterr().out)
+    assert reports["codim"]["total"] == closed_form
+    cochar = reports["cochar"]
+    assert cochar["meta"]["total_codim"] == closed_form
+    assert sum(row["multiplicity"] * row["degree"] for row in cochar["support"]) == closed_form

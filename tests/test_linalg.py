@@ -161,21 +161,34 @@ def test_modulus_is_a_prime_with_int64_safe_products():
 
 
 def rank_mod_p_reference(rows, p):
-    """Plain Gaussian elimination over GF(p) on Python ints."""
+    """Plain Gauss-Jordan elimination over GF(p) on Python ints, rows never
+    moved: the rank, the (row, column) pivots, each in the lowest-numbered
+    row that is not a pivot row yet, and the reduced pivot rows in pivot
+    order."""
     m = [[v % p for v in row] for row in rows]
-    rank = 0
+    pivots = []
     for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        taken = {r for r, _ in pivots}
+        pivot = next((i for i in range(len(m)) if i not in taken and m[i][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for i in range(rank + 1, len(m)):
+        inv = pow(m[pivot][col], -1, p)
+        m[pivot] = [v * inv % p for v in m[pivot]]
+        for i in range(len(m)):
             f = m[i][col]
-            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+            if i != pivot and f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[pivot])]
+        pivots.append((pivot, col))
+    return len(pivots), pivots, [m[r] for r, _ in pivots]
+
+
+def kernel_result(m, p):
+    """``rank_mod_p`` on a copy of ``m`` as the reference reports it; the
+    consumed copy must hold the reduced rows on top and zeros below."""
+    reduced, found = m.copy(), []
+    rank = rank_mod_p(reduced, p, found)
+    assert not reduced[rank:].any()
+    return rank, found, reduced[:rank].tolist()
 
 
 def test_kernel_backends_agree():
@@ -188,8 +201,42 @@ def test_kernel_backends_agree():
         m = rng.integers(0, p, size=(nrows, ncols), dtype=np.int64)
         if rng.random() < 0.4 and nrows > 1:
             m[-1] = (m[0] * int(rng.integers(2, 50))) % p  # force a dependency
-        expected = rank_mod_p_reference(m.tolist(), p)
-        assert rank_mod_p(m.copy(), p) == expected
+        assert kernel_result(m, p) == rank_mod_p_reference(m.tolist(), p)
+
+
+@st.composite
+def sparse_kernel_inputs(draw):
+    """A prime and a matrix reduced mod it: sparse, with zero columns and
+    zero or dependent rows; 2 x N with its pivots in columns 0 and N - 1;
+    or of an empty shape."""
+    p = draw(st.sampled_from([PRIME, 7]))
+    kind = draw(st.sampled_from(["sparse", "far apart", "empty"]))
+    if kind == "empty":
+        return p, np.zeros(draw(st.sampled_from([(0, 0), (0, 5), (4, 0)])), dtype=np.int64)
+    nonzero = st.integers(1, p - 1)
+    if kind == "far apart":
+        m = np.zeros((2, draw(st.integers(2, 300))), dtype=np.int64)
+        m[0, 0], m[0, -1], m[1, -1] = draw(nonzero), draw(st.integers(0, p - 1)), draw(nonzero)
+        return p, m[::-1].copy() if draw(st.booleans()) else m
+    rows, cols = draw(st.integers(1, 10)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    m = rng.integers(0, p, size=(rows, cols), dtype=np.int64) * (rng.random((rows, cols)) < density)
+    m[:, rng.random(cols) < 0.3] = 0
+    m[rng.random(rows) < 0.2] = 0
+    for i in range(rows):
+        if rng.random() < 0.3:  # a combination of two rows
+            j, k = (int(r) for r in rng.integers(0, rows, size=2))
+            m[i] = (m[j] * int(rng.integers(0, p)) % p + m[k] * int(rng.integers(0, p)) % p) % p
+    return p, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_kernel_inputs())
+def test_kernel_matches_the_reference_on_sparse_matrices(case):
+    # pivots far apart send the kernel through its look-ahead windows
+    p, m = case
+    assert kernel_result(m, p) == rank_mod_p_reference(m.tolist(), p)
 
 
 def test_modular_rank_agrees_with_exact_on_integer_matrices():
