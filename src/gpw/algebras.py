@@ -61,14 +61,13 @@ _ASSOCIATIVITY_BLOCK = 2**15
 def _associativity_defect(table: np.ndarray) -> tuple[int, int, int] | None:
     """The first basis triple (i, j, k), in row-major order, with
     (e_i e_j) e_k != e_i (e_j e_k), or None, for an integer structure table
-    ``[i, j]`` = e_i * e_j: both sides are the same positive multiple of the
-    rational products.  A block of left factors e_i at a time, as many as
-    keep each side within ``_ASSOCIATIVITY_BLOCK`` entries and at least one,
-    so that a small algebra takes two products in all and each side of a
-    large one holds dim^3 entries."""
+    ``[i, j]`` = e_i * e_j (int64 when its entries allow): both sides are
+    the same positive multiple of the rational products.  A block of left
+    factors e_i at a time, as many as keep each side within
+    ``_ASSOCIATIVITY_BLOCK`` entries and at least one, so that a small
+    algebra takes two products in all and each side of a large one holds
+    dim^3 entries."""
     dim = len(table)
-    # int64 when it fits, once: every block's products convert the whole table
-    table = table.astype(exact_dtype(max_abs(table)))
     pairs = table.reshape(dim * dim, dim)
     step = max(1, _ASSOCIATIVITY_BLOCK // dim**3)
     for start in range(0, dim, step):
@@ -159,6 +158,8 @@ class GradedStarAlgebra:
         scaled_products = integer_vectors([vec for _, vec in self.structure], dim)
         for ((i, j), _), product in zip(self.structure, scaled_products):
             table[i, j] = product
+        # the laws are checked on one copy, int64 when the entries allow
+        table = table.astype(exact_dtype(max_abs(table)))
 
         expected = [[group.mul(a, b) for b in grades] for a in grades]
         hit = _first(
@@ -195,15 +196,21 @@ class GradedStarAlgebra:
 
     def _check_involution(self, table: np.ndarray) -> None:
         """∗∘∗ = id, ∗ preserves grades, and (e_i e_j)∗ = e_j∗ e_i∗, in
-        integers: with M the involution matrix scaled by the lcm s of its
-        denominators, M·M must be s²·I, and s times the image of each
-        product must equal the product of the scaled images."""
+        integers on the integer structure ``table``: with M the involution
+        matrix scaled by the lcm s of its denominators, M·M must be s²·I,
+        and s times the image of each product must equal the product of
+        the scaled images."""
         dim, labels, grades = self.dim, self.basis_labels, self.grades
         s = lcm(*(c.denominator for row in self.involution for c in row))
         star = np.array([scaled(row, s) for row in self.involution], dtype=object)
+        # M and s M as int64 when their entries allow, once for all products
+        bound = max_abs(star)
+        scaled_star = (s * star).astype(exact_dtype(s * bound))
+        star = star.astype(exact_dtype(bound))
 
         # column j of M is the image of e_j
-        twice = (exact_product(star, star) != s * s * np.eye(dim, dtype=object)).any(axis=0)
+        identity = np.eye(dim, dtype=exact_dtype(s * s)) * (s * s)
+        twice = (exact_product(star, star) != identity).any(axis=0)
         grade = np.array(grades)
         moved = ((star != 0) & (grade[:, None] != grade[None, :])).any(axis=0)
         hit = _first(twice | moved)
@@ -216,7 +223,7 @@ class GradedStarAlgebra:
             raise InvolutionViolation(f"involution moves {labels[j]} across grades")
 
         # image[(i, j), l] = (M (e_i e_j))_l;  swapped[j, (i, l)] = (e_j∗ e_i∗)_l
-        image = exact_product(table.reshape(dim * dim, dim), s * star.T)
+        image = exact_product(table.reshape(dim * dim, dim), scaled_star.T)
         swapped = exact_product(star.T, exact_product(star.T, table).reshape(dim, dim * dim))
         swapped = swapped.reshape(dim, dim, dim).transpose(1, 0, 2)
         hit = _first((image.reshape(dim, dim, dim) != swapped).any(axis=2))

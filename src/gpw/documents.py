@@ -71,6 +71,7 @@ def algebra_to_document(algebra: GradedStarAlgebra) -> dict:
 
 
 def document_to_algebra(doc: dict) -> GradedStarAlgebra:
+    """The algebra of a document; each distinct rational text is parsed once."""
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     version = _require(doc, "format_version", int)
@@ -92,6 +93,15 @@ def document_to_algebra(doc: dict) -> GradedStarAlgebra:
             raise SchemaError(f"grade label {label!r} is not an element of the group")
         grades.append(group.element(label))
 
+    texts: dict[str, Fraction] = {}
+
+    def rational(value) -> Fraction:
+        if type(value) is not str:
+            return _parse_rational(value)
+        if value not in texts:
+            texts[value] = _parse_rational(value)
+        return texts[value]
+
     structure: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for entry in _require(doc, "structure", list):
         if (
@@ -107,7 +117,7 @@ def document_to_algebra(doc: dict) -> GradedStarAlgebra:
         i, j, vec = entry
         if (i, j) in structure:
             raise SchemaError(f"duplicate structure entry for ({i},{j})")
-        structure[(i, j)] = tuple(_parse_rational(v) for v in vec)
+        structure[(i, j)] = tuple(map(rational, vec))
 
     involution = None
     if mode == modes.STAR:
@@ -118,7 +128,7 @@ def document_to_algebra(doc: dict) -> GradedStarAlgebra:
             raise SchemaError("involution must be a square matrix on the basis")
         if not all(isinstance(row, list) for row in rows):
             raise SchemaError("involution rows must match the basis length")
-        involution = tuple(tuple(_parse_rational(v) for v in row) for row in rows)
+        involution = tuple(tuple(map(rational, row)) for row in rows)
     elif "involution" in doc and doc["involution"] is not None:
         raise SchemaError("graded mode must not declare an involution")
 

@@ -233,16 +233,18 @@ def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _WordTrie:
     """The prefix trie of sorted, distinct words of one length n, level by
-    level: on level l (the prefixes of length l + 1), ``parents[l]``,
-    ``letters[l]`` and ``new[l]`` give each node's parent on level l - 1
-    (the root, 0, on level 0), its last letter and whether that letter is
-    new to its prefix.  Nodes are numbered along the words, so siblings are
+    level: level l holds the prefixes of length l + 1, nodes ``ends[l]`` to
+    ``ends[l + 1]`` of the flat arrays, and ``parents``, ``letters`` and
+    ``new`` give each node's parent as a number on its level l - 1 (the
+    root, 0, on level 0), its last letter and whether that letter is new
+    to its prefix.  Nodes are numbered along the words, so siblings are
     consecutive and leaf i is word i, which has ``fewest`` or more distinct
     letters."""
 
-    parents: list[np.ndarray]
-    letters: list[np.ndarray]
-    new: list[np.ndarray]
+    parents: np.ndarray
+    letters: np.ndarray
+    new: np.ndarray
+    ends: list[int]
     fewest: int
 
 
@@ -270,11 +272,11 @@ def _word_trie(words: Sequence[Word]) -> _WordTrie:
             distinct[level + 1] = distinct[level] + new
         fewest = min(fewest, distinct[n])
         previous = word
-    # one array cut into views per level: every identity test builds a trie
+    # one array cut into three: every identity test builds a trie
     flat = np.array([i for level in levels for i in level], dtype=np.intp)
-    ends = list(itertools.accumulate(map(len, levels), initial=0))
-    cut = [flat[a:b] for a, b in zip(ends, ends[1:])]
-    return _WordTrie(cut[:n], cut[n : 2 * n], cut[2 * n :], fewest)
+    ends = list(itertools.accumulate(map(len, levels[:n]), initial=0))
+    nodes = ends[-1]
+    return _WordTrie(flat[:nodes], flat[nodes : 2 * nodes], flat[2 * nodes :], ends, fewest)
 
 
 def _word_rows(
@@ -310,9 +312,10 @@ def _word_rows(
 def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> list[np.ndarray]:
     """:func:`_word_rows` in one walk, each problem on its own copy of the
     trie; a problem with a letter without values has no pairs."""
-    dim, words = table.shape[0], len(trie.new[-1]) if trie.new else 0
+    dim, ends = table.shape[0], trie.ends
+    words = ends[-1] - ends[-2] if len(ends) > 1 else 0
     sizes = [list(map(len, vectors)) for vectors in batch]
-    if not trie.parents or not any(map(all, sizes)):  # no letters, or no values: no rows
+    if not words or not any(map(all, sizes)):  # no letters, or no values: no rows
         return [np.zeros((0, words), dtype=table.dtype)] * len(batch)
     count, letters = len(batch), len(sizes[0])
     if trie.fewest < letters:
@@ -323,59 +326,68 @@ def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> 
     strides = [list(itertools.accumulate(s[:0:-1], mul, initial=1))[::-1] for s in sizes]
     span = max(map(prod, sizes))  # tuples of the largest problem
     itype = exact_dtype(count * span * dim)
-    size = np.array(sizes).reshape(-1)
-    stride = np.array(strides, dtype=itype).reshape(-1)
-    first = np.array([start[id(v)] for vectors in batch for v in vectors])
     candidates = np.concatenate(list(distinct.values()))
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
     right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
-    problems = np.arange(count)[:, None]  # node u of a level of width w is node p * w + u
-    lettered = problems * letters
-    keys = (lettered + trie.letters[0]).reshape(-1)  # (problem, letter) of each node
-    lens = size[keys]  # level 0: every value of each node's letter
+    # node u of a level is node u * count + p of problem p.  Every node's
+    # size, stride and first value are taken from [letter, problem] tables,
+    # and the new flags repeated, once per walk, charged like a level by the
+    # widest one (the leaves); a level is a slice of each.
+    limits.charge(count * words)
+    firsts = [[start[id(v)] for v in vectors] for vectors in batch]
+    node_size, node_stride, node_first = (  # [letter, problem] made contiguous for the take
+        np.array(rows, dtype=dtype).T.copy().take(trie.letters, axis=0).reshape(-1)
+        for rows, dtype in ((sizes, np.intp), (strides, itype), (firsts, np.intp))
+    )
+    new = trie.new.repeat(count)
+    fresh = np.add.reduceat(trie.new, ends[:-1]).tolist()  # new letters per level
+    bounds = [end * count for end in ends]
+    lens = node_size[: bounds[1]]  # level 0: every value of each node's letter
     child = np.arange(len(lens)).repeat(lens)  # the node of each pair
     limits.charge(len(child) * dim)
     digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
-    index = digit * stride[keys][child]
-    value = candidates.take(first[keys][child] + digit, axis=0)
-    for parents, level, new in zip(trie.parents[1:], trie.letters[1:], trie.new[1:]):
-        keys = (lettered + level).reshape(-1)
-        if len(parents) * count > len(lens) or new.any():  # else each pair has one child
+    index = digit * node_stride[child]
+    value = candidates.take(node_first[child] + digit, axis=0)
+    for level, branching in enumerate(fresh[1:], 1):
+        a, b = bounds[level], bounds[level + 1]
+        size, stride, first = node_size[a:b], node_stride[a:b], node_first[a:b]
+        if b - a > len(lens) or branching:  # else each pair has one child
             keep = value.any(axis=1)
             if not keep.all():
                 child, index, value = child[keep], index[keep], value.compress(keep, axis=0)
             if not len(child):
                 break
-            # counts[u] pairs of node u follow those of the nodes before it
+            # counts[u] pairs of node u follow those of the nodes before it;
+            # each node reads its parent's [node, problem] entries
             counts = np.bincount(child, minlength=len(lens))
-            parents = (problems * (len(lens) // count) + parents).reshape(-1)
+            starts = (counts.cumsum() - counts).reshape(-1, count)
+            parents = trie.parents[ends[level] : ends[level + 1]]
             # all values of a new letter, one of a repeated one
-            branch = (size[keys].reshape(count, -1) ** new).reshape(-1)
-            lens = counts[parents] * branch
-            ends = lens.cumsum()
-            limits.charge(int(ends[-1]) * dim)
+            branch = size ** new[a:b]
+            lens = counts.reshape(-1, count).take(parents, axis=0).reshape(-1) * branch
+            total = lens.cumsum()
+            limits.charge(int(total[-1]) * dim)
             # pair j of child u (pairs from E_u on, its parent's from S_u on) is
             # digit of parent pair source: j - E_u == (source - S_u) * branch + digit
-            shift = (counts.cumsum() - counts)[parents] * branch - (ends - lens)
+            shift = starts.take(parents, axis=0).reshape(-1) * branch - (total - lens)
             child = np.arange(len(lens)).repeat(lens)
             source, digit = np.divmod(np.arange(len(child)) + shift[child], branch[child])
-            index = index[source] + digit * stride[keys][child]
+            index = index[source] + digit * stride[child]
             value = value.take(source, axis=0)
         limits.charge(len(child) * dim * dim)
-        key = keys[child]
-        choice = (first[key] + index // stride[key] % size[key]).astype(np.intp)
+        choice = (first[child] + index // stride[child] % size[child]).astype(np.intp)
         value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
     pair, k = value.nonzero()
-    problem, leaf = np.divmod(child[pair], words)
+    leaf, problem = np.divmod(child[pair], count)
     offset = span * dim  # problem i's row numbers t * dim + k are raised by i * offset
     numbers = index[pair] * dim + k + problem.astype(itype) * offset
     numbers, row = np.unique(numbers, return_inverse=True)
     limits.charge(len(numbers) * words)
     rows = np.zeros((len(numbers), words), dtype=table.dtype)
     rows[row, leaf] = value[pair, k]
-    ends = numbers.searchsorted(np.arange(count + 1, dtype=itype) * offset).tolist()
-    return [rows[a:b] for a, b in zip(ends, ends[1:])]
+    splits = numbers.searchsorted(np.arange(count + 1, dtype=itype) * offset).tolist()
+    return [rows[a:b] for a, b in zip(splits, splits[1:])]
 
 
 def _coefficient_matrix(
@@ -422,7 +434,7 @@ def _word_matrices(
     # with vector entries up to b and structure constants up to t, a word's
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
-    n = max(len(trie.parents), 1)
+    n = max(len(trie.ends) - 1, 1)
     distinct = {id(v): v for vectors in batch for v in vectors}  # letters of one slot share values
     b = max(map(max_abs, distinct.values()), default=0)
     t = max_abs(table)

@@ -60,7 +60,7 @@ class GradedPoly:
     anything that gets evaluated; the empty monomial is representable but
     rejected by the evaluator)."""
 
-    __slots__ = ("mode", "terms")
+    __slots__ = ("mode", "terms", "_hash")
 
     def __init__(self, mode: str, terms: dict[Monomial, Fraction] | None = None):
         modes.check_mode(mode)
@@ -100,13 +100,13 @@ class GradedPoly:
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             out[mono] = out.get(mono, Fraction(0)) + coeff
-        return GradedPoly(self.mode, out)
+        return _valid_poly(self.mode, out)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.mode, {m: -c for m, c in self.terms.items()})
+        return _valid_poly(self.mode, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -117,7 +117,7 @@ class GradedPoly:
             for m2, c2 in other.terms.items():
                 mono = m1 + m2
                 out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return GradedPoly(self.mode, out)
+        return _valid_poly(self.mode, out)
 
     def __rmul__(self, other) -> "GradedPoly":
         if isinstance(other, (int, Fraction)):
@@ -126,7 +126,7 @@ class GradedPoly:
 
     def scale(self, c) -> "GradedPoly":
         c = Fraction(c)
-        return GradedPoly(self.mode, {m: c * v for m, v in self.terms.items()})
+        return _valid_poly(self.mode, {m: c * v for m, v in self.terms.items()})
 
     def _check_same_mode(self, other: "GradedPoly"):
         if self.mode != other.mode:
@@ -161,7 +161,7 @@ class GradedPoly:
         if len(buckets) == 1:
             return [self]
         return [
-            GradedPoly(self.mode, terms)
+            _valid_poly(self.mode, terms)
             for _, terms in sorted(buckets.items(), key=lambda kv: sorted(kv[0]))
         ]
 
@@ -187,7 +187,12 @@ class GradedPoly:
         )
 
     def __hash__(self):
-        return hash((self.mode, frozenset(self.terms.items())))
+        # the slot is filled on first use: a polynomial is not changed once built
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.mode, frozenset(self.terms.items())))
+            return self._hash
 
     def display(self, group: FiniteGroup | None = None) -> str:
         if not self.terms:
@@ -212,6 +217,16 @@ class GradedPoly:
         return f"GradedPoly({self.display()})"
 
 
+def _valid_poly(mode: str, terms: dict[Monomial, Fraction]) -> GradedPoly:
+    """A polynomial from ``Fraction`` coefficients on letters already valid
+    in ``mode``, such as the sum or product of two polynomials: zero
+    coefficients are dropped, nothing else is checked."""
+    poly = object.__new__(GradedPoly)
+    poly.mode = mode
+    poly.terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+    return poly
+
+
 def commutator(a: GradedPoly, b: GradedPoly) -> GradedPoly:
     return a * b - b * a
 
@@ -229,7 +244,7 @@ def apply_position_permutation(poly: GradedPoly, perm: tuple[int, ...]) -> Grade
             raise ValueError("permutation length does not match monomial degree")
         new = tuple(mono[perm[p] - 1] for p in range(len(perm)))
         out[new] = out.get(new, Fraction(0)) + coeff
-    return GradedPoly(poly.mode, out)
+    return _valid_poly(poly.mode, out)
 
 
 def invert_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -326,7 +341,7 @@ def multilinearize(poly: GradedPoly) -> GradedPoly:
                     new[pos] = copy
             key = tuple(new)
             out[key] = out.get(key, Fraction(0)) + coeff
-    return GradedPoly(poly.mode, out)
+    return _valid_poly(poly.mode, out)
 
 
 Word = tuple[int, ...]
@@ -417,45 +432,47 @@ class _Parser:
     _FACTOR_STARTS = ("int", "var", "(", "[")
 
     def term(self) -> GradedPoly:
-        acc = self.factor()
+        """A run of numbers and variables, joined by '*' or juxtaposition,
+        is gathered into one coefficient and one monomial, so polynomials
+        are multiplied only at a parenthesis, a bracket or 'o' (whose right
+        operand is one factor)."""
+        acc = None  # the factors before the run, once one was not a number or variable
+        coeff, letters = Fraction(1), []
+        op = "*"
         while True:
+            kind = self.peek()[0]
+            if op == "o":
+                acc = circle(self._times(acc, coeff, letters), self.factor())
+                coeff, letters = Fraction(1), []
+            elif kind == "int":
+                coeff *= self.number()
+            elif kind == "var":
+                letters.append(self.variable())
+            else:
+                acc = self._times(acc, coeff, letters) * self.factor()
+                coeff, letters = Fraction(1), []
             kind = self.peek()[0]
             if kind in ("*", "o"):
                 op = self.take()[0]
-                rhs = self.factor()
-                acc = acc * rhs if op == "*" else circle(acc, rhs)
             elif kind in self._FACTOR_STARTS:
-                acc = acc * self.factor()
+                op = "*"
             else:
-                return acc
+                return self._times(acc, coeff, letters)
+
+    def _times(self, acc: GradedPoly | None, coeff: Fraction, letters: list) -> GradedPoly:
+        """``acc`` times the run ``coeff`` * ``letters``."""
+        if acc is not None and coeff == 1 and not letters:
+            return acc
+        run = _valid_poly(self.mode, {tuple(letters): coeff})
+        return run if acc is None else acc * run
 
     def factor(self) -> GradedPoly:
-        tok = self.take()
-        kind, value, pos = tok
+        kind = self.peek()[0]
         if kind == "int":
-            coeff = Fraction(value)
-            if self.peek()[0] == "/":
-                self.take()
-                den = self.expect("int")[1]
-                if den == 0:
-                    raise ParseError("division by zero", pos)
-                coeff /= den
-            return GradedPoly(self.mode, {(): coeff})
+            return _valid_poly(self.mode, {(): self.number()})
         if kind == "var":
-            letter, index, label = value
-            if letter not in modes.KINDS_BY_MODE[self.mode]:
-                raise KindInWrongMode(
-                    f"variable letter {letter!r} is not valid in {self.mode} mode"
-                )
-            if label not in self.group.labels:
-                raise UnknownGradeLabel(
-                    f"grade label {label!r} is not an element of the group "
-                    f"(have {', '.join(self.group.labels)})"
-                )
-            if index < 1:
-                raise ParseError("variable indices start at 1", pos)
-            var = Variable(letter, self.group.element(label), index)
-            return GradedPoly.monomial(self.mode, (var,))
+            return _valid_poly(self.mode, {(self.variable(),): Fraction(1)})
+        kind, _, pos = self.take()
         if kind == "(":
             inner = self.poly()
             self.expect(")")
@@ -469,6 +486,33 @@ class _Parser:
         raise ParseError(
             "expected a number, variable, parenthesis or bracket", pos
         )
+
+    def number(self) -> Fraction:
+        """INT ['/' INT]"""
+        _, value, pos = self.take()
+        coeff = Fraction(value)
+        if self.peek()[0] == "/":
+            self.take()
+            den = self.expect("int")[1]
+            if den == 0:
+                raise ParseError("division by zero", pos)
+            coeff /= den
+        return coeff
+
+    def variable(self) -> Variable:
+        _, (letter, index, label), pos = self.take()
+        if letter not in modes.KINDS_BY_MODE[self.mode]:
+            raise KindInWrongMode(
+                f"variable letter {letter!r} is not valid in {self.mode} mode"
+            )
+        if label not in self.group.labels:
+            raise UnknownGradeLabel(
+                f"grade label {label!r} is not an element of the group "
+                f"(have {', '.join(self.group.labels)})"
+            )
+        if index < 1:
+            raise ParseError("variable indices start at 1", pos)
+        return Variable(letter, self.group.element(label), index)
 
 
 def parse_poly(text: str, mode: str, group: FiniteGroup) -> GradedPoly:

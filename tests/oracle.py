@@ -14,7 +14,9 @@ tableaux, built as words and evaluated by the engine, and the grid route
 (``grid_multiplicity``) evaluates the unpolarized vectors on substitution
 grids by the Fraction loops.  ``bareiss_rank`` and the ``Fraction`` RREF
 (``rref``, ``nullspace``) are the references for the package's certified
-modular elimination.
+modular elimination.  ``parse_poly_by_factor`` is the factor-by-factor
+parser, the reference for the package's parser, which gathers each run of
+numbers and variables into one monomial.
 """
 
 import itertools
@@ -27,6 +29,9 @@ import numpy as np
 from gpw import evaluator, modes
 from gpw.errors import (
     AssociativityViolation,
+    KindInWrongMode,
+    ParseError,
+    UnknownGradeLabel,
     HomogeneityViolation,
     InvolutionViolation,
     NoIdentity,
@@ -37,8 +42,12 @@ from gpw.errors import (
 from gpw.evaluator import canonical_variable_order
 from gpw.linalg import exact_rank
 from gpw.polynomials import (
+    GradedPoly,
     Variable,
+    _Parser,
     _sign,
+    circle,
+    commutator,
     highest_weight_vector,
     invert_permutation,
     multilinearize,
@@ -49,6 +58,66 @@ from gpw.shapes import (
     standard_multitableaux,
     tableau_to_permutation,
 )
+
+
+class _FactorParser(_Parser):
+    """The expression grammar, each factor its own polynomial and each
+    product a product of polynomials."""
+
+    def term(self):
+        acc = self.factor()
+        while True:
+            kind = self.peek()[0]
+            if kind in ("*", "o"):
+                op = self.take()[0]
+                rhs = self.factor()
+                acc = acc * rhs if op == "*" else circle(acc, rhs)
+            elif kind in self._FACTOR_STARTS:
+                acc = acc * self.factor()
+            else:
+                return acc
+
+    def factor(self):
+        kind, value, pos = self.take()
+        if kind == "int":
+            coeff = Fraction(value)
+            if self.peek()[0] == "/":
+                self.take()
+                den = self.expect("int")[1]
+                if den == 0:
+                    raise ParseError("division by zero", pos)
+                coeff /= den
+            return GradedPoly(self.mode, {(): coeff})
+        if kind == "var":
+            letter, index, label = value
+            if letter not in modes.KINDS_BY_MODE[self.mode]:
+                raise KindInWrongMode(
+                    f"variable letter {letter!r} is not valid in {self.mode} mode"
+                )
+            if label not in self.group.labels:
+                raise UnknownGradeLabel(
+                    f"grade label {label!r} is not an element of the group "
+                    f"(have {', '.join(self.group.labels)})"
+                )
+            if index < 1:
+                raise ParseError("variable indices start at 1", pos)
+            var = Variable(letter, self.group.element(label), index)
+            return GradedPoly.monomial(self.mode, (var,))
+        if kind == "(":
+            inner = self.poly()
+            self.expect(")")
+            return inner
+        if kind == "[":
+            left = self.poly()
+            self.expect(",")
+            right = self.poly()
+            self.expect("]")
+            return commutator(left, right)
+        raise ParseError("expected a number, variable, parenthesis or bracket", pos)
+
+
+def parse_poly_by_factor(text, mode, group):
+    return _FactorParser(text, mode, group).parse()
 
 
 def _mono_value(mono, algebra, assignment, memo):

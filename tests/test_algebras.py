@@ -5,6 +5,7 @@ Products of the built-ins are compared against independent matrix arithmetic
 structure constants.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from gpw.errors import (
     StarRequired,
 )
 
-from conftest import m2_transpose_document, peak_bytes
+from conftest import m2_transpose_document, peak_bytes, ut3_document
 
 
 def matmul(a, b):
@@ -429,6 +430,111 @@ def test_integer_validation_matches_the_fraction_loops(case):
         with pytest.raises(kind) as info:
             gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
         assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases())
+def test_laws_past_int64_report_the_same_first_failure(case):
+    # the basis f_a = 2^(70 a + 70) e_a: every law holds or fails at the same
+    # triple or pair, on a table (and an involution with an off-diagonal
+    # entry) whose integer entries are far past 2**62, so every check runs
+    # in Python ints
+    group, labels, grades, table, star = case
+    assume(any(c for row in table for vec in row for c in vec))
+    dim = len(labels)
+    d = [Fraction(2 ** (70 * a + 70)) for a in range(dim)]
+    table = [[[table[i][j][k] * d[i] * d[j] / d[k] for k in range(dim)] for j in range(dim)]
+             for i in range(dim)]
+    if star is not None:
+        star = [[star[r][c] * d[c] / d[r] for c in range(dim)] for r in range(dim)]
+        if any(star[r][c] for r in range(dim) for c in range(dim) if r != c):
+            s = math.lcm(*(c.denominator for row in star for c in row))
+            assert max(abs(c) * s for row in star for c in row) > 2**62
+    scale = math.lcm(*(c.denominator for row in table for vec in row for c in vec))
+    assert max(abs(c) * scale for row in table for vec in row for c in vec) > 2**62
+    structure = {
+        (i, j): tuple(table[i][j]) for i in range(dim) for j in range(dim) if any(table[i][j])
+    }
+    involution = None if star is None else tuple(map(tuple, star))
+    expected = oracle.law_violation(group, labels, grades, table, star)
+    if expected is None:
+        algebra = gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
+        assert algebra.integer_table.dtype == object
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as info:
+            gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
+        assert str(info.value) == message
+
+
+# -- loading a document --------------------------------------------------------------
+
+# the digests of these algebras, whose documents are fixed
+_DIGESTS = {
+    "ut2_g": "1fe7a935021605d890ca6b44820932ccaad7ede0a90f0c1192cc7707a2a9017d",
+    "ut2_trivial": "c0e55d970ead922763719b3c4c22a1a4bd86508f8833e10dd6d1afbc5c70717c",
+    "k_g": "67ed832cc8f95e302d0bb4e7b1a5d91fbe3e0820f5f0d395408056dcd574b132",
+    "e2": "4376decdf313bb41b3d2ee65abc5c64b00f857a24c78b2eccd2054d70e8f5bb3",
+    "m2_transpose": "8b0a93000b36421aa454229a4d87fc4ebb9671a5dcbd1b46763e724865ed08ca",
+    "ut3_c2": "4919b60e20744ef89f8aaf644457104dc356c7b3a52d7b18ea03aadef7da91b8",
+}
+
+
+def _expected_load(doc, products):
+    """What loading ``doc`` must give, from its nonzero rational products:
+    the structure, the integer table and the digest."""
+    dim = len(doc["basis"])
+    structure = tuple(sorted((key, tuple(vec)) for key, vec in products.items() if any(vec)))
+    scale = math.lcm(*(c.denominator for _, vec in structure for c in vec))
+    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), vec in structure:
+        table[i][j] = [int(c * scale) for c in vec]
+    canonical = dict(doc, structure=[[i, j, [str(c) for c in vec]] for (i, j), vec in structure])
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    return structure, table, hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_loads(doc, products):
+    structure, table, digest = _expected_load(doc, products)
+    algebra = gpw.document_to_algebra(doc)
+    assert algebra.structure == structure
+    assert algebra.integer_table.dtype == object
+    assert algebra.integer_table.tolist() == table
+    assert algebra_digest(algebra) == digest
+    return digest
+
+
+@pytest.mark.parametrize("name", sorted(_DIGESTS))
+def test_builtin_documents_load_unchanged(name, request):
+    if name == "ut3_c2":
+        algebra = gpw.loads_algebra(ut3_document("c2"))
+    else:
+        algebra = request.getfixturevalue(name)
+    doc = algebra_to_document(algebra)
+    products = {key: vec for key, vec in algebra.structure}
+    assert _assert_loads(doc, products) == _DIGESTS[name] == algebra_digest(algebra)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases())
+def test_random_documents_load_unchanged(case):
+    group, labels, grades, table, star = case
+    assume(oracle.law_violation(group, labels, grades, table, star) is None)
+    dim = len(labels)
+    doc = {
+        "format_version": 1,
+        "name": "case",
+        "mode": "graded" if star is None else "star",
+        "group": group.spec,
+        "basis": list(labels),
+        "grading": [group.label(g) for g in grades],
+        # every product, zero ones too, so that texts repeat
+        "structure": [[i, j, [str(c) for c in table[i][j]]] for i in range(dim) for j in range(dim)],
+    }
+    if star is not None:
+        doc["involution"] = [[str(c) for c in row] for row in star]
+    products = {(i, j): tuple(table[i][j]) for i in range(dim) for j in range(dim)}
+    _assert_loads(doc, products)
 
 
 # -- the nonzero products an algebra keeps -----------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpw
+from gpw import polynomials
 from gpw.errors import (
     KindInWrongMode,
     NotMultihomogeneous,
@@ -33,7 +34,7 @@ from gpw.shapes import (
     standard_multitableaux,
 )
 
-from oracle import composition_variables, polarized_tableau_words
+from oracle import composition_variables, parse_poly_by_factor, polarized_tableau_words
 
 
 def x(i, grade=0):
@@ -147,6 +148,97 @@ def test_display_round_trip(c2):
     for text in ("x{1,1}*x{2,g}*x{1,1}", "[x{1,1},x{2,g}]", "x{1,g}*x{1,g} - 2*x{2,1}"):
         p = parse_poly(text, "graded", c2)
         assert parse_poly(p.display(c2), "graded", c2) == p
+
+
+def _expression(rng, letters: str) -> str:
+    """A well-formed text of the README grammar over C2: rationals, unary
+    minus, juxtaposition with and without spaces, '*', 'o', parentheses and
+    brackets, nested at most twice."""
+    pick = rng.choice
+
+    def poly(depth):
+        text = pick(["", "-"]) + term(depth)
+        while rng.random() > 0.6:
+            text += pick([" + ", "-"]) + term(depth)
+        return text
+
+    def term(depth):
+        text = factor(depth)
+        while rng.random() > 0.4:
+            text += pick(["*", " o ", "o", " ", ""]) + factor(depth)
+        return text
+
+    def factor(depth):
+        kind = pick(["number", "variable", "variable", "paren", "bracket"][: 5 if depth < 2 else 3])
+        if kind == "number":
+            return pick(["1", "0", "2", "5", "1/2", "3/4", "6/3"])
+        if kind == "variable":
+            return f"{pick(letters)}{{{pick([1, 2])},{pick(['1', 'g'])}}}"
+        if kind == "paren":
+            return f"({poly(depth + 1)})"
+        return f"[{poly(depth + 1)}, {poly(depth + 1)}]"
+
+    return poly(0)
+
+
+# inserted into a well-formed text to make a malformed one
+_STRAY = ["(", ")", "[", "]", ",", "+", "-", "*", "o", "/", "2/0", "1/0", "x{0,1}",
+          "x{1,q}", "x{1,1}", "y{1,g}", "z{2,1}", "#", "{", ""]
+
+
+def _outcome(parse, text, mode, group):
+    try:
+        poly = parse(text, mode, group)
+    except Exception as exc:  # the class and the message, position included
+        return type(exc), str(exc)
+    return poly.mode, list(poly.terms.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["graded", "star"]), st.data())
+def test_parser_matches_the_factor_by_factor_reference(mode, data):
+    c2 = gpw.cyclic(2)
+    text = _expression(data.draw(st.randoms(use_true_random=False)), "x" if mode == "graded" else "yz")
+    if data.draw(st.booleans()):
+        # delete a slice, then insert a stray token, at random places
+        a = data.draw(st.integers(0, len(text)))
+        b = data.draw(st.integers(a, min(len(text), a + 3)))
+        text = text[:a] + text[b:]
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(_STRAY)) + text[at:]
+    expected = _outcome(parse_poly_by_factor, text, mode, c2)
+    assert _outcome(parse_poly, text, mode, c2) == expected
+
+
+def test_parser_builds_one_polynomial_per_run(c2, monkeypatch):
+    built = []
+    monkeypatch.setattr(polynomials, "_valid_poly", lambda *a: built.append(a) or GradedPoly(*a))
+    p = parse_poly("2*x{1,1} x{2,g}*3/4 x{1,1}", "graded", c2)
+    assert built == [("graded", {(x(1), x(2, 1), x(1)): Fraction(3, 2)})]
+    assert list(p.terms.items()) == [((x(1), x(2, 1), x(1)), Fraction(3, 2))]
+    assert parse_poly("x{1,1} 0 x{2,1}", "graded", c2).is_zero
+
+
+# -- hashing --------------------------------------------------------------------------
+
+_terms = st.dictionaries(
+    st.lists(st.builds(x, st.integers(1, 3), st.integers(0, 1)), max_size=3).map(tuple),
+    st.fractions(max_denominator=5),
+    max_size=5,
+)
+
+
+@given(_terms, st.randoms(use_true_random=False))
+def test_equal_polynomials_hash_equal(terms, rng):
+    p = GradedPoly("graded", terms)
+    items = list(terms.items())
+    rng.shuffle(items)
+    q = GradedPoly.zero("graded")
+    for mono, coeff in items:  # another insertion order, built by sums
+        q = q + GradedPoly.monomial("graded", mono, coeff)
+    assert p == q
+    assert hash(p) == hash(q) == hash(p)
+    assert hash(-(-p)) == hash(p)
 
 
 # -- standard polynomials ----------------------------------------------------------
