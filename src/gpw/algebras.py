@@ -279,7 +279,9 @@ class GradedStarAlgebra:
 
         Symmetric and skew parts are exact eigenspaces of the involution
         restricted to the component; their dimensions always add up to the
-        component dimension.  Each (grade, kind) basis is computed once per
+        component dimension.  Where the involution is diagonal on the
+        component they are spanned by basis vectors and need no
+        elimination.  Each (grade, kind) basis is computed once per
         algebra and then returned shared (a ``HomBasis`` is immutable).
         """
         return self._component(grade, kind)[0]
@@ -310,14 +312,15 @@ class GradedStarAlgebra:
         if not idx:
             return HomBasis(grade, kind, ())
         sign = Fraction(1 if kind == modes.SYM else -1)
+        star = self.involution
+        if all(star[r][c] == 0 for r in idx for c in idx if r != c):
+            # M - sign·I is diagonal on the component: its nullspace is
+            # spanned by the unit vectors of the zero diagonal entries,
+            # ascending, as nullspace returns them
+            units = tuple(self.basis_vector(i) for i in idx if star[i][i] == sign)
+            return HomBasis(grade, kind, units)
         # solve (M - sign·I) u = 0 inside the component's coordinates
-        rows = [
-            [
-                self.involution[r][c] - (sign if r == c else 0)
-                for c in idx
-            ]
-            for r in idx
-        ]
+        rows = [[star[r][c] - (sign if r == c else 0) for c in idx] for r in idx]
         vectors = []
         for sol in nullspace(rows, len(idx)):
             full = [Fraction(0)] * self.dim

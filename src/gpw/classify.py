@@ -43,7 +43,7 @@ from .errors import (
 )
 from .evaluator import (
     _arrangement_matrices,
-    _slice_cocharacter,
+    _slices_with_rows,
     build_evaluation_matrix,
     cocharacter_table,
     commutation_matrices,
@@ -358,7 +358,8 @@ def verify_multone_lemmas(
     and e.  Then the one-slot compositions that the criteria whose
     hypotheses hold need are, degree by degree, the arrangement matrices
     of one walk, and the maximal multiplicity of each is read off its
-    character (:func:`~gpw.evaluator.cocharacter_table`'s route).
+    character (:func:`~gpw.evaluator.cocharacter_table`'s route); that of a
+    matrix without rows is 0, and its shapes are not built.
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("these criteria concern star-mode algebras")
@@ -416,8 +417,8 @@ def verify_multone_lemmas(
     slot_max = {}
     for n, comps in wanted.items():
         comps, matrices = _arrangement_matrices(algebra, n, list(comps))
-        for comp, matrix in zip(comps, matrices):
-            slot_max[comp] = max(m for _, m in _slice_cocharacter(algebra, comp, matrix)[1])
+        for comp, (_, counts) in zip(comps, _slices_with_rows(algebra, comps, matrices)):
+            slot_max[comp] = max((m for _, m in counts), default=0)
 
     findings = []
     for (criterion, g, kind, _, _, _), (holds, degrees) in zip(criteria, checks):

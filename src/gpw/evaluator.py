@@ -45,7 +45,8 @@ product is :func:`~gpw.linalg.exact_product`.
   products over its slots (Sagan, "The symmetric group", §1.11), the inner
   products are one contraction per nonempty slot with the weighted
   character table of S_m.  A matrix without rows spans the zero module,
-  whose character is 0, and skips the elimination.  A multiplicity that is
+  whose character is 0: it skips the elimination, and a cocharacter table
+  builds none of its shapes.  A multiplicity that is
   not a nonnegative integer, or a composition whose slice codimension is
   not ``sum(multiplicity * degree)`` over its shapes, can only come from a
   bug and raises :class:`ConsistencyViolation`.  :func:`multiplicity`
@@ -93,9 +94,9 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -621,10 +622,14 @@ def _arrangement_matrices(
     bases = _slot_bases(algebra)
     if comps is None:
         live = [slot for slot, basis in enumerate(bases) if len(basis)]
-        comps = [
-            tuple(dict(zip(live, comp)).get(slot, 0) for slot in range(len(bases)))
-            for comp in compositions(n, len(live))
-        ]
+        comps = compositions(n, len(live))
+        if 0 < len(live) < len(bases):
+            # each slot reads its part of a live composition padded with one
+            # 0, which every empty slot reads; two or more slots, so the
+            # getter returns tuples
+            part = {slot: i for i, slot in enumerate(live)}
+            spread = itemgetter(*(part.get(slot, len(live)) for slot in range(len(bases))))
+            comps = [spread(comp + (0,)) for comp in comps]
     batch = [[bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps]
     return comps, _word_matrices(algebra, batch, _arrangement_trie(n))
 
@@ -677,14 +682,23 @@ def _class_representatives(classes: list[Multipartition]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(classes), n)
 
 
+@cache
+def _lehmer_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the pairs i < j of ``range(n)`` and the factorial-base
+    weights (n-1)!, ..., 0!, built once per degree and shared read-only."""
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    weights = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.intp)
+    later.flags.writeable = weights.flags.writeable = False
+    return later, weights
+
+
 def _permutation_index(perms: np.ndarray) -> np.ndarray:
     """Position of each row, a permutation of ``range(n)``, in
     ``itertools.permutations`` order: its Lehmer code in the factorial
     base."""
-    n = perms.shape[1]
-    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    later, weights = _lehmer_weights(perms.shape[1])
     code = ((perms[:, None, :] < perms[:, :, None]) & later).sum(axis=2)
-    return code @ np.array([factorial(n - 1 - i) for i in range(n)])
+    return code @ weights
 
 
 def _class_traces(
@@ -731,12 +745,17 @@ def _character_sums(comp: Composition, traces: list[int]) -> np.ndarray:
     chi_(lambda_i)(rho_i).  The Young subgroup is a product over its slots,
     so this is the trace vector, read as a tensor with one axis per slot,
     contracted on each nonempty slot's axis with that slot's weighted
-    character table.  Within the degree check every sum is far below 2**63."""
-    tensor = np.array(traces, dtype=np.int64).reshape([len(partitions(m)) for m in comp])
-    for axis, m in enumerate(comp):
+    character table, one ``matmul`` with the tensor read as (slots before,
+    this slot, slots after).  Within the degree check every sum is far
+    below 2**63."""
+    tensor = np.array(traces, dtype=np.int64)
+    before, after = 1, len(traces)
+    for m in comp:
+        size = len(partitions(m))
+        after //= size
         if m:
-            contracted = np.tensordot(_weighted_characters(m), tensor, axes=(1, axis))
-            tensor = np.moveaxis(contracted, 0, axis)
+            tensor = np.matmul(_weighted_characters(m), tensor.reshape(before, size, after))
+        before *= size
     return tensor.reshape(-1)
 
 
@@ -792,6 +811,20 @@ def _slice_cocharacter(
     return rank, list(zip(shapes, counts))
 
 
+def _slices_with_rows(
+    algebra: GradedStarAlgebra, comps: list[Composition], matrices: Iterator[np.ndarray]
+) -> Iterator[tuple[int, list[tuple[Multipartition, int]]]]:
+    """:func:`_slice_cocharacter` of each composition whose matrix has rows,
+    and (0, []) for the others: their shapes, all of multiplicity 0, are not
+    built.  Each matrix is dropped before the next is taken, so a split
+    batch walks its next part only when the last part's matrices are gone."""
+
+    def one(comp: Composition, matrix: np.ndarray):
+        return _slice_cocharacter(algebra, comp, matrix) if len(matrix) else (0, [])
+
+    return map(one, comps, matrices)
+
+
 def composition_multiplicities(
     algebra: GradedStarAlgebra, comp: Composition
 ) -> list[tuple[Multipartition, int]]:
@@ -811,9 +844,11 @@ class CocharacterTable:
     """Degree-n cocharacter data.  ``live_codims`` holds the slice
     codimension of each composition that leaves every empty slot empty, in
     the order of :func:`compositions`, and ``entries`` the shapes of those
-    compositions.  Every other composition has slice codimension 0 and
-    shapes of multiplicity 0, which are left out: ``slice_codims`` lists all
-    ``slots`` compositions only when it is read."""
+    whose arrangement matrix has rows, in the same order.  Every other
+    shape has multiplicity 0 and is left out, and every other composition
+    has slice codimension 0: ``slice_codims`` lists all ``slots``
+    compositions only when it is read, and :meth:`multiplicity_of` answers
+    0 for a shape of weight n on ``slots`` slots that is not listed."""
 
     algebra_name: str
     mode: str
@@ -851,9 +886,11 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     Only the compositions that leave each empty slot empty are visited; the
     others have slice codimension 0 and need no work.  Their matrices, whose
     columns are the n! arrangements, come from one walk
-    (:func:`_arrangement_matrices`), and for each (:func:`_slice_cocharacter`)
-    its rank is the slice codimension and traces on it give every shape's
-    multiplicity.  A multiplicity that is not a nonnegative integer raises
+    (:func:`_arrangement_matrices`), and for each with rows
+    (:func:`_slice_cocharacter`) its rank is the slice codimension and
+    traces on it give every shape's multiplicity.  A matrix without rows
+    gives slice codimension 0 and nothing more: no shape, no entry and no
+    multinomial.  A multiplicity that is not a nonnegative integer raises
     :class:`ConsistencyViolation`, since only a bug can produce it.
     """
     slots = modes.slot_count(len(algebra.group), algebra.mode)
@@ -861,9 +898,9 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     live_codims: dict[Composition, int] = {}
     entries: list[tuple[Multipartition, int]] = []
     total = 0
-    slices = map(partial(_slice_cocharacter, algebra), comps, matrices)
-    for comp, (slice_c, counts) in zip(comps, slices):
+    for comp, (slice_c, counts) in zip(comps, _slices_with_rows(algebra, comps, matrices)):
         live_codims[comp] = slice_c
-        entries.extend(counts)
-        total += multinomial(comp) * slice_c
+        if slice_c:
+            entries.extend(counts)
+            total += multinomial(comp) * slice_c
     return CocharacterTable(algebra.name, algebra.mode, n, slots, live_codims, entries, total)

@@ -16,7 +16,10 @@ grids by the Fraction loops.  ``bareiss_rank`` and the ``Fraction`` RREF
 (``rref``, ``nullspace``) are the references for the package's certified
 modular elimination.  ``parse_poly_by_factor`` is the factor-by-factor
 parser, the reference for the package's parser, which gathers each run of
-numbers and variables into one monomial.
+numbers and variables into one monomial.  ``character_sums_by_tensordot``
+is the character route's per-slot contraction by ``tensordot``, and
+``star_basis_by_nullspace`` a star algebra's symmetric and skew bases by
+the nullspace route, for involutions that are diagonal on a component too.
 """
 
 import itertools
@@ -55,6 +58,7 @@ from gpw.polynomials import (
 from gpw.shapes import (
     conjugate,
     multipartitions,
+    partitions,
     standard_multitableaux,
     tableau_to_permutation,
 )
@@ -308,6 +312,19 @@ def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):
     return {shape: exact_rank(matrix[:, start:stop]) for shape, start, stop in blocks}
 
 
+def character_sums_by_tensordot(comp, traces):
+    """The per-slot contraction of the character route as first written:
+    the trace tensor, one axis per slot, contracted on each nonempty slot's
+    axis by ``tensordot`` with that slot's weighted character table and the
+    new axis moved back into place."""
+    tensor = np.array(traces, dtype=np.int64).reshape([len(partitions(m)) for m in comp])
+    for axis, m in enumerate(comp):
+        if m:
+            contracted = np.tensordot(evaluator._weighted_characters(m), tensor, axes=(1, axis))
+            tensor = np.moveaxis(contracted, 0, axis)
+    return tensor.reshape(-1)
+
+
 def grid_multiplicity(algebra, shape):
     """The grid route: the rank of the highest weight vectors of a shape's
     standard multitableaux on every tuple of grid points (``grid_rows``)."""
@@ -318,6 +335,22 @@ def grid_multiplicity(algebra, shape):
 
 
 # -- algebra validation ---------------------------------------------------------
+
+
+def star_basis_by_nullspace(algebra, grade, kind):
+    """The symmetric or skew basis of a grade component by the nullspace
+    route, whatever the involution: the Fraction nullspace of M - sign·I on
+    the component's coordinates, spread to full vectors."""
+    idx = algebra.component_indices(grade)
+    sign = 1 if kind == modes.SYM else -1
+    rows = [[algebra.involution[r][c] - (sign if r == c else 0) for c in idx] for r in idx]
+    vectors = []
+    for solution in nullspace(rows, len(idx)):
+        full = [Fraction(0)] * algebra.dim
+        for i, value in zip(idx, solution):
+            full[i] = value
+        vectors.append(tuple(full))
+    return tuple(vectors)
 
 
 def _product(table, u, v):

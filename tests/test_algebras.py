@@ -31,7 +31,8 @@ from gpw.errors import (
     StarRequired,
 )
 
-from conftest import m2_transpose_document, peak_bytes, ut3_document
+from conftest import UT2_REFLECTION_DOCUMENT, m2_transpose_document, peak_bytes, ut3_document
+from test_engine import algebras as random_algebras
 
 
 def matmul(a, b):
@@ -161,6 +162,65 @@ def test_symmetric_and_skew_dimensions(e2, m2_transpose, c2xc2):
     G = m2_transpose.group
     assert len(m2_transpose.homogeneous_basis(G.identity, modes.SYM).vectors) == 3
     assert len(m2_transpose.homogeneous_basis(G.identity, modes.SKEW).vectors) == 1
+
+
+def star_builtins():
+    """grassmann2 over three groups, ut2 with the reflection and M2 with the
+    transpose: involutions diagonal on every component, and not."""
+    built = []
+    for shorthand, g, h in (
+        ("c2xc2", "(1,0)", "(0,1)"),
+        ("c4", "g", "g2"),
+        ("c2xc2xc2", "(0,0,1)", "(0,1,0)"),
+    ):
+        group = gpw.groups.parse_group_shorthand(shorthand)
+        built.append(algebras.builtin_grassmann2(group, group.element(g), group.element(h)))
+    built.append(gpw.loads_algebra(json.dumps(UT2_REFLECTION_DOCUMENT)))
+    built.append(gpw.loads_algebra(m2_transpose_document()))
+    return built
+
+
+def assert_star_bases_match_the_nullspace_route(algebra):
+    for grade in range(len(algebra.group)):
+        for kind in (modes.SYM, modes.SKEW):
+            expected = oracle.star_basis_by_nullspace(algebra, grade, kind)
+            basis = algebra.homogeneous_basis(grade, kind)
+            assert (basis.grade, basis.kind, basis.vectors) == (grade, kind, expected)
+            assert all(type(c) is Fraction for v in basis.vectors for c in v)
+            integer = algebra.integer_basis(grade, kind)
+            reference = linalg.integer_vectors(expected, algebra.dim)
+            assert integer.dtype == reference.dtype and np.array_equal(integer, reference)
+
+
+def test_star_bases_match_the_nullspace_route_on_builtins():
+    for algebra in star_builtins():
+        assert_star_bases_match_the_nullspace_route(algebra)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_star_bases_match_the_nullspace_route_on_random_algebras(data):
+    assert_star_bases_match_the_nullspace_route(data.draw(random_algebras(True)))
+
+
+def test_a_diagonal_involution_takes_no_nullspace(monkeypatch):
+    # grassmann2's involution is diagonal on every component; the transpose
+    # swaps e12 and e21 inside the identity component of M2
+    calls = []
+    original = algebras.nullspace
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(algebras, "nullspace", counted)
+    e2, *_, m2 = star_builtins()
+    for algebra, solved in ((e2, False), (m2, True)):
+        calls.clear()
+        for grade in range(len(algebra.group)):
+            for kind in (modes.SYM, modes.SKEW):
+                algebra.integer_basis(grade, kind)
+        assert bool(calls) == solved, algebra.name
 
 
 def test_plain_component_requires_no_star(ut2_g, c2):

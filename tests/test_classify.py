@@ -273,6 +273,27 @@ def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
         verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
 
 
+def test_lemma_shapes_are_built_only_for_matrices_with_rows(e2_c2xc2xc2, m2_transpose, monkeypatch):
+    # a one-slot matrix without rows has maximal multiplicity 0, read
+    # without building its shapes; M2's non-identity component is zero, so
+    # none of its matrices has rows
+    checked = (e2_c2xc2xc2, m2_transpose)
+    expected = [verify_multone_lemmas(algebra, n_max=4) for algebra in checked]
+    built = []
+    original = evaluator.multipartitions
+
+    def counted(comp):
+        built.append(comp)
+        return original(comp)
+
+    monkeypatch.setattr(evaluator, "multipartitions", counted)
+    for algebra, report in zip(checked, expected):
+        built.clear()
+        assert verify_multone_lemmas(algebra, n_max=4) == report
+        assert all(evaluator.slice_codimension(algebra, comp) for comp in list(built))
+    assert built == [] and any(f.degrees_checked for f in expected[1].findings)
+
+
 def test_factorization_where_multiplicity_one_holds(e2, c2xc2):
     shape = gpw.parse_shape("((2)@(0,0)+,(1)@(1,0)-)", c2xc2, "star")
     for tab in gpw.standard_multitableaux(shape):

@@ -310,17 +310,85 @@ def double_sum(comp, traces):
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_per_slot_contraction_equals_the_double_sum(data):
-    slots = data.draw(st.integers(1, 4))
-    nonempty = data.draw(st.integers(1, min(3, slots)))
-    parts = data.draw(st.lists(st.integers(1, 4), min_size=nonempty, max_size=nonempty))
-    where = data.draw(st.permutations(range(slots)))[:nonempty]
+@st.composite
+def compositions_and_traces(draw):
+    """A composition with one to three nonempty slots among one to four,
+    and one trace per class of its Young subgroup."""
+    slots = draw(st.integers(1, 4))
+    nonempty = draw(st.integers(1, min(3, slots)))
+    parts = draw(st.lists(st.integers(1, 4), min_size=nonempty, max_size=nonempty))
+    where = draw(st.permutations(range(slots)))[:nonempty]
     comp = [0] * slots
     for slot, m in zip(where, parts):
         comp[slot] = m
     comp = tuple(comp)
     size = len(multipartitions(comp))
-    traces = data.draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    traces = draw(st.lists(st.integers(-50, 50), min_size=size, max_size=size))
+    return comp, traces
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=compositions_and_traces())
+def test_per_slot_contraction_equals_the_double_sum(drawn):
+    comp, traces = drawn
     assert _character_sums(comp, traces).tolist() == double_sum(comp, traces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=compositions_and_traces())
+def test_per_slot_matmul_equals_the_tensordot_contraction(drawn):
+    comp, traces = drawn
+    got = _character_sums(comp, traces)
+    expected = oracle.character_sums_by_tensordot(comp, traces)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+
+def assert_table_matches_its_compositions(algebra, n):
+    """The table against composition_multiplicities of every composition
+    that leaves each empty slot empty, shape by shape, including those of
+    the slices without rows that the table does not list."""
+    table = cocharacter_table(algebra, n)
+    slots = modes.slot_count(len(algebra.group), algebra.mode)
+    live = [comp for comp in compositions(n, slots) if not oracle.uses_empty_slot(algebra, comp)]
+    counts = {comp: composition_multiplicities(algebra, comp) for comp in live}
+    codims = {comp: sum(m * shape.degree() for shape, m in counts[comp]) for comp in live}
+    assert table.live_codims == codims
+    assert list(table.live_codims) == live
+    assert table.total_codim == sum(shapes.multinomial(comp) * c for comp, c in codims.items())
+    listed = [(shape, m) for comp in live for shape, m in counts[comp]]
+    assert table.support() == [(shape, m) for shape, m in listed if m > 0]
+    assert table.max_multiplicity() == max((m for _, m in listed), default=0)
+    for comp in compositions(n, slots):
+        expected = dict(counts.get(comp, []))
+        for shape in multipartitions(comp):
+            assert table.multiplicity_of(shape) == expected.get(shape, 0)
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_table_matches_composition_multiplicities_on_random_algebras(star):
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def check(data):
+        algebra = data.draw(algebras(star))
+        assert_table_matches_its_compositions(algebra, data.draw(st.integers(1, 4)))
+
+    check()
+
+
+def test_table_lists_only_the_slices_with_rows(e2_c2xc2xc2, monkeypatch):
+    # grassmann2 over C2xC2xC2 at n=4: 35 live compositions, 5 of them with
+    # rows; only those list their shapes and reach multipartitions
+    listed = []
+    original = evaluator.multipartitions
+
+    def counted(comp):
+        listed.append(comp)
+        return original(comp)
+
+    monkeypatch.setattr(evaluator, "multipartitions", counted)
+    table = cocharacter_table(e2_c2xc2xc2, 4)
+    with_rows = [comp for comp, c in table.live_codims.items() if c]
+    assert len(table.live_codims) == 35 and len(with_rows) == 5
+    assert listed == with_rows
+    assert sorted({shape.weight for shape, _ in table.entries}) == sorted(with_rows)
+    assert_table_matches_its_compositions(e2_c2xc2xc2, 4)
