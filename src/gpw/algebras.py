@@ -11,6 +11,13 @@ the involution scaled by the lcm of its own; a violation names the first
 failing basis triple or pair.  The algebra alone owns its exact forms, each
 built once: that table and the integer bases of its components.
 
+Each of the table and the involution takes one integer pass over its
+coordinates (:func:`~gpw.linalg.integer_scaling`), which gives the object
+``integer_table`` and the int64 copy the laws run on; homogeneity indexes
+the group's Cayley table, and a law that holds costs one ``any``.  A
+component spanned by basis vectors takes identity rows as its integer
+basis.
+
 Coordinates are dense tuples of ``Fraction``; dimensions here are tiny.
 """
 
@@ -18,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -34,9 +40,12 @@ from .errors import (
     StarRequired,
 )
 from .groups import FiniteGroup
-from .linalg import exact_dtype, exact_product, integer_vectors, max_abs, nullspace, scaled
+from .linalg import exact_dtype, exact_product, integer_scaling, integer_vectors, max_abs, nullspace
 
 Vector = tuple[Fraction, ...]
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -44,13 +53,15 @@ def _frac(x) -> Fraction:
 
 
 def _unit(dim: int, i: int) -> Vector:
-    return tuple(Fraction(int(j == i)) for j in range(dim))
+    return tuple(_ONE if j == i else _ZERO for j in range(dim))
 
 
 def _first(defects: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first true entry in row-major order, or None."""
-    hits = np.argwhere(defects)
-    return tuple(map(int, hits[0])) if len(hits) else None
+    """Index of the first true entry in row-major order, or None: one
+    ``any`` when there is none."""
+    if not defects.any():
+        return None
+    return tuple(map(int, np.argwhere(defects)[0]))
 
 
 # Each side of one block of the associativity check holds at most this many
@@ -58,7 +69,9 @@ def _first(defects: np.ndarray) -> tuple[int, ...] | None:
 _ASSOCIATIVITY_BLOCK = 2**15
 
 
-def _associativity_defect(table: np.ndarray) -> tuple[int, int, int] | None:
+def _associativity_defect(
+    table: np.ndarray, bound: int | None = None
+) -> tuple[int, int, int] | None:
     """The first basis triple (i, j, k), in row-major order, with
     (e_i e_j) e_k != e_i (e_j e_k), or None, for an integer structure table
     ``[i, j]`` = e_i * e_j (int64 when its entries allow): both sides are
@@ -66,21 +79,24 @@ def _associativity_defect(table: np.ndarray) -> tuple[int, int, int] | None:
     factors e_i at a time, as many as keep each side within
     ``_ASSOCIATIVITY_BLOCK`` entries and at least one, so that a small
     algebra takes two products in all and each side of a large one holds
-    dim^3 entries."""
+    dim^3 entries.  ``bound`` is max|table| when the caller knows it;
+    otherwise the table is scanned for it once, not once per product."""
     dim = len(table)
     pairs = table.reshape(dim * dim, dim)
+    square = (max_abs(table) if bound is None else bound) ** 2
     step = max(1, _ASSOCIATIVITY_BLOCK // dim**3)
     for start in range(0, dim, step):
         rows = table[start : start + step]  # rows[i, m] = e_i e_m
         count = len(rows)
         # left[i, j, k, l] = ((e_i e_j) e_k)_l;  right[i, j, k, l] = (e_i (e_j e_k))_l
-        left = exact_product(rows.reshape(count * dim, dim), table.reshape(dim, dim * dim))
-        right = exact_product(pairs, rows.transpose(1, 0, 2).reshape(dim, count * dim))
+        left = exact_product(rows.reshape(count * dim, dim), table.reshape(dim, dim * dim), square)
+        right = exact_product(pairs, rows.transpose(1, 0, 2).reshape(dim, count * dim), square)
         left = left.reshape(count, dim, dim, dim)
         right = right.reshape(dim, dim, count, dim).transpose(2, 0, 1, 3)
-        hit = _first((left != right).any(axis=3))
+        # the first differing coordinate (i, j, k, l) lies on the first failing triple
+        hit = _first(left != right)
         if hit is not None:
-            i, j, k = hit
+            i, j, k, _ = hit
             return start + i, j, k
     return None
 
@@ -134,13 +150,13 @@ class GradedStarAlgebra:
         for (i, j), vec in structure.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise SchemaError(f"structure index ({i},{j}) out of range")
-            vec = tuple(_frac(v) for v in vec)
+            vec = tuple(map(_frac, vec))
             if len(vec) != dim:
                 raise SchemaError(f"structure vector for ({i},{j}) must have length {dim}")
             if any(vec):
                 products[i, j] = vec
         if involution is not None:
-            involution = tuple(tuple(_frac(v) for v in row) for row in involution)
+            involution = tuple(tuple(map(_frac, row)) for row in involution)
             if len(involution) != dim:
                 raise SchemaError("involution must be a square matrix on the basis")
             if any(len(row) != dim for row in involution):
@@ -154,27 +170,28 @@ class GradedStarAlgebra:
         self.structure = tuple(sorted(products.items()))
         # (grade, kind) -> the component's basis and its integer scaling
         self._bases: dict[tuple[int, str], tuple[HomBasis, np.ndarray]] = {}
-        table = self.integer_table = np.zeros((dim, dim, dim), dtype=object)
-        scaled_products = integer_vectors([vec for _, vec in self.structure], dim)
-        for ((i, j), _), product in zip(self.structure, scaled_products):
-            table[i, j] = product
+        # one integer pass over the coordinates of the nonzero products
+        entries, _ = integer_scaling([c for _, vec in self.structure for c in vec])
+        pairs = np.array([i * dim + j for (i, j), _ in self.structure], dtype=np.intp)
+        table = np.zeros((dim * dim, dim), dtype=object)
+        table[pairs] = np.array(entries, dtype=object).reshape(len(pairs), dim)
+        self.integer_table = table = table.reshape(dim, dim, dim)
         # the laws are checked on one copy, int64 when the entries allow
-        table = table.astype(exact_dtype(max_abs(table)))
+        bound = max(map(abs, entries), default=0)
+        table = table.astype(exact_dtype(bound), copy=False)
 
-        expected = [[group.mul(a, b) for b in grades] for a in grades]
-        hit = _first(
-            (table != 0)
-            & (np.array(grades) != np.array(expected)[:, :, None])
-        )
+        grade = np.array(grades)
+        expected = group.cayley[grade[:, None], grade]  # [i, j]: the grade of e_i e_j
+        hit = _first((table != 0) & (grade != expected[:, :, None]))
         if hit is not None:
             i, j, k = hit
             raise HomogeneityViolation(
                 f"{basis_labels[i]}·{basis_labels[j]} has a component "
                 f"of grade {group.label(grades[k])}, expected "
-                f"{group.label(expected[i][j])}"
+                f"{group.label(int(expected[i, j]))}"
             )
 
-        hit = _associativity_defect(table)
+        hit = _associativity_defect(table, bound)
         if hit is not None:
             i, j, k = hit
             raise AssociativityViolation(
@@ -184,51 +201,54 @@ class GradedStarAlgebra:
 
         self.involution = involution
         if involution is not None:
-            support = sorted({g for g in grades})
-            for a in support:
-                for b in support:
-                    if group.mul(a, b) != group.mul(b, a):
-                        raise NonAbelianSupportWithStar(
-                            f"support grades {group.label(a)} and {group.label(b)} "
-                            "do not commute"
-                        )
-            self._check_involution(table)
+            if not group.is_abelian:
+                support = sorted(set(grades))
+                for a in support:
+                    for b in support:
+                        if group.mul(a, b) != group.mul(b, a):
+                            raise NonAbelianSupportWithStar(
+                                f"support grades {group.label(a)} and {group.label(b)} "
+                                "do not commute"
+                            )
+            self._check_involution(table, bound, grade)
 
-    def _check_involution(self, table: np.ndarray) -> None:
+    def _check_involution(self, table: np.ndarray, table_bound: int, grade: np.ndarray) -> None:
         """∗∘∗ = id, ∗ preserves grades, and (e_i e_j)∗ = e_j∗ e_i∗, in
-        integers on the integer structure ``table``: with M the involution
-        matrix scaled by the lcm s of its denominators, M·M must be s²·I,
-        and s times the image of each product must equal the product of
-        the scaled images."""
-        dim, labels, grades = self.dim, self.basis_labels, self.grades
-        s = lcm(*(c.denominator for row in self.involution for c in row))
-        star = np.array([scaled(row, s) for row in self.involution], dtype=object)
+        integers on the integer structure ``table`` (entries at most
+        ``table_bound``) and the ``grade`` of each basis vector: with M the
+        involution matrix scaled by the lcm s of its denominators, M·M must
+        be s²·I, and s times the image of each product must equal the
+        product of the scaled images.  The involution takes one integer
+        pass, and each law one ``any`` when it holds."""
+        dim, labels = self.dim, self.basis_labels
+        entries, s = integer_scaling([c for row in self.involution for c in row])
+        bound = max(map(abs, entries))
         # M and s M as int64 when their entries allow, once for all products
-        bound = max_abs(star)
-        scaled_star = (s * star).astype(exact_dtype(s * bound))
-        star = star.astype(exact_dtype(bound))
+        star = np.array(entries, dtype=exact_dtype(bound)).reshape(dim, dim)
+        scaled_star = np.array([s * e for e in entries], dtype=exact_dtype(s * bound))
+        scaled_star = scaled_star.reshape(dim, dim)
 
         # column j of M is the image of e_j
         identity = np.eye(dim, dtype=exact_dtype(s * s)) * (s * s)
-        twice = (exact_product(star, star) != identity).any(axis=0)
-        grade = np.array(grades)
-        moved = ((star != 0) & (grade[:, None] != grade[None, :])).any(axis=0)
-        hit = _first(twice | moved)
+        twice = exact_product(star, star, bound * bound) != identity
+        moved = (star != 0) & (grade[:, None] != grade)
+        hit = _first((twice | moved).T)
         if hit is not None:
-            (j,) = hit
-            if twice[j]:
+            j = hit[0]
+            if twice[:, j].any():
                 raise InvolutionViolation(
                     f"involution applied twice does not fix {labels[j]}"
                 )
             raise InvolutionViolation(f"involution moves {labels[j]} across grades")
 
         # image[(i, j), l] = (M (e_i e_j))_l;  swapped[j, (i, l)] = (e_j∗ e_i∗)_l
-        image = exact_product(table.reshape(dim * dim, dim), scaled_star.T)
-        swapped = exact_product(star.T, exact_product(star.T, table).reshape(dim, dim * dim))
+        image = exact_product(table.reshape(dim * dim, dim), scaled_star.T, table_bound * s * bound)
+        partial = exact_product(star.T, table, bound * table_bound)  # [i, j, l] = (e_i e_j∗)_l
+        swapped = exact_product(star.T, partial.reshape(dim, dim * dim))
         swapped = swapped.reshape(dim, dim, dim).transpose(1, 0, 2)
-        hit = _first((image.reshape(dim, dim, dim) != swapped).any(axis=2))
+        hit = _first(image.reshape(dim, dim, dim) != swapped)
         if hit is not None:
-            i, j = hit
+            i, j, _ = hit
             raise InvolutionViolation(
                 f"involution is not an anti-automorphism on "
                 f"({labels[i]}, {labels[j]})"
@@ -295,30 +315,32 @@ class GradedStarAlgebra:
     def _component(self, grade: int, kind: str) -> tuple[HomBasis, np.ndarray]:
         key = (grade, kind)
         if key not in self._bases:
-            basis = self._homogeneous_basis(grade, kind)
-            self._bases[key] = (basis, integer_vectors(basis.vectors, self.dim))
+            self._bases[key] = self._homogeneous_basis(grade, kind)
         return self._bases[key]
 
-    def _homogeneous_basis(self, grade: int, kind: str) -> HomBasis:
+    def _units(self, grade: int, kind: str, idx) -> tuple[HomBasis, np.ndarray]:
+        """The basis of unit vectors ``idx``, and its integer rows: the
+        identity's."""
+        basis = HomBasis(grade, kind, tuple(map(self.basis_vector, idx)))
+        return basis, np.eye(self.dim, dtype=object)[list(idx)]
+
+    def _homogeneous_basis(self, grade: int, kind: str) -> tuple[HomBasis, np.ndarray]:
         idx = self.component_indices(grade)
         if kind == modes.PLAIN:
-            return HomBasis(grade, kind, tuple(self.basis_vector(i) for i in idx))
+            return self._units(grade, kind, idx)
         if kind not in (modes.SYM, modes.SKEW):
             raise ValueError(f"unknown kind {kind!r}")
         if self.involution is None:
             raise StarRequired(
                 f"{self.name} has no involution; kind {kind!r} is unavailable"
             )
-        if not idx:
-            return HomBasis(grade, kind, ())
-        sign = Fraction(1 if kind == modes.SYM else -1)
+        sign = 1 if kind == modes.SYM else -1
         star = self.involution
         if all(star[r][c] == 0 for r in idx for c in idx if r != c):
-            # M - sign·I is diagonal on the component: its nullspace is
-            # spanned by the unit vectors of the zero diagonal entries,
-            # ascending, as nullspace returns them
-            units = tuple(self.basis_vector(i) for i in idx if star[i][i] == sign)
-            return HomBasis(grade, kind, units)
+            # M - sign·I is diagonal on the component (or the component is
+            # empty): its nullspace is spanned by the unit vectors of the
+            # zero diagonal entries, ascending, as nullspace returns them
+            return self._units(grade, kind, [i for i in idx if star[i][i] == sign])
         # solve (M - sign·I) u = 0 inside the component's coordinates
         rows = [[star[r][c] - (sign if r == c else 0) for c in idx] for r in idx]
         vectors = []
@@ -327,7 +349,7 @@ class GradedStarAlgebra:
             for pos, val in zip(idx, sol):
                 full[pos] = val
             vectors.append(tuple(full))
-        return HomBasis(grade, kind, tuple(vectors))
+        return HomBasis(grade, kind, tuple(vectors)), integer_vectors(vectors, self.dim)
 
     def __repr__(self) -> str:
         return f"GradedStarAlgebra({self.name!r}, dim={self.dim}, mode={self.mode})"

@@ -19,7 +19,11 @@ algebra:
   one walk of the evaluator's word trie.  When every list is satisfied
   all multiplicities are at most one; the report re-checks that empirically
   on low-degree cocharacter tables and treats any counterexample as an
-  internal error.
+  internal error.  Conversely a failing list shows at degree 2: the
+  involution maps an identity a·uv + b·vu to one with (a, b) swapped, so a
+  pair u, v whose [uv, vu] matrix has rank at most 1 satisfies its list
+  (alpha = 0 or ±1), and a failing list is a pair of rank 2, whose
+  two-slot degree-2 shape has multiplicity 2.
 
 * **Multiplicity-one criteria on one-slot shapes.**  Five known sufficient
   conditions (hypothesis identities in a single grade-and-kind slot forcing
@@ -197,6 +201,9 @@ class MultOneReport:
     verdict: str  # "SATISFIED" | "NOT-SATISFIED"
     empirical_n: int
     empirical_max_multiplicity: int
+    # under NOT-SATISFIED with empirical_n >= 2, the first degree-2 shape
+    # on two slots with multiplicity 2; None otherwise (not printed)
+    witness: Multipartition | None = None
 
 
 def _coefficient_scans(
@@ -226,7 +233,10 @@ def star_multone_report(
     """Scan all pairwise commutation lists; SATISFIED forces every
     multiplicity to one, which is re-checked empirically up to
     ``empirical_n`` (a computed multiplicity of 2 or more under SATISFIED is
-    an internal error, not a report entry)."""
+    an internal error, not a report entry).  With ``empirical_n`` >= 2, a
+    NOT-SATISFIED verdict is re-checked on the degree-2 table: some shape
+    on two slots must have multiplicity 2, the report's ``witness``, or
+    :class:`ConsistencyViolation` is raised."""
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
     limits.check_degree(empirical_n)
@@ -246,14 +256,28 @@ def star_multone_report(
         f.valid_coefficients for f in same_grade
     )
     verdict = "SATISFIED" if satisfied else "NOT-SATISFIED"
-    observed = max(
-        cocharacter_table(algebra, n).max_multiplicity() for n in range(1, empirical_n + 1)
-    )
+    tables = [cocharacter_table(algebra, n) for n in range(1, empirical_n + 1)]
+    observed = max(table.max_multiplicity() for table in tables)
     if satisfied and observed > 1:
         raise ConsistencyViolation(
             f"commutation lists SATISFIED on {algebra.name} but a multiplicity "
             f"of {observed} was computed"
         )
+    witness = None
+    if not satisfied and empirical_n >= 2:
+        witness = next(
+            (
+                shape
+                for shape, m in tables[1].entries
+                if m == 2 and sum(map(bool, shape.components)) == 2
+            ),
+            None,
+        )
+        if witness is None:
+            raise ConsistencyViolation(
+                f"commutation lists NOT-SATISFIED on {algebra.name} but no degree-2 "
+                "shape on two slots has multiplicity 2"
+            )
     return MultOneReport(
         algebra.name,
         tuple(pair_findings),
@@ -261,6 +285,7 @@ def star_multone_report(
         verdict,
         empirical_n,
         observed,
+        witness,
     )
 
 

@@ -6,10 +6,13 @@ rationals travel as strings like ``"3"`` or ``"-5/7"``; nothing is ever a
 float.  Loading checks only what the constructor cannot see (keys, JSON
 types, grade labels, rationals, duplicate structure entries) and leaves
 every length and every law to the algebra constructor, so a document that
-loads is a genuinely valid algebra.
+loads is a genuinely valid algebra.  A JSON ``true`` or ``false`` is never
+an integer here: not a format version, a structure index or a rational.
 
 The digest of an algebra is the SHA-256 of its canonical document rendering
-(sorted keys, compact separators) and is what result caches key on.
+(sorted keys, compact separators) and is what result caches key on.  A
+rendering reads the group's spec in place; only ``algebra_to_document``,
+whose result a caller may edit, copies it.
 """
 
 from __future__ import annotations
@@ -47,18 +50,26 @@ def _require(doc: dict, key: str, types) -> object:
     if key not in doc:
         raise SchemaError(f"document is missing {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"{key!r} has the wrong type")
     return value
 
 
 def algebra_to_document(algebra: GradedStarAlgebra) -> dict:
+    doc = _document(algebra)
+    doc["group"] = copy.deepcopy(doc["group"])  # groups are shared
+    return doc
+
+
+def _document(algebra: GradedStarAlgebra) -> dict:
+    """The document of an algebra, holding its group's own spec: enough
+    for a rendering, which changes nothing."""
     structure = [[i, j, [str(c) for c in product]] for (i, j), product in algebra.structure]
     doc = {
         "format_version": FORMAT_VERSION,
         "name": algebra.name,
         "mode": algebra.mode,
-        "group": copy.deepcopy(algebra.group.spec),  # groups are shared
+        "group": algebra.group.spec,
         "basis": list(algebra.basis_labels),
         "grading": [algebra.group.label(g) for g in algebra.grades],
         "structure": structure,
@@ -107,8 +118,8 @@ def document_to_algebra(doc: dict) -> GradedStarAlgebra:
         if (
             not isinstance(entry, list)
             or len(entry) != 3
-            or not isinstance(entry[0], int)
-            or not isinstance(entry[1], int)
+            or type(entry[0]) is not int  # a JSON boolean is no index
+            or type(entry[1]) is not int
             or not isinstance(entry[2], list)
         ):
             raise SchemaError(
@@ -143,7 +154,7 @@ def document_to_algebra(doc: dict) -> GradedStarAlgebra:
 
 
 def dumps_algebra(algebra: GradedStarAlgebra) -> str:
-    return json.dumps(algebra_to_document(algebra), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_document(algebra), indent=2, sort_keys=True) + "\n"
 
 
 def loads_algebra(text: str) -> GradedStarAlgebra:
@@ -155,9 +166,13 @@ def loads_algebra(text: str) -> GradedStarAlgebra:
 
 
 def load_algebra(path: str | Path) -> GradedStarAlgebra:
-    """Read a document as UTF-8, the encoding of JSON (RFC 8259)."""
+    """Read a document as UTF-8, the encoding of JSON (RFC 8259): its bytes
+    decoded in one call.  A byte-order mark is kept, so ``json.loads``
+    rejects it, and UTF-16 or UTF-32 bytes are not UTF-8 (``json.loads``
+    would detect them if it were given the bytes)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     return loads_algebra(text)
@@ -173,8 +188,6 @@ _digests: weakref.WeakKeyDictionary[GradedStarAlgebra, str] = weakref.WeakKeyDic
 def algebra_digest(algebra: GradedStarAlgebra) -> str:
     """Computed once per algebra, which is immutable, and kept while it lives."""
     if algebra not in _digests:
-        canonical = json.dumps(
-            algebra_to_document(algebra), sort_keys=True, separators=(",", ":")
-        )
+        canonical = json.dumps(_document(algebra), sort_keys=True, separators=(",", ":"))
         _digests[algebra] = hashlib.sha256(canonical.encode()).hexdigest()
     return _digests[algebra]

@@ -20,9 +20,10 @@ from .errors import NoIdentity, NonAssociativeTable, NotLatinSquare, SchemaError
 class FiniteGroup:
     """An immutable finite group with labelled elements.
 
-    ``table[i][j]`` is the index of the product of elements ``i`` and ``j``.
-    ``spec`` records how the group was described (used when serializing
-    algebra documents); it does not participate in equality.
+    ``table[i][j]`` is the index of the product of elements ``i`` and ``j``,
+    and ``cayley`` the same table as a read-only int array.  ``spec``
+    records how the group was described (used when serializing algebra
+    documents); it does not participate in equality.
     """
 
     def __init__(
@@ -83,6 +84,8 @@ class FiniteGroup:
 
         self.labels = labels
         self.table = table
+        t.flags.writeable = False
+        self.cayley = t
         self.identity = identity
         self.spec = spec or {"kind": "table", "labels": list(labels),
                              "table": [[labels[v] for v in row] for row in table],

@@ -19,10 +19,11 @@ pivots are combined by the Chinese remainder theorem (Dixon 1982), until
 the lift succeeds and the modulus exceeds 2r, so that an integer of
 absolute value at most r, such as a trace, is read off X exactly.
 
-``integer_vectors`` is the one rational-to-integer scaling, of an algebra's
-structure table and component bases, ``exact_dtype`` the one choice of
-dtype for integer entries under a bound, and ``exact_product`` the one
-exact integer matrix product.
+``integer_scaling`` is the one rational-to-integer scaling, of an
+algebra's structure table, involution and component bases (by way of
+``integer_vectors``), ``exact_dtype`` the one choice of dtype for integer
+entries under a bound, and ``exact_product`` the one exact integer matrix
+product.
 """
 
 from __future__ import annotations
@@ -243,13 +244,16 @@ def exact_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def exact_product(a: np.ndarray, b: np.ndarray, bound: int | None = None) -> np.ndarray:
     """``a @ b`` for integer arrays (int64 or Python ints), exactly.  When
     inner size * max|a| * max|b| < 2**53, every partial sum, in any order,
     blocking or fused multiply-add, is an integer below 2**53, so the
     product runs in float64 through BLAS and returns int64; otherwise it
-    runs in Python ints (object)."""
-    if a.shape[-1] * max_abs(a) * max_abs(b) < _FLOAT64_EXACT:
+    runs in Python ints (object).  A caller that knows max|a| * max|b|, or
+    a bound of it, passes it as ``bound`` and spares the two scans."""
+    if bound is None:
+        bound = max_abs(a) * max_abs(b)
+    if a.shape[-1] * bound < _FLOAT64_EXACT:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a.astype(object) @ b.astype(object)
 
@@ -265,13 +269,21 @@ def scaled(values, scale: int) -> list[int]:
     return [c.numerator * (scale // c.denominator) for c in values]
 
 
+def integer_scaling(values: list) -> tuple[list[int], int]:
+    """The rationals (Fractions or ints), each times the lcm of all their
+    denominators, and that lcm.  Integers, the common case, are their
+    numerators."""
+    scale = lcm(*{c.denominator for c in values})
+    if scale == 1:
+        return [c.numerator for c in values], 1
+    return scaled(values, scale), scale
+
+
 def integer_vectors(vectors, dim: int) -> np.ndarray:
     """Rational vectors as rows of an integer (object) array, all scaled by
     the one lcm of their denominators."""
-    scale = lcm(*(c.denominator for vec in vectors for c in vec))
-    return np.array(
-        [scaled(vec, scale) for vec in vectors], dtype=object
-    ).reshape(len(vectors), dim)
+    ints, _ = integer_scaling([c for vec in vectors for c in vec])
+    return np.array(ints, dtype=object).reshape(len(vectors), dim)
 
 
 def exact_rank(matrix: np.ndarray | list[Row]) -> int:

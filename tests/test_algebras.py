@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import gpw
 import oracle
@@ -426,13 +426,15 @@ def _inverse(m):
 
 
 @st.composite
-def _law_cases(draw):
+def _law_cases(draw, changed=None):
     """An associative algebra (ut2, k, M2 with transpose, grassmann2) after a
     random grade-preserving rational change of basis, sometimes with one
-    entry of its table or involution perturbed; or a random sparse table."""
+    entry of its table or involution perturbed; or a random sparse table.
+    With ``changed`` True, always one of those algebras with one entry
+    changed, and with False, one of them unchanged."""
     c2 = gpw.cyclic(2)
     c2xc2 = gpw.product_of_cyclics((2, 2))
-    base = draw(st.sampled_from(["ut2", "k", "m2", "e2", "random"]))
+    base = draw(st.sampled_from(["ut2", "k", "m2", "e2"] + (["random"] if changed is None else [])))
     if base == "random":
         dim = draw(st.integers(1, 3))
         grades = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=dim, max_size=dim)))
@@ -462,19 +464,24 @@ def _law_cases(draw):
             for b in range(dim)] for a in range(dim)]
     if star is not None:
         star = _matmul(_matmul(q, star), p)
-    perturb = draw(st.sampled_from([None, "table"] + (["involution"] if star else [])))
+    changes = ["table"] + (["involution"] if star else [])
+    perturb = draw(st.sampled_from({None: [None, *changes], True: changes, False: [None]}[changed]))
     if perturb == "table":
         a, b, c = (draw(st.integers(0, dim - 1)) for _ in range(3))
         new[a][b][c] += draw(nonzero)
     elif perturb == "involution":
         r, c = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        star[r][c] += draw(nonzero)
+        deltas = [nonzero]
+        if changed and star[r][c]:
+            # a negated entry of a diagonal involution (grassmann2's, which
+            # the change of basis keeps diagonal) still squares to the
+            # identity and keeps grades: the anti-automorphism law fails
+            deltas.append(st.just(-2 * star[r][c]))
+        star[r][c] += draw(st.one_of(deltas))
     return algebra.group, algebra.basis_labels, grades, new, star
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_law_cases())
-def test_integer_validation_matches_the_fraction_loops(case):
+def _assert_validation_matches_the_fraction_loops(case):
     group, labels, grades, table, star = case
     dim = len(labels)
     structure = {
@@ -490,6 +497,53 @@ def test_integer_validation_matches_the_fraction_loops(case):
         with pytest.raises(kind) as info:
             gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
         assert str(info.value) == message
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases())
+def test_integer_validation_matches_the_fraction_loops(case):
+    _assert_validation_matches_the_fraction_loops(case)
+
+
+def _changed_grassmann2(r, c, delta):
+    """grassmann2 over C2×C2 with the entry (r, c) of its involution changed
+    by ``delta``."""
+    algebra = gpw.builtin_grassmann2(gpw.product_of_cyclics((2, 2)), 1, 2)
+    table, star = _dense(algebra)
+    star[r][c] += delta
+    return algebra.group, algebra.basis_labels, algebra.grades, table, star
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases(changed=True))
+# the two rarest draws: 1 -> -1 still squares to the identity on each
+# grade but reverses no product, and 1 -> 1 + e1 moves 1 across grades
+@example(_changed_grassmann2(0, 0, Fraction(-2)))
+@example(_changed_grassmann2(1, 0, Fraction(1)))
+def test_one_changed_entry_fails_as_the_fraction_loops_say(case):
+    # one entry of a valid table or involution changed: a homogeneity,
+    # associativity or involution (twice, moved, anti-automorphism)
+    # failure, each with the class and message of the plain loops
+    _assert_validation_matches_the_fraction_loops(case)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_law_cases(changed=False))
+def test_integer_bases_are_the_scaled_homogeneous_bases(case):
+    group, labels, grades, table, star = case
+    dim = len(labels)
+    structure = {(i, j): tuple(table[i][j]) for i in range(dim) for j in range(dim)}
+    involution = None if star is None else tuple(map(tuple, star))
+    algebra = gpw.GradedStarAlgebra("case", group, labels, grades, structure, involution)
+    kinds = [modes.PLAIN] + ([] if star is None else [modes.SYM, modes.SKEW])
+    for grade in range(len(group)):
+        for kind in kinds:
+            integer = algebra.integer_basis(grade, kind)
+            reference = linalg.integer_vectors(algebra.homogeneous_basis(grade, kind).vectors, dim)
+            assert integer.dtype == reference.dtype == object
+            assert integer.shape == reference.shape
+            assert integer.tolist() == reference.tolist()
+            assert all(type(c) is int for c in integer.flat)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -676,8 +730,8 @@ def product_dtypes(monkeypatch):
     """The dtype of every exact product the algebra checks take."""
     seen = []
 
-    def recorded(a, b):
-        product = linalg.exact_product(a, b)
+    def recorded(a, b, bound=None):
+        product = linalg.exact_product(a, b, bound)
         seen.append(product.dtype)
         return product
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gpw
 import oracle
-from gpw import evaluator, limits, modes
+from gpw import classify, evaluator, limits, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
     _coefficient_scans,
@@ -24,6 +24,7 @@ from gpw.errors import CapExceeded, ConsistencyViolation, ModeMismatch, Precondi
 from gpw.evaluator import EvaluationMatrix, canonical_variable_order, is_identity, is_identity_grid
 from gpw.linalg import nullspace
 from gpw.polynomials import GradedPoly, Variable, multilinearize
+from gpw.reports import format_shape
 
 from test_engine import algebras
 
@@ -115,6 +116,7 @@ def test_grassmann_satisfies_the_commutation_lists(e2):
     report = star_multone_report(e2, empirical_n=3)
     assert report.verdict == "SATISFIED"
     assert report.empirical_max_multiplicity == 1
+    assert report.witness is None
 
 
 def test_grassmann_pair_coefficients(e2, c2xc2):
@@ -174,6 +176,22 @@ def test_m2_transpose_fails_the_lists(m2_transpose):
     assert report.empirical_max_multiplicity == 2
     failing = [f for f in report.same_grade_findings if not f.valid_coefficients]
     assert failing  # the single same-grade list fails
+    # y1·z2 and z2·y1 are independent: their degree-2 shape has multiplicity 2
+    assert format_shape(report.witness, m2_transpose.group, modes.STAR) == "((1)@1+,(1)@1-)"
+    # the degree-2 check needs the degree-2 table
+    assert star_multone_report(m2_transpose, empirical_n=1).witness is None
+
+
+def test_a_failing_list_without_a_degree_2_witness_is_a_bug(e2, monkeypatch):
+    # grassmann2 satisfies every list; a scan that reads every list as
+    # failing leaves NOT-SATISFIED with every degree-2 multiplicity at most 1
+    def failing(algebra, pairs):
+        return [((), ())] * len(pairs)
+
+    monkeypatch.setattr(classify, "_coefficient_scans", failing)
+    assert star_multone_report(e2, empirical_n=1).verdict == "NOT-SATISFIED"
+    with pytest.raises(ConsistencyViolation, match="no degree-2 shape on two slots"):
+        star_multone_report(e2, empirical_n=2)
 
 
 def test_multone_report_needs_star_mode(ut2_g):

@@ -1,10 +1,14 @@
 """JSON round-trips and schema rejection."""
 
 import json
+import re
 
 import pytest
 
+from gpw import modes
 from gpw.algebras import builtin_k, builtin_ut2
+from gpw.evaluator import is_identity, total_codimension
+from gpw.polynomials import GradedPoly, Variable
 from gpw.groups import cyclic
 from gpw.documents import (
     algebra_digest,
@@ -65,6 +69,16 @@ def test_digest_is_stable_and_sensitive(k_g):
     assert algebra_digest(other) != d1
 
 
+def test_a_document_owns_its_group_block(k_g):
+    # one group serves many algebras, and digests render its spec in place:
+    # editing a document's group block leaves the group and its digest alone
+    digest = algebra_digest(builtin_k(k_g.group, 1))
+    doc = algebra_to_document(k_g)
+    doc["group"]["order"] = 5
+    assert k_g.group.spec == {"kind": "cyclic", "order": 2}
+    assert algebra_digest(builtin_k(k_g.group, 1)) == digest
+
+
 def test_save_and_load(tmp_path, m2_transpose):
     path = tmp_path / "m2.json"
     save_algebra(m2_transpose, path)
@@ -96,6 +110,59 @@ def test_documents_are_read_as_utf8_under_the_c_locale(tmp_path, ut2_g):
     proc = run_under_c_locale("validate", str(broken))
     assert proc.returncode == 2, proc.stderr.decode(errors="replace")
     assert b"status\tinvalid\nviolation\tSchemaError" in proc.stdout
+
+
+def _written(path, text: str, encoding: str) -> str:
+    path.write_bytes(text.encode(encoding))
+    return str(path)
+
+
+def test_documents_are_read_as_utf8_only(tmp_path, capsys, ut2_g):
+    # a byte-order mark is not JSON, and UTF-16 or Latin-1 bytes are not
+    # UTF-8: each is a schema error, exit code 2, with the message of
+    # json.loads or of the UTF-8 decoder
+    text = dumps_algebra(ut2_g).replace(ut2_g.name, "ut2-réflexion")
+    bom = _written(tmp_path / "bom.json", "\ufeff" + text, "utf-8")
+    utf16 = _written(tmp_path / "utf16.json", text, "utf-16")
+    latin1 = _written(tmp_path / "latin1.json", text, "latin-1")
+    offset = text.encode("utf-8").index("é".encode("utf-8"))
+    for path, message in [
+        (bom, "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (utf16, f"cannot read {utf16}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (latin1, f"cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9 in position {offset}: invalid continuation byte"),
+    ]:
+        with pytest.raises(SchemaError) as info:
+            load_algebra(path)
+        assert str(info.value) == message
+        assert main(["validate", path]) == 2
+        out = capsys.readouterr().out
+        assert out.endswith(f"status\tinvalid\nviolation\tSchemaError\t{message}\n")
+
+
+def _one_idempotent(index):
+    """The 1-dimensional algebra with e·e = e, its product stored at
+    [index, index]."""
+    return {
+        "format_version": 1,
+        "name": "idempotent",
+        "mode": "graded",
+        "group": {"kind": "cyclic", "order": 1},
+        "basis": ["e"],
+        "grading": ["1"],
+        "structure": [[index, index, ["1"]]],
+    }
+
+
+def test_json_booleans_are_not_structure_indices():
+    # false == 0 in Python, but a boolean index of the integer table is a
+    # mask: the engine would see no product, and codim_2 would read 0, not 1
+    algebra = loads_algebra(json.dumps(_one_idempotent(0)))
+    assert algebra.integer_table.tolist() == [[[1]]]
+    x1, x2 = (Variable(modes.PLAIN, 0, i) for i in (1, 2))
+    assert not is_identity(GradedPoly.monomial(modes.GRADED, (x1, x2)), algebra)
+    assert total_codimension(algebra, 2)[0] == 1
+    with pytest.raises(SchemaError, match=re.escape("each structure entry must be [i, j, [rational, ...]]")):
+        loads_algebra(json.dumps(_one_idempotent(False)))
 
 
 def test_loads_rejects_non_json():
@@ -148,6 +215,16 @@ for _bad, _violation in zip(
 @_rejects("format_version 2", "SchemaError\tunsupported format_version 2 (this build reads 1)")
 def _future_version(doc):
     doc["format_version"] = 2
+
+
+@_rejects("format_version true", "SchemaError\t'format_version' has the wrong type")
+def _boolean_version(doc):
+    doc["format_version"] = True
+
+
+@_rejects("structure index false", "SchemaError\teach structure entry must be [i, j, [rational, ...]]")
+def _boolean_index(doc):
+    doc["structure"][0][0] = False
 
 
 @_rejects("unknown grade label", "SchemaError\tgrade label '(7,7)' is not an element of the group")

@@ -280,13 +280,15 @@ def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
     algebra = build(c2)  # a fresh algebra: only its validated table is kept
     table = algebra.integer_table
     calls = []
-    original = algebras.integer_vectors
+    original = algebras.GradedStarAlgebra._homogeneous_basis
 
-    def counted(vectors, dim):
-        calls.append(len(vectors))
-        return original(vectors, dim)
+    def counted(self, grade, kind):
+        # a component's basis and its integer rows are built together
+        basis, integer = original(self, grade, kind)
+        calls.append(len(integer))
+        return basis, integer
 
-    monkeypatch.setattr(algebras, "integer_vectors", counted)
+    monkeypatch.setattr(algebras.GradedStarAlgebra, "_homogeneous_basis", counted)
     polys = [
         parse_poly(text, "graded", c2)
         for text in ("x{1,g}*x{2,g} - x{2,g}*x{1,g}", "x{1,1}*x{1,1}*x{2,g}", "x{1,1}*x{2,1}")

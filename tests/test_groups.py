@@ -73,6 +73,10 @@ def test_symmetric_group_from_table():
         for j, q in enumerate(perms):
             composed = tuple(p[q[k]] for k in range(3))
             assert G.mul(i, j) == perms.index(composed)
+    # the same table as an array, which no caller can change
+    assert G.cayley.tolist() == [list(row) for row in G.table]
+    with pytest.raises(ValueError):
+        G.cayley[0, 0] = 1
 
 
 def test_from_table_rejects_repeated_row_entries():
