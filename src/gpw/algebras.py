@@ -13,10 +13,10 @@ built once: that table and the integer bases of its components.
 
 Each of the table and the involution takes one integer pass over its
 coordinates (:func:`~gpw.linalg.integer_scaling`), which gives the object
-``integer_table`` and the int64 copy the laws run on; homogeneity indexes
-the group's Cayley table, and a law that holds costs one ``any``.  A
-component spanned by basis vectors takes identity rows as its integer
-basis.
+``integer_table`` and the int64 copy the laws and the word walks run on
+(``exact_table``); homogeneity indexes the group's Cayley table, and a law
+that holds costs one ``any``.  A component spanned by basis vectors takes
+identity rows as its integer basis.
 
 Coordinates are dense tuples of ``Fraction``; dimensions here are tiny.
 """
@@ -121,9 +121,11 @@ class GradedStarAlgebra:
     ``structure`` keeps the nonzero products given to the constructor, as
     ``((i, j), e_i e_j)`` pairs in (i, j) order, and ``integer_table[i, j]``
     is e_i e_j times the lcm of their denominators, a (dim, dim, dim) object
-    array shared read-only.  ``involution`` is a matrix whose column j holds
-    the coordinates of the image of basis vector j, i.e.
-    ``involve(u)[i] = sum_j involution[i][j] u[j]``.
+    array shared read-only.  ``integer_bound`` is its largest absolute
+    entry, and ``exact_table`` the same table as int64 when that bound
+    allows, else ``integer_table`` itself.  ``involution`` is a matrix
+    whose column j holds the coordinates of the image of basis vector j,
+    i.e. ``involve(u)[i] = sum_j involution[i][j] u[j]``.
     """
 
     def __init__(
@@ -176,9 +178,10 @@ class GradedStarAlgebra:
         table = np.zeros((dim * dim, dim), dtype=object)
         table[pairs] = np.array(entries, dtype=object).reshape(len(pairs), dim)
         self.integer_table = table = table.reshape(dim, dim, dim)
-        # the laws are checked on one copy, int64 when the entries allow
-        bound = max(map(abs, entries), default=0)
-        table = table.astype(exact_dtype(bound), copy=False)
+        # the laws are checked, and words walked, on one copy, int64 when
+        # the entries allow
+        self.integer_bound = bound = max(map(abs, entries), default=0)
+        self.exact_table = table = table.astype(exact_dtype(bound), copy=False)
 
         grade = np.array(grades)
         expected = group.cayley[grade[:, None], grade]  # [i, j]: the grade of e_i e_j

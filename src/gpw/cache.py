@@ -61,8 +61,10 @@ class ResultCache:
         if not path.exists():
             return None
         try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                line, _, payload = fh.read().partition("\n")
+            # only a line feed ends the header line (newline="\n" translates
+            # nothing); the payload is then read whole, not split off a copy
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                line, payload = fh.readline(), fh.read()
             header = json.loads(line)
             if not isinstance(header, dict):
                 raise ValueError("header is not an object")

@@ -36,7 +36,7 @@ from .errors import CapExceeded, ConsistencyViolation, InputError, PreconditionV
 from .evaluator import cocharacter_table, is_identity, total_codimension
 from .groups import parse_group_shorthand
 from .polynomials import parse_poly
-from .reports import format_composition, format_shape, render, slot_legend
+from .reports import Records, format_composition, format_shape, render, slot_legend
 from .shapes import multinomial
 
 
@@ -101,14 +101,13 @@ def cmd_validate(args) -> int:
 
 def _codim(args, algebra):
     total, breakdown = total_codimension(algebra, args.n)
+    comps, codims = list(breakdown), list(breakdown.values())
+    weights = list(map(multinomial, comps))
     table = [["composition", "slice_codim", "weight", "contribution"]]
-    entries = []
-    for comp, c in breakdown.items():
-        weight = multinomial(comp)
-        table.append([format_composition(comp), c, weight, weight * c])
-        entries.append({"composition": comp, "slice_codim": c, "weight": weight})
+    table += ([format_composition(comp), c, w, w * c] for comp, c, w in zip(comps, codims, weights))
     table.append(["TOTAL", "", "", total])
     meta = {"n": args.n, "slots": slot_legend(algebra.group, algebra.mode), "total": total}
+    entries = Records(("composition", "slice_codim", "weight"), (comps, codims, weights))
     return meta, table, {"entries": entries, "total": total}, 0
 
 
@@ -116,11 +115,9 @@ def _cochar(args, algebra):
     table_obj = cocharacter_table(algebra, args.n)
     group, mode = algebra.group, algebra.mode
     table = [["shape", "multiplicity", "degree"]]
-    support = []
-    for shape, m in table_obj.support():
-        text = format_shape(shape, group, mode)
-        table.append([text, m, shape.degree()])
-        support.append({"shape": text, "multiplicity": m, "degree": shape.degree()})
+    table += (
+        [format_shape(shape, group, mode), m, shape.degree()] for shape, m in table_obj.support()
+    )
     meta = {
         "n": args.n,
         "slots": slot_legend(group, mode),
@@ -128,11 +125,10 @@ def _cochar(args, algebra):
         "max_multiplicity": table_obj.max_multiplicity(),
     }
     extras = {
-        "support": support,
-        "slice_codims": [
-            {"composition": comp, "slice_codim": c}
-            for comp, c in table_obj.slice_codims
-        ],
+        "support": Records(tuple(table[0]), tuple(zip(*table[1:]))),
+        "slice_codims": Records(
+            ("composition", "slice_codim"), tuple(zip(*table_obj.slice_codims))
+        ),
         "total": table_obj.total_codim,
     }
     return meta, table, extras, 0

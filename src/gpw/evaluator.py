@@ -74,8 +74,9 @@ is unisolvent for the tensor product.  So a combination of polynomials is
 an identity exactly when it vanishes there.  At m = 1 the points are the
 basis itself.  The independent full-grid oracle, :func:`is_identity_grid`,
 substitutes every t in {0..m}^d instead.  The engine reads the integer
-structure table and component bases that each algebra builds once and owns
-(``integer_table``, ``integer_basis``).
+structure table, its bound and the component bases that each algebra
+builds once and owns (``exact_table``, ``integer_bound``,
+``integer_basis``).
 
 The two limits of :mod:`gpw.limits` bound the work.  Each level of the
 walk, the assembled rows and the lattice or grid points are counted
@@ -431,18 +432,18 @@ def _word_matrices(
     ``batch`` (integer multiples of each letter's values), in one walk,
     walked as they are taken."""
     dim = algebra.dim
-    table = algebra.integer_table
     # with vector entries up to b and structure constants up to t, a word's
     # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
     # right-multiplication matrix at most dim * b * t
     n = max(len(trie.ends) - 1, 1)
     distinct = {id(v): v for vectors in batch for v in vectors}  # letters of one slot share values
     b = max(map(max_abs, distinct.values()), default=0)
-    t = max_abs(table)
+    t = algebra.integer_bound
     dtype = exact_dtype(max(b, t, dim * b * t, b**n * (dim * dim * t) ** (n - 1)))
     distinct = {key: v.astype(dtype) for key, v in distinct.items()}
     batch = [[distinct[id(v)] for v in vectors] for vectors in batch]
-    return _word_rows(table.astype(dtype), batch, trie)
+    table = algebra.exact_table if dtype is np.int64 else algebra.integer_table
+    return _word_rows(table, batch, trie)
 
 
 def _word_combinations(

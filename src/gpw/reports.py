@@ -8,27 +8,31 @@ only.
 
 Rendered output is deterministic: same algebra, same flags, same bytes.
 Timings never appear here.  JSON reports are exactly what
-``json.dumps(payload, indent=2, sort_keys=True)`` prints, plus a newline,
-written by a one-pass renderer: str keys sorted, strings escaped to ASCII by
-json's own encoder, ints (of any size) in decimal, bools and None as
-``true``/``false``/``null``, tuples as lists.  Any other value (a float, a
-dict with a key that is not a str) goes through ``json.dumps`` itself, so it
-prints, or fails, as json has it.
+``json.dumps(payload, indent=2, sort_keys=True)`` prints, plus a newline:
+str keys sorted, strings escaped to ASCII by json's own encoder, ints (of
+any size) in decimal, bools and None as ``true``/``false``/``null``, tuples
+as lists.  Any other value (a float, a dict with a key that is not a str)
+goes through ``json.dumps`` itself, so it prints, or fails, as json has it.
 
-Scalars and dicts render value by value; a list renders its elements as one
-column.  A column of ints or of strs is one ``map`` (small non-negative ints
-read from a table of their texts), a column of non-empty int lists one
-``map`` per list, and a column of dicts that share one set of str keys
-renders each key's values as a column and fills one ``%`` template per
-record.  Any other column goes element by element.  So a report of
-thousands of records, such as the ``slice_codims`` of a star-mode
-``cochar``, costs a few calls per key, not one per value.
+The whole report is written into one list of pieces, joined once.  Scalars
+and dicts go in value by value.  A list that holds no dict goes in as a
+column, at once: its values share one skeleton of fixed pieces (a list of
+non-empty lists of one length has a gap per position, any other list one
+gap), and slice assignments interleave the fixed pieces with each gap's
+texts.  A gap whose values are all ints or all strs takes one ``map`` (ints
+through a table of their distinct values' texts), so no string is built per
+element; any other value gives one text of its own.  :class:`Records`, a
+list of records held as columns (the ``slice_codims`` of a ``cochar``
+report, thousands of them in star mode), lays out one skeleton for all its
+records the same way, a column per key.  A list of dicts renders element by
+element, as ``json.dumps`` does.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass
 
 from . import modes
 from .errors import ParseError, UnknownGradeLabel
@@ -139,7 +143,10 @@ def render(payload: dict, as_json: bool) -> str:
     the same content under sorted keys (see the module docstring).
     """
     if as_json:
-        return _json(payload, "") + "\n"
+        out: list[str] = []
+        _write(payload, "", out)
+        out.append("\n")
+        return "".join(out)
     lines = [f"# {k}: {payload['meta'][k]}" for k in sorted(payload["meta"])]
     table = payload.get("table")
     if table:
@@ -149,74 +156,129 @@ def render(payload: dict, as_json: bool) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
-_SMALL_INTS = [str(i) for i in range(1024)]
 
 
-def _int_text(ints: list[int]):
-    """The decimal text of an all-int list's elements, small non-negative
-    ones looked up in a table."""
-    if 0 <= min(ints) and max(ints) < len(_SMALL_INTS):
-        return _SMALL_INTS.__getitem__
-    return int.__repr__
+@dataclass(frozen=True)
+class Records:
+    """A list of records held as columns: it renders as
+    ``[dict(zip(keys, row)) for row in zip(*columns)]`` does, without a dict
+    per record."""
 
-
-def _column(values: list, pad: str) -> list[str]:
-    """``[_json(v, pad) for v in values]``, a column at a time where the
-    values share a kind: all ints, all strs, all non-empty int lists, or all
-    dicts with one set of str keys, whose values then render key by key as
-    columns into one ``%`` template.  ``type(v) is int`` keeps bools out of
-    the int paths."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        return list(map(_int_text(values), values))
-    if kinds == {str}:
-        return list(map(_quote, values))
-    if kinds <= {list, tuple} and all(values):
-        flat = list(itertools.chain.from_iterable(values))
-        if set(map(type, flat)) == {int}:
-            inner = pad + "  "
-            sep = ",\n" + inner
-            wrap = "[\n" + inner + "%s\n" + pad + "]"
-            convert = itertools.repeat(_int_text(flat))
-            return list(map(wrap.__mod__, map(sep.join, map(map, convert, values))))
-    elif kinds == {dict}:
-        keys = values[0].keys()
-        if keys and all(type(k) is str for k in keys) and all(v.keys() == keys for v in values):
-            names = sorted(keys)
-            inner = pad + "  "
-            fields = (",\n" + inner).join(_quote(k).replace("%", "%%") + ": %s" for k in names)
-            template = "{\n" + inner + fields + "\n" + pad + "}"
-            columns = [_column([v[k] for v in values], inner) for k in names]
-            return list(map(template.__mod__, zip(*columns)))
-    return [_json(v, pad) for v in values]
+    keys: tuple
+    columns: tuple
 
 
 def _json(value, pad: str) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``:
-    scalars and dicts value by value, each list's elements as one
-    :func:`_column`.  ``type(x) is int`` keeps bools out of the int path."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` at indent ``pad``."""
+    out: list[str] = []
+    _write(value, pad, out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list[str]) -> None:
+    """Append the pieces of ``_json(value, pad)`` to ``out``: scalars and
+    dicts value by value, :class:`Records` and a list that holds no dict as
+    a column, a list of dicts element by element.  ``type(x) is int`` keeps
+    bools out of the int path."""
     kind = type(value)
     if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is Records:
+        _write_records(value, pad, out)
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        if not {dict, Records} & set(map(type, value)):
+            _lay_out(*_column(value, inner), len(value), pad, out)
+            return
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict) and value and all(type(k) is str for k in value):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out += (sep, _quote(key), ": ")
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad))
+
+
+class _IntTexts(dict):
+    """The decimal texts of ints, each made once, when first asked for."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = int.__repr__(value)
+        return text
+
+
+def _texts(values, pad: str) -> list[str]:
+    """The text of each value at indent ``pad``: all ints or all strs in one
+    ``map`` (ints through a table of their distinct values' texts), any
+    other values one :func:`_json` each."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return list(map(_IntTexts().__getitem__, values))
+    if kinds == {str}:
+        return list(map(_quote, values))
+    return [_json(v, pad) for v in values]
+
+
+def _column(values, pad: str) -> tuple[list[str], list[list[str]]]:
+    """The skeleton that the values of a column, at indent ``pad``, share:
+    its fixed pieces and, per gap between them, the texts of every value
+    there, so value i renders as ``fixed[0] + slots[0][i] + fixed[1] + ...
+    + fixed[-1]``.  Non-empty lists of one length have a gap per
+    position; any other values share one gap."""
+    if set(map(type, values)) <= {list, tuple} and len(set(map(len, values))) == 1 and values[0]:
+        inner = pad + "  "
+        columns = list(zip(*values))
+        fixed = ["[\n" + inner] + [",\n" + inner] * (len(columns) - 1) + ["\n" + pad + "]"]
+        return fixed, [_texts(column, inner) for column in columns]
+    return ["", ""], [_texts(values, pad)]
+
+
+def _lay_out(fixed: list[str], slots: list[list[str]], rows: int, pad: str, out: list[str]) -> None:
+    """Append ``rows`` values of one skeleton (see :func:`_column`) to ``out``
+    as a JSON list at indent ``pad``: the fixed pieces repeated, and each
+    gap's texts put in place by one slice assignment."""
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = (",\n" + inner).join(_column(value, inner))
-        return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(value, dict) and all(type(k) is str for k in value):
-        if not value:
-            return "{}"
-        body = (",\n" + inner).join(
-            [_quote(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    period = 2 * len(slots)
+    start = len(out)
+    out.extend(itertools.repeat(fixed[-1] + ",\n" + inner + fixed[0], period * rows + 1))
+    out[start] = "[\n" + inner + fixed[0]
+    out[-1] = fixed[-1] + "\n" + pad + "]"
+    for k, texts in enumerate(slots):
+        at = start + 2 * k
+        if k:
+            out[at::period] = [fixed[k]] * rows
+        out[at + 1 :: period] = texts
+
+
+def _write_records(records: Records, pad: str, out: list[str]) -> None:
+    """A :class:`Records` at indent ``pad``: one skeleton for every record,
+    its str keys sorted and each key's values a :func:`_column`, laid out
+    at once; keys that are not all str render as the list of dicts."""
+    named = dict(zip(records.keys, records.columns))
+    rows = min(map(len, records.columns), default=0)
+    if not rows or not named or not all(type(k) is str for k in named):
+        _write([dict(zip(records.keys, row)) for row in zip(*records.columns)], pad, out)
+        return
+    inner = pad + "  "
+    value_pad = inner + "  "
+    fixed, slots = ["{\n" + value_pad], []
+    for index, key in enumerate(sorted(named)):
+        skeleton, texts = _column(named[key][:rows], value_pad)
+        fixed[-1] += (",\n" + value_pad if index else "") + _quote(key) + ": " + skeleton[0]
+        fixed += skeleton[1:]
+        slots += texts
+    fixed[-1] += "\n" + inner + "}"
+    _lay_out(fixed, slots, rows, pad, out)

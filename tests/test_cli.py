@@ -402,6 +402,19 @@ def test_truncated_cache_entry_warns_and_recomputes(capsys, tmp_path, docs):
     assert entry.read_bytes() == whole
 
 
+def test_header_without_newline_warns_and_recomputes(capsys, tmp_path, docs):
+    cache_dir = tmp_path / "cache"
+    argv = ["cochar", docs["grassmann2"], "--n", "3", "--json", "--cache", str(cache_dir)]
+    _, fresh, _ = run(capsys, *argv)
+    (entry,) = cache_dir.glob("*.json")
+    whole = entry.read_bytes()
+    entry.write_bytes(whole.split(b"\n", 1)[0])  # the header line alone
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (0, fresh)
+    assert f"warning: ignoring corrupt cache entry {entry.name}: payload has 0" in err
+    assert entry.read_bytes() == whole
+
+
 def test_cache_key_separates_formats(capsys, tmp_path, docs):
     cache_dir = tmp_path / "cache"
     argv = ["codim", docs["ut2_g"], "--n", "2", "--cache", str(cache_dir)]

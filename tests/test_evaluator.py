@@ -311,6 +311,27 @@ def test_integer_data_is_built_once_per_algebra(build, c2, monkeypatch):
     assert algebra.integer_table is table
 
 
+@pytest.mark.parametrize("scale", [1, 2**70], ids=["int64", "object"])
+def test_the_walk_reads_the_table_validation_kept(scale, trivial_group, monkeypatch):
+    # e * e = scale * e: an int64 table, or one only Python ints hold
+    algebra = gpw.GradedStarAlgebra("line", trivial_group, ("e",), (0,), {(0, 0): (scale,)})
+    assert algebra.integer_bound == scale
+    assert algebra.exact_table.tolist() == algebra.integer_table.tolist() == [[[scale]]]
+    assert (algebra.exact_table is algebra.integer_table) == (scale > 2**62)
+    walked, scanned = [], []
+    word_rows, max_abs = evaluator._word_rows, evaluator.max_abs
+
+    def walk(table, *rest):
+        walked.append(table)
+        return word_rows(table, *rest)
+
+    monkeypatch.setattr(evaluator, "_word_rows", walk)
+    monkeypatch.setattr(evaluator, "max_abs", lambda a: scanned.append(a) or max_abs(a))
+    assert not is_identity(parse_poly("x{1,1}*x{2,1}", "graded", trivial_group), algebra)
+    assert walked and all(table is algebra.exact_table for table in walked)
+    assert scanned and not any(a is algebra.integer_table for a in scanned)
+
+
 @pytest.mark.parametrize(
     "route, poly, work",
     [

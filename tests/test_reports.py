@@ -4,9 +4,9 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gpw.reports import _json, render
+from gpw.reports import Records, _json, render
 
 _awkward = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀", "\ud800"])
 _text = st.lists(_awkward | st.characters(), max_size=6).map("".join)
@@ -63,6 +63,28 @@ def _records(draw, depth=0):
     return rows
 
 
+@st.composite
+def _records_as_columns(draw):
+    keys = draw(st.lists(_keys, max_size=4, unique=True))
+    rows = draw(st.integers(0, 4))
+    width = draw(st.integers(1, 3))
+    one_width = st.lists(_table_ints, min_size=width, max_size=width)
+    kinds = [
+        _table_ints,
+        st.sampled_from([True, False, -1, 1023, 1024, 2**70]) | _table_ints,
+        one_width,
+        one_width.map(tuple),
+        _int_lists,
+        _text,
+        st.none() | _text,
+        _scalars | _int_lists,
+    ]
+    columns = [
+        draw(st.lists(draw(st.sampled_from(kinds)), min_size=rows, max_size=rows)) for _ in keys
+    ]
+    return Records(tuple(keys), tuple(columns))
+
+
 def _reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
@@ -84,6 +106,19 @@ def test_render_matches_json_dumps_plus_newline(payload):
 def test_column_renderer_matches_json_dumps_on_shared_key_records(records):
     assert _json(records, "") == _reference(records)
     assert _json({"%s": records}, "    ") == _reference({"%s": records}).replace("\n", "\n    ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_records_as_columns())
+@example(Records((), ()))
+@example(Records(("a", "%s"), ([], [])))
+@example(Records(("n", 'k"'), ([True, -1, 1023, 1024, 2**70], [[1, 2], [], (3,), [4, 5], [-6]])))
+def test_records_render_as_the_list_of_their_rows(records):
+    rows = [dict(zip(records.keys, row)) for row in zip(*records.columns)]
+    for pad in ("", "    "):
+        assert _json(records, pad) == _reference(rows).replace("\n", "\n" + pad)
+    if not rows:
+        assert _json(records, "") == "[]"
 
 
 @pytest.mark.parametrize(
@@ -113,6 +148,21 @@ def test_column_renderer_matches_json_dumps_on_shared_key_records(records):
 )
 def test_renderer_edge_cases(value):
     assert _json(value, "") == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a report table: every position of one kind but the last row's
+        [["list", "grades"], ["pair", "1,g"], ["max", 1]],
+        # positions of ints, of strs and None, of lists of several lengths
+        [[1, "a", [2]], [3, "b", [4, 5]], [6, None, []]],
+    ],
+)
+def test_rows_of_one_length_render_position_by_position(rows):
+    assert _json(rows, "") == _reference(rows)
+    records = [{"%s": row} for row in rows]
+    assert _json(Records(("%s",), (rows,)), "  ") == _reference(records).replace("\n", "\n  ")
 
 
 def test_unsupported_values_fail_as_json_does():
