@@ -9,14 +9,15 @@ algebra:
   existence forces bounded cocharacter multiplicities — or their evaluation
   matrix has full rank n, certifying that no witness of that degree exists.
   A verdict is therefore only ever "bounded" or "undecided at the search
-  cap": absence of witnesses up to a finite degree proves nothing.
+  cap": absence of witnesses up to a finite degree proves nothing.  The
+  report reads these matrices off the walks of its cocharacter tables.
 
 * **Pairwise commutation lists** (star mode).  For every ordered pair of
   distinct grades and every choice of symmetric/skew kinds, scan the
   coefficients {0, 1, -1} for which  u1·v2 + a·v2·u1  is an identity, plus
   the same-grade mixed list  y1·z2 + b·z2·y1.  Both orders of a pair are
-  read off one evaluation matrix, and the matrices of all pairs come from
-  one walk of the evaluator's word trie.  When every list is satisfied
+  read off one matrix, the degree-2 arrangement matrix [uv, vu] of their
+  two slots, one that the degree-2 cocharacter table consumes.  When every list is satisfied
   all multiplicities are at most one; the report re-checks that empirically
   on low-degree cocharacter tables and treats any counterexample as an
   internal error.  Conversely a failing list shows at degree 2: the
@@ -34,8 +35,12 @@ algebra:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+
+import numpy as np
 
 from . import limits, modes
 from .algebras import GradedStarAlgebra, builtin_ut2
@@ -47,15 +52,17 @@ from .errors import (
 )
 from .evaluator import (
     _arrangement_matrices,
-    _slices_with_rows,
+    _arrangements,
+    _slot_bases,
+    _walk_table,
     build_evaluation_matrix,
     cocharacter_table,
-    commutation_matrices,
     identities,
     is_identity,
     is_identity_grid,
     multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
 )
+from .linalg import echelon, exact_product, kernel
 from .polynomials import GradedPoly, Variable, highest_weight_vector
 from .polynomials import multilinearize  # noqa: F401 -- perfbench/tracer.py wraps it
 from .shapes import Multipartition, Multitableau
@@ -86,6 +93,30 @@ class SandwichWitness:
         return out
 
 
+def _sandwich_witness(
+    algebra: GradedStarAlgebra, grade: int, n: int, rows: np.ndarray
+) -> SandwichWitness | None:
+    """The first nullspace vector of ``rows``, whose nullspace is the identity
+    combinations of the degree-n sandwich candidates, as a witness
+    re-verified through both identity routes, the lattice and the full grid;
+    or None, certified by rank n.  One lifted elimination gives both."""
+    reduced = echelon(rows, lift=True)
+    basis = kernel(reduced, n)
+    if not basis:
+        if reduced.rank != n:  # full rank certifies absence
+            raise ConsistencyViolation(
+                f"{n} sandwich candidates have an empty nullspace but rank {reduced.rank}"
+            )
+        return None
+    witness = SandwichWitness(grade, n, tuple(basis[0]))
+    got = witness.poly(algebra)
+    if not (is_identity(got, algebra) and is_identity_grid(got, algebra)):
+        raise ConsistencyViolation(
+            "nullspace vector failed re-verification as an identity"
+        )
+    return witness
+
+
 def find_sandwich_identity(
     algebra: GradedStarAlgebra, grade: int, n: int
 ) -> SandwichWitness | None:
@@ -94,8 +125,8 @@ def find_sandwich_identity(
 
     The candidates share one multidegree, so a combination is an identity
     exactly when it vanishes on the simplex points of
-    :func:`build_evaluation_matrix`, unpolarized; the witness is re-verified
-    through both identity routes, the lattice and the full grid.
+    :func:`build_evaluation_matrix`, unpolarized.  This single-degree search
+    is the oracle of :func:`bounded_multiplicity_report`'s route.
     """
     if algebra.mode != modes.GRADED:
         raise ModeMismatch("sandwich classification works on graded-mode algebras")
@@ -103,23 +134,21 @@ def find_sandwich_identity(
     if n < 2:
         raise InputError("sandwich identities need degree at least 2")
     candidates = _sandwich_candidates(algebra.mode, algebra.group.identity, grade, n)
-    matrix = build_evaluation_matrix(algebra, candidates)
-    basis = matrix.nullspace()
-    if not basis:
-        rank = matrix.rank()
-        if rank != n:  # full rank certifies absence
-            raise ConsistencyViolation(
-                f"{n} sandwich candidates have an empty nullspace but rank {rank}"
-            )
-        return None
-    coeffs = tuple(basis[0])
-    witness = SandwichWitness(grade, n, coeffs)
-    got = witness.poly(algebra)
-    if not (is_identity(got, algebra) and is_identity_grid(got, algebra)):
-        raise ConsistencyViolation(
-            "nullspace vector failed re-verification as an identity"
-        )
-    return witness
+    return _sandwich_witness(algebra, grade, n, build_evaluation_matrix(algebra, candidates).rows)
+
+
+def _reading(walk, readers, read):
+    """One walk's compositions and matrices, the matrices passed on by
+    ``map``, which keeps none; the value of ``readers[comp]`` on each matrix
+    whose composition it names is kept in ``read``."""
+    comps, matrices = walk
+
+    def pass_on(comp, matrix):
+        if comp in readers:
+            read[comp] = readers[comp](matrix)
+        return matrix
+
+    return comps, map(pass_on, comps, matrices)
 
 
 @dataclass(frozen=True)
@@ -150,19 +179,40 @@ def bounded_multiplicity_report(
     from the generated variety is what boundedness hinges on.  The maximal
     multiplicity actually observed up to n_max is attached as the empirical
     lower bound for the constant.
+
+    Each degree is one walk, which gives its table.  By multilinearization
+    in characteristic 0 (Drensky, "Free algebras and PI-algebras", 2000), a
+    combination of the candidates is an identity exactly when its full
+    linearization is one, and that of candidate i sums the arrangements
+    with the grade-g letter at position i.  So, for a grade still without a
+    witness, the walk's arrangement matrix M of (n-1)·e_1 + e_g times the
+    0/1 matrix S of those sums has the nullspace of
+    :func:`find_sandwich_identity`'s matrix.  With an empty slot, M has no rows.
     """
     if algebra.mode != modes.GRADED:
         raise ModeMismatch("boundedness classification works on graded-mode algebras")
     limits.check_degree(n_max)
     if n_max < 2:
         raise InputError("n_max must be at least 2")
+    one = algebra.group.identity  # in graded mode a grade is its slot
+    witnesses: dict[int, SandwichWitness | None] = dict.fromkeys(algebra.group)
+    observed = 0
+    for n in range(1, n_max + 1):
+        arrangements, grades, readers, products = np.array(_arrangements(n)), {}, {}, {}
+        for grade in [g for g, w in witnesses.items() if w is None and n > 1]:
+            comp = tuple((n - 1) * (s == one) + (s == grade) for s in range(len(witnesses)))
+            letter = 0 if grade < one else n - 1  # letters are numbered by slot
+            grades[comp] = grade
+            readers[comp] = partial(exact_product, b=(arrangements == letter).astype(np.int64))
+        table = _walk_table(
+            algebra, n, *_reading(_arrangement_matrices(algebra, n), readers, products)
+        )
+        observed = max(observed, table.max_multiplicity())
+        for comp, grade in grades.items():
+            rows = products.get(comp, np.zeros((0, n), dtype=np.int64))
+            witnesses[grade] = _sandwich_witness(algebra, grade, n, rows)
     findings = []
-    for grade in algebra.group:
-        witness = None
-        for n in range(2, n_max + 1):
-            witness = find_sandwich_identity(algebra, grade, n)
-            if witness is not None:
-                break
+    for grade, witness in witnesses.items():
         excludes = None
         if witness is not None:
             ut2 = builtin_ut2(algebra.group, grade)
@@ -173,7 +223,6 @@ def bounded_multiplicity_report(
         if all(f.witness is not None for f in findings)
         else "UNDECIDED-AT-CAP"
     )
-    observed = max(cocharacter_table(algebra, n).max_multiplicity() for n in range(1, n_max + 1))
     return BoundedReport(algebra.name, n_max, tuple(findings), verdict, observed)
 
 
@@ -206,25 +255,18 @@ class MultOneReport:
     witness: Multipartition | None = None
 
 
-def _coefficient_scans(
-    algebra: GradedStarAlgebra, pairs: list[tuple[Variable, Variable]]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """For each pair (a, b), the alpha in (0, 1, -1) for which
-    a·b + alpha·b·a is an identity, and those for which b·a + alpha·a·b is
-    one, both read from its matrix with the columns [ab, ba], all from one
-    walk: a·b + alpha·b·a is an identity exactly when col_ab + alpha·col_ba
-    vanishes.  For alpha = ±1 the two orders agree; for alpha = 0 the first
-    needs col_ab == 0 and the second col_ba == 0."""
-    scans = []
-    for ab, ba in (matrix.T for matrix in commutation_matrices(algebra, pairs)):
-        signs = (1, not (ab + ba).any()), (-1, not (ab - ba).any())
-        scans.append(
-            tuple(
-                tuple(alpha for alpha, holds in ((0, zero), *signs) if holds)
-                for zero in (not ab.any(), not ba.any())
-            )
-        )
-    return scans
+def _coefficient_scan(matrix: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For a pair (a, b) with the matrix [ab, ba], the alpha in (0, 1, -1)
+    for which a·b + alpha·b·a is an identity, and those for which
+    b·a + alpha·a·b is one: a·b + alpha·b·a is an identity exactly when
+    col_ab + alpha·col_ba vanishes.  For alpha = ±1 the two orders agree;
+    for alpha = 0 the first needs col_ab == 0 and the second col_ba == 0."""
+    ab, ba = matrix.T
+    signs = (1, not (ab + ba).any()), (-1, not (ab - ba).any())
+    return tuple(
+        tuple(alpha for alpha, holds in ((0, zero), *signs) if holds)
+        for zero in (not ab.any(), not ba.any())
+    )
 
 
 def star_multone_report(
@@ -236,27 +278,51 @@ def star_multone_report(
     an internal error, not a report entry).  With ``empirical_n`` >= 2, a
     NOT-SATISFIED verdict is re-checked on the degree-2 table: some shape
     on two slots must have multiplicity 2, the report's ``witness``, or
-    :class:`ConsistencyViolation` is raised."""
+    :class:`ConsistencyViolation` is raised.
+
+    The [uv, vu] matrix of u, v is the degree-2 arrangement matrix of their
+    two slots, lower slot first.  The scans read the degree-2 table's walk,
+    or below 2 a walk of the pairs of nonempty slots alone; a pair with an
+    empty slot has no rows."""
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
     limits.check_degree(empirical_n)
-    group = algebra.group
+    group, mode = algebra.group, algebra.mode
+    bases = _slot_bases(algebra)
+    pairs = {}  # the composition of each pair s < t of nonempty slots
+    for s, t in itertools.combinations([slot for slot, b in enumerate(bases) if len(b)], 2):
+        comp = [0] * len(bases)
+        comp[s] = comp[t] = 1
+        pairs[tuple(comp)] = s, t
+    if empirical_n >= 2:
+        read, readers = {}, dict.fromkeys(pairs, _coefficient_scan)
+        second = _walk_table(
+            algebra, 2, *_reading(_arrangement_matrices(algebra, 2), readers, read)
+        )
+    else:  # the walk is taken to its end, which drops its matrices
+        matrices = _arrangement_matrices(algebra, 2, list(pairs))[1]
+        read = dict(zip(pairs, list(map(_coefficient_scan, matrices))))
+    scans = {pairs[comp]: scan for comp, scan in read.items()}
+    unwalked = _coefficient_scan(np.zeros((0, 2), dtype=np.int64))
+
+    def valid(g, k1, h, k2):
+        """The list of u1·v2 + alpha·v2·u1, u of grade g, kind k1, v of h, k2."""
+        s, t = modes.slot_of(g, k1, mode), modes.slot_of(h, k2, mode)
+        return scans.get((min(s, t), max(s, t)), unwalked)[s > t]
+
     kinds = (modes.SYM, modes.SKEW)
-    keys = [(g, k1, h, k2) for g in group for h in group if g != h for k1 in kinds for k2 in kinds]
-    # one scan per pair of grades g < h reads both orders, and one per grade
-    scanned = [key for key in keys if key[0] < key[2]]
-    scanned += [(g, modes.SYM, g, modes.SKEW) for g in group]
-    pairs = [(Variable(k1, g, 1), Variable(k2, h, 2)) for g, k1, h, k2 in scanned]
-    lists = {}
-    for (g, k1, h, k2), (forward, backward) in zip(scanned, _coefficient_scans(algebra, pairs)):
-        lists[(g, k1, h, k2)], lists[(h, k2, g, k1)] = forward, backward
-    pair_findings = [PairFinding((g, h), (k1, k2), lists[(g, k1, h, k2)]) for g, k1, h, k2 in keys]
-    same_grade = [SameGradeFinding(g, lists[(g, modes.SYM, g, modes.SKEW)]) for g in group]
+    pair_findings = [
+        PairFinding((g, h), (k1, k2), valid(g, k1, h, k2))
+        for g in group for h in group if g != h for k1 in kinds for k2 in kinds
+    ]
+    same_grade = [SameGradeFinding(g, valid(g, modes.SYM, g, modes.SKEW)) for g in group]
     satisfied = all(f.valid_coefficients for f in pair_findings) and all(
         f.valid_coefficients for f in same_grade
     )
     verdict = "SATISFIED" if satisfied else "NOT-SATISFIED"
-    tables = [cocharacter_table(algebra, n) for n in range(1, empirical_n + 1)]
+    tables = [
+        second if n == 2 else cocharacter_table(algebra, n) for n in range(1, empirical_n + 1)
+    ]
     observed = max(table.max_multiplicity() for table in tables)
     if satisfied and observed > 1:
         raise ConsistencyViolation(
@@ -439,18 +505,18 @@ def verify_multone_lemmas(
         if holds:
             for d in degrees:
                 wanted.setdefault(d, {})[one_slot(g, kind, d)] = None
-    slot_max = {}
+    slot_max = {}  # a composition whose matrix has no rows lists no shape: 0
     for n, comps in wanted.items():
-        comps, matrices = _arrangement_matrices(algebra, n, list(comps))
-        for comp, (_, counts) in zip(comps, _slices_with_rows(algebra, comps, matrices)):
-            slot_max[comp] = max((m for _, m in counts), default=0)
+        table = _walk_table(algebra, n, *_arrangement_matrices(algebra, n, list(comps)))
+        for shape, m in table.entries:
+            slot_max[shape.weight] = max(slot_max.get(shape.weight, 0), m)
 
     findings = []
     for (criterion, g, kind, _, _, _), (holds, degrees) in zip(criteria, checks):
         conclusion = None
         best = None
         if holds and degrees:
-            best = max(slot_max[one_slot(g, kind, d)] for d in degrees)
+            best = max(slot_max.get(one_slot(g, kind, d), 0) for d in degrees)
             conclusion = best <= 1
         findings.append(LemmaFinding(criterion, g, kind, holds, degrees, conclusion, best))
     return LemmaReport(algebra.name, n_max, tuple(findings))

@@ -16,10 +16,10 @@ one and its ranks, nullspaces and zero tests are the rational answers.  Words ar
 out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
 at a time over the (node, partial substitution tuple) pairs whose value is
 nonzero, with one batched product per level, for a whole batch of problems
-on one trie (all compositions of a degree, all commutation pairs, all
-identity components on one word list).  The words of one walk are sorted,
-distinct and of one length, and each uses every letter, as every caller
-builds them; other words raise :class:`ValueError`.  A matrix keeps only
+on one trie (all compositions of a degree, all identity components on
+one word list).  The words of one walk are sorted, distinct and of one
+length, and each uses every letter, as every caller builds them; other
+words raise :class:`ValueError`.  A matrix keeps only
 the nonzero rows of the dense one, in its order, without their row numbers,
 which changes no rank, nullspace or zero test.  The walk's entries are
 int64 only when an a-priori bound on every entry stays below 2**62;
@@ -502,16 +502,6 @@ def build_evaluation_matrix(
     return EvaluationMatrix(variables, rows)
 
 
-def commutation_matrices(
-    algebra: GradedStarAlgebra, pairs: list[tuple[Variable, Variable]]
-) -> Iterator[np.ndarray]:
-    """For each pair (a, b) of variables, the nonzero rows of the integer
-    evaluation matrix of the columns [ab, ba] on every pair of their basis
-    elements, a's choice major; all pairs in one walk."""
-    batch = [[algebra.integer_basis(v.grade, v.kind) for v in pair] for pair in pairs]
-    return _word_matrices(algebra, batch, _word_trie([(0, 1), (1, 0)]))
-
-
 # -- identities ---------------------------------------------------------------
 
 
@@ -812,20 +802,6 @@ def _slice_cocharacter(
     return rank, list(zip(shapes, counts))
 
 
-def _slices_with_rows(
-    algebra: GradedStarAlgebra, comps: list[Composition], matrices: Iterator[np.ndarray]
-) -> Iterator[tuple[int, list[tuple[Multipartition, int]]]]:
-    """:func:`_slice_cocharacter` of each composition whose matrix has rows,
-    and (0, []) for the others: their shapes, all of multiplicity 0, are not
-    built.  Each matrix is dropped before the next is taken, so a split
-    batch walks its next part only when the last part's matrices are gone."""
-
-    def one(comp: Composition, matrix: np.ndarray):
-        return _slice_cocharacter(algebra, comp, matrix) if len(matrix) else (0, [])
-
-    return map(one, comps, matrices)
-
-
 def composition_multiplicities(
     algebra: GradedStarAlgebra, comp: Composition
 ) -> list[tuple[Multipartition, int]]:
@@ -894,12 +870,24 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     multinomial.  A multiplicity that is not a nonnegative integer raises
     :class:`ConsistencyViolation`, since only a bug can produce it.
     """
+    return _walk_table(algebra, n, *_arrangement_matrices(algebra, n))
+
+
+def _walk_table(
+    algebra: GradedStarAlgebra, n: int, comps: list[Composition], matrices: Iterator[np.ndarray]
+) -> CocharacterTable:
+    """The degree-n table of one walk's compositions and arrangement
+    matrices, each dropped before the next is taken, so a split batch walks
+    its next part only when the last part's matrices are gone."""
+
+    def one(comp: Composition, matrix: np.ndarray):
+        return _slice_cocharacter(algebra, comp, matrix) if len(matrix) else (0, [])
+
     slots = modes.slot_count(len(algebra.group), algebra.mode)
-    comps, matrices = _arrangement_matrices(algebra, n)
     live_codims: dict[Composition, int] = {}
     entries: list[tuple[Multipartition, int]] = []
     total = 0
-    for comp, (slice_c, counts) in zip(comps, _slices_with_rows(algebra, comps, matrices)):
+    for comp, (slice_c, counts) in zip(comps, map(one, comps, matrices)):
         live_codims[comp] = slice_c
         if slice_c:
             entries.extend(counts)

@@ -293,16 +293,21 @@ def exact_rank(matrix: np.ndarray | list[Row]) -> int:
 
 
 def nullspace(rows: np.ndarray | list[Row], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : M v = 0} with columns of M as unknowns, read off the
-    lifted RREF.
+    """The :func:`kernel` of the lifted elimination of the rows."""
+    return kernel(echelon(rows, lift=True), ncols)
+
+
+def kernel(reduced: Echelon, ncols: int) -> list[list[Fraction]]:
+    """Basis of {v : M v = 0}, M of ``ncols`` columns, read off the lifted
+    RREF of ``echelon(M, lift=True)``.
 
     Each basis vector is normalized so its first nonzero entry is 1; vectors
-    are ordered by their free column, ascending, which makes the result
-    deterministic.
+    are ordered by their free column, ascending.  The RREF is fixed by the
+    row space, the annihilator of the nullspace, so the basis depends only
+    on the nullspace.
     """
-    result = echelon(rows, lift=True)
-    numerators, denominator = result.lifted
-    columns = [col for _, col in result.pivots]
+    numerators, denominator = reduced.lifted
+    columns = [col for _, col in reduced.pivots]
     basis = []
     for free in sorted(set(range(ncols)) - set(columns)):
         v = [Fraction(0)] * ncols

@@ -1,18 +1,18 @@
 """Sandwich witnesses, the bounded/multiplicity-one reports, and the
 single-grade criteria behind them."""
 
-import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import gpw
 import oracle
 from gpw import classify, evaluator, limits, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
-    _coefficient_scans,
+    _coefficient_scan,
     _sandwich_candidates,
     bounded_multiplicity_report,
     find_sandwich_identity,
@@ -21,11 +21,12 @@ from gpw.classify import (
     verify_multone_lemmas,
 )
 from gpw.errors import CapExceeded, ConsistencyViolation, ModeMismatch, PreconditionViolation
-from gpw.evaluator import EvaluationMatrix, canonical_variable_order, is_identity, is_identity_grid
+from gpw.evaluator import canonical_variable_order, is_identity, is_identity_grid
 from gpw.linalg import nullspace
 from gpw.polynomials import GradedPoly, Variable, multilinearize
 from gpw.reports import format_shape
 
+from test_cocharacter import _one_walk_cap
 from test_engine import algebras
 
 
@@ -53,10 +54,22 @@ def test_ut2_admits_no_sandwich_identity(ut2_g, c2):
 
 def test_full_rank_certificate_is_checked_without_assert(ut2_g, c2, monkeypatch):
     # ut2 has no grade-g witness; a rank that disagrees with the empty
-    # nullspace is a consistency failure, also under ``python -O``
-    monkeypatch.setattr(EvaluationMatrix, "rank", lambda self: 2)
-    with pytest.raises(ConsistencyViolation):
+    # nullspace is a consistency failure, also under ``python -O``.  The
+    # nullspace and the rank come from one elimination, whose pivot list
+    # is given a repeated pivot here when the rank is full.
+    eliminate = classify.echelon
+
+    def repeated_pivot(rows, lift=False):
+        reduced = eliminate(rows, lift=lift)
+        if reduced.rank < rows.shape[1]:
+            return reduced
+        return reduced._replace(pivots=reduced.pivots + reduced.pivots[:1])
+
+    monkeypatch.setattr(classify, "echelon", repeated_pivot)
+    with pytest.raises(ConsistencyViolation, match="empty nullspace but rank 4"):
         find_sandwich_identity(ut2_g, c2.element("g"), 3)
+    with pytest.raises(ConsistencyViolation, match="empty nullspace but rank 3"):
+        bounded_multiplicity_report(ut2_g, n_max=2)
 
 
 def test_sandwich_witnesses_match_the_polarized_oracle():
@@ -95,6 +108,82 @@ def test_bounded_report_on_k(k_g, c2):
     for finding in report.findings:
         assert finding.witness is not None
         assert finding.excludes_ut2
+
+
+def first_witness(algebra, grade, n_max):
+    """The first :func:`find_sandwich_identity` hit for n = 2..n_max."""
+    found = (find_sandwich_identity(algebra, grade, n) for n in range(2, n_max + 1))
+    return next((witness for witness in found if witness is not None), None)
+
+
+# the field over C2, graded in the identity grade: grade g is empty, so the
+# report's grade-g matrix has no rows and its witness is (1, 0) at n = 2
+FIELD_OVER_C2 = GradedStarAlgebra("field", gpw.cyclic(2), ("1",), (0,), {(0, 0): (Fraction(1),)})
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebra=algebras(False), n_max=st.integers(2, 4))
+@example(algebra=FIELD_OVER_C2, n_max=3)
+def test_the_report_finds_the_first_single_degree_witness(algebra, n_max):
+    # the report reads each degree's sandwich matrix off its cocharacter
+    # walk; the single-degree search, on the simplex points, is its oracle
+    report = bounded_multiplicity_report(algebra, n_max)
+    assert [f.grade for f in report.findings] == list(algebra.group)
+    for finding in report.findings:
+        assert finding.witness == first_witness(algebra, finding.grade, n_max)
+
+
+def test_an_empty_grade_has_a_degree_two_witness():
+    report = bounded_multiplicity_report(FIELD_OVER_C2, n_max=3)
+    g = next(f for f in report.findings if f.grade != FIELD_OVER_C2.group.identity)
+    assert (g.witness.n, g.witness.coefficients) == (2, (1, 0))
+    assert report.verdict == "BOUNDED"
+
+
+def test_the_bounded_report_walks_once_per_degree(k_g, ut2_g, monkeypatch):
+    # one arrangement walk per degree 1..n_max, and the lattice and grid
+    # re-verifications and the ut2 check of each witness: k has both of its
+    # witnesses, ut2 only that of the identity grade
+    walks = []
+    original = evaluator._walk
+
+    def counted(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "_walk", counted)
+    for algebra, witnessed in ((k_g, 2), (ut2_g, 1)):
+        walks.clear()
+        report = bounded_multiplicity_report(algebra, n_max=5)
+        assert sum(f.witness is not None for f in report.findings) == witnessed
+        assert len(walks) == 5 + 3 * witnessed
+
+
+@pytest.mark.parametrize(
+    "name, report, n",
+    [("ut2_g", bounded_multiplicity_report, 5), ("e2", star_multone_report, 2)],
+)
+def test_a_report_reads_a_split_walk_one_part_at_a_time(name, report, n, request, monkeypatch):
+    # under a cap that splits the degree-n walk, the report reads its
+    # sandwich or commutation matrices off the split walk, unchanged, and
+    # the matrices of each walk are dropped before the next walk
+    algebra = request.getfixturevalue(name)
+    expected = report(algebra, n)
+    single, batch = _one_walk_cap(algebra, n, monkeypatch)
+    assert single < batch
+    monkeypatch.setattr(limits, "WORK_CAP", single)
+    held = []
+    original = evaluator._walk
+
+    def tracked(*args):
+        assert all(ref() is None for ref in held)
+        walked = original(*args)
+        held.extend(map(weakref.ref, walked))
+        return walked
+
+    monkeypatch.setattr(evaluator, "_walk", tracked)
+    assert report(algebra, n) == expected
+    assert len(held) > 1 and all(ref() is None for ref in held)
 
 
 def test_bounded_report_on_ut2_stays_undecided(ut2_g):
@@ -143,29 +232,36 @@ def direct_scan(algebra, a, b):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_one_matrix_per_pair_gives_both_orders(data):
-    algebra = data.draw(algebras(True))
-    slots = [(g, kind) for g in algebra.group for kind in (modes.SYM, modes.SKEW)]
-    pairs = list(itertools.permutations(slots, 2))
-    scans = _coefficient_scans(algebra, [(Variable(k1, g, 1), Variable(k2, h, 2)) for (g, k1), (h, k2) in pairs])
-    assert len(scans) == len(pairs)
-    for ((g, k1), (h, k2)), (first, second) in zip(pairs, scans):
-        assert first == direct_scan(algebra, Variable(k1, g, 1), Variable(k2, h, 2))
-        # the report reads the reverse order's list off the same matrix
-        assert second == direct_scan(algebra, Variable(k2, h, 1), Variable(k1, g, 2))
+@given(algebra=algebras(True), empirical_n=st.integers(1, 2))
+def test_one_matrix_per_pair_gives_both_orders(algebra, empirical_n):
+    # the report reads both orders of a pair of grades off one matrix, from
+    # the degree-2 table's walk at empirical_n 2 and from a walk of the
+    # two-slot compositions alone at 1; every list it gives is the direct one
+    report = star_multone_report(algebra, empirical_n=empirical_n)
+    group = algebra.group
+    assert len(report.pair_findings) == 4 * len(group) * (len(group) - 1)
+    for f in report.pair_findings:
+        (g, h), (k1, k2) = f.grade_pair, f.kinds
+        assert f.valid_coefficients == direct_scan(algebra, Variable(k1, g, 1), Variable(k2, h, 2))
+    assert [f.grade for f in report.same_grade_findings] == list(group)
+    for f in report.same_grade_findings:
+        y, z = Variable(modes.SYM, f.grade, 1), Variable(modes.SKEW, f.grade, 2)
+        assert f.valid_coefficients == direct_scan(algebra, y, z)
 
 
 def test_the_zero_coefficient_is_read_per_order():
     # e*e = e, e*n = n and n*e = 0, so x1*x2 vanishes in one order only.  No
     # star algebra shows this: the involution maps a*b + alpha*b*a to
-    # +-(b*a + alpha*a*b), so there both orders share their lists.
+    # +-(b*a + alpha*a*b), so there both orders share their lists.  The
+    # degree-2 arrangement matrix of the composition (1, 1) has the columns
+    # [en, ne].
     group = gpw.cyclic(2)
     algebra = GradedStarAlgebra(
         "left-unit", group, ("e", "n"), (0, 1), {(0, 0): (1, 0), (0, 1): (0, 1)}
     )
     e, n = Variable(modes.PLAIN, 0, 1), Variable(modes.PLAIN, 1, 2)
-    assert _coefficient_scans(algebra, [(e, n)]) == [((), (0,))]
+    (matrix,) = evaluator._arrangement_matrices(algebra, 2, [(1, 1)])[1]
+    assert _coefficient_scan(matrix) == ((), (0,))
     assert direct_scan(algebra, e, n) == ()
     assert direct_scan(algebra, Variable(modes.PLAIN, 1, 1), Variable(modes.PLAIN, 0, 2)) == (0,)
 
@@ -185,10 +281,10 @@ def test_m2_transpose_fails_the_lists(m2_transpose):
 def test_a_failing_list_without_a_degree_2_witness_is_a_bug(e2, monkeypatch):
     # grassmann2 satisfies every list; a scan that reads every list as
     # failing leaves NOT-SATISFIED with every degree-2 multiplicity at most 1
-    def failing(algebra, pairs):
-        return [((), ())] * len(pairs)
+    def failing(matrix):
+        return (), ()
 
-    monkeypatch.setattr(classify, "_coefficient_scans", failing)
+    monkeypatch.setattr(classify, "_coefficient_scan", failing)
     assert star_multone_report(e2, empirical_n=1).verdict == "NOT-SATISFIED"
     with pytest.raises(ConsistencyViolation, match="no degree-2 shape on two slots"):
         star_multone_report(e2, empirical_n=2)

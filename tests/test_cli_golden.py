@@ -99,6 +99,20 @@ GOLDEN = [
         "17aab9f960ffedfda72029a0778f1c4819ce6eaf3ed139c97dce899514e7b36b",
         "2568e3ea5e6fde3337f0db5a858e11e8f8338026c686770e1ea70d92b2cedd68",
     ),
+    # below --n-max 2 the commutation scans walk the two-slot compositions
+    # of degree 2 without a degree-2 table
+    (
+        "classify-multone m2 --n-max 1",
+        1,
+        "766afae88aabceaf6f024d4580ffdd2b0e830388b28457198cf984da8cdf97f5",
+        "78f4e8a0a1168bb2a5f21085cbb0de79c73c9776636e04c9cf4721590168bd9f",
+    ),
+    (
+        "classify-multone grassmann2 --n-max 1",
+        0,
+        "b010c70de2fb7072436269442aac78fc0c561e9657fb5a68b2e400d27364d89b",
+        "f472254d18a2a4c1293e6b4d0236fa553ab6d93df57284695523e5f4d05b57a2",
+    ),
     (
         "verify-lemmas grassmann2",
         0,
