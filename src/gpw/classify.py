@@ -17,14 +17,14 @@ algebra:
   coefficients {0, 1, -1} for which  u1·v2 + a·v2·u1  is an identity, plus
   the same-grade mixed list  y1·z2 + b·z2·y1.  Both orders of a pair are
   read off one matrix, the degree-2 arrangement matrix [uv, vu] of their
-  two slots, one that the degree-2 cocharacter table consumes.  When every list is satisfied
-  all multiplicities are at most one; the report re-checks that empirically
-  on low-degree cocharacter tables and treats any counterexample as an
-  internal error.  Conversely a failing list shows at degree 2: the
-  involution maps an identity a·uv + b·vu to one with (a, b) swapped, so a
-  pair u, v whose [uv, vu] matrix has rank at most 1 satisfies its list
-  (alpha = 0 or ±1), and a failing list is a pair of rank 2, whose
-  two-slot degree-2 shape has multiplicity 2.
+  two slots, which the walk of the degree-2 cocharacter table gives.  When
+  every list is satisfied all multiplicities are at most one; the report
+  re-checks that empirically on low-degree cocharacter tables and treats
+  any counterexample as an internal error.  Conversely a failing list
+  shows at degree 2: the involution maps an identity a·uv + b·vu to one
+  with (a, b) swapped, so a pair u, v whose [uv, vu] matrix has rank at
+  most 1 satisfies its list (alpha = 0 or ±1), and a failing list is a
+  pair of rank 2, whose two-slot degree-2 shape has multiplicity 2.
 
 * **Multiplicity-one criteria on one-slot shapes.**  Five known sufficient
   conditions (hypothesis identities in a single grade-and-kind slot forcing
@@ -35,10 +35,8 @@ algebra:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -53,7 +51,7 @@ from .errors import (
 from .evaluator import (
     _arrangement_matrices,
     _arrangements,
-    _slot_bases,
+    _slices_with_rows,
     _walk_table,
     build_evaluation_matrix,
     cocharacter_table,
@@ -96,9 +94,8 @@ class SandwichWitness:
 def _sandwich_witness(
     algebra: GradedStarAlgebra, grade: int, n: int, rows: np.ndarray
 ) -> SandwichWitness | None:
-    """The first nullspace vector of ``rows``, whose nullspace is the identity
-    combinations of the degree-n sandwich candidates, as a witness
-    re-verified through both identity routes, the lattice and the full grid;
+    """The first nullspace vector of ``rows``, a matrix of the degree-n
+    sandwich candidates, re-verified through the lattice and the full grid;
     or None, certified by rank n.  One lifted elimination gives both."""
     reduced = echelon(rows, lift=True)
     basis = kernel(reduced, n)
@@ -137,20 +134,6 @@ def find_sandwich_identity(
     return _sandwich_witness(algebra, grade, n, build_evaluation_matrix(algebra, candidates).rows)
 
 
-def _reading(walk, readers, read):
-    """One walk's compositions and matrices, the matrices passed on by
-    ``map``, which keeps none; the value of ``readers[comp]`` on each matrix
-    whose composition it names is kept in ``read``."""
-    comps, matrices = walk
-
-    def pass_on(comp, matrix):
-        if comp in readers:
-            read[comp] = readers[comp](matrix)
-        return matrix
-
-    return comps, map(pass_on, comps, matrices)
-
-
 @dataclass(frozen=True)
 class GradeFinding:
     grade: int
@@ -180,14 +163,13 @@ def bounded_multiplicity_report(
     multiplicity actually observed up to n_max is attached as the empirical
     lower bound for the constant.
 
-    Each degree is one walk, which gives its table.  By multilinearization
-    in characteristic 0 (Drensky, "Free algebras and PI-algebras", 2000), a
+    Each degree is one walk, which gives its table.  In characteristic 0 a
     combination of the candidates is an identity exactly when its full
-    linearization is one, and that of candidate i sums the arrangements
-    with the grade-g letter at position i.  So, for a grade still without a
-    witness, the walk's arrangement matrix M of (n-1)·e_1 + e_g times the
-    0/1 matrix S of those sums has the nullspace of
-    :func:`find_sandwich_identity`'s matrix.  With an empty slot, M has no rows.
+    linearization is one (Drensky, "Free algebras and PI-algebras", 2000),
+    and that of candidate i sums the arrangements of (n-1)·e_1 + e_g with
+    the grade-g letter at position i.  So the walk's matrix M of that
+    composition times the 0/1 matrix S of those sums has the nullspace of
+    :func:`find_sandwich_identity`'s; with an empty slot M has no rows.
     """
     if algebra.mode != modes.GRADED:
         raise ModeMismatch("boundedness classification works on graded-mode algebras")
@@ -198,19 +180,22 @@ def bounded_multiplicity_report(
     witnesses: dict[int, SandwichWitness | None] = dict.fromkeys(algebra.group)
     observed = 0
     for n in range(1, n_max + 1):
-        arrangements, grades, readers, products = np.array(_arrangements(n)), {}, {}, {}
-        for grade in [g for g, w in witnesses.items() if w is None and n > 1]:
-            comp = tuple((n - 1) * (s == one) + (s == grade) for s in range(len(witnesses)))
-            letter = 0 if grade < one else n - 1  # letters are numbered by slot
-            grades[comp] = grade
-            readers[comp] = partial(exact_product, b=(arrangements == letter).astype(np.int64))
-        table = _walk_table(
-            algebra, n, *_reading(_arrangement_matrices(algebra, n), readers, products)
-        )
-        observed = max(observed, table.max_multiplicity())
-        for comp, grade in grades.items():
-            rows = products.get(comp, np.zeros((0, n), dtype=np.int64))
-            witnesses[grade] = _sandwich_witness(algebra, grade, n, rows)
+        open_grades = [g for g, w in witnesses.items() if w is None and n > 1]
+        arrangements = np.array(_arrangements(n)) if open_grades else None
+        sums = {}  # (n-1)·e_1 + e_g of each open grade g: g and S
+        for g in open_grades:
+            comp = tuple((n - 1) * (s == one) + (s == g) for s in range(len(witnesses)))
+            letter = 0 if g < one else n - 1  # letters are numbered by slot
+            sums[comp] = g, (arrangements == letter).astype(np.int64)
+        rows = dict.fromkeys(sums, np.zeros((0, n), dtype=np.int64))
+
+        def read(comp, matrix):
+            if comp in sums:
+                rows[comp] = exact_product(matrix, sums[comp][1])
+
+        observed = max(observed, _walk_table(algebra, n, read).max_multiplicity())
+        for comp, (grade, _) in sums.items():
+            witnesses[grade] = _sandwich_witness(algebra, grade, n, rows[comp])
     findings = []
     for grade, witness in witnesses.items():
         excludes = None
@@ -280,29 +265,19 @@ def star_multone_report(
     on two slots must have multiplicity 2, the report's ``witness``, or
     :class:`ConsistencyViolation` is raised.
 
-    The [uv, vu] matrix of u, v is the degree-2 arrangement matrix of their
-    two slots, lower slot first.  The scans read the degree-2 table's walk,
-    or below 2 a walk of the pairs of nonempty slots alone; a pair with an
-    empty slot has no rows."""
+    The [uv, vu] matrix of u, v is the degree-2 table's arrangement matrix
+    of their two slots, lower slot first; with an empty slot it has no rows."""
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
     limits.check_degree(empirical_n)
     group, mode = algebra.group, algebra.mode
-    bases = _slot_bases(algebra)
-    pairs = {}  # the composition of each pair s < t of nonempty slots
-    for s, t in itertools.combinations([slot for slot, b in enumerate(bases) if len(b)], 2):
-        comp = [0] * len(bases)
-        comp[s] = comp[t] = 1
-        pairs[tuple(comp)] = s, t
-    if empirical_n >= 2:
-        read, readers = {}, dict.fromkeys(pairs, _coefficient_scan)
-        second = _walk_table(
-            algebra, 2, *_reading(_arrangement_matrices(algebra, 2), readers, read)
-        )
-    else:  # the walk is taken to its end, which drops its matrices
-        matrices = _arrangement_matrices(algebra, 2, list(pairs))[1]
-        read = dict(zip(pairs, list(map(_coefficient_scan, matrices))))
-    scans = {pairs[comp]: scan for comp, scan in read.items()}
+    scans = {}  # the lists of each pair of slots s < t
+
+    def read(comp, matrix):
+        if max(comp) == 1:  # e_s + e_t
+            scans[tuple(s for s, c in enumerate(comp) if c)] = _coefficient_scan(matrix)
+
+    second = _walk_table(algebra, 2, read)
     unwalked = _coefficient_scan(np.zeros((0, 2), dtype=np.int64))
 
     def valid(g, k1, h, k2):
@@ -505,18 +480,18 @@ def verify_multone_lemmas(
         if holds:
             for d in degrees:
                 wanted.setdefault(d, {})[one_slot(g, kind, d)] = None
-    slot_max = {}  # a composition whose matrix has no rows lists no shape: 0
+    slot_max = {}
     for n, comps in wanted.items():
-        table = _walk_table(algebra, n, *_arrangement_matrices(algebra, n, list(comps)))
-        for shape, m in table.entries:
-            slot_max[shape.weight] = max(slot_max.get(shape.weight, 0), m)
+        comps, matrices = _arrangement_matrices(algebra, n, list(comps))
+        for comp, (_, counts) in zip(comps, _slices_with_rows(algebra, comps, matrices)):
+            slot_max[comp] = max((m for _, m in counts), default=0)
 
     findings = []
     for (criterion, g, kind, _, _, _), (holds, degrees) in zip(criteria, checks):
         conclusion = None
         best = None
         if holds and degrees:
-            best = max(slot_max.get(one_slot(g, kind, d), 0) for d in degrees)
+            best = max(slot_max[one_slot(g, kind, d)] for d in degrees)
             conclusion = best <= 1
         findings.append(LemmaFinding(criterion, g, kind, holds, degrees, conclusion, best))
     return LemmaReport(algebra.name, n_max, tuple(findings))

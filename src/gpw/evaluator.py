@@ -92,7 +92,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -802,6 +802,20 @@ def _slice_cocharacter(
     return rank, list(zip(shapes, counts))
 
 
+def _slices_with_rows(
+    algebra: GradedStarAlgebra, comps: list[Composition], matrices: Iterator[np.ndarray]
+) -> Iterator[tuple[int, list[tuple[Multipartition, int]]]]:
+    """:func:`_slice_cocharacter` of each composition whose matrix has rows,
+    and (0, []) for the others: their shapes, all of multiplicity 0, are not
+    built.  Each matrix is dropped before the next is taken, so a split
+    batch walks its next part only when the last part's matrices are gone."""
+
+    def one(comp: Composition, matrix: np.ndarray):
+        return _slice_cocharacter(algebra, comp, matrix) if len(matrix) else (0, [])
+
+    return map(one, comps, matrices)
+
+
 def composition_multiplicities(
     algebra: GradedStarAlgebra, comp: Composition
 ) -> list[tuple[Multipartition, int]]:
@@ -870,24 +884,26 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     multinomial.  A multiplicity that is not a nonnegative integer raises
     :class:`ConsistencyViolation`, since only a bug can produce it.
     """
-    return _walk_table(algebra, n, *_arrangement_matrices(algebra, n))
+    return _walk_table(algebra, n, lambda comp, matrix: None)
 
 
 def _walk_table(
-    algebra: GradedStarAlgebra, n: int, comps: list[Composition], matrices: Iterator[np.ndarray]
+    algebra: GradedStarAlgebra, n: int, read: Callable[[Composition, np.ndarray], None]
 ) -> CocharacterTable:
-    """The degree-n table of one walk's compositions and arrangement
-    matrices, each dropped before the next is taken, so a split batch walks
-    its next part only when the last part's matrices are gone."""
+    """:func:`cocharacter_table`, which first hands each matrix of its walk,
+    with its composition, to ``read``."""
 
-    def one(comp: Composition, matrix: np.ndarray):
-        return _slice_cocharacter(algebra, comp, matrix) if len(matrix) else (0, [])
+    def tap(comp: Composition, matrix: np.ndarray) -> np.ndarray:
+        read(comp, matrix)
+        return matrix
 
     slots = modes.slot_count(len(algebra.group), algebra.mode)
+    comps, matrices = _arrangement_matrices(algebra, n)
     live_codims: dict[Composition, int] = {}
     entries: list[tuple[Multipartition, int]] = []
     total = 0
-    for comp, (slice_c, counts) in zip(comps, map(one, comps, matrices)):
+    slices = _slices_with_rows(algebra, comps, map(tap, comps, matrices))
+    for comp, (slice_c, counts) in zip(comps, slices):
         live_codims[comp] = slice_c
         if slice_c:
             entries.extend(counts)

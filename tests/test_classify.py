@@ -234,9 +234,9 @@ def direct_scan(algebra, a, b):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(algebra=algebras(True), empirical_n=st.integers(1, 2))
 def test_one_matrix_per_pair_gives_both_orders(algebra, empirical_n):
-    # the report reads both orders of a pair of grades off one matrix, from
-    # the degree-2 table's walk at empirical_n 2 and from a walk of the
-    # two-slot compositions alone at 1; every list it gives is the direct one
+    # the report reads both orders of a pair of grades off one matrix of the
+    # degree-2 table's walk, which it takes whatever empirical_n; every list
+    # it gives is the direct one
     report = star_multone_report(algebra, empirical_n=empirical_n)
     group = algebra.group
     assert len(report.pair_findings) == 4 * len(group) * (len(group) - 1)

@@ -99,8 +99,8 @@ GOLDEN = [
         "17aab9f960ffedfda72029a0778f1c4819ce6eaf3ed139c97dce899514e7b36b",
         "2568e3ea5e6fde3337f0db5a858e11e8f8338026c686770e1ea70d92b2cedd68",
     ),
-    # below --n-max 2 the commutation scans walk the two-slot compositions
-    # of degree 2 without a degree-2 table
+    # below --n-max 2 the commutation scans still read the degree-2 walk,
+    # whose table no empirical check reads
     (
         "classify-multone m2 --n-max 1",
         1,
