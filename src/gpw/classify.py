@@ -30,7 +30,10 @@ algebra:
   conditions (hypothesis identities in a single grade-and-kind slot forcing
   multiplicity at most one for that slot's shapes) are re-verified: whenever
   the hypothesis identities hold on the supplied algebra, the conclusion is
-  recomputed and must hold.
+  recomputed and must hold.  Every hypothesis is a multilinear 0/±1
+  combination of arrangements, so it is read off its composition's
+  arrangement matrix, and one walk per degree gives both the hypotheses
+  and the conclusions' one-slot matrices.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .evaluator import (
+    _arrangement_array,
     _arrangement_matrices,
     _arrangements,
     _slices_with_rows,
@@ -61,7 +65,7 @@ from .evaluator import (
     multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
 )
 from .linalg import echelon, exact_product, kernel
-from .polynomials import GradedPoly, Variable, highest_weight_vector
+from .polynomials import GradedPoly, Variable, Word, highest_weight_vector
 from .polynomials import multilinearize  # noqa: F401 -- perfbench/tracer.py wraps it
 from .shapes import Multipartition, Multitableau
 
@@ -181,7 +185,7 @@ def bounded_multiplicity_report(
     observed = 0
     for n in range(1, n_max + 1):
         open_grades = [g for g, w in witnesses.items() if w is None and n > 1]
-        arrangements = np.array(_arrangements(n)) if open_grades else None
+        arrangements = _arrangement_array(n) if open_grades else None
         sums = {}  # (n-1)·e_1 + e_g of each open grade g: g and S
         for g in open_grades:
             comp = tuple((n - 1) * (s == one) + (s == g) for s in range(len(witnesses)))
@@ -402,6 +406,19 @@ class LemmaReport:
         ]
 
 
+def _hypothesis(*terms: tuple[Word, int]) -> tuple[tuple[int, int], ...]:
+    """Signed arrangements as (column, sign) pairs of the arrangement matrix."""
+    return tuple((_arrangements(len(word)).index(word), sign) for word, sign in terms)
+
+
+# a slot's hypothesis identities in u1, u2, u3, u4, letter i - 1 being u_i,
+# and the bridge w·u with w's letter first or second
+_CYCLIC = _hypothesis(((0, 2, 1), 1), ((1, 2, 0), 1))  # u1·u3·u2 + u2·u3·u1
+_ROTATION = _hypothesis(((0, 2, 1), 1), ((1, 0, 2), -1))  # u1·u3·u2 - u2·u1·u3
+_INTERLOCK = _hypothesis(((0, 1, 3, 2), 1), ((1, 3, 2, 0), 1))  # u1·u2·u4·u3 + u2·u4·u3·u1
+_BRIDGES = _hypothesis(((0, 1), 1)), _hypothesis(((1, 0), 1))
+
+
 def verify_multone_lemmas(
     algebra: GradedStarAlgebra, n_max: int = 4
 ) -> LemmaReport:
@@ -418,80 +435,95 @@ def verify_multone_lemmas(
     * interlock-high:  the same two identities force it at degrees ≥ 5;
     * rotation:  u1·u3·u2 - u2·u1·u3 ≡ 0  forces it at degrees ≥ 3.
 
-    The work is two batched phases.  Every hypothesis identity of every
-    (g, e) is decided by one :func:`~gpw.evaluator.identities` call, whose
-    polynomials of one shape share a word list and so one walk whatever g
-    and e.  Then the one-slot compositions that the criteria whose
-    hypotheses hold need are, degree by degree, the arrangement matrices
-    of one walk, and the maximal multiplicity of each is read off its
-    character (:func:`~gpw.evaluator.cocharacter_table`'s route); that of a
-    matrix without rows is 0, and its shapes are not built.
+    Each hypothesis is multilinear, so it is an identity exactly when it
+    vanishes on basis substitutions, the rows of its composition's
+    arrangement matrix: when that matrix times the hypothesis's 0/±1
+    column over the arrangements is zero.  The bridges are read off the
+    degree-2 matrix of the two slots, the other identities off the
+    one-slot matrices of degrees 3 and 4.  The degrees 2 to max(4, n_max)
+    are one walk each, in order (one with nothing to read is not walked),
+    and each matrix gives its hypotheses first; then, when a criterion that holds concludes on it, the maximal
+    multiplicity of its shapes, read off its character
+    (:func:`~gpw.evaluator.cocharacter_table`'s route).  That of a matrix
+    without rows is 0, and its shapes are not built.
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("these criteria concern star-mode algebras")
     limits.check_degree(n_max)
     group = algebra.group
     mode = algebra.mode
-    from_three = range(3, n_max + 1)
-    # (criterion, grade, kind, hypothesis identities, how their verdicts
-    # combine, degrees of the conclusion)
+    slots = modes.slot_count(len(group), mode)
+
+    def comp_of(parts):
+        return tuple(parts.get(slot, 0) for slot in range(slots))
+
+    def upto(low, high=n_max):
+        return tuple(range(low, min(high, n_max) + 1))
+
+    # (criterion, grade, kind, slot, hypotheses, how their verdicts combine,
+    # degrees of the conclusion); a hypothesis is a composition and the
+    # signed columns whose sum it says vanishes
     criteria = []
     for g in group:
         if g == group.identity:
             continue
         g2 = group.mul(g, g)
         for kind in (modes.SYM, modes.SKEW):
-            u1, u2, u3, u4 = (Variable(kind, g, i) for i in range(1, 5))
+            s = modes.slot_of(g, kind, mode)
+            # y_w·u and z_w·u: w's letter is 0 when its slot comes first
             bridges = [
-                GradedPoly.monomial(mode, (Variable(k, g2, 1), u2)) for k in (modes.SYM, modes.SKEW)
+                (comp_of({t: 1, s: 1}), _BRIDGES[t > s])
+                for t in (modes.slot_of(g2, k, mode) for k in (modes.SYM, modes.SKEW))
             ]
-            cyc = GradedPoly.monomial(mode, (u1, u3, u2)) + GradedPoly.monomial(
-                mode, (u2, u3, u1)
-            )
-            interlock = GradedPoly.monomial(
-                mode, (u1, u2, u4, u3)
-            ) + GradedPoly.monomial(mode, (u2, u4, u3, u1))
-            rot = GradedPoly.monomial(mode, (u1, u3, u2)) - GradedPoly.monomial(
-                mode, (u2, u1, u3)
-            )
+            cyc, interlock = (comp_of({s: 3}), _CYCLIC), (comp_of({s: 4}), _INTERLOCK)
             criteria += [
-                ("vanishing-bridge", g, kind, bridges, any, from_three),
-                ("cyclic-three", g, kind, [cyc], all, [3]),
-                ("interlock-four", g, kind, [cyc, interlock], all, [4]),
-                ("interlock-high", g, kind, [cyc, interlock], all, range(5, n_max + 1)),
-                ("rotation", g, kind, [rot], all, from_three),
+                ("vanishing-bridge", g, kind, s, bridges, any, upto(3)),
+                ("cyclic-three", g, kind, s, [cyc], all, upto(3, 3)),
+                ("interlock-four", g, kind, s, [cyc, interlock], all, upto(4, 4)),
+                ("interlock-high", g, kind, s, [cyc, interlock], all, upto(5)),
+                ("rotation", g, kind, s, [(comp_of({s: 3}), _ROTATION)], all, upto(3)),
             ]
-    # a slot's criteria share its polynomial objects: each is decided once
-    polys = {id(p): p for _, _, _, hypothesis, _, _ in criteria for p in hypothesis}
-    verdicts = dict(zip(polys, identities(list(polys.values()), algebra)))
-    slots = modes.slot_count(len(group), mode)
+    hypotheses = {}  # the hypotheses on each composition, as keys
+    concluding = {}  # each one-slot composition's criteria: their hypotheses and combine
+    for *_, s, hypothesis, combine, degrees in criteria:
+        for comp, columns in hypothesis:
+            hypotheses.setdefault(comp, {})[columns] = None
+        for d in degrees:
+            concluding.setdefault(comp_of({s: d}), []).append((hypothesis, combine))
+    verdicts = {}  # each hypothesis read, by (composition, columns)
 
-    def one_slot(grade, kind, n):
-        comp = [0] * slots
-        comp[modes.slot_of(grade, kind, mode)] = n
-        return tuple(comp)
+    def holds(hypothesis, combine):
+        return combine(verdicts[h] for h in hypothesis)
 
-    checks = []
-    wanted: dict[int, dict[tuple[int, ...], None]] = {}
-    for criterion, g, kind, hypothesis, combine, degrees in criteria:
-        holds = combine(verdicts[id(p)] for p in hypothesis)
-        degrees = tuple(d for d in degrees if d <= n_max)
-        checks.append((holds, degrees))
-        if holds:
-            for d in degrees:
-                wanted.setdefault(d, {})[one_slot(g, kind, d)] = None
+    def needed(comp):
+        return any(holds(*criterion) for criterion in concluding.get(comp, ()))
+
+    def read(comp, matrix):
+        """The hypotheses on ``comp``, then its matrix if a criterion that
+        holds concludes on it, else none of its rows."""
+        for columns in hypotheses.get(comp, ()):
+            verdicts[comp, columns] = not sum(sign * matrix[:, col] for col, sign in columns).any()
+        return matrix if needed(comp) else matrix[:0]
+
     slot_max = {}
-    for n, comps in wanted.items():
-        comps, matrices = _arrangement_matrices(algebra, n, list(comps))
-        for comp, (_, counts) in zip(comps, _slices_with_rows(algebra, comps, matrices)):
+    for n in range(2, max(4, n_max) + 1):
+        comps = [
+            c for c in {**hypotheses, **concluding}
+            if sum(c) == n and (c in hypotheses or needed(c))
+        ]
+        if not comps:
+            continue
+        comps, matrices = _arrangement_matrices(algebra, n, comps)
+        slices = _slices_with_rows(algebra, comps, map(read, comps, matrices))
+        for comp, (_, counts) in zip(comps, slices):
             slot_max[comp] = max((m for _, m in counts), default=0)
 
     findings = []
-    for (criterion, g, kind, _, _, _), (holds, degrees) in zip(criteria, checks):
-        conclusion = None
-        best = None
-        if holds and degrees:
-            best = max(slot_max[one_slot(g, kind, d)] for d in degrees)
+    for name, g, kind, s, hypothesis, combine, degrees in criteria:
+        holding = holds(hypothesis, combine)
+        best = conclusion = None
+        if holding and degrees:
+            best = max(slot_max[comp_of({s: d})] for d in degrees)
             conclusion = best <= 1
-        findings.append(LemmaFinding(criterion, g, kind, holds, degrees, conclusion, best))
+        findings.append(LemmaFinding(name, g, kind, holding, degrees, conclusion, best))
     return LemmaReport(algebra.name, n_max, tuple(findings))

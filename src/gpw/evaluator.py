@@ -592,6 +592,15 @@ def _arrangement_trie(n: int) -> _WordTrie:
     return _word_trie(_arrangements(n))
 
 
+@cache
+def _arrangement_array(n: int) -> np.ndarray:
+    """The n! arrangements as the rows of an (n!, n) array, built once per
+    checked degree and shared read-only."""
+    words = np.array(_arrangements(n), dtype=np.intp)
+    words.flags.writeable = False
+    return words
+
+
 def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     """Each slot's integer component basis, in slot order."""
     mode = algebra.mode
@@ -693,21 +702,19 @@ def _permutation_index(perms: np.ndarray) -> np.ndarray:
 
 
 def _class_traces(
-    reduced: Echelon, words: list[Word], classes: list[Multipartition]
+    reduced: Echelon, words: np.ndarray, classes: list[Multipartition]
 ) -> list[int]:
     """The character of the column space of the arrangement matrix at each
     class.  A representative sigma renames same-slot letters, so it maps the
     pivot column B_i, of the basis B, to column sigma(B_i), which is sum_k
     X[k, sigma(B_i)] times column B_k (X the reduced rows); so chi(sigma) =
     sum_i X[i, sigma(B_i)]: one gather, after one Lehmer-code call for the
-    images of all classes.  X is known modulo more than 2r and |chi| <= r,
+    images of all classes; the pivots' words, rows of the arrangement array
+    ``words``, are one index.  X is known modulo more than 2r and |chi| <= r,
     so each trace is the residue of least absolute value."""
     basis = [col for _, col in reduced.pivots]
     r = len(basis)
-    basis_words = np.array([words[col] for col in basis], dtype=np.intp).reshape(
-        r, len(words[0])
-    )
-    renamed = _class_representatives(classes)[:, basis_words]
+    renamed = _class_representatives(classes)[:, words[basis]]
     images = _permutation_index(renamed.reshape(-1, renamed.shape[2])).reshape(
         len(classes), r
     )
@@ -789,7 +796,7 @@ def _slice_cocharacter(
         return 0, [(shape, 0) for shape in shapes]
     reduced = echelon(matrix)
     rank = reduced.rank
-    words = _arrangements(sum(comp))
+    words = _arrangement_array(sum(comp))
     counts = _multiplicities_from_traces(
         algebra, comp, shapes, _class_traces(reduced, words, shapes)
     )

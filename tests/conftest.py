@@ -98,14 +98,16 @@ def m2_transpose_document() -> str:
     )
 
 
-def ut3_document(grading: str) -> str:
-    """Upper-triangular 3x3 matrices, graded by matrix units.  ``"trivial"``
-    puts every unit in the trivial group; ``"c2"`` puts e12 and e23 in the
-    generator g of C2, and so e13 = e12*e23 in the identity."""
-    names = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+def matrix_unit_document(name: str, k: int, triangular: bool, grading=None) -> str:
+    """A graded-mode document of the k x k matrices, or with ``triangular``
+    of the upper triangular ones, on their matrix units e_ab in row-major
+    order, with e_ab * e_cd = e_ad when b == c.  ``grading`` is None for
+    the trivial group, or a pair of a C2 group document and a map from
+    (a, b) to the grade label of e_ab."""
+    names = [(a, b) for a in range(1, k + 1) for b in range(a if triangular else 1, k + 1)]
 
     def unit(i):
-        return ["1" if j == i else "0" for j in range(6)]
+        return ["1" if j == i else "0" for j in range(len(names))]
 
     structure = [
         [i, j, unit(names.index((a, d)))]
@@ -113,21 +115,26 @@ def ut3_document(grading: str) -> str:
         for j, (c, d) in enumerate(names)
         if b == c
     ]
-    if grading == "trivial":
-        group, grades = {"kind": "cyclic", "order": 1}, ["1"] * 6
-    else:
-        group, grades = {"kind": "cyclic", "order": 2}, ["1", "g", "1", "1", "g", "1"]
+    group, grade = grading or ({"kind": "cyclic", "order": 1}, lambda a, b: "1")
     return json.dumps(
         {
             "format_version": 1,
-            "name": f"ut3-{grading}",
+            "name": name,
             "mode": "graded",
             "group": group,
             "basis": [f"e{a}{b}" for a, b in names],
-            "grading": grades,
+            "grading": [grade(a, b) for a, b in names],
             "structure": structure,
         }
     )
+
+
+def ut3_document(grading: str) -> str:
+    """Upper-triangular 3x3 matrices, graded by matrix units.  ``"trivial"``
+    puts every unit in the trivial group; ``"c2"`` puts e12 and e23 in the
+    generator g of C2, and so e13 = e12*e23 in the identity."""
+    c2 = {"kind": "cyclic", "order": 2}, lambda a, b: "g" if b - a == 1 else "1"
+    return matrix_unit_document(f"ut3-{grading}", 3, True, None if grading == "trivial" else c2)
 
 
 # the 2x2 upper triangular matrices over C2 with e12 in g and the reflection

@@ -30,6 +30,7 @@ from operator import itemgetter
 import numpy as np
 
 from gpw import evaluator, modes
+from gpw.classify import LemmaFinding, LemmaReport
 from gpw.errors import (
     AssociativityViolation,
     KindInWrongMode,
@@ -332,6 +333,58 @@ def grid_multiplicity(algebra, shape):
         return 0
     polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
     return len(rref(grid_rows(algebra, polys))[0])
+
+
+# -- the multiplicity-one criteria by their polynomials ---------------------------
+
+
+def lemma_report_by_identities(algebra, n_max):
+    """``verify_multone_lemmas`` by the polynomial route: every hypothesis
+    identity built as a polynomial and decided by ``evaluator.identities``,
+    and each conclusion the maximal multiplicity of a one-slot composition
+    by ``composition_multiplicities``."""
+    group, mode = algebra.group, algebra.mode
+
+    def mono(*letters):
+        return GradedPoly.monomial(mode, letters)
+
+    from_three = range(3, n_max + 1)
+    criteria = []
+    for g in group:
+        if g == group.identity:
+            continue
+        g2 = group.mul(g, g)
+        for kind in (modes.SYM, modes.SKEW):
+            u1, u2, u3, u4 = (Variable(kind, g, i) for i in range(1, 5))
+            bridges = [mono(Variable(k, g2, 1), u2) for k in (modes.SYM, modes.SKEW)]
+            cyc = mono(u1, u3, u2) + mono(u2, u3, u1)
+            interlock = mono(u1, u2, u4, u3) + mono(u2, u4, u3, u1)
+            rot = mono(u1, u3, u2) - mono(u2, u1, u3)
+            criteria += [
+                ("vanishing-bridge", g, kind, bridges, any, from_three),
+                ("cyclic-three", g, kind, [cyc], all, [3]),
+                ("interlock-four", g, kind, [cyc, interlock], all, [4]),
+                ("interlock-high", g, kind, [cyc, interlock], all, range(5, n_max + 1)),
+                ("rotation", g, kind, [rot], all, from_three),
+            ]
+    polys = [p for *_, hypothesis, _, _ in criteria for p in hypothesis]
+    verdicts = dict(zip(map(id, polys), evaluator.identities(polys, algebra)))
+    slots = modes.slot_count(len(group), mode)
+    findings = []
+    for criterion, g, kind, hypothesis, combine, degrees in criteria:
+        holds = combine(verdicts[id(p)] for p in hypothesis)
+        degrees = tuple(d for d in degrees if d <= n_max)
+        best = conclusion = None
+        if holds and degrees:
+            counts = []
+            for d in degrees:
+                comp = [0] * slots
+                comp[modes.slot_of(g, kind, mode)] = d
+                counts += [m for _, m in evaluator.composition_multiplicities(algebra, tuple(comp))]
+            best = max(counts)
+            conclusion = best <= 1
+        findings.append(LemmaFinding(criterion, g, kind, holds, degrees, conclusion, best))
+    return LemmaReport(algebra.name, n_max, tuple(findings))
 
 
 # -- algebra validation ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Sandwich witnesses, the bounded/multiplicity-one reports, and the
 single-grade criteria behind them."""
 
+import itertools
+import json
 import weakref
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from gpw.linalg import nullspace
 from gpw.polynomials import GradedPoly, Variable, multilinearize
 from gpw.reports import format_shape
 
+from conftest import UT2_REFLECTION_DOCUMENT, m2_transpose_document
 from test_cocharacter import _one_walk_cap
 from test_engine import algebras
 
@@ -339,8 +342,9 @@ def e2_c2xc2xc2():
 
 
 def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
-    # the hypotheses of all 14 grade-and-kind slots in one walk per word
-    # list, and the one-slot multiplicities of each degree in one walk
+    # the hypotheses of all 14 grade-and-kind slots and the one-slot
+    # multiplicities are read off one arrangement walk per degree 2..5,
+    # with no polynomial identity test
     walks = []
     original = evaluator._walk
 
@@ -348,10 +352,63 @@ def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
         walks.append(args)
         return original(*args)
 
+    def unused(*args):
+        raise AssertionError("identities called")
+
     monkeypatch.setattr(evaluator, "_walk", counted)
+    monkeypatch.setattr(evaluator, "identities", unused)
+    monkeypatch.setattr(classify, "identities", unused)
     report = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     assert report.violations() == [] and any(f.hypothesis_holds for f in report.findings)
-    assert len(walks) <= 8
+    assert [len(trie.ends) - 1 for _, _, trie in walks] == [2, 3, 4, 5]
+
+
+def grassmann_over_c2(k: int) -> GradedStarAlgebra:
+    """The Grassmann algebra without unit on k generators, its products of
+    odd length in g, with the reversal involution e_S* = (-1)^C(|S|, 2) e_S."""
+    subsets = [s for size in range(1, k + 1) for s in itertools.combinations(range(k), size)]
+    place = {s: i for i, s in enumerate(subsets)}
+
+    def unit(s, sign):
+        return tuple(Fraction(sign if i == place[s] else 0) for i in range(len(subsets)))
+
+    structure = {
+        (place[s], place[t]): unit(tuple(sorted(s + t)), (-1) ** sum(a > b for a in s for b in t))
+        for s in subsets
+        for t in subsets
+        if not set(s) & set(t)
+    }
+    c2 = gpw.cyclic(2)
+    return GradedStarAlgebra(
+        f"grassmann{k}",
+        c2,
+        tuple("e" + "".join(map(str, s)) for s in subsets),
+        tuple(len(s) % 2 for s in subsets),
+        structure,
+        tuple(unit(s, (-1) ** (len(s) * (len(s) - 1) // 2)) for s in subsets),
+    )
+
+
+# M2 with the transpose: every slot of g is empty; ut2 with the reflection:
+# e12 is a symmetric element of grade g, so not every hypothesis holds; the
+# Grassmann algebra on four generators: its symmetric slot of g, spanned by
+# the anticommuting generators, satisfies the cyclic and interlock identities
+# with products of four letters that are not zero
+M2_TRANSPOSE = gpw.loads_algebra(m2_transpose_document())
+UT2_REFLECTION = gpw.loads_algebra(json.dumps(UT2_REFLECTION_DOCUMENT))
+GRASSMANN4 = grassmann_over_c2(4)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebra=algebras(True), n_max=st.integers(1, 5))
+@example(algebra=M2_TRANSPOSE, n_max=4)
+@example(algebra=UT2_REFLECTION, n_max=5)
+@example(algebra=GRASSMANN4, n_max=4)
+def test_lemma_report_matches_the_polynomial_route(algebra, n_max):
+    # each hypothesis read off its arrangement matrix is the verdict of its
+    # polynomial, built and decided by ``identities``
+    expected = oracle.lemma_report_by_identities(algebra, n_max)
+    assert verify_multone_lemmas(algebra, n_max) == expected
 
 
 def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
@@ -385,6 +442,44 @@ def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
     monkeypatch.setattr(limits, "WORK_CAP", single - 1)
     with pytest.raises(CapExceeded):
         verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
+
+
+def test_a_split_lemma_walk_drops_each_part_before_the_next(e2_c2xc2xc2, monkeypatch):
+    # under the cap of the largest walk of one of its compositions alone,
+    # the report's walks are split and it is unchanged, and the matrices of
+    # each part are dropped before the next part is walked
+    expected = verify_multone_lemmas(e2_c2xc2xc2, n_max=4)
+    listed, charged = [], []
+    arrange, charge = evaluator._arrangement_matrices, limits.charge
+
+    def listing(algebra, n, comps):
+        listed.extend(comps)
+        return arrange(algebra, n, comps)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "_arrangement_matrices", listing)
+        patch.setattr(limits, "charge", lambda entries: charged.append(entries) or charge(entries))
+        verify_multone_lemmas(e2_c2xc2xc2, n_max=4)
+        batch = max(charged)
+        charged.clear()
+        for comp in listed:
+            evaluator.slice_codimension(e2_c2xc2xc2, comp)
+    single = max(charged)
+    assert single < batch
+    monkeypatch.setattr(limits, "WORK_CAP", single)
+    walks, held = [], []
+    original = evaluator._walk
+
+    def tracked(*args):
+        assert all(ref() is None for ref in held)
+        walked = original(*args)
+        walks.append(len(walked))
+        held.extend(map(weakref.ref, walked))
+        return walked
+
+    monkeypatch.setattr(evaluator, "_walk", tracked)
+    assert verify_multone_lemmas(e2_c2xc2xc2, n_max=4) == expected
+    assert len(walks) > len(set(map(sum, listed))) and all(ref() is None for ref in held)
 
 
 def test_lemma_shapes_are_built_only_for_matrices_with_rows(e2_c2xc2xc2, m2_transpose, monkeypatch):

@@ -7,7 +7,15 @@
   PI-Algebras*, 2000).
 - The codimensions of UT_3: c_n = 3^(n-2) (n^2 - 7n + 9) + 3 (n-2) 2^(n-1)
   + 3.  Degree 6 is checked through the CLI in ``test_cli_golden.py``.
+- The codimensions of M_2, the full 2x2 matrices: c_n = C(2n+2, n+1)/(n+2)
+  - C(n, 3) + 1 - 2^n (Procesi, "Computing with 2x2 matrices", J. Algebra
+  1984).
+- The codimensions of UT_k below degree 2k: the identities of UT_k are
+  those of the product of k commutators (Maltsev), so UT_k has none below
+  degree 2k and c_n = n! for n < 2k.
 """
+
+from math import comb, factorial
 
 import pytest
 
@@ -15,7 +23,7 @@ import gpw
 from gpw.evaluator import cocharacter_table, total_codimension
 from gpw.shapes import Multipartition, partitions
 
-from conftest import ut3_document
+from conftest import matrix_unit_document, ut3_document
 
 
 def _ut2_multiplicity(lam) -> int:
@@ -43,3 +51,24 @@ def ut3_trivial():
 def test_ut3_codimension_is_the_closed_form(n, ut3_trivial):
     closed_form = 3 ** (n - 2) * (n * n - 7 * n + 9) + 3 * (n - 2) * 2 ** (n - 1) + 3
     assert total_codimension(ut3_trivial, n)[0] == closed_form
+
+
+@pytest.fixture(scope="module")
+def m2():
+    return gpw.loads_algebra(matrix_unit_document("m2", 2, False))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_m2_codimension_is_the_closed_form(n, m2):
+    closed_form = comb(2 * n + 2, n + 1) // (n + 2) - comb(n, 3) + 1 - 2**n
+    assert total_codimension(m2, n)[0] == closed_form
+
+
+@pytest.fixture(scope="module")
+def ut4():
+    return gpw.loads_algebra(matrix_unit_document("ut4", 4, True))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ut4_has_no_identity_below_degree_eight(n, ut4):
+    assert total_codimension(ut4, n)[0] == factorial(n)
