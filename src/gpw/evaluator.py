@@ -16,15 +16,20 @@ one and its ranks, nullspaces and zero tests are the rational answers.  Words ar
 out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
 at a time over the (node, partial substitution tuple) pairs whose value is
 nonzero, with one batched product per level, for a whole batch of problems
-on one trie (all compositions of a degree, all identity components on
-one word list).  The words of one walk are sorted, distinct and of one
-length, and each uses every letter, as every caller builds them; other
-words raise :class:`ValueError`.  A matrix keeps only
+on one trie (all identity components on one word list).  The words of one
+walk are sorted, distinct and of one length, and each uses every letter,
+as every caller builds them; other words raise :class:`ValueError`.  The
+arrangement matrices below, whose words are all n! arrangements of n
+letters, are instead built by an expansion over positions
+(:mod:`gpw.arrangements`), which keeps each sequence of slot basis
+vectors with a nonzero product once, where the trie's level l holds it
+once per prefix of l distinct letters of its slots.  A matrix keeps only
 the nonzero rows of the dense one, in its order, without their row numbers,
-which changes no rank, nullspace or zero test.  The walk's entries are
-int64 only when an a-priori bound on every entry stays below 2**62;
-otherwise they are Python ints, so nothing wraps.  Every other integer
-product is :func:`~gpw.linalg.exact_product`.
+which changes no rank, nullspace or zero test.  The entries of both are
+int64 only when an a-priori bound on every entry stays below 2**62
+(:func:`_exact_table`); otherwise they are Python ints, so nothing wraps.
+Every integer product but the trie walk's is
+:func:`~gpw.linalg.exact_product`.
 
 * The **slice codimension** of a composition is the rank of the
   **arrangement matrix**, whose columns are the n! arrangements of the
@@ -78,12 +83,13 @@ structure table, its bound and the component bases that each algebra
 builds once and owns (``exact_table``, ``integer_bound``,
 ``integer_basis``).
 
-The two limits of :mod:`gpw.limits` bound the work.  Each level of the
-walk, the assembled rows and the lattice or grid points are counted
-exactly and charged to the work cap before they are allocated; a batch
-that the cap refuses is walked in halves, one after the other, so only a
-single problem above it is refused and the matrices of one walk are
-dropped before the next is built.  Every arrangement matrix passes the
+The two limits of :mod:`gpw.limits` bound the work.  Each level of a
+walk or expansion, its scattered entries, the assembled rows and the
+lattice or grid points are counted exactly and charged to the work cap
+before they are allocated; a batch that the cap refuses is walked in
+halves, one after the other (:func:`_in_halves`), so only a single
+problem above it is refused and the matrices of one walk are dropped
+before the next is built.  Every arrangement matrix passes the
 degree check first, which bounds the n! arrangements; a listing of
 compositions is charged where it is built (:func:`~gpw.shapes.compositions`).
 """
@@ -103,6 +109,7 @@ import numpy as np
 
 from . import limits, modes
 from .algebras import GradedStarAlgebra, Vector
+from .arrangements import _arrangement_array, _arrangements, _expand_positions, _SlotVectors
 from .errors import (
     CapExceeded,
     ConsistencyViolation,
@@ -281,6 +288,24 @@ def _word_trie(words: Sequence[Word]) -> _WordTrie:
     return _WordTrie(flat[:nodes], flat[nodes : 2 * nodes], flat[2 * nodes :], ends, fewest)
 
 
+def _in_halves(walk: Callable, first, batch: list, *rest) -> Iterator[np.ndarray]:
+    """The matrices of ``walk(first, batch, *rest)``, one per problem of
+    ``batch``, taken one by one.  A batch that the cap refuses is walked in
+    halves, the second after the first's matrices are all taken, so no more
+    than one walk's matrices are held at once and only one problem alone
+    raises :class:`CapExceeded`."""
+    try:
+        walked = walk(first, batch, *rest)
+    except CapExceeded:
+        if len(batch) < 2:
+            raise
+        half = len(batch) // 2
+        yield from _in_halves(walk, first, batch[:half], *rest)
+        yield from _in_halves(walk, first, batch[half:], *rest)
+        return
+    yield from walked
+
+
 def _word_rows(
     table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie
 ) -> Iterator[np.ndarray]:
@@ -295,20 +320,9 @@ def _word_rows(
     value depends only on its prefix's choices, the index sum(choice *
     stride).  A new letter branches over its values, a repeated one reads
     its choice back.  Each level is one ``matmul``, charged to the work cap
-    before it is built, as are the rows.  A batch that the cap refuses is
-    walked in halves, the second after the first's rows are all taken, so
-    no more than one walk's rows are held at once and only one problem
-    alone raises :class:`CapExceeded`."""
-    try:
-        walked = _walk(table, batch, trie)
-    except CapExceeded:
-        if len(batch) < 2:
-            raise
-        half = len(batch) // 2
-        yield from _word_rows(table, batch[:half], trie)
-        yield from _word_rows(table, batch[half:], trie)
-        return
-    yield from walked
+    before it is built, as are the rows; a batch that the cap refuses is
+    walked in halves (:func:`_in_halves`)."""
+    return _in_halves(_walk, table, batch, trie)
 
 
 def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> list[np.ndarray]:
@@ -425,24 +439,28 @@ def _letter_values(
     return [points(algebra.integer_basis(v.grade, v.kind), degree[v]) for v in variables]
 
 
+def _exact_table(algebra: GradedStarAlgebra, b: int, n: int) -> tuple[type, np.ndarray]:
+    """The dtype of every product of n values whose entries are at most b,
+    and of their right-multiplication matrices, and the algebra's structure
+    table in it: with structure constants up to t, a product has entries
+    at most b^n * (dim^2 * t)^(n - 1) and a right-multiplication matrix at
+    most dim * b * t."""
+    dim, t = algebra.dim, algebra.integer_bound
+    dtype = exact_dtype(max(b, t, dim * b * t, b**n * (dim * dim * t) ** (n - 1)))
+    return dtype, algebra.exact_table if dtype is np.int64 else algebra.integer_table
+
+
 def _word_matrices(
     algebra: GradedStarAlgebra, batch: list[list[np.ndarray]], trie: _WordTrie
 ) -> Iterator[np.ndarray]:
     """The engine: the nonzero rows of :func:`_word_rows` for each problem of
     ``batch`` (integer multiples of each letter's values), in one walk,
     walked as they are taken."""
-    dim = algebra.dim
-    # with vector entries up to b and structure constants up to t, a word's
-    # value has entries at most b^n * (dim^2 * t)^(n - 1) and a
-    # right-multiplication matrix at most dim * b * t
     n = max(len(trie.ends) - 1, 1)
     distinct = {id(v): v for vectors in batch for v in vectors}  # letters of one slot share values
-    b = max(map(max_abs, distinct.values()), default=0)
-    t = algebra.integer_bound
-    dtype = exact_dtype(max(b, t, dim * b * t, b**n * (dim * dim * t) ** (n - 1)))
+    dtype, table = _exact_table(algebra, max(map(max_abs, distinct.values()), default=0), n)
     distinct = {key: v.astype(dtype) for key, v in distinct.items()}
     batch = [[distinct[id(v)] for v in vectors] for vectors in batch]
-    table = algebra.exact_table if dtype is np.int64 else algebra.integer_table
     return _word_rows(table, batch, trie)
 
 
@@ -580,27 +598,6 @@ def _check_composition(algebra: GradedStarAlgebra, comp: Composition) -> None:
         raise InputError("composition parts must be nonnegative")
 
 
-def _arrangements(n: int) -> list[Word]:
-    """The n! arrangements of a composition's variables: the words that are
-    permutations of ``range(n)``, in ``itertools.permutations`` order."""
-    return list(itertools.permutations(range(n)))
-
-
-@cache
-def _arrangement_trie(n: int) -> _WordTrie:
-    """The trie of the n! arrangements, built once per checked degree."""
-    return _word_trie(_arrangements(n))
-
-
-@cache
-def _arrangement_array(n: int) -> np.ndarray:
-    """The n! arrangements as the rows of an (n!, n) array, built once per
-    checked degree and shared read-only."""
-    words = np.array(_arrangements(n), dtype=np.intp)
-    words.flags.writeable = False
-    return words
-
-
 def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     """Each slot's integer component basis, in slot order."""
     mode = algebra.mode
@@ -610,14 +607,41 @@ def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
     ]
 
 
+def _slot_vectors(
+    algebra: GradedStarAlgebra, bases: list[np.ndarray], comps: np.ndarray, n: int
+) -> _SlotVectors:
+    """The :class:`_SlotVectors` of ``comps``, compositions of n as the rows
+    of an array, in the dtype of :func:`_exact_table`."""
+    used = np.flatnonzero(comps.any(axis=0))
+    sizes = np.array([len(basis) for basis in bases])
+    vectors = np.concatenate([bases[slot] for slot in used.tolist()] or [bases[0][:0]])
+    dim, b, t = algebra.dim, max_abs(vectors), algebra.integer_bound
+    dtype, table = _exact_table(algebra, b, n)
+    vectors = vectors.astype(dtype)
+    # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
+    # vector into its right-multiplication matrix [a, k] by one product
+    right = exact_product(vectors, table.transpose(1, 0, 2).reshape(dim, dim * dim), b * t)
+    counts = sizes.take(used)
+    return _SlotVectors(
+        vectors,
+        used.repeat(counts),
+        np.arange(len(vectors)) - (counts.cumsum() - counts).repeat(counts),
+        sizes,
+        right.reshape(-1, dim, dim).transpose(1, 0, 2),
+        b,
+        dim * b * t,
+    )
+
+
 def _arrangement_matrices(
     algebra: GradedStarAlgebra, n: int, comps: list[Composition] | None = None
 ) -> tuple[list[Composition], Iterator[np.ndarray]]:
     """The compositions ``comps`` of n, by default those that leave each
     empty slot empty, and their arrangement matrices, in that order, all
-    from one walk of the arrangement trie and walked as they are taken.  A
-    composition that uses an empty slot has a letter without values, and
-    its matrix has no rows.  The degree is checked first."""
+    from one expansion (:mod:`gpw.arrangements`), taken one by one and in
+    halves when the cap refuses it (:func:`_in_halves`).  A composition
+    that uses an empty slot has no sequence of vectors, and its matrix has
+    no rows.  The degree is checked first."""
     limits.check_degree(n)
     bases = _slot_bases(algebra)
     if comps is None:
@@ -630,8 +654,8 @@ def _arrangement_matrices(
             part = {slot: i for i, slot in enumerate(live)}
             spread = itemgetter(*(part.get(slot, len(live)) for slot in range(len(bases))))
             comps = [spread(comp + (0,)) for comp in comps]
-    batch = [[bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps]
-    return comps, _word_matrices(algebra, batch, _arrangement_trie(n))
+    table = np.array(comps, dtype=np.intp).reshape(len(comps), len(bases))
+    return comps, _in_halves(_expand_positions, _slot_vectors(algebra, bases, table, n), table, n)
 
 
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:
@@ -655,7 +679,7 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
 
     The total weights each slice by the multinomial coefficient counting
     which positions carry which slot's variables.  Each slice is
-    :func:`slice_codimension`, all of them from one walk.
+    :func:`slice_codimension`, all of them from one expansion.
     """
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     comps, matrices = _arrangement_matrices(algebra, n)
@@ -883,7 +907,7 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
 
     Only the compositions that leave each empty slot empty are visited; the
     others have slice codimension 0 and need no work.  Their matrices, whose
-    columns are the n! arrangements, come from one walk
+    columns are the n! arrangements, come from one expansion
     (:func:`_arrangement_matrices`), and for each with rows
     (:func:`_slice_cocharacter`) its rank is the slice codimension and
     traces on it give every shape's multiplicity.  A matrix without rows
@@ -897,8 +921,8 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
 def _walk_table(
     algebra: GradedStarAlgebra, n: int, read: Callable[[Composition, np.ndarray], None]
 ) -> CocharacterTable:
-    """:func:`cocharacter_table`, which first hands each matrix of its walk,
-    with its composition, to ``read``."""
+    """:func:`cocharacter_table`, which first hands each matrix of its
+    expansion, with its composition, to ``read``."""
 
     def tap(comp: Composition, matrix: np.ndarray) -> np.ndarray:
         read(comp, matrix)

@@ -20,6 +20,9 @@ numbers and variables into one monomial.  ``character_sums_by_tensordot``
 is the character route's per-slot contraction by ``tensordot``, and
 ``star_basis_by_nullspace`` a star algebra's symmetric and skew bases by
 the nullspace route, for involutions that are diagonal on a component too.
+``arrangement_matrices_by_trie`` builds arrangement matrices by the word
+engine's walk of the prefix trie of all n! arrangements, the reference
+for the package's expansion over positions.
 """
 
 import itertools
@@ -285,6 +288,19 @@ def uses_empty_slot(algebra, comp):
     every polynomial of its multidegree evaluates to 0."""
     bases = evaluator._slot_bases(algebra)
     return any(count and not len(bases[slot]) for slot, count in enumerate(comp))
+
+
+def arrangement_matrices_by_trie(algebra, n, comps):
+    """The arrangement matrix of each composition of ``comps`` by one walk
+    of the prefix trie of the n! arrangements (``evaluator._word_matrices``),
+    each composition a problem whose letters take their slot's basis; a
+    batch over the cap is walked in halves."""
+    bases = evaluator._slot_bases(algebra)
+    batch = [
+        [bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps
+    ]
+    trie = evaluator._word_trie(evaluator._arrangements(n))
+    return list(evaluator._word_matrices(algebra, batch, trie))
 
 
 def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):

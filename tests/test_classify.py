@@ -144,22 +144,30 @@ def test_an_empty_grade_has_a_degree_two_witness():
 
 
 def test_the_bounded_report_walks_once_per_degree(k_g, ut2_g, monkeypatch):
-    # one arrangement walk per degree 1..n_max, and the lattice and grid
-    # re-verifications and the ut2 check of each witness: k has both of its
-    # witnesses, ut2 only that of the identity grade
-    walks = []
-    original = evaluator._walk
+    # one arrangement expansion per degree 1..n_max, and one identity walk
+    # for each of the lattice and grid re-verifications and the ut2 check
+    # of each witness: k has both of its witnesses, ut2 only that of the
+    # identity grade
+    expansions, walks = [], []
+    expand, walk = evaluator._expand_positions, evaluator._walk
 
-    def counted(*args):
+    def expanded(*args):
+        expansions.append(args)
+        return expand(*args)
+
+    def walked(*args):
         walks.append(args)
-        return original(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(evaluator, "_walk", counted)
+    monkeypatch.setattr(evaluator, "_expand_positions", expanded)
+    monkeypatch.setattr(evaluator, "_walk", walked)
     for algebra, witnessed in ((k_g, 2), (ut2_g, 1)):
+        expansions.clear()
         walks.clear()
         report = bounded_multiplicity_report(algebra, n_max=5)
         assert sum(f.witness is not None for f in report.findings) == witnessed
-        assert len(walks) == 5 + 3 * witnessed
+        assert [n for *_, n in expansions] == [1, 2, 3, 4, 5]
+        assert len(walks) == 3 * witnessed
 
 
 @pytest.mark.parametrize(
@@ -176,15 +184,15 @@ def test_a_report_reads_a_split_walk_one_part_at_a_time(name, report, n, request
     assert single < batch
     monkeypatch.setattr(limits, "WORK_CAP", single)
     held = []
-    original = evaluator._walk
+    original = evaluator._expand_positions
 
     def tracked(*args):
         assert all(ref() is None for ref in held)
-        walked = original(*args)
-        held.extend(map(weakref.ref, walked))
-        return walked
+        expanded = original(*args)
+        held.extend(map(weakref.ref, expanded))
+        return expanded
 
-    monkeypatch.setattr(evaluator, "_walk", tracked)
+    monkeypatch.setattr(evaluator, "_expand_positions", tracked)
     assert report(algebra, n) == expected
     assert len(held) > 1 and all(ref() is None for ref in held)
 
@@ -343,10 +351,10 @@ def e2_c2xc2xc2():
 
 def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
     # the hypotheses of all 14 grade-and-kind slots and the one-slot
-    # multiplicities are read off one arrangement walk per degree 2..5,
-    # with no polynomial identity test
+    # multiplicities are read off one arrangement expansion per degree
+    # 2..5, with no polynomial identity test
     walks = []
-    original = evaluator._walk
+    original = evaluator._expand_positions
 
     def counted(*args):
         walks.append(args)
@@ -355,12 +363,12 @@ def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
     def unused(*args):
         raise AssertionError("identities called")
 
-    monkeypatch.setattr(evaluator, "_walk", counted)
+    monkeypatch.setattr(evaluator, "_expand_positions", counted)
     monkeypatch.setattr(evaluator, "identities", unused)
     monkeypatch.setattr(classify, "identities", unused)
     report = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     assert report.violations() == [] and any(f.hypothesis_holds for f in report.findings)
-    assert [len(trie.ends) - 1 for _, _, trie in walks] == [2, 3, 4, 5]
+    assert [n for *_, n in walks] == [2, 3, 4, 5]
 
 
 def grassmann_over_c2(k: int) -> GradedStarAlgebra:
@@ -417,23 +425,23 @@ def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
     # refuses
     expected = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     charged, alone = [], []
-    charge, walk = limits.charge, evaluator._walk
+    charge, expand = limits.charge, evaluator._expand_positions
 
     def counted(entries):
         charged.append(entries)
         charge(entries)
 
-    def each_alone_first(table, batch, trie):
-        for problem in batch:
+    def each_alone_first(slots, comps, n):
+        for comp in comps:
             mark = len(charged)
-            walk(table, [problem], trie)
+            expand(slots, [comp], n)
             alone.extend(charged[mark:])
             del charged[mark:]
-        return walk(table, batch, trie)
+        return expand(slots, comps, n)
 
     with monkeypatch.context() as patch:
         patch.setattr(limits, "charge", counted)
-        patch.setattr(evaluator, "_walk", each_alone_first)
+        patch.setattr(evaluator, "_expand_positions", each_alone_first)
         verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     single = max(alone)
     assert single < max(charged)
@@ -468,16 +476,16 @@ def test_a_split_lemma_walk_drops_each_part_before_the_next(e2_c2xc2xc2, monkeyp
     assert single < batch
     monkeypatch.setattr(limits, "WORK_CAP", single)
     walks, held = [], []
-    original = evaluator._walk
+    original = evaluator._expand_positions
 
     def tracked(*args):
         assert all(ref() is None for ref in held)
-        walked = original(*args)
-        walks.append(len(walked))
-        held.extend(map(weakref.ref, walked))
-        return walked
+        expanded = original(*args)
+        walks.append(len(expanded))
+        held.extend(map(weakref.ref, expanded))
+        return expanded
 
-    monkeypatch.setattr(evaluator, "_walk", tracked)
+    monkeypatch.setattr(evaluator, "_expand_positions", tracked)
     assert verify_multone_lemmas(e2_c2xc2xc2, n_max=4) == expected
     assert len(walks) > len(set(map(sum, listed))) and all(ref() is None for ref in held)
 

@@ -223,7 +223,8 @@ def test_oversized_inputs_exit_two_within_the_work_cap(capsys, tmp_path, command
 
 @pytest.mark.parametrize("command", ["codim", "cochar"])
 def test_arrangement_matrices_over_the_work_cap_exit_two(capsys, docs, command):
-    # ut3 at n=7: the walk's last level asks for more than the work cap
+    # ut3 at n=7: the rows of its arrangement matrix ask for more than the
+    # work cap
     rc, out, err = run(capsys, command, docs["ut3_trivial"], "--n", "7", "--n-max", "7")
     assert (rc, out) == (2, "")
     assert "work cap" in err

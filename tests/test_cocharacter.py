@@ -175,7 +175,9 @@ def test_empty_arrangement_matrices_skip_the_elimination(e2, monkeypatch):
 
 def _one_walk_cap(algebra, n, monkeypatch):
     """The largest charge of one composition's walk at degree n, and the
-    largest of the walk of all of them, which is larger."""
+    largest of the walk of all of them, which is larger.  Only the
+    compositions that leave each empty slot empty are walked alone: the
+    others have no walk, and listing them is charged too."""
     charged = []
     original = limits.charge
 
@@ -188,7 +190,7 @@ def _one_walk_cap(algebra, n, monkeypatch):
         table = cocharacter_table(algebra, n)
         batch = max(charged)
         charged.clear()
-        for comp, _ in table.slice_codims:
+        for comp in table.live_codims:
             composition_multiplicities(algebra, comp)
     return max(charged), batch
 
@@ -216,15 +218,15 @@ def test_a_split_batch_holds_one_walk_at_a_time(route, e2, monkeypatch):
     single, _ = _one_walk_cap(e2, 4, monkeypatch)
     monkeypatch.setattr(limits, "WORK_CAP", single)
     held = []
-    original = evaluator._walk
+    original = evaluator._expand_positions
 
     def tracked(*args):
         assert all(ref() is None for ref in held)
-        walked = original(*args)
-        held.extend(map(weakref.ref, walked))
-        return walked
+        expanded = original(*args)
+        held.extend(map(weakref.ref, expanded))
+        return expanded
 
-    monkeypatch.setattr(evaluator, "_walk", tracked)
+    monkeypatch.setattr(evaluator, "_expand_positions", tracked)
     route(e2, 4)
     assert len(held) > 1 and all(ref() is None for ref in held)
 

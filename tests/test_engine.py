@@ -11,6 +11,7 @@ a positive multiple of the oracle's matrix, the same ranks and nullspaces
 identity verdicts on both routes.
 """
 
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -736,25 +737,85 @@ def test_coefficient_matrices_meet_the_walk_contract(mode):
     check()
 
 
-def test_cocharacter_table_builds_one_trie_per_degree(e2, monkeypatch):
-    built = []
-    original = evaluator._word_trie
+def _scaled_products(algebra, scale):
+    """The algebra with every product multiplied by ``scale``: associative,
+    graded and with the same involution, on a table of ``scale`` times the
+    entries."""
+    structure = {ij: tuple(c * scale for c in vec) for ij, vec in algebra.structure}
+    return GradedStarAlgebra(
+        algebra.name, algebra.group, algebra.basis_labels, algebra.grades, structure,
+        algebra.involution,
+    )
 
-    def counted(words):
-        built.append(len(words[0]))
-        return original(words)
 
-    monkeypatch.setattr(evaluator, "_word_trie", counted)
+def _assert_same_matrices(matrices, expected):
+    assert len(matrices) == len(expected)
+    for matrix, reference in zip(matrices, expected):
+        assert matrix.dtype == reference.dtype
+        assert matrix.shape == reference.shape
+        assert matrix.tolist() == reference.tolist()
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_arrangement_expansion_matches_the_trie_walk(data):
+    # the expansion over positions gives the trie walk's matrices: shape,
+    # dtype, entries and row order, for every composition of a degree, for
+    # lists of chosen ones (some with an empty slot, as verify-lemmas asks
+    # for one- and two-slot compositions), on int64 tables and on tables
+    # only Python ints hold, and split under a cap that each composition
+    # alone fits
+    algebra = data.draw(algebras(data.draw(st.booleans())))
+    if data.draw(st.booleans()):
+        algebra = _scaled_products(algebra, 2**70)
+        assert algebra.integer_table is algebra.exact_table
+    n = data.draw(st.integers(1, 4))
+    every = compositions(n, modes.slot_count(len(algebra.group), algebra.mode))
+    chosen = data.draw(
+        st.none() | st.lists(st.sampled_from(every), min_size=1, max_size=5, unique=True)
+    )
+    charged, alone = [], []
+    charge = limits.charge
+    with unittest.mock.patch.object(limits, "charge", lambda e: charged.append(e) or charge(e)):
+        comps, matrices = evaluator._arrangement_matrices(algebra, n, chosen)
+        matrices = list(matrices)
+        for comp in comps:
+            mark = len(charged)
+            list(evaluator._arrangement_matrices(algebra, n, [comp])[1])
+            alone.extend(charged[mark:])
+            del charged[mark:]
+    expected = oracle.arrangement_matrices_by_trie(algebra, n, comps)
+    _assert_same_matrices(matrices, expected)
+    # under the largest charge of one composition alone, a batch that needs
+    # more is split
+    cap = max(alone, default=0)
+    expanded = []
+    expand = evaluator._expand_positions
+    with unittest.mock.patch.object(limits, "WORK_CAP", cap), unittest.mock.patch.object(
+        evaluator, "_expand_positions", lambda *args: expanded.append(args) or expand(*args)
+    ):
+        _assert_same_matrices(list(evaluator._arrangement_matrices(algebra, n, comps)[1]), expected)
+    assert (len(expanded) > 1) == (max(charged, default=0) > cap)
+
+
+def test_cocharacter_table_expands_once_per_degree(e2, monkeypatch):
+    expanded = []
+    original = evaluator._expand_positions
+
+    def counted(slots, comps, n):
+        expanded.append(n)
+        return original(slots, comps, n)
+
+    monkeypatch.setattr(evaluator, "_expand_positions", counted)
     for n in range(1, 5):
-        built.clear()
-        evaluator._arrangement_trie.cache_clear()
+        expanded.clear()
         table = evaluator.cocharacter_table(e2, n)
         assert sum(1 for _, m in table.slice_codims if m) > 1
-        assert built == [n]
+        assert expanded == [n]
 
 
 @pytest.mark.parametrize("name", ["e2", "k_g", "ut2_g"])
-def test_total_codimension_builds_one_trie_per_degree(name, request, monkeypatch):
+def test_total_codimension_expands_once_per_degree(name, request, monkeypatch):
     algebra = request.getfixturevalue(name)
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     # the breakdown is each composition's own slice codimension
@@ -762,18 +823,17 @@ def test_total_codimension_builds_one_trie_per_degree(name, request, monkeypatch
         n: {comp: evaluator.slice_codimension(algebra, comp) for comp in compositions(n, slots)}
         for n in range(1, 5)
     }
-    built = []
-    original = evaluator._word_trie
+    expanded = []
+    original = evaluator._expand_positions
 
-    def counted(words):
-        built.append(len(words[0]))
-        return original(words)
+    def counted(slots, comps, n):
+        expanded.append(n)
+        return original(slots, comps, n)
 
-    monkeypatch.setattr(evaluator, "_word_trie", counted)
+    monkeypatch.setattr(evaluator, "_expand_positions", counted)
     for n in range(1, 5):
-        built.clear()
-        evaluator._arrangement_trie.cache_clear()
+        expanded.clear()
         total, breakdown = evaluator.total_codimension(algebra, n)
         assert breakdown == expected[n]
         assert total == sum(multinomial(comp) * c for comp, c in expected[n].items())
-        assert built == [n]
+        assert expanded == [n]
