@@ -59,7 +59,6 @@ from .evaluator import (
     _walk_table,
     build_evaluation_matrix,
     cocharacter_table,
-    identities,
     is_identity,
     is_identity_grid,
     multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
@@ -372,9 +371,7 @@ def hwv_factorization_check(
             tuple(local_rows if s == slot else () for s in range(len(blank))),
         )
         product = product * highest_weight_vector(single, algebra.mode)
-    signs = (1, -1)
-    held = identities([whole - product.scale(sign) for sign in signs], algebra)
-    sign = next((sign for sign, holds in zip(signs, held) if holds), None)
+    sign = next((s for s in (1, -1) if is_identity(whole - product.scale(s), algebra)), None)
     return FactorizationResult(sign is not None, sign)
 
 

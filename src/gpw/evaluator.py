@@ -13,11 +13,10 @@ are scaled to integers by their denominator lcms (and a
 :class:`GradedPoly`'s coefficients by theirs when its monomials are turned
 into words), so the matrix is one fixed positive multiple of the rational
 one and its ranks, nullspaces and zero tests are the rational answers.  Words are multiplied
-out by a sparse walk of their prefix trie (:func:`_word_rows`), one level
-at a time over the (node, partial substitution tuple) pairs whose value is
-nonzero, with one batched product per level, for a whole batch of problems
-on one trie (all identity components on one word list).  The words of one
-walk are sorted, distinct and of one length, and each uses every letter,
+out by a sparse walk of their prefix trie (:func:`_walk`), one level at a
+time over the (node, partial substitution tuple) pairs whose value is
+nonzero, with one product of all pairs per level.  The words of one walk
+are sorted, distinct and of one length, and each uses every letter,
 as every caller builds them; other words raise :class:`ValueError`.  The
 arrangement matrices below, whose words are all n! arrangements of n
 letters, are instead built by an expansion over positions
@@ -58,14 +57,14 @@ Every integer product but the trie walk's is
   reads one shape's entry off this route.
 
 Polynomials reach the engine through one front end,
-:func:`_word_combinations`: a word list and a batch of members, each its
-letters' values and an integer coefficient matrix with one row per word
-(:func:`_letter_values`, :func:`_coefficient_matrix`).  The polynomials of
-:func:`build_evaluation_matrix` are a batch of one, one column per
-polynomial; the multihomogeneous components of a list of polynomials, for
-both identity routes, are one batch per shared word list, one column each
-(:func:`_vanishes`).  All three, and :func:`evaluate`, take polynomials
-by one rule, :func:`_check_evaluable`: the algebra's mode, no constant
+:func:`_word_combinations`: a word list, its letters' values and an integer
+coefficient matrix with one row per word (:func:`_letter_values`,
+:func:`_coefficient_matrix`), walked once.  The polynomials of
+:func:`build_evaluation_matrix` are one walk, one column per polynomial;
+each multihomogeneous component of a polynomial, for both identity routes,
+is one walk of one column (:func:`_vanishes`).  All three, and
+:func:`evaluate`, take polynomials by one rule,
+:func:`_check_evaluable`: the algebra's mode, no constant
 term and every variable's grade in the algebra's group.  They are
 evaluated unpolarized, on their variables' **simplex lattices**: a
 variable of multiplicity m over a component with basis b_1..b_d takes the
@@ -86,11 +85,11 @@ builds once and owns (``exact_table``, ``integer_bound``,
 The two limits of :mod:`gpw.limits` bound the work.  Each level of a
 walk or expansion, its scattered entries, the assembled rows and the
 lattice or grid points are counted exactly and charged to the work cap
-before they are allocated; a batch that the cap refuses is walked in
-halves, one after the other (:func:`_in_halves`), so only a single
-problem above it is refused and the matrices of one walk are dropped
-before the next is built.  Every arrangement matrix passes the
-degree check first, which bounds the n! arrangements; a listing of
+before they are allocated.  A batch of compositions that the cap refuses
+is expanded in halves, one after the other (:func:`_in_halves`), so only
+a single composition above it is refused and the matrices of one
+expansion are dropped before the next is built.  Every arrangement matrix
+passes the degree check first, which bounds the n! arrangements; a listing of
 compositions is charged where it is built (:func:`~gpw.shapes.compositions`).
 """
 
@@ -306,67 +305,53 @@ def _in_halves(walk: Callable, first, batch: list, *rest) -> Iterator[np.ndarray
     yield from walked
 
 
-def _word_rows(
-    table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie
-) -> Iterator[np.ndarray]:
-    """For each problem of ``batch``, each letter's candidate values, the
-    nonzero rows of the words of ``trie`` on every substitution tuple, in
-    (tuple, coordinate) order (tuples in ``itertools.product`` order over
-    the letters), one column per word; no row numbers are returned.  Every
-    word uses every letter, else :class:`ValueError` is raised.
+def _walk(table: np.ndarray, vectors: list[np.ndarray], trie: _WordTrie) -> np.ndarray:
+    """Given each letter's candidate values, the nonzero rows of the words
+    of ``trie`` on every substitution tuple, in (tuple, coordinate) order
+    (tuples in ``itertools.product`` order over the letters), one column per
+    word; no row numbers are returned.  Every word uses every letter, else
+    :class:`ValueError` is raised; a letter without values leaves no rows.
 
-    All problems share one walk of the trie, one level at a time over the
-    (problem, node, partial tuple) triples whose value is nonzero: a node's
-    value depends only on its prefix's choices, the index sum(choice *
-    stride).  A new letter branches over its values, a repeated one reads
-    its choice back.  Each level is one ``matmul``, charged to the work cap
-    before it is built, as are the rows; a batch that the cap refuses is
-    walked in halves (:func:`_in_halves`)."""
-    return _in_halves(_walk, table, batch, trie)
-
-
-def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> list[np.ndarray]:
-    """:func:`_word_rows` in one walk, each problem on its own copy of the
-    trie; a problem with a letter without values has no pairs."""
+    One walk of the trie, one level at a time over the (node, partial
+    tuple) pairs whose value is nonzero: a node's value depends only on its
+    prefix's choices, the index sum(choice * stride).  A new letter branches
+    over its values, a repeated one reads its choice back.  Each level is
+    one ``matmul``, charged to the work cap before it is built, as are the
+    rows.  Letters may share one values array, which is read once, in the
+    table's dtype."""
     dim, ends = table.shape[0], trie.ends
     words = ends[-1] - ends[-2] if len(ends) > 1 else 0
-    sizes = [list(map(len, vectors)) for vectors in batch]
-    if not words or not any(map(all, sizes)):  # no letters, or no values: no rows
-        return [np.zeros((0, words), dtype=table.dtype)] * len(batch)
-    count, letters = len(batch), len(sizes[0])
-    if trie.fewest < letters:
+    sizes = list(map(len, vectors))
+    if not words or not all(sizes):  # no letters, or a letter without values: no rows
+        return np.zeros((0, words), dtype=table.dtype)
+    if trie.fewest < len(sizes):
         raise ValueError("every word of the walk must use every letter")
-    sizes = [s if all(s) else [0] * letters for s in sizes]
-    distinct = {id(v): v for vectors in batch for v in vectors}  # letters may share values
+    distinct = {id(v): v for v in vectors}
     start = dict(zip(distinct, itertools.accumulate(map(len, distinct.values()), initial=0)))
-    strides = [list(itertools.accumulate(s[:0:-1], mul, initial=1))[::-1] for s in sizes]
-    span = max(map(prod, sizes))  # tuples of the largest problem
-    itype = exact_dtype(count * span * dim)
-    candidates = np.concatenate(list(distinct.values()))
+    strides = list(itertools.accumulate(sizes[:0:-1], mul, initial=1))[::-1]
+    itype = exact_dtype(prod(sizes) * dim)
+    candidates = np.concatenate(list(distinct.values())).astype(table.dtype, copy=False)
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
     right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
-    # node u of a level is node u * count + p of problem p.  Every node's
-    # size, stride and first value are taken from [letter, problem] tables,
-    # and the new flags repeated, once per walk, charged like a level by the
-    # widest one (the leaves); a level is a slice of each.
-    limits.charge(count * words)
-    firsts = [[start[id(v)] for v in vectors] for vectors in batch]
-    node_size, node_stride, node_first = (  # [letter, problem] made contiguous for the take
-        np.array(rows, dtype=dtype).T.copy().take(trie.letters, axis=0).reshape(-1)
-        for rows, dtype in ((sizes, np.intp), (strides, itype), (firsts, np.intp))
+    # every node's size, stride and first value are taken from per-letter
+    # arrays once per walk, charged like a level by the widest one (the
+    # leaves); a level is a slice of each
+    limits.charge(words)
+    firsts = [start[id(v)] for v in vectors]
+    node_size, node_stride, node_first = (
+        np.array(column, dtype=dtype).take(trie.letters)
+        for column, dtype in ((sizes, np.intp), (strides, itype), (firsts, np.intp))
     )
-    new = trie.new.repeat(count)
     fresh = np.add.reduceat(trie.new, ends[:-1]).tolist()  # new letters per level
-    bounds = [end * count for end in ends]
-    lens = node_size[: bounds[1]]  # level 0: every value of each node's letter
+    lens = node_size[: ends[1]]  # level 0: every value of each node's letter
     child = np.arange(len(lens)).repeat(lens)  # the node of each pair
     limits.charge(len(child) * dim)
     digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
     index = digit * node_stride[child]
     value = candidates.take(node_first[child] + digit, axis=0)
     for level, branching in enumerate(fresh[1:], 1):
-        a, b = bounds[level], bounds[level + 1]
+        a, b = ends[level], ends[level + 1]
         size, stride, first = node_size[a:b], node_stride[a:b], node_first[a:b]
         if b - a > len(lens) or branching:  # else each pair has one child
             keep = value.any(axis=1)
@@ -374,19 +359,17 @@ def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> 
                 child, index, value = child[keep], index[keep], value.compress(keep, axis=0)
             if not len(child):
                 break
-            # counts[u] pairs of node u follow those of the nodes before it;
-            # each node reads its parent's [node, problem] entries
+            # counts[u] pairs of node u follow those of the nodes before it
             counts = np.bincount(child, minlength=len(lens))
-            starts = (counts.cumsum() - counts).reshape(-1, count)
-            parents = trie.parents[ends[level] : ends[level + 1]]
+            parents = trie.parents[a:b]
             # all values of a new letter, one of a repeated one
-            branch = size ** new[a:b]
-            lens = counts.reshape(-1, count).take(parents, axis=0).reshape(-1) * branch
+            branch = size ** trie.new[a:b]
+            lens = counts[parents] * branch
             total = lens.cumsum()
             limits.charge(int(total[-1]) * dim)
             # pair j of child u (pairs from E_u on, its parent's from S_u on) is
             # digit of parent pair source: j - E_u == (source - S_u) * branch + digit
-            shift = starts.take(parents, axis=0).reshape(-1) * branch - (total - lens)
+            shift = (counts.cumsum() - counts)[parents] * branch - (total - lens)
             child = np.arange(len(lens)).repeat(lens)
             source, digit = np.divmod(np.arange(len(child)) + shift[child], branch[child])
             index = index[source] + digit * stride[child]
@@ -395,15 +378,11 @@ def _walk(table: np.ndarray, batch: list[list[np.ndarray]], trie: _WordTrie) -> 
         choice = (first[child] + index // stride[child] % size[child]).astype(np.intp)
         value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
     pair, k = value.nonzero()
-    leaf, problem = np.divmod(child[pair], count)
-    offset = span * dim  # problem i's row numbers t * dim + k are raised by i * offset
-    numbers = index[pair] * dim + k + problem.astype(itype) * offset
-    numbers, row = np.unique(numbers, return_inverse=True)
+    numbers, row = np.unique(index[pair] * dim + k, return_inverse=True)
     limits.charge(len(numbers) * words)
     rows = np.zeros((len(numbers), words), dtype=table.dtype)
-    rows[row, leaf] = value[pair, k]
-    splits = numbers.searchsorted(np.arange(count + 1, dtype=itype) * offset).tolist()
-    return [rows[a:b] for a, b in zip(splits, splits[1:])]
+    rows[row, child[pair]] = value[pair, k]
+    return rows
 
 
 def _coefficient_matrix(
@@ -450,36 +429,26 @@ def _exact_table(algebra: GradedStarAlgebra, b: int, n: int) -> tuple[type, np.n
     return dtype, algebra.exact_table if dtype is np.int64 else algebra.integer_table
 
 
-def _word_matrices(
-    algebra: GradedStarAlgebra, batch: list[list[np.ndarray]], trie: _WordTrie
-) -> Iterator[np.ndarray]:
-    """The engine: the nonzero rows of :func:`_word_rows` for each problem of
-    ``batch`` (integer multiples of each letter's values), in one walk,
-    walked as they are taken."""
-    n = max(len(trie.ends) - 1, 1)
-    distinct = {id(v): v for vectors in batch for v in vectors}  # letters of one slot share values
-    dtype, table = _exact_table(algebra, max(map(max_abs, distinct.values()), default=0), n)
-    distinct = {key: v.astype(dtype) for key, v in distinct.items()}
-    batch = [[distinct[id(v)] for v in vectors] for vectors in batch]
-    return _word_rows(table, batch, trie)
-
-
 def _word_combinations(
     algebra: GradedStarAlgebra,
     words: Sequence[Word],
-    members: list[tuple[list[np.ndarray], np.ndarray]],
-) -> Iterator[np.ndarray]:
-    """The one front end from integer combinations of words to the engine.
-    Each member is its letters' values and an integer coefficient matrix
-    with one row per word of ``words``; for each, in one walk of their trie,
-    the nonzero rows of the words' values times its coefficients, in
-    (substitution tuple, coordinate) order.  A column whose words share one
-    multidegree is one fixed positive multiple of the rational one."""
-    batch = [vectors for vectors, _ in members]
-    for (_, coefficients), rows in zip(members, _word_matrices(algebra, batch, _word_trie(words))):
-        limits.charge(len(rows) * coefficients.shape[1])
-        combined = exact_product(rows, coefficients)
-        yield combined.compress(combined.any(axis=1), axis=0)
+    vectors: list[np.ndarray],
+    coefficients: np.ndarray,
+) -> np.ndarray:
+    """The one front end from integer combinations of words to the engine:
+    given each letter's values and an integer coefficient matrix with one
+    row per word of ``words``, the nonzero rows of the words' values times
+    the coefficients, in (substitution tuple, coordinate) order, from one
+    walk of their trie (:func:`_walk`) in the dtype of
+    :func:`_exact_table`.  A column whose words share one multidegree is one
+    fixed positive multiple of the rational one."""
+    trie = _word_trie(words)
+    bound = max(map(max_abs, vectors), default=0)
+    _, table = _exact_table(algebra, bound, max(len(trie.ends) - 1, 1))
+    rows = _walk(table, vectors, trie)
+    limits.charge(len(rows) * coefficients.shape[1])
+    combined = exact_product(rows, coefficients)
+    return combined.compress(combined.any(axis=1), axis=0)
 
 
 @dataclass
@@ -516,8 +485,7 @@ def build_evaluation_matrix(
     variables = canonical_variable_order(degree, algebra.mode)
     words, coefficients = _coefficient_matrix(variables, polys)
     vectors = _letter_values(algebra, variables, degree, _simplex)
-    (rows,) = _word_combinations(algebra, words, [(vectors, coefficients)])
-    return EvaluationMatrix(variables, rows)
+    return EvaluationMatrix(variables, _word_combinations(algebra, words, vectors, coefficients))
 
 
 # -- identities ---------------------------------------------------------------
@@ -527,30 +495,21 @@ def _vanishes(polys: list[GradedPoly], algebra: GradedStarAlgebra, points) -> li
     """For each polynomial, does every multihomogeneous component vanish on
     all tuples of its variables' ``points(basis, multiplicity)``?
 
-    Components are grouped by their word list (letters in canonical order),
-    and each group is one batch of :func:`_word_combinations`, each
-    component a member with one coefficient column: it vanishes when no
-    row is left.  Groups are walked in the order they first appear, and the
-    components of a polynomial already decided False are left out of the
-    later ones."""
+    Each component is one walk of :func:`_word_combinations` with one
+    coefficient column, and vanishes when no row is left.  A polynomial's
+    components are walked in
+    :meth:`~gpw.polynomials.GradedPoly.multihomogeneous_components` order up
+    to the first that does not vanish."""
+
+    def vanishes(component: GradedPoly) -> bool:
+        degree = Counter(next(iter(component.terms)))
+        variables = canonical_variable_order(degree, algebra.mode)
+        words, coefficients = _coefficient_matrix(variables, [component])
+        vectors = _letter_values(algebra, variables, degree, points)
+        return not len(_word_combinations(algebra, words, vectors, coefficients))
+
     _check_evaluable(polys, algebra)
-    groups: dict[tuple[Word, ...], list] = {}
-    for i, poly in enumerate(polys):
-        for component in poly.multihomogeneous_components():
-            degree = Counter(next(iter(component.terms)))
-            variables = canonical_variable_order(degree, algebra.mode)
-            words, coefficients = _coefficient_matrix(variables, [component])
-            groups.setdefault(words, []).append((i, variables, degree, coefficients))
-    held = [True] * len(polys)
-    for words, members in groups.items():
-        members = [member for member in members if held[member[0]]]
-        if not members:
-            continue
-        batch = [(_letter_values(algebra, v, degree, points), c) for _, v, degree, c in members]
-        for (i, *_), rows in zip(members, _word_combinations(algebra, words, batch)):
-            if len(rows):
-                held[i] = False
-    return held
+    return [all(map(vanishes, poly.multihomogeneous_components())) for poly in polys]
 
 
 def identities(polys: list[GradedPoly], algebra: GradedStarAlgebra) -> list[bool]:
@@ -559,13 +518,12 @@ def identities(polys: list[GradedPoly], algebra: GradedStarAlgebra) -> list[bool
 
     Each multihomogeneous component is evaluated, unpolarized, on its
     simplex lattice (C(m+d-1, m) points for a variable of multiplicity m
-    over a d-dimensional component; exact, see the module docstring).  The
-    components of all the polynomials that share one word list, whatever
-    their variables' grades and kinds, are decided in one walk of its trie.
-    A polynomial is decided False by its first component found not to
-    vanish, and its components are not walked after that.  A batch above
-    the work cap, :data:`gpw.limits.WORK_CAP`, is walked in halves, so only
-    a component above it on its own raises :class:`CapExceeded`.
+    over a d-dimensional component; exact, see the module docstring), one
+    walk each.  A polynomial is decided False by its first component found
+    not to vanish, and its later components are not walked.  A component
+    above the work cap, :data:`gpw.limits.WORK_CAP`, raises
+    :class:`CapExceeded`.  Every polynomial is checked by
+    :func:`_check_evaluable` before any walk.
     """
     return _vanishes(polys, algebra, _simplex)
 

@@ -47,7 +47,7 @@ from gpw.errors import (
     NotLatinSquare,
 )
 from gpw.evaluator import canonical_variable_order
-from gpw.linalg import exact_rank
+from gpw.linalg import exact_rank, max_abs
 from gpw.polynomials import (
     GradedPoly,
     Variable,
@@ -291,16 +291,18 @@ def uses_empty_slot(algebra, comp):
 
 
 def arrangement_matrices_by_trie(algebra, n, comps):
-    """The arrangement matrix of each composition of ``comps`` by one walk
-    of the prefix trie of the n! arrangements (``evaluator._word_matrices``),
-    each composition a problem whose letters take their slot's basis; a
-    batch over the cap is walked in halves."""
+    """The arrangement matrix of each composition of ``comps`` by its own
+    walk of the prefix trie of the n! arrangements (``evaluator._walk``),
+    its letters taking their slot's basis, all in the dtype that the
+    largest entry of the compositions' bases gives (``_exact_table``)."""
     bases = evaluator._slot_bases(algebra)
-    batch = [
+    problems = [
         [bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps
     ]
+    bound = max((max_abs(v) for vectors in problems for v in vectors), default=0)
+    _, table = evaluator._exact_table(algebra, bound, n)
     trie = evaluator._word_trie(evaluator._arrangements(n))
-    return list(evaluator._word_matrices(algebra, batch, trie))
+    return [evaluator._walk(table, vectors, trie) for vectors in problems]
 
 
 def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):
@@ -325,7 +327,7 @@ def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):
     for j, column in enumerate(columns):
         for w, c in column.items():
             coefficients[row[w], j] = c
-    (matrix,) = evaluator._word_combinations(algebra, words, [(vectors, coefficients)])
+    matrix = evaluator._word_combinations(algebra, words, vectors, coefficients)
     return {shape: exact_rank(matrix[:, start:stop]) for shape, start, stop in blocks}
 
 

@@ -365,7 +365,7 @@ def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
 
     monkeypatch.setattr(evaluator, "_expand_positions", counted)
     monkeypatch.setattr(evaluator, "identities", unused)
-    monkeypatch.setattr(classify, "identities", unused)
+    monkeypatch.setattr(classify, "is_identity", unused)
     report = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     assert report.violations() == [] and any(f.hypothesis_holds for f in report.findings)
     assert [n for *_, n in walks] == [2, 3, 4, 5]

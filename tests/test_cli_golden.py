@@ -212,7 +212,8 @@ GOLDEN = [
         "f5c752bd80dd4ef409953cb55811bf3323d943aa9345ee22874e03cd90f8cf6a",
     ),
     # the lemma reports on the larger groups: many (grade, kind) slots, whose
-    # hypotheses and one-slot multiplicities are decided in batched walks
+    # hypotheses and one-slot multiplicities are read off one arrangement
+    # expansion per degree
     (
         "verify-lemmas grassmann2_c2xc2xc2 --n-max 5",
         0,

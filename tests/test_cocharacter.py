@@ -146,7 +146,7 @@ def test_arrangement_matrix_skips_the_column_loop(k_g):
     for comp in compositions(4, 2):
         vectors = [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]
         direct = _arrangement_matrix(k_g, comp)
-        (looped,) = _word_combinations(k_g, words, [(vectors, unit)])
+        looped = _word_combinations(k_g, words, vectors, unit)
         assert direct.dtype == looped.dtype
         assert np.array_equal(direct, looped)
 

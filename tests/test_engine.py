@@ -28,7 +28,7 @@ from gpw.algebras import GradedStarAlgebra
 from gpw.errors import CapExceeded, InputError
 from gpw.evaluator import (
     _simplex,
-    _word_rows,
+    _walk,
     _word_trie,
     build_evaluation_matrix,
     canonical_variable_order,
@@ -301,7 +301,7 @@ def test_identity_verdicts_match_the_oracle(star):
 
 # word lists over letters in canonical order, each instantiated with the
 # variables of random slots, so that components of different variables and
-# grades share one and are decided in one batch
+# grades share one, each decided in its own walk
 WORD_LISTS = [
     [(0, 0)],
     [(0, 1), (1, 0)],
@@ -316,7 +316,7 @@ def identity_lists(draw, algebra):
     components, a component being one of two drawn subsets of the word
     lists on distinct variables of random slots, with coefficients of one
     absolute value and random signs (so that differences of words, often
-    identities, are common, and one batch mixes identities and others)."""
+    identities, are common, and one list mixes identities and others)."""
     mode = algebra.mode
     slots = modes.slot_count(len(algebra.group), mode)
     variable = st.builds(
@@ -494,7 +494,7 @@ ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2])
 
 def word_products(table, vectors, words):
     """Every word multiplied out on every substitution tuple, one Python int
-    at a time: the oracle of the word walk, ``_word_rows``."""
+    at a time: the oracle of the word walk, ``_walk``."""
     dim = len(table)
     rows = []
     for word in words:
@@ -516,15 +516,18 @@ def word_products(table, vectors, words):
 def walks(draw, positions=st.integers(1, 3), length=st.integers(1, 4)):
     """A random integer structure table, candidate values per position and
     sorted, distinct words of one length that each use every position, as
-    the walk's callers build them; the many zeros make prefixes vanish."""
+    the walk's callers build them; the many zeros make prefixes vanish, and
+    a position may take an earlier one's values, as letters of one slot do."""
     dim = draw(st.integers(1, 3))
     length = draw(length)
     positions = draw(positions.filter(lambda p: p <= length))
     table = [[[draw(ENTRY) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    vectors = [
-        [[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))]
-        for _ in range(positions)
-    ]
+    vectors = []
+    for _ in range(positions):
+        if vectors and draw(st.booleans()):
+            vectors.append(draw(st.sampled_from(vectors)))
+        else:
+            vectors.append([[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))])
     onto = [w for w in product(range(positions), repeat=length) if len(set(w)) == positions]
     words = sorted(draw(st.lists(st.sampled_from(onto), min_size=1, max_size=12, unique=True)))
     return table, vectors, words
@@ -532,12 +535,11 @@ def walks(draw, positions=st.integers(1, 3), length=st.integers(1, 4)):
 
 def walk(table, vectors, words, dtype=np.int64):
     """The walk's rows, with the oracle's rows, one per (tuple, coordinate)
-    and one column per word."""
-    [rows] = _word_rows(
-        np.array(table, dtype=dtype),
-        [[np.array(v, dtype=dtype).reshape(len(v), len(table)) for v in vectors]],
-        _word_trie(words),
-    )
+    and one column per word.  Letters with equal values share one array."""
+    arrays = {}
+    for v in vectors:
+        arrays.setdefault(repr(v), np.array(v, dtype=dtype).reshape(len(v), len(table)))
+    rows = _walk(np.array(table, dtype=dtype), [arrays[repr(v)] for v in vectors], _word_trie(words))
     return rows.tolist(), [list(row) for row in zip(*word_products(table, vectors, words))]
 
 
@@ -624,54 +626,6 @@ def test_vanishing_prefixes_end_their_subtrees(scale):
     assert_nonzero_rows(rows, expected)
 
 
-@st.composite
-def batches(draw):
-    """A random integer structure table, distinct words of one length, a
-    pool of candidate values and problems as lists of pool entries, one per
-    letter: later problems reuse entries of earlier ones (so their arrays
-    are shared), and an entry without values, or with only zero values,
-    ends a problem at level 0."""
-    table, pool, words = draw(walks())
-    dim, letters = len(table), len(pool)
-    problems = [list(range(letters))]
-    for _ in range(draw(st.integers(1, 4))):
-        problem = []
-        for _ in range(letters):
-            if draw(st.booleans()):
-                problem.append(draw(st.integers(0, len(pool) - 1)))
-            else:
-                pool.append([[draw(ENTRY) for _ in range(dim)] for _ in range(draw(st.integers(0, 3)))])
-                problem.append(len(pool) - 1)
-        problems.append(problem)
-    return table, pool, problems, words
-
-
-@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
-def test_a_batch_walks_each_problem_as_if_alone(big):
-    scale = 2**70 if big else 1
-    dtype = object if big else np.int64
-
-    @EXAMPLES
-    @given(batches())
-    def check(case):
-        table, pool, problems, words = case
-        pool = [[[c * scale for c in vec] for vec in vecs] for vecs in pool]
-        arrays = [np.array(vecs, dtype=dtype).reshape(len(vecs), len(table)) for vecs in pool]
-        got = list(
-            _word_rows(
-                np.array(table, dtype=dtype),
-                [[arrays[i] for i in problem] for problem in problems],
-                _word_trie(words),
-            )
-        )
-        assert len(got) == len(problems)
-        for rows, problem in zip(got, problems):
-            expected = [list(row) for row in zip(*word_products(table, [pool[i] for i in problem], words))]
-            assert_nonzero_rows(rows.tolist(), expected)
-
-    check()
-
-
 def test_a_trie_needs_distinct_words():
     with pytest.raises(ValueError, match="distinct"):
         _word_trie([(0, 1), (1, 0), (0, 1)])
@@ -692,7 +646,7 @@ def test_a_walk_needs_words_that_use_every_letter():
     table = np.ones((1, 1, 1), dtype=np.int64)
     vectors = [np.ones((1, 1), dtype=np.int64)] * 2
     with pytest.raises(ValueError, match="every letter"):
-        list(_word_rows(table, [vectors], _word_trie([(0, 0), (0, 1)])))
+        _walk(table, vectors, _word_trie([(0, 0), (0, 1)]))
 
 
 @pytest.mark.parametrize("mode", [modes.GRADED, modes.STAR])

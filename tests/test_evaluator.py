@@ -165,9 +165,9 @@ def test_identity_work_cap_refuses_before_building(route, m2_transpose, monkeypa
 
 
 def test_a_list_refuses_only_its_polynomial_above_the_work_cap(m2_transpose, monkeypatch):
-    # the 12-letter monomials share one word list: their batch is split, and
-    # the one on the zero g component is decided before the huge one alone
-    # is refused
+    # the 12-letter monomials share one word list but are walked one at a
+    # time: the one on the zero g component is decided before the huge one
+    # alone is refused
     cap = 2**16
     monkeypatch.setattr(limits, "WORK_CAP", cap)
     group = m2_transpose.group
@@ -184,6 +184,24 @@ def test_a_list_refuses_only_its_polynomial_above_the_work_cap(m2_transpose, mon
     # no array above the cap, of 8-byte entries, was allocated
     assert peak_bytes(refused) < 4 * 8 * cap
     assert identities([*small, monomial("g")], m2_transpose) == [True, False, True]
+
+
+def test_a_polynomial_is_decided_by_its_first_nonvanishing_component(m2_transpose, monkeypatch):
+    # y1 is not an identity and comes first among the components, so the
+    # 12-letter y-monomial, which the cap refuses on its own, is not walked
+    monkeypatch.setattr(limits, "WORK_CAP", 2**16)
+    group = m2_transpose.group
+    first = parse_poly("y{1,1}", "star", group)
+    huge = parse_poly("*".join(f"y{{{i},1}}" for i in range(1, 13)), "star", group)
+    poly = first + huge
+    assert poly.multihomogeneous_components() == [first, huge]
+    with pytest.raises(CapExceeded, match="work cap"):
+        is_identity(huge, m2_transpose)
+    walks = []
+    original = evaluator._walk
+    monkeypatch.setattr(evaluator, "_walk", lambda *args: walks.append(args) or original(*args))
+    assert not is_identity(poly, m2_transpose)
+    assert len(walks) == 1
 
 
 @pytest.fixture(scope="module")
@@ -319,13 +337,13 @@ def test_the_walk_reads_the_table_validation_kept(scale, trivial_group, monkeypa
     assert algebra.exact_table.tolist() == algebra.integer_table.tolist() == [[[scale]]]
     assert (algebra.exact_table is algebra.integer_table) == (scale > 2**62)
     walked, scanned = [], []
-    word_rows, max_abs = evaluator._word_rows, evaluator.max_abs
+    original, max_abs = evaluator._walk, evaluator.max_abs
 
     def walk(table, *rest):
         walked.append(table)
-        return word_rows(table, *rest)
+        return original(table, *rest)
 
-    monkeypatch.setattr(evaluator, "_word_rows", walk)
+    monkeypatch.setattr(evaluator, "_walk", walk)
     monkeypatch.setattr(evaluator, "max_abs", lambda a: scanned.append(a) or max_abs(a))
     assert not is_identity(parse_poly("x{1,1}*x{2,1}", "graded", trivial_group), algebra)
     assert walked and all(table is algebra.exact_table for table in walked)

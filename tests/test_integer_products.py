@@ -1,8 +1,8 @@
 """Every integer matrix product of ``gpw`` goes through
 ``linalg.exact_product``, which alone decides how it stays exact.  The only
-other products are the word walk's, whose dtype ``_word_matrices`` picks for
-the whole chain, and two that the degree check bounds: the permutation index
-and the character contraction."""
+other products are the word walk's, whose dtype ``_word_combinations``
+picks for the whole chain, and two that the degree check bounds: the
+permutation index and the character contraction."""
 
 import ast
 from pathlib import Path
