@@ -9,9 +9,10 @@ product of the letters' vectors in the order sigma.
 
 :func:`_expand_positions` builds the matrices of a batch of compositions
 from the sequences of slot basis vectors whose product is nonzero, each
-kept once, where the prefix trie of the n! arrangements holds it once per
-prefix of distinct letters of its slots.  Every matrix equals, entry for
-entry and row for row, the one that trie gives (``tests/oracle.py``).
+kept once, where a walk of the n! arrangements as words
+(:func:`gpw.evaluator._walk`) holds a sequence of length l once for every
+word whose first l letters are of its slots.  Every matrix equals, entry
+for entry and row for row, the one that walk gives (``tests/oracle.py``).
 """
 
 from __future__ import annotations

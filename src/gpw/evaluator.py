@@ -13,21 +13,21 @@ are scaled to integers by their denominator lcms (and a
 :class:`GradedPoly`'s coefficients by theirs when its monomials are turned
 into words), so the matrix is one fixed positive multiple of the rational
 one and its ranks, nullspaces and zero tests are the rational answers.  Words are multiplied
-out by a sparse walk of their prefix trie (:func:`_walk`), one level at a
-time over the (node, partial substitution tuple) pairs whose value is
-nonzero, with one product of all pairs per level.  The words of one walk
-are sorted, distinct and of one length, and each uses every letter,
-as every caller builds them; other words raise :class:`ValueError`.  The
+out by a sparse walk (:func:`_walk`) that takes the words side by side,
+one position at a time, over the (word, partial substitution tuple) pairs
+whose value is nonzero, with one product of all pairs per position.  The
+words of one walk share one length and each uses every letter, as every
+caller builds them; other words raise :class:`ValueError`.  The
 arrangement matrices below, whose words are all n! arrangements of n
 letters, are instead built by an expansion over positions
 (:mod:`gpw.arrangements`), which keeps each sequence of slot basis
-vectors with a nonzero product once, where the trie's level l holds it
-once per prefix of l distinct letters of its slots.  A matrix keeps only
-the nonzero rows of the dense one, in its order, without their row numbers,
-which changes no rank, nullspace or zero test.  The entries of both are
-int64 only when an a-priori bound on every entry stays below 2**62
-(:func:`_exact_table`); otherwise they are Python ints, so nothing wraps.
-Every integer product but the trie walk's is
+vectors with a nonzero product once, where a walk of the n! words holds
+it once for every word whose first l letters are of its slots.  A matrix
+keeps only the nonzero rows of the dense one, in its order, without their
+row numbers, which changes no rank, nullspace or zero test.  The entries
+of both are int64 only when an a-priori bound on every entry stays below
+2**62 (:func:`_exact_table`); otherwise they are Python ints, so nothing
+wraps.  Every integer product but the word walk's is
 :func:`~gpw.linalg.exact_product`.
 
 * The **slice codimension** of a composition is the rank of the
@@ -82,10 +82,10 @@ structure table, its bound and the component bases that each algebra
 builds once and owns (``exact_table``, ``integer_bound``,
 ``integer_basis``).
 
-The two limits of :mod:`gpw.limits` bound the work.  Each level of a
-walk or expansion, its scattered entries, the assembled rows and the
-lattice or grid points are counted exactly and charged to the work cap
-before they are allocated.  A batch of compositions that the cap refuses
+The two limits of :mod:`gpw.limits` bound the work.  Each position of a
+walk or level of an expansion, its scattered entries, the assembled rows
+and the lattice or grid points are counted exactly and charged to the
+work cap before they are allocated.  A batch of compositions that the cap refuses
 is expanded in halves, one after the other (:func:`_in_halves`), so only
 a single composition above it is refused and the matrices of one
 expansion are dropped before the next is built.  Every arrangement matrix
@@ -238,93 +238,47 @@ def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
     return exact_product(points, basis)
 
 
-@dataclass(frozen=True)
-class _WordTrie:
-    """The prefix trie of sorted, distinct words of one length n, level by
-    level: level l holds the prefixes of length l + 1, nodes ``ends[l]`` to
-    ``ends[l + 1]`` of the flat arrays, and ``parents``, ``letters`` and
-    ``new`` give each node's parent as a number on its level l - 1 (the
-    root, 0, on level 0), its last letter and whether that letter is new
-    to its prefix.  Nodes are numbered along the words, so siblings are
-    consecutive and leaf i is word i, which has ``fewest`` or more distinct
-    letters."""
-
-    parents: np.ndarray
-    letters: np.ndarray
-    new: np.ndarray
-    ends: list[int]
-    fewest: int
-
-
-def _word_trie(words: Sequence[Word]) -> _WordTrie:
-    """The prefix trie of ``words``, which are sorted, distinct and of one
-    length."""
-    n = len(words[0]) if words else 0
-    last = [-1] * n  # the newest node on each level
-    distinct = [0] * (n + 1)  # new letters along the newest node's path
-    fewest = n if words else 0
-    levels: list[list[int]] = [[] for _ in range(3 * n)]  # parents, letters, new
-    previous: Word | None = None
-    for word in words:
-        if len(word) != n or (previous is not None and word <= previous):
-            raise ValueError("the words of one trie must be sorted, distinct and share one length")
-        depth = 0
-        while previous and word[depth] == previous[depth]:
-            depth += 1
-        for level in range(depth, n):
-            last[level] += 1
-            new = word[level] not in word[:level]
-            levels[level].append(last[level - 1] if level else 0)
-            levels[n + level].append(word[level])
-            levels[2 * n + level].append(new)
-            distinct[level + 1] = distinct[level] + new
-        fewest = min(fewest, distinct[n])
-        previous = word
-    # one array cut into three: every identity test builds a trie
-    flat = np.array([i for level in levels for i in level], dtype=np.intp)
-    ends = list(itertools.accumulate(map(len, levels[:n]), initial=0))
-    nodes = ends[-1]
-    return _WordTrie(flat[:nodes], flat[nodes : 2 * nodes], flat[2 * nodes :], ends, fewest)
-
-
-def _in_halves(walk: Callable, first, batch: list, *rest) -> Iterator[np.ndarray]:
-    """The matrices of ``walk(first, batch, *rest)``, one per problem of
-    ``batch``, taken one by one.  A batch that the cap refuses is walked in
-    halves, the second after the first's matrices are all taken, so no more
-    than one walk's matrices are held at once and only one problem alone
-    raises :class:`CapExceeded`."""
+def _in_halves(slots: _SlotVectors, comps: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The arrangement matrices of ``comps`` (:func:`_expand_positions`),
+    taken one by one.  A batch that the cap refuses is expanded in halves,
+    the second after the first's matrices are all taken, so no more than
+    one expansion's matrices are held at once and only one composition
+    alone raises :class:`CapExceeded`."""
     try:
-        walked = walk(first, batch, *rest)
+        expanded = _expand_positions(slots, comps, n)
     except CapExceeded:
-        if len(batch) < 2:
+        if len(comps) < 2:
             raise
-        half = len(batch) // 2
-        yield from _in_halves(walk, first, batch[:half], *rest)
-        yield from _in_halves(walk, first, batch[half:], *rest)
+        half = len(comps) // 2
+        yield from _in_halves(slots, comps[:half], n)
+        yield from _in_halves(slots, comps[half:], n)
         return
-    yield from walked
+    yield from expanded
 
 
-def _walk(table: np.ndarray, vectors: list[np.ndarray], trie: _WordTrie) -> np.ndarray:
-    """Given each letter's candidate values, the nonzero rows of the words
-    of ``trie`` on every substitution tuple, in (tuple, coordinate) order
-    (tuples in ``itertools.product`` order over the letters), one column per
-    word; no row numbers are returned.  Every word uses every letter, else
-    :class:`ValueError` is raised; a letter without values leaves no rows.
+def _walk(table: np.ndarray, vectors: list[np.ndarray], words: Sequence[Word]) -> np.ndarray:
+    """Given each letter's candidate values, the nonzero rows of ``words``
+    on every substitution tuple, in (tuple, coordinate) order (tuples in
+    ``itertools.product`` order over the letters), one column per word; no
+    row numbers are returned.  The words come in any order, share one
+    length and each use every letter, else :class:`ValueError` is raised;
+    a letter without values leaves no rows.
 
-    One walk of the trie, one level at a time over the (node, partial
-    tuple) pairs whose value is nonzero: a node's value depends only on its
-    prefix's choices, the index sum(choice * stride).  A new letter branches
-    over its values, a repeated one reads its choice back.  Each level is
-    one ``matmul``, charged to the work cap before it is built, as are the
-    rows.  Letters may share one values array, which is read once, in the
-    table's dtype."""
-    dim, ends = table.shape[0], trie.ends
-    words = ends[-1] - ends[-2] if len(ends) > 1 else 0
-    sizes = list(map(len, vectors))
-    if not words or not all(sizes):  # no letters, or a letter without values: no rows
-        return np.zeros((0, words), dtype=table.dtype)
-    if trie.fewest < len(sizes):
+    The words are walked side by side, one position at a time, over the
+    (word, partial tuple) pairs whose value is nonzero: a pair's value
+    depends only on the choices of the letters its word has met, the index
+    sum(choice * stride).  A letter new to its word branches over its
+    values, a repeated one reads its choice back, and a position where no
+    word meets a new letter repeats no pair.  Each position is one
+    ``matmul``, charged to the work cap before it is built, as are the
+    branched pairs and the rows.  Letters may share one values array,
+    which is read once, in the table's dtype."""
+    if len(set(map(len, words))) > 1:
+        raise ValueError("the words of one walk must share one length")
+    dim, sizes = table.shape[0], list(map(len, vectors))
+    if not words or not words[0] or not all(sizes):  # a letter without values: no rows
+        return np.zeros((0, len(words)), dtype=table.dtype)
+    if any(len(set(word)) < len(sizes) for word in words):
         raise ValueError("every word of the walk must use every letter")
     distinct = {id(v): v for v in vectors}
     start = dict(zip(distinct, itertools.accumulate(map(len, distinct.values()), initial=0)))
@@ -334,54 +288,49 @@ def _walk(table: np.ndarray, vectors: list[np.ndarray], trie: _WordTrie) -> np.n
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
     right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
-    # every node's size, stride and first value are taken from per-letter
-    # arrays once per walk, charged like a level by the widest one (the
-    # leaves); a level is a slice of each
-    limits.charge(words)
+    # [position, word] tables of each letter's size, stride and first value,
+    # and of its branching: its size where it is new to its word, else 1
     firsts = [start[id(v)] for v in vectors]
-    node_size, node_stride, node_first = (
-        np.array(column, dtype=dtype).take(trie.letters)
+    letters = np.array(words, dtype=np.intp).T
+    size, stride, first = (
+        np.array(column, dtype=dtype).take(letters)
         for column, dtype in ((sizes, np.intp), (strides, itype), (firsts, np.intp))
     )
-    fresh = np.add.reduceat(trie.new, ends[:-1]).tolist()  # new letters per level
-    lens = node_size[: ends[1]]  # level 0: every value of each node's letter
-    child = np.arange(len(lens)).repeat(lens)  # the node of each pair
-    limits.charge(len(child) * dim)
-    digit = np.arange(len(child)) - (lens.cumsum() - lens)[child]
-    index = digit * node_stride[child]
-    value = candidates.take(node_first[child] + digit, axis=0)
-    for level, branching in enumerate(fresh[1:], 1):
-        a, b = ends[level], ends[level + 1]
-        size, stride, first = node_size[a:b], node_stride[a:b], node_first[a:b]
-        if b - a > len(lens) or branching:  # else each pair has one child
-            keep = value.any(axis=1)
-            if not keep.all():
-                child, index, value = child[keep], index[keep], value.compress(keep, axis=0)
-            if not len(child):
-                break
-            # counts[u] pairs of node u follow those of the nodes before it
-            counts = np.bincount(child, minlength=len(lens))
-            parents = trie.parents[a:b]
-            # all values of a new letter, one of a repeated one
-            branch = size ** trie.new[a:b]
-            lens = counts[parents] * branch
-            total = lens.cumsum()
-            limits.charge(int(total[-1]) * dim)
-            # pair j of child u (pairs from E_u on, its parent's from S_u on) is
-            # digit of parent pair source: j - E_u == (source - S_u) * branch + digit
-            shift = (counts.cumsum() - counts)[parents] * branch - (total - lens)
-            child = np.arange(len(lens)).repeat(lens)
-            source, digit = np.divmod(np.arange(len(child)) + shift[child], branch[child])
-            index = index[source] + digit * stride[child]
-            value = value.take(source, axis=0)
-        limits.charge(len(child) * dim * dim)
-        choice = (first[child] + index // stride[child] % size[child]).astype(np.intp)
-        value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
+    new = np.array([[word.index(x) == p for p, x in enumerate(word)] for word in words]).T
+    branches = np.where(new, size, 1)
+    word = np.arange(len(words))  # the word of each pair
+    index = np.zeros(len(words), dtype=itype)
+    value = None
+    for p, branching in enumerate(new.any(axis=1).tolist()):
+        if branching:
+            if p:
+                keep = value.any(axis=1)
+                if not keep.all():
+                    word, index, value = word[keep], index[keep], value.compress(keep, axis=0)
+                if not len(word):
+                    break
+            # a pair whose letter is new to its word is repeated once per
+            # value, digit the value's number; any other is kept, digit 0
+            branch = branches[p].take(word)
+            ends = branch.cumsum()
+            limits.charge(int(ends[-1]) * dim)
+            source = np.arange(len(word)).repeat(branch)
+            digit = np.arange(len(source)) - (ends - branch).take(source)
+            word = word.take(source)
+            index = index.take(source) + digit * stride[p].take(word)
+            value = value.take(source, axis=0) if p else None
+        choice = first[p].take(word) + index // stride[p].take(word) % size[p].take(word)
+        choice = choice.astype(np.intp)
+        if p:
+            limits.charge(len(word) * dim * dim)
+            value = np.matmul(value[:, None, :], right.take(choice, axis=0))[:, 0, :]
+        else:
+            value = candidates.take(choice, axis=0)
     pair, k = value.nonzero()
     numbers, row = np.unique(index[pair] * dim + k, return_inverse=True)
-    limits.charge(len(numbers) * words)
-    rows = np.zeros((len(numbers), words), dtype=table.dtype)
-    rows[row, child[pair]] = value[pair, k]
+    limits.charge(len(numbers) * len(words))
+    rows = np.zeros((len(numbers), len(words)), dtype=table.dtype)
+    rows[row, word[pair]] = value[pair, k]
     return rows
 
 
@@ -439,13 +388,12 @@ def _word_combinations(
     given each letter's values and an integer coefficient matrix with one
     row per word of ``words``, the nonzero rows of the words' values times
     the coefficients, in (substitution tuple, coordinate) order, from one
-    walk of their trie (:func:`_walk`) in the dtype of
+    walk of the words (:func:`_walk`) in the dtype of
     :func:`_exact_table`.  A column whose words share one multidegree is one
     fixed positive multiple of the rational one."""
-    trie = _word_trie(words)
     bound = max(map(max_abs, vectors), default=0)
-    _, table = _exact_table(algebra, bound, max(len(trie.ends) - 1, 1))
-    rows = _walk(table, vectors, trie)
+    _, table = _exact_table(algebra, bound, max([1, *map(len, words)]))
+    rows = _walk(table, vectors, words)
     limits.charge(len(rows) * coefficients.shape[1])
     combined = exact_product(rows, coefficients)
     return combined.compress(combined.any(axis=1), axis=0)
@@ -613,7 +561,7 @@ def _arrangement_matrices(
             spread = itemgetter(*(part.get(slot, len(live)) for slot in range(len(bases))))
             comps = [spread(comp + (0,)) for comp in comps]
     table = np.array(comps, dtype=np.intp).reshape(len(comps), len(bases))
-    return comps, _in_halves(_expand_positions, _slot_vectors(algebra, bases, table, n), table, n)
+    return comps, _in_halves(_slot_vectors(algebra, bases, table, n), table, n)
 
 
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:

@@ -20,9 +20,9 @@ numbers and variables into one monomial.  ``character_sums_by_tensordot``
 is the character route's per-slot contraction by ``tensordot``, and
 ``star_basis_by_nullspace`` a star algebra's symmetric and skew bases by
 the nullspace route, for involutions that are diagonal on a component too.
-``arrangement_matrices_by_trie`` builds arrangement matrices by the word
-engine's walk of the prefix trie of all n! arrangements, the reference
-for the package's expansion over positions.
+``arrangement_matrices_by_words`` builds arrangement matrices by the word
+engine's walk of all n! arrangements as a word list, the reference for
+the package's expansion over positions.
 """
 
 import itertools
@@ -290,9 +290,9 @@ def uses_empty_slot(algebra, comp):
     return any(count and not len(bases[slot]) for slot, count in enumerate(comp))
 
 
-def arrangement_matrices_by_trie(algebra, n, comps):
+def arrangement_matrices_by_words(algebra, n, comps):
     """The arrangement matrix of each composition of ``comps`` by its own
-    walk of the prefix trie of the n! arrangements (``evaluator._walk``),
+    walk of the n! arrangements as words (``evaluator._walk``),
     its letters taking their slot's basis, all in the dtype that the
     largest entry of the compositions' bases gives (``_exact_table``)."""
     bases = evaluator._slot_bases(algebra)
@@ -301,8 +301,8 @@ def arrangement_matrices_by_trie(algebra, n, comps):
     ]
     bound = max((max_abs(v) for vectors in problems for v in vectors), default=0)
     _, table = evaluator._exact_table(algebra, bound, n)
-    trie = evaluator._word_trie(evaluator._arrangements(n))
-    return [evaluator._walk(table, vectors, trie) for vectors in problems]
+    words = evaluator._arrangements(n)
+    return [evaluator._walk(table, vectors, words) for vectors in problems]
 
 
 def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):

@@ -19,7 +19,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import gpw
 import oracle
@@ -29,7 +29,6 @@ from gpw.errors import CapExceeded, InputError
 from gpw.evaluator import (
     _simplex,
     _walk,
-    _word_trie,
     build_evaluation_matrix,
     canonical_variable_order,
     identities,
@@ -539,7 +538,7 @@ def walk(table, vectors, words, dtype=np.int64):
     arrays = {}
     for v in vectors:
         arrays.setdefault(repr(v), np.array(v, dtype=dtype).reshape(len(v), len(table)))
-    rows = _walk(np.array(table, dtype=dtype), [arrays[repr(v)] for v in vectors], _word_trie(words))
+    rows = _walk(np.array(table, dtype=dtype), [arrays[repr(v)] for v in vectors], words)
     return rows.tolist(), [list(row) for row in zip(*word_products(table, vectors, words))]
 
 
@@ -612,6 +611,34 @@ def test_word_walk_on_rational_bases(star):
     check()
 
 
+# e0 is a unit and e1 * e1 == 0; unsorted words over two letters, each
+# repeating one, in pairs that share a prefix
+UNIT_AND_NILPOTENT = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+SHUFFLED = [(1, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)]
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+def test_words_in_any_order_walk_as_if_alone(big):
+    # the walk takes its words in any order: shuffled words, some sharing a
+    # prefix and some repeating a letter, give the oracle's nonzero rows,
+    # and each word's column holds the entries of that word walked alone
+    @EXAMPLES
+    @given(walks(length=st.integers(2, 5)).flatmap(lambda c: st.tuples(st.just(c), st.permutations(c[2]))))
+    @example(((UNIT_AND_NILPOTENT, [[[1, 0], [0, 1]], [[1, 1]]], sorted(SHUFFLED)), SHUFFLED))
+    def check(drawn):
+        (table, vectors, _), words = drawn
+        if big:
+            vectors = [[[c * 2**70 for c in vec] for vec in vecs] for vecs in vectors]
+        dtype = object if big else np.int64
+        rows, expected = walk(table, vectors, words, dtype)
+        assert_nonzero_rows(rows, expected)
+        for j, word in enumerate(words):
+            alone, _ = walk(table, vectors, [word], dtype)
+            assert [row[j] for row in rows if row[j]] == [row[0] for row in alone]
+
+    check()
+
+
 @pytest.mark.parametrize("scale", [1, 3, 2**15])
 def test_vanishing_prefixes_end_their_subtrees(scale):
     # e0 is a unit and e1 * e1 == 0, so every word with two adjacent 1s
@@ -626,19 +653,11 @@ def test_vanishing_prefixes_end_their_subtrees(scale):
     assert_nonzero_rows(rows, expected)
 
 
-def test_a_trie_needs_distinct_words():
-    with pytest.raises(ValueError, match="distinct"):
-        _word_trie([(0, 1), (1, 0), (0, 1)])
-
-
-def test_a_trie_needs_words_of_one_length():
+def test_a_walk_needs_words_of_one_length():
+    table = np.ones((1, 1, 1), dtype=np.int64)
+    vectors = [np.ones((1, 1), dtype=np.int64)] * 2
     with pytest.raises(ValueError, match="one length"):
-        _word_trie([(0, 1), (0,)])
-
-
-def test_a_trie_needs_sorted_words():
-    with pytest.raises(ValueError, match="sorted"):
-        _word_trie([(1, 0), (0, 1)])
+        _walk(table, vectors, [(0, 1), (1, 0, 1)])
 
 
 def test_a_walk_needs_words_that_use_every_letter():
@@ -646,15 +665,16 @@ def test_a_walk_needs_words_that_use_every_letter():
     table = np.ones((1, 1, 1), dtype=np.int64)
     vectors = [np.ones((1, 1), dtype=np.int64)] * 2
     with pytest.raises(ValueError, match="every letter"):
-        _walk(table, vectors, _word_trie([(0, 0), (0, 1)]))
+        _walk(table, vectors, [(0, 0), (0, 1)])
 
 
 @pytest.mark.parametrize("mode", [modes.GRADED, modes.STAR])
 def test_coefficient_matrices_meet_the_walk_contract(mode):
     # the word lists that the front end builds for the multihomogeneous
     # components of random polynomials, one component or several of one
-    # multidegree at a time: sorted, distinct, of one length, and each word
-    # uses every letter
+    # multidegree at a time: sorted and distinct (one coefficient row per
+    # word), and, as the walk needs, of one length with each word using
+    # every letter
     slots = modes.slot_count(2, mode)
     variable = st.builds(
         lambda slot, index: Variable(*reversed(modes.slot_grade_kind(slot, mode)), index),
@@ -686,7 +706,6 @@ def test_coefficient_matrices_meet_the_walk_contract(mode):
                 assert list(words) == sorted(set(words))
                 assert {len(w) for w in words} == {sum(degree.values())}
                 assert all(set(w) == set(range(len(variables))) for w in words)
-                assert _word_trie(words).fewest == len(variables)
 
     check()
 
@@ -712,8 +731,8 @@ def _assert_same_matrices(matrices, expected):
 
 @EXAMPLES
 @given(data=st.data())
-def test_arrangement_expansion_matches_the_trie_walk(data):
-    # the expansion over positions gives the trie walk's matrices: shape,
+def test_arrangement_expansion_matches_the_word_walk(data):
+    # the expansion over positions gives the word walk's matrices: shape,
     # dtype, entries and row order, for every composition of a degree, for
     # lists of chosen ones (some with an empty slot, as verify-lemmas asks
     # for one- and two-slot compositions), on int64 tables and on tables
@@ -738,7 +757,7 @@ def test_arrangement_expansion_matches_the_trie_walk(data):
             list(evaluator._arrangement_matrices(algebra, n, [comp])[1])
             alone.extend(charged[mark:])
             del charged[mark:]
-    expected = oracle.arrangement_matrices_by_trie(algebra, n, comps)
+    expected = oracle.arrangement_matrices_by_words(algebra, n, comps)
     _assert_same_matrices(matrices, expected)
     # under the largest charge of one composition alone, a batch that needs
     # more is split

@@ -1,7 +1,8 @@
 """Every integer matrix product of ``gpw`` goes through
 ``linalg.exact_product``, which alone decides how it stays exact.  The only
-other products are the word walk's, whose dtype ``_word_combinations``
-picks for the whole chain, and two that the degree check bounds: the
+other products are the word walk's, one per position of the words it
+walks side by side, whose dtype ``_word_combinations`` picks for the
+whole chain, and two that the degree check bounds: the
 permutation index and the character contraction."""
 
 import ast
