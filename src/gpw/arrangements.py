@@ -11,8 +11,13 @@ product of the letters' vectors in the order sigma.
 from the sequences of slot basis vectors whose product is nonzero, each
 kept once, where a walk of the n! arrangements as words
 (:func:`gpw.evaluator._walk`) holds a sequence of length l once for every
-word whose first l letters are of its slots.  Every matrix equals, entry
-for entry and row for row, the one that walk gives (``tests/oracle.py``).
+word whose first l letters are of its slots.  A batch may hold
+compositions of several degrees, as a report asks for them: its levels
+run once, up to the highest degree, and the matrices of each degree are
+scattered from its own level (:func:`_scatter`), so one expansion serves
+a whole report.  Every matrix equals, entry for entry and row for row,
+and in its own degree's dtype, the one that walk gives
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -98,7 +103,8 @@ class _SlotVectors:
     number in its slot's basis, each slot's basis size, and each vector's
     right-multiplication matrix, ``right[a, v, k]`` coordinate k of e_a
     times vector v; ``bound`` bounds the vectors' entries and
-    ``right_bound`` those of ``right``."""
+    ``right_bound`` those of ``right``, and ``dtypes`` maps each degree of
+    the list's compositions to the exact dtype of its matrices."""
 
     vectors: np.ndarray
     slots: np.ndarray
@@ -107,18 +113,111 @@ class _SlotVectors:
     right: np.ndarray
     bound: int
     right_bound: int
+    dtypes: dict[int, type]
 
 
 def _expand_positions(slots: _SlotVectors, comps: np.ndarray, n: int) -> list[np.ndarray]:
-    """The arrangement matrices of ``comps``, compositions of n as the rows
-    of an array, in one expansion over the positions 1..n.
+    """The arrangement matrices of ``comps``, compositions of degrees up to
+    n as the rows of an array, in one expansion over the positions 1..n.
 
     Level l holds the sequences (u_1..u_l) of slot basis vectors whose
     product is nonzero, with no slot used more often than in some
-    composition of ``comps``: one product of their values with the stacked
-    right-multiplication matrices of every vector of those slots, charged
-    to the work cap before it is built, extends them all.  A sequence of
-    length n whose slots are a composition's gives, for each of the
+    composition of ``comps`` of degree l or more.  Right after level l the
+    matrices of the compositions of degree l are scattered from it
+    (:func:`_scatter`), and the room of each slot is taken again from the
+    compositions of higher degree: a sequence that uses a slot more often
+    than they do is dropped.  One product of the values of the sequences
+    with the stacked right-multiplication matrices of every vector of the
+    slots with room, charged to the work cap before it is built, extends
+    them all to level l + 1.  So the levels run once, up to the highest
+    degree, and no sequence is extended that no later degree can use."""
+    table = np.asarray(comps).reshape(len(comps), len(slots.sizes))
+    degrees = table.sum(axis=1).tolist()
+    empty = {d: np.zeros((0, factorial(d)), dtype=slots.dtypes[d]) for d in set(degrees)}
+    matrices = [empty[d] for d in degrees]
+    if not len(comps):
+        return matrices
+    # the places in comps of each degree
+    at = {d: [i for i, e in enumerate(degrees) if e == d] for d in empty}
+    top = max(at)
+    caps = table.max(axis=0)
+    use = np.flatnonzero(caps.take(slots.slots) > 0)
+    if not len(use):
+        return matrices
+    # the slots with vectors in use, renumbered 0.. in order; ``number``
+    # maps every other slot to len(live)
+    live = np.flatnonzero((caps > 0) & (slots.sizes > 0))
+    number = np.full(len(caps), len(live))
+    number[live] = np.arange(len(live))
+    label = number.take(slots.slots.take(use))
+    local = slots.local.take(use)
+    sizes = slots.sizes.take(live)
+    dim = slots.right.shape[0]
+    value = slots.vectors.take(use, axis=0)
+    seq = np.zeros((len(use), n), dtype=np.intp)
+    seq[:, 0] = np.arange(len(use))
+    count = np.zeros((len(use), len(live)), dtype=np.intp)
+    count[seq[:, 0], label] = 1
+    # the vectors that extend a sequence, their numbered slots, the room of
+    # each numbered slot and that of each vector's slot
+    vectors = np.arange(len(use))
+    right = slots.right[:, use].reshape(dim, -1)
+    slot, room = label, caps.take(live)
+    limit = room.take(slot)
+    bound = slots.bound
+    for level in range(1, top + 1):
+        if level in at:
+            part = seq[:, :level]
+            scattered = _scatter(
+                label.take(part), local.take(part), value, count, table.take(at[level], axis=0),
+                number, sizes, slots.dtypes[level],
+            )
+            for i, matrix in zip(at[level], scattered):
+                matrices[i] = matrix
+            if level == top:
+                return matrices
+            higher = [i for d, places in at.items() if d > level for i in places]
+            room = table.take(higher, axis=0).max(axis=0).take(live)
+            fits = (count <= room).all(axis=1)
+            seq, value, count = seq[fits], value[fits], count[fits]
+            (vectors,) = (room.take(label) > 0).nonzero()
+            right = slots.right[:, use.take(vectors)].reshape(dim, -1)
+            slot = label.take(vectors)
+            limit = room.take(slot)
+        limits.charge(len(value) * len(vectors) * dim)
+        product = exact_product(value, right, bound * slots.right_bound)
+        product = product.reshape(len(value), len(vectors), dim)
+        keep = product.any(axis=2) & (count.take(slot, axis=1) < limit)
+        parent, chosen = keep.nonzero()
+        if not len(parent):
+            return matrices
+        value = product[parent, chosen]
+        seq = seq.take(parent, axis=0)
+        seq[:, level] = vectors.take(chosen)
+        count = count.take(parent, axis=0)
+        count[np.arange(len(chosen)), slot.take(chosen)] += 1
+        bound *= dim * slots.right_bound
+    return matrices
+
+
+def _scatter(
+    pattern: np.ndarray,
+    digits: np.ndarray,
+    value: np.ndarray,
+    count: np.ndarray,
+    comps: np.ndarray,
+    number: np.ndarray,
+    sizes: np.ndarray,
+    dtype: type,
+) -> list[np.ndarray]:
+    """The arrangement matrices of ``comps``, compositions of n as the rows
+    of an array, in ``dtype``, from the level of length n: each sequence's
+    numbered slot (``pattern``) and number in its slot's basis (``digits``)
+    at each position, its product ``value`` and its count of each numbered
+    slot; ``number`` numbers the slots and ``sizes`` gives each numbered
+    slot's basis size.
+
+    A sequence whose slots are a composition's gives, for each of the
     prod(c_i!) arrangements sigma that put a letter of slot s_j at each
     position j, the value of sigma on the tuple in which letter sigma_j
     takes u_j: row sum_j u_j * stride[sigma_j] * dim + k, column the index
@@ -129,53 +228,19 @@ def _expand_positions(slots: _SlotVectors, comps: np.ndarray, n: int) -> list[np
     entries are scattered, not summed, after they are charged; the rows,
     charged before they are allocated, are the distinct row numbers in
     order."""
+    n = pattern.shape[1]
     words = factorial(n)
-    dim = slots.right.shape[0]
-    empty = [np.zeros((0, words), dtype=slots.vectors.dtype)] * len(comps)
-    if not len(comps):
-        return empty
-    table = np.asarray(comps)
-    caps = table.max(axis=0)
-    use = np.flatnonzero(caps.take(slots.slots) > 0)
-    if not len(use):
-        return empty
-    # the slots with vectors in use, renumbered 0.. in order; ``number``
-    # maps every other slot to len(live)
-    live = np.flatnonzero((caps > 0) & (slots.sizes > 0))
-    number = np.full(len(caps), len(live))
-    number[live] = np.arange(len(live))
-    label = number.take(slots.slots.take(use))
-    room = caps.take(live).take(label)
-    right = slots.right[:, use].reshape(dim, -1)
-    value = slots.vectors.take(use, axis=0)
-    seq = np.zeros((len(use), n), dtype=np.intp)
-    seq[:, 0] = np.arange(len(use))
-    count = np.zeros((len(use), len(live)), dtype=np.intp)
-    count[seq[:, 0], label] = 1
-    bound = slots.bound
-    for level in range(1, n):
-        limits.charge(len(value) * len(use) * dim)
-        product = exact_product(value, right, bound * slots.right_bound)
-        product = product.reshape(len(value), len(use), dim)
-        keep = product.any(axis=2) & (count.take(label, axis=1) < room)
-        parent, vector = keep.nonzero()
-        if not len(parent):
-            return empty
-        value = product[parent, vector]
-        seq = seq.take(parent, axis=0)
-        seq[:, level] = vector
-        count = count.take(parent, axis=0)
-        count[np.arange(len(vector)), label.take(vector)] += 1
-        bound *= dim * slots.right_bound
+    dim = value.shape[1]
+    live = len(sizes)
+    empty = [np.zeros((0, words), dtype=dtype)] * len(comps)
     # letter l of the arrangement w that puts each slot's letters in order
     # sits at positions[l].  A composition is coded by its letters'
     # numbered slots, and composition i of comps reads the rows of its
     # code's first place in ``known``
-    pattern = label.take(seq)
     positions = pattern.argsort(axis=1, kind="stable")
     ordered = np.sort(pattern, axis=1)
-    radix = (len(live) + 1,) * n
-    spelled = (number + np.zeros_like(table)).ravel().repeat(table.ravel()).reshape(len(comps), n)
+    radix = (live + 1,) * n
+    spelled = (number + np.zeros_like(comps)).ravel().repeat(comps.ravel()).reshape(len(comps), n)
     wanted = np.ravel_multi_index(tuple(spelled.T), radix)
     known = np.sort(wanted)
     codes = np.ravel_multi_index(tuple(ordered.T), radix)
@@ -190,28 +255,28 @@ def _expand_positions(slots: _SlotVectors, comps: np.ndarray, n: int) -> list[np
     starts = ordered[:, 1:] != ordered[:, :-1]
     structure = (starts * (1 << np.arange(n - 1))).sum(axis=1)
     hit = hit.take(structure.take(hit).argsort(kind="stable"))
-    seq, value, ordered, positions, pattern, group, structure, count = (
+    digits, value, ordered, positions, pattern, group, structure, count = (
         array.take(hit, axis=0)
-        for array in (seq, value, ordered, positions, pattern, group, structure, count)
+        for array in (digits, value, ordered, positions, pattern, group, structure, count)
     )
-    width = np.arange(len(seq)).reshape(-1, 1)
-    blocks = ((count > 0).cumsum(axis=1) - 1).ravel().take(pattern + width * len(live))
+    width = np.arange(len(hit)).reshape(-1, 1)
+    blocks = ((count > 0).cumsum(axis=1) - 1).ravel().take(pattern + width * live)
     shapes = np.ravel_multi_index(tuple(blocks.T), (n,) * n)
     # letter pi(l) takes the vector at positions[l]: the row's tuple is
     # sum_l digit_l * stride_pi(l), one product of digit x stride with the
     # moves of pi
-    sizes = slots.sizes.take(live).take(ordered)
+    sizes = sizes.take(ordered)
     strides = np.ones(sizes.shape, dtype=np.int64)
     strides[:, :-1] = np.cumprod(sizes[:, :0:-1], axis=1)[:, ::-1]
     # composition i's row numbers are raised by i * offset
     offset = int((strides[:, 0] * sizes[:, 0]).max()) * dim
     itype = exact_dtype(len(comps) * offset)
-    digits = slots.local.take(use).take(seq.ravel().take(positions + width * n))
+    digits = digits.ravel().take(positions + width * n)
     weights = digits.astype(itype)[:, :, None] * strides.astype(itype)[:, None, :]
-    weights = weights.reshape(len(seq), n * n)
+    weights = weights.reshape(len(hit), n * n)
     base = group.astype(itype) * offset
     member, k = value.nonzero()
-    runs = [0, *(np.flatnonzero(structure[1:] != structure[:-1]) + 1).tolist(), len(seq)]
+    runs = [0, *(np.flatnonzero(structure[1:] != structure[:-1]) + 1).tolist(), len(hit)]
     ends = member.searchsorted(runs).tolist()
     block_counts = []  # the slot counts of each run's compositions, in order
     for a in runs[:-1]:
@@ -242,7 +307,7 @@ def _expand_positions(slots: _SlotVectors, comps: np.ndarray, n: int) -> list[np
         top = span.stop
     numbers, row = np.unique(numbers, return_inverse=True)
     limits.charge(len(numbers) * words)
-    matrix = np.zeros((len(numbers), words), dtype=slots.vectors.dtype)
+    matrix = np.zeros((len(numbers), words), dtype=dtype)
     matrix[row, columns] = entries
     splits = numbers.searchsorted(np.arange(len(comps) + 1, dtype=itype) * offset).tolist()
     return [matrix[splits[i] : splits[i + 1]] for i in known.searchsorted(wanted).tolist()]

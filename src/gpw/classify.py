@@ -10,14 +10,15 @@ algebra:
   matrix has full rank n, certifying that no witness of that degree exists.
   A verdict is therefore only ever "bounded" or "undecided at the search
   cap": absence of witnesses up to a finite degree proves nothing.  The
-  report reads these matrices off the walks of its cocharacter tables.
+  report reads these matrices off its cocharacter tables, all of which
+  one arrangement expansion gives.
 
 * **Pairwise commutation lists** (star mode).  For every ordered pair of
   distinct grades and every choice of symmetric/skew kinds, scan the
   coefficients {0, 1, -1} for which  u1·v2 + a·v2·u1  is an identity, plus
   the same-grade mixed list  y1·z2 + b·z2·y1.  Both orders of a pair are
   read off one matrix, the degree-2 arrangement matrix [uv, vu] of their
-  two slots, which the walk of the degree-2 cocharacter table gives.  When
+  two slots, which the degree-2 cocharacter table gives.  When
   every list is satisfied all multiplicities are at most one; the report
   re-checks that empirically on low-degree cocharacter tables and treats
   any counterexample as an internal error.  Conversely a failing list
@@ -32,8 +33,9 @@ algebra:
   the hypothesis identities hold on the supplied algebra, the conclusion is
   recomputed and must hold.  Every hypothesis is a multilinear 0/±1
   combination of arrangements, so it is read off its composition's
-  arrangement matrix, and one walk per degree gives both the hypotheses
-  and the conclusions' one-slot matrices.
+  arrangement matrix, and one expansion gives both the hypotheses and the
+  conclusions' one-slot matrices up to degree 4, a second one those
+  above.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from .evaluator import (
     _arrangement_matrices,
     _arrangements,
     _slices_with_rows,
-    _walk_table,
+    _walk_tables,
     build_evaluation_matrix,
-    cocharacter_table,
+    cocharacter_table,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.cocharacter_table
     is_identity,
     is_identity_grid,
     multiplicity,  # noqa: F401 -- perfbench/tracer.py wraps gpw.classify.multiplicity
@@ -166,7 +168,9 @@ def bounded_multiplicity_report(
     multiplicity actually observed up to n_max is attached as the empirical
     lower bound for the constant.
 
-    Each degree is one walk, which gives its table.  In characteristic 0 a
+    The degrees 1..n_max are one expansion, which gives their tables in
+    turn, and the witnesses of each degree are sought before the next
+    degree's matrices are read.  In characteristic 0 a
     combination of the candidates is an identity exactly when its full
     linearization is one (Drensky, "Free algebras and PI-algebras", 2000),
     and that of candidate i sums the arrangements of (n-1)·e_1 + e_g with
@@ -181,24 +185,28 @@ def bounded_multiplicity_report(
         raise InputError("n_max must be at least 2")
     one = algebra.group.identity  # in graded mode a grade is its slot
     witnesses: dict[int, SandwichWitness | None] = dict.fromkeys(algebra.group)
-    observed = 0
-    for n in range(1, n_max + 1):
-        open_grades = [g for g, w in witnesses.items() if w is None and n > 1]
-        arrangements = _arrangement_array(n) if open_grades else None
-        sums = {}  # (n-1)·e_1 + e_g of each open grade g: g and S
-        for g in open_grades:
-            comp = tuple((n - 1) * (s == one) + (s == g) for s in range(len(witnesses)))
+    # (n-1)·e_1 + e_g of each degree n >= 2 and grade g: n and g
+    sandwiches = {
+        tuple((n - 1) * (s == one) + (s == g) for s in range(len(witnesses))): (n, g)
+        for n in range(2, n_max + 1)
+        for g in witnesses
+    }
+    rows = {}  # the sandwich matrix of each grade open at the degree read
+
+    def read(comp, matrix):
+        if comp in sandwiches and witnesses[sandwiches[comp][1]] is None:
+            n, g = sandwiches[comp]
             letter = 0 if g < one else n - 1  # letters are numbered by slot
-            sums[comp] = g, (arrangements == letter).astype(np.int64)
-        rows = dict.fromkeys(sums, np.zeros((0, n), dtype=np.int64))
+            rows[g] = exact_product(matrix, (_arrangement_array(n) == letter).astype(np.int64))
 
-        def read(comp, matrix):
-            if comp in sums:
-                rows[comp] = exact_product(matrix, sums[comp][1])
-
-        observed = max(observed, _walk_table(algebra, n, read).max_multiplicity())
-        for comp, (grade, _) in sums.items():
-            witnesses[grade] = _sandwich_witness(algebra, grade, n, rows[comp])
+    observed = 0
+    degrees = range(1, n_max + 1)
+    for n, table in zip(degrees, _walk_tables(algebra, degrees, read)):
+        observed = max(observed, table.max_multiplicity())
+        for grade, witness in witnesses.items():
+            if witness is None and n > 1:
+                empty = np.zeros((0, n), dtype=np.int64)
+                witnesses[grade] = _sandwich_witness(algebra, grade, n, rows.pop(grade, empty))
     findings = []
     for grade, witness in witnesses.items():
         excludes = None
@@ -269,7 +277,8 @@ def star_multone_report(
     :class:`ConsistencyViolation` is raised.
 
     The [uv, vu] matrix of u, v is the degree-2 table's arrangement matrix
-    of their two slots, lower slot first; with an empty slot it has no rows."""
+    of their two slots, lower slot first; with an empty slot it has no rows.
+    The tables of the degrees 1..max(2, ``empirical_n``) are one expansion."""
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
     limits.check_degree(empirical_n)
@@ -277,10 +286,10 @@ def star_multone_report(
     scans = {}  # the lists of each pair of slots s < t
 
     def read(comp, matrix):
-        if max(comp) == 1:  # e_s + e_t
+        if sum(comp) == 2 and max(comp) == 1:  # e_s + e_t
             scans[tuple(s for s, c in enumerate(comp) if c)] = _coefficient_scan(matrix)
 
-    second = _walk_table(algebra, 2, read)
+    tables = list(_walk_tables(algebra, range(1, max(2, empirical_n) + 1), read))
     unwalked = _coefficient_scan(np.zeros((0, 2), dtype=np.int64))
 
     def valid(g, k1, h, k2):
@@ -298,10 +307,7 @@ def star_multone_report(
         f.valid_coefficients for f in same_grade
     )
     verdict = "SATISFIED" if satisfied else "NOT-SATISFIED"
-    tables = [
-        second if n == 2 else cocharacter_table(algebra, n) for n in range(1, empirical_n + 1)
-    ]
-    observed = max(table.max_multiplicity() for table in tables)
+    observed = max(table.max_multiplicity() for table in tables[:empirical_n])
     if satisfied and observed > 1:
         raise ConsistencyViolation(
             f"commutation lists SATISFIED on {algebra.name} but a multiplicity "
@@ -437,12 +443,15 @@ def verify_multone_lemmas(
     arrangement matrix: when that matrix times the hypothesis's 0/±1
     column over the arrangements is zero.  The bridges are read off the
     degree-2 matrix of the two slots, the other identities off the
-    one-slot matrices of degrees 3 and 4.  The degrees 2 to max(4, n_max)
-    are one walk each, in order (one with nothing to read is not walked),
-    and each matrix gives its hypotheses first; then, when a criterion that holds concludes on it, the maximal
-    multiplicity of its shapes, read off its character
-    (:func:`~gpw.evaluator.cocharacter_table`'s route).  That of a matrix
-    without rows is 0, and its shapes are not built.
+    one-slot matrices of degrees 3 and 4.  The compositions of degrees 2
+    to 4 are one expansion, read in order of degree, and each matrix gives
+    its hypotheses first; then, when a criterion that holds concludes on
+    it, the maximal multiplicity of its shapes, read off its character
+    (:func:`~gpw.evaluator.cocharacter_table`'s route).  The one-slot
+    compositions above degree 4 that a criterion that holds concludes on
+    are a second expansion, taken only when there are some.  The maximal
+    multiplicity of a matrix without rows is 0, and its shapes are not
+    built.
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("these criteria concern star-mode algebras")
@@ -503,17 +512,18 @@ def verify_multone_lemmas(
         return matrix if needed(comp) else matrix[:0]
 
     slot_max = {}
-    for n in range(2, max(4, n_max) + 1):
-        comps = [
-            c for c in {**hypotheses, **concluding}
-            if sum(c) == n and (c in hypotheses or needed(c))
-        ]
+
+    def walk(comps):
         if not comps:
-            continue
-        comps, matrices = _arrangement_matrices(algebra, n, comps)
+            return
+        comps, matrices = _arrangement_matrices(algebra, sorted(set(map(sum, comps))), comps)
         slices = _slices_with_rows(algebra, comps, map(read, comps, matrices))
         for comp, (_, counts) in zip(comps, slices):
             slot_max[comp] = max((m for _, m in counts), default=0)
+
+    listed = sorted({**hypotheses, **concluding}, key=sum)
+    walk([c for c in listed if sum(c) <= 4])
+    walk([c for c in listed if sum(c) > 4 and needed(c)])
 
     findings = []
     for name, g, kind, s, hypothesis, combine, degrees in criteria:

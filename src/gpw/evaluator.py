@@ -22,7 +22,10 @@ arrangement matrices below, whose words are all n! arrangements of n
 letters, are instead built by an expansion over positions
 (:mod:`gpw.arrangements`), which keeps each sequence of slot basis
 vectors with a nonzero product once, where a walk of the n! words holds
-it once for every word whose first l letters are of its slots.  A matrix
+it once for every word whose first l letters are of its slots.  One
+expansion serves a whole report: the compositions of all its degrees
+(:func:`_arrangement_matrices`), whose tables :func:`_walk_tables` gives
+in turn, each degree's matrices in the dtype of that degree.  A matrix
 keeps only the nonzero rows of the dense one, in its order, without their
 row numbers, which changes no rank, nullspace or zero test.  The entries
 of both are int64 only when an a-priori bound on every entry stays below
@@ -514,15 +517,17 @@ def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
 
 
 def _slot_vectors(
-    algebra: GradedStarAlgebra, bases: list[np.ndarray], comps: np.ndarray, n: int
+    algebra: GradedStarAlgebra, bases: list[np.ndarray], comps: np.ndarray, degrees: Sequence[int]
 ) -> _SlotVectors:
-    """The :class:`_SlotVectors` of ``comps``, compositions of n as the rows
-    of an array, in the dtype of :func:`_exact_table`."""
+    """The :class:`_SlotVectors` of ``comps``, compositions of ``degrees`` as
+    the rows of an array, in the dtype that :func:`_exact_table` gives the
+    highest degree, with the one it gives each degree."""
     used = np.flatnonzero(comps.any(axis=0))
     sizes = np.array([len(basis) for basis in bases])
     vectors = np.concatenate([bases[slot] for slot in used.tolist()] or [bases[0][:0]])
     dim, b, t = algebra.dim, max_abs(vectors), algebra.integer_bound
-    dtype, table = _exact_table(algebra, b, n)
+    dtypes = {d: _exact_table(algebra, b, d)[0] for d in degrees}
+    dtype, table = _exact_table(algebra, b, max(degrees))
     vectors = vectors.astype(dtype)
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # vector into its right-multiplication matrix [a, k] by one product
@@ -536,23 +541,26 @@ def _slot_vectors(
         right.reshape(-1, dim, dim).transpose(1, 0, 2),
         b,
         dim * b * t,
+        dtypes,
     )
 
 
 def _arrangement_matrices(
-    algebra: GradedStarAlgebra, n: int, comps: list[Composition] | None = None
+    algebra: GradedStarAlgebra, degrees: Sequence[int], comps: list[Composition] | None = None
 ) -> tuple[list[Composition], Iterator[np.ndarray]]:
-    """The compositions ``comps`` of n, by default those that leave each
-    empty slot empty, and their arrangement matrices, in that order, all
-    from one expansion (:mod:`gpw.arrangements`), taken one by one and in
-    halves when the cap refuses it (:func:`_in_halves`).  A composition
-    that uses an empty slot has no sequence of vectors, and its matrix has
-    no rows.  The degree is checked first."""
-    limits.check_degree(n)
+    """The compositions ``comps``, each of one of ``degrees``, by default
+    those of each degree in turn that leave each empty slot empty, and their
+    arrangement matrices, in that order, all from one expansion
+    (:mod:`gpw.arrangements`), taken one by one and in halves when the cap
+    refuses it (:func:`_in_halves`).  A composition that uses an empty slot
+    has no sequence of vectors, and its matrix has no rows.  The degrees
+    are checked first."""
+    for n in degrees:
+        limits.check_degree(n)
     bases = _slot_bases(algebra)
     if comps is None:
         live = [slot for slot, basis in enumerate(bases) if len(basis)]
-        comps = compositions(n, len(live))
+        comps = [comp for n in degrees for comp in compositions(n, len(live))]
         if 0 < len(live) < len(bases):
             # each slot reads its part of a live composition padded with one
             # 0, which every empty slot reads; two or more slots, so the
@@ -561,13 +569,13 @@ def _arrangement_matrices(
             spread = itemgetter(*(part.get(slot, len(live)) for slot in range(len(bases))))
             comps = [spread(comp + (0,)) for comp in comps]
     table = np.array(comps, dtype=np.intp).reshape(len(comps), len(bases))
-    return comps, _in_halves(_slot_vectors(algebra, bases, table, n), table, n)
+    return comps, _in_halves(_slot_vectors(algebra, bases, table, degrees), table, max(degrees))
 
 
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:
     """The arrangement matrix of one composition."""
     _check_composition(algebra, comp)
-    return next(_arrangement_matrices(algebra, sum(comp), [comp])[1])
+    return next(_arrangement_matrices(algebra, [sum(comp)], [comp])[1])
 
 
 def _slice_rank(matrix: np.ndarray) -> int:
@@ -588,7 +596,7 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     :func:`slice_codimension`, all of them from one expansion.
     """
     slots = modes.slot_count(len(algebra.group), algebra.mode)
-    comps, matrices = _arrangement_matrices(algebra, n)
+    comps, matrices = _arrangement_matrices(algebra, [n])
     ranks = dict(zip(comps, map(_slice_rank, matrices)))
     breakdown = {comp: ranks.get(comp, 0) for comp in compositions(n, slots)}
     return sum(multinomial(comp) * c for comp, c in breakdown.items()), breakdown
@@ -821,28 +829,35 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     multinomial.  A multiplicity that is not a nonnegative integer raises
     :class:`ConsistencyViolation`, since only a bug can produce it.
     """
-    return _walk_table(algebra, n, lambda comp, matrix: None)
+    (table,) = _walk_tables(algebra, [n], lambda comp, matrix: None)
+    return table
 
 
-def _walk_table(
-    algebra: GradedStarAlgebra, n: int, read: Callable[[Composition, np.ndarray], None]
-) -> CocharacterTable:
-    """:func:`cocharacter_table`, which first hands each matrix of its
-    expansion, with its composition, to ``read``."""
+def _walk_tables(
+    algebra: GradedStarAlgebra,
+    degrees: Sequence[int],
+    read: Callable[[Composition, np.ndarray], None],
+) -> Iterator[CocharacterTable]:
+    """The :func:`cocharacter_table` of each of ``degrees``, in order, all
+    from one expansion, which first hands each matrix, with its composition,
+    to ``read``.  Each table is yielded before the first matrix of the next
+    degree is read."""
 
     def tap(comp: Composition, matrix: np.ndarray) -> np.ndarray:
         read(comp, matrix)
         return matrix
 
     slots = modes.slot_count(len(algebra.group), algebra.mode)
-    comps, matrices = _arrangement_matrices(algebra, n)
-    live_codims: dict[Composition, int] = {}
-    entries: list[tuple[Multipartition, int]] = []
-    total = 0
-    slices = _slices_with_rows(algebra, comps, map(tap, comps, matrices))
-    for comp, (slice_c, counts) in zip(comps, slices):
-        live_codims[comp] = slice_c
-        if slice_c:
-            entries.extend(counts)
-            total += multinomial(comp) * slice_c
-    return CocharacterTable(algebra.name, algebra.mode, n, slots, live_codims, entries, total)
+    comps, matrices = _arrangement_matrices(algebra, degrees)
+    slices = zip(comps, _slices_with_rows(algebra, comps, map(tap, comps, matrices)))
+    listed = Counter(map(sum, comps))
+    for n in degrees:
+        live_codims: dict[Composition, int] = {}
+        entries: list[tuple[Multipartition, int]] = []
+        total = 0
+        for comp, (slice_c, counts) in itertools.islice(slices, listed[n]):
+            live_codims[comp] = slice_c
+            if slice_c:
+                entries.extend(counts)
+                total += multinomial(comp) * slice_c
+        yield CocharacterTable(algebra.name, algebra.mode, n, slots, live_codims, entries, total)

@@ -290,19 +290,22 @@ def uses_empty_slot(algebra, comp):
     return any(count and not len(bases[slot]) for slot, count in enumerate(comp))
 
 
-def arrangement_matrices_by_words(algebra, n, comps):
-    """The arrangement matrix of each composition of ``comps`` by its own
-    walk of the n! arrangements as words (``evaluator._walk``),
-    its letters taking their slot's basis, all in the dtype that the
-    largest entry of the compositions' bases gives (``_exact_table``)."""
+def arrangement_matrices_by_words(algebra, comps):
+    """The arrangement matrix of each composition of ``comps``, of any
+    degrees, by its own walk of the arrangements of its degree as words
+    (``evaluator._walk``), its letters taking their slot's basis, each in
+    the dtype that the largest entry of all the compositions' bases gives
+    its degree (``_exact_table``)."""
     bases = evaluator._slot_bases(algebra)
     problems = [
         [bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps
     ]
     bound = max((max_abs(v) for vectors in problems for v in vectors), default=0)
-    _, table = evaluator._exact_table(algebra, bound, n)
-    words = evaluator._arrangements(n)
-    return [evaluator._walk(table, vectors, words) for vectors in problems]
+    matrices = []
+    for comp, vectors in zip(comps, problems):
+        _, table = evaluator._exact_table(algebra, bound, sum(comp))
+        matrices.append(evaluator._walk(table, vectors, evaluator._arrangements(sum(comp))))
+    return matrices
 
 
 def tableau_multiplicities(algebra, comp, fillings=standard_multitableaux):

@@ -143,11 +143,11 @@ def test_an_empty_grade_has_a_degree_two_witness():
     assert report.verdict == "BOUNDED"
 
 
-def test_the_bounded_report_walks_once_per_degree(k_g, ut2_g, monkeypatch):
-    # one arrangement expansion per degree 1..n_max, and one identity walk
-    # for each of the lattice and grid re-verifications and the ut2 check
-    # of each witness: k has both of its witnesses, ut2 only that of the
-    # identity grade
+def test_the_bounded_report_takes_one_expansion(k_g, ut2_g, monkeypatch):
+    # one arrangement expansion for the degrees 1..n_max, and one identity
+    # walk for each of the lattice and grid re-verifications and the ut2
+    # check of each witness: k has both of its witnesses, ut2 only that of
+    # the identity grade
     expansions, walks = [], []
     expand, walk = evaluator._expand_positions, evaluator._walk
 
@@ -166,7 +166,7 @@ def test_the_bounded_report_walks_once_per_degree(k_g, ut2_g, monkeypatch):
         walks.clear()
         report = bounded_multiplicity_report(algebra, n_max=5)
         assert sum(f.witness is not None for f in report.findings) == witnessed
-        assert [n for *_, n in expansions] == [1, 2, 3, 4, 5]
+        assert [n for *_, n in expansions] == [5]
         assert len(walks) == 3 * witnessed
 
 
@@ -271,7 +271,7 @@ def test_the_zero_coefficient_is_read_per_order():
         "left-unit", group, ("e", "n"), (0, 1), {(0, 0): (1, 0), (0, 1): (0, 1)}
     )
     e, n = Variable(modes.PLAIN, 0, 1), Variable(modes.PLAIN, 1, 2)
-    (matrix,) = evaluator._arrangement_matrices(algebra, 2, [(1, 1)])[1]
+    (matrix,) = evaluator._arrangement_matrices(algebra, [2], [(1, 1)])[1]
     assert _coefficient_scan(matrix) == ((), (0,))
     assert direct_scan(algebra, e, n) == ()
     assert direct_scan(algebra, Variable(modes.PLAIN, 1, 1), Variable(modes.PLAIN, 0, 2)) == (0,)
@@ -351,8 +351,9 @@ def e2_c2xc2xc2():
 
 def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
     # the hypotheses of all 14 grade-and-kind slots and the one-slot
-    # multiplicities are read off one arrangement expansion per degree
-    # 2..5, with no polynomial identity test
+    # multiplicities are read off two arrangement expansions, one for the
+    # hypotheses' degrees 2..4 and one for the conclusions at degree 5, with
+    # no polynomial identity test; at n_max 4 the first is the only one
     walks = []
     original = evaluator._expand_positions
 
@@ -368,7 +369,33 @@ def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
     monkeypatch.setattr(classify, "is_identity", unused)
     report = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     assert report.violations() == [] and any(f.hypothesis_holds for f in report.findings)
-    assert [n for *_, n in walks] == [2, 3, 4, 5]
+    assert [n for *_, n in walks] == [4, 5]
+    walks.clear()
+    verify_multone_lemmas(e2_c2xc2xc2, n_max=4)
+    assert [n for *_, n in walks] == [4]
+
+
+@pytest.mark.parametrize(
+    "name, report, n, largest",
+    [
+        ("k_g", bounded_multiplicity_report, 5, 600),
+        ("ut2_g", bounded_multiplicity_report, 5, 2160),
+        ("e2", star_multone_report, 4, 400),
+        ("e2_c2xc2xc2", verify_multone_lemmas, 5, 64),
+    ],
+)
+def test_one_expansion_per_report_charges_no_more(name, report, n, largest, request, monkeypatch):
+    # the largest work cap charge of a report whose degrees share one
+    # expansion is no more than it was with one expansion per degree,
+    # measured then: the shared levels keep no sequence that a composition
+    # of a later degree has no room for, and each degree is scattered as
+    # before; the spy passes every charge on to the real one
+    algebra = request.getfixturevalue(name)
+    charged = []
+    charge = limits.charge
+    monkeypatch.setattr(limits, "charge", lambda entries: charged.append(entries) or charge(entries))
+    report(algebra, n)
+    assert 0 < max(charged) <= largest
 
 
 def grassmann_over_c2(k: int) -> GradedStarAlgebra:
@@ -454,15 +481,15 @@ def test_a_split_lemma_batch_gives_the_same_report(e2_c2xc2xc2, monkeypatch):
 
 def test_a_split_lemma_walk_drops_each_part_before_the_next(e2_c2xc2xc2, monkeypatch):
     # under the cap of the largest walk of one of its compositions alone,
-    # the report's walks are split and it is unchanged, and the matrices of
-    # each part are dropped before the next part is walked
+    # the report's one expansion is split and it is unchanged, and the
+    # matrices of each part are dropped before the next part is walked
     expected = verify_multone_lemmas(e2_c2xc2xc2, n_max=4)
     listed, charged = [], []
     arrange, charge = evaluator._arrangement_matrices, limits.charge
 
-    def listing(algebra, n, comps):
+    def listing(algebra, degrees, comps):
         listed.extend(comps)
-        return arrange(algebra, n, comps)
+        return arrange(algebra, degrees, comps)
 
     with monkeypatch.context() as patch:
         patch.setattr(classify, "_arrangement_matrices", listing)
@@ -487,7 +514,7 @@ def test_a_split_lemma_walk_drops_each_part_before_the_next(e2_c2xc2xc2, monkeyp
 
     monkeypatch.setattr(evaluator, "_expand_positions", tracked)
     assert verify_multone_lemmas(e2_c2xc2xc2, n_max=4) == expected
-    assert len(walks) > len(set(map(sum, listed))) and all(ref() is None for ref in held)
+    assert len(walks) > 1 and all(ref() is None for ref in held)
 
 
 def test_lemma_shapes_are_built_only_for_matrices_with_rows(e2_c2xc2xc2, m2_transpose, monkeypatch):

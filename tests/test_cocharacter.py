@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gpw
 from gpw import evaluator, limits, linalg, modes, shapes
-from gpw.algebras import builtin_grassmann2
+from gpw.algebras import GradedStarAlgebra, builtin_grassmann2
 from gpw.classify import star_multone_report
 from gpw.errors import CapExceeded, ConsistencyViolation
 from gpw.evaluator import (
@@ -41,6 +42,7 @@ from gpw.shapes import (
 )
 
 import oracle
+from conftest import ut3_document
 from test_engine import algebras
 
 
@@ -51,6 +53,38 @@ def assert_routes_agree(algebra, n):
         expected = oracle.tableau_multiplicities(algebra, comp)
         assert {shape: listed.get(shape, 0) for shape in expected} == expected
         assert sum(m * shape.degree() for shape, m in expected.items()) == slice_c
+
+
+def opposite(algebra):
+    """The opposite algebra, e_i·e_j := e_j·e_i, with the same grading and
+    involution.  Over an abelian group it is graded, and the involution
+    stays a graded antiautomorphism; the constructor checks both."""
+    structure = {(j, i): vec for (i, j), vec in algebra.structure}
+    return GradedStarAlgebra(
+        algebra.name, algebra.group, algebra.basis_labels, algebra.grades, structure,
+        algebra.involution,
+    )
+
+
+@pytest.mark.parametrize("name", ["ut2_g", "ut2_trivial", "k_g", "e2", "m2_transpose", "ut3_c2"])
+def test_the_opposite_algebra_has_the_same_cocharacter_on_builtins(name, request):
+    # a multilinear polynomial is an identity of A exactly when its
+    # reversal is one of the opposite, and reversing the positions commutes
+    # with renaming the variables, so P_n ∩ Id is the same module for both
+    algebra = (
+        gpw.loads_algebra(ut3_document("c2")) if name == "ut3_c2" else request.getfixturevalue(name)
+    )
+    other = opposite(algebra)
+    for n in range(1, 5):
+        assert cocharacter_table(other, n) == cocharacter_table(algebra, n)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(algebra=st.booleans().flatmap(algebras), n=st.integers(1, 4))
+def test_the_opposite_algebra_has_the_same_cocharacter(algebra, n):
+    # on random algebras over cyclic groups, graded and star, in random
+    # bases of their components
+    assert cocharacter_table(opposite(algebra), n) == cocharacter_table(algebra, n)
 
 
 @pytest.mark.parametrize("name", ["ut2_g", "ut2_trivial", "k_g", "e2"])

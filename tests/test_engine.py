@@ -733,31 +733,37 @@ def _assert_same_matrices(matrices, expected):
 @given(data=st.data())
 def test_arrangement_expansion_matches_the_word_walk(data):
     # the expansion over positions gives the word walk's matrices: shape,
-    # dtype, entries and row order, for every composition of a degree, for
-    # lists of chosen ones (some with an empty slot, as verify-lemmas asks
-    # for one- and two-slot compositions), on int64 tables and on tables
-    # only Python ints hold, and split under a cap that each composition
-    # alone fits
+    # its own degree's dtype, entries and row order, for every composition
+    # of one or more degrees 1..4, for lists of chosen ones of those degrees
+    # in any order (some with an empty slot, as verify-lemmas asks for one-
+    # and two-slot compositions), on int64 tables, on tables only Python
+    # ints hold, and on tables whose degree 4 needs Python ints where lower
+    # degrees take int64, and split under a cap that each composition alone
+    # fits
     algebra = data.draw(algebras(data.draw(st.booleans())))
-    if data.draw(st.booleans()):
-        algebra = _scaled_products(algebra, 2**70)
-        assert algebra.integer_table is algebra.exact_table
-    n = data.draw(st.integers(1, 4))
-    every = compositions(n, modes.slot_count(len(algebra.group), algebra.mode))
+    scale = data.draw(st.sampled_from([1, 2**18, 2**70]))
+    if scale > 1:
+        algebra = _scaled_products(algebra, scale)
+        assert (algebra.integer_table is algebra.exact_table) == (scale == 2**70)
+    degrees = sorted(data.draw(st.sets(st.integers(1, 4), min_size=1, max_size=4)))
+    slots = modes.slot_count(len(algebra.group), algebra.mode)
+    every = [comp for n in degrees for comp in compositions(n, slots)]
     chosen = data.draw(
         st.none() | st.lists(st.sampled_from(every), min_size=1, max_size=5, unique=True)
     )
     charged, alone = [], []
     charge = limits.charge
     with unittest.mock.patch.object(limits, "charge", lambda e: charged.append(e) or charge(e)):
-        comps, matrices = evaluator._arrangement_matrices(algebra, n, chosen)
+        comps, matrices = evaluator._arrangement_matrices(algebra, degrees, chosen)
         matrices = list(matrices)
         for comp in comps:
             mark = len(charged)
-            list(evaluator._arrangement_matrices(algebra, n, [comp])[1])
+            list(evaluator._arrangement_matrices(algebra, [sum(comp)], [comp])[1])
             alone.extend(charged[mark:])
             del charged[mark:]
-    expected = oracle.arrangement_matrices_by_words(algebra, n, comps)
+    if chosen is None:
+        assert [sum(comp) for comp in comps] == sorted(sum(comp) for comp in comps)
+    expected = oracle.arrangement_matrices_by_words(algebra, comps)
     _assert_same_matrices(matrices, expected)
     # under the largest charge of one composition alone, a batch that needs
     # more is split
@@ -767,7 +773,8 @@ def test_arrangement_expansion_matches_the_word_walk(data):
     with unittest.mock.patch.object(limits, "WORK_CAP", cap), unittest.mock.patch.object(
         evaluator, "_expand_positions", lambda *args: expanded.append(args) or expand(*args)
     ):
-        _assert_same_matrices(list(evaluator._arrangement_matrices(algebra, n, comps)[1]), expected)
+        matrices = list(evaluator._arrangement_matrices(algebra, degrees, comps)[1])
+        _assert_same_matrices(matrices, expected)
     assert (len(expanded) > 1) == (max(charged, default=0) > cap)
 
 
