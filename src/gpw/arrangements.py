@@ -17,7 +17,9 @@ run once, up to the highest degree, and the matrices of each degree are
 scattered from its own level (:func:`_scatter`), so one expansion serves
 a whole report.  Every matrix equals, entry for entry and row for row,
 and in its own degree's dtype, the one that walk gives
-(``tests/oracle.py``).
+(``tests/oracle.py``).  An arrangement's column is its place in
+``itertools.permutations`` order, its Lehmer code
+(:func:`_permutation_index`), wherever a column is looked up.
 """
 
 from __future__ import annotations
@@ -31,22 +33,35 @@ import numpy as np
 
 from . import limits
 from .linalg import exact_dtype, exact_product
-from .polynomials import Word
-
-
-def _arrangements(n: int) -> list[Word]:
-    """The n! arrangements of a composition's variables: the words that are
-    permutations of ``range(n)``, in ``itertools.permutations`` order."""
-    return list(itertools.permutations(range(n)))
 
 
 @cache
 def _arrangement_array(n: int) -> np.ndarray:
-    """The n! arrangements as the rows of an (n!, n) array, built once per
-    checked degree and shared read-only."""
-    words = np.array(_arrangements(n), dtype=np.intp)
+    """The n! arrangements of a composition's variables, the permutations
+    of ``range(n)`` in ``itertools.permutations`` order, as the rows of an
+    (n!, n) array, built once per checked degree and shared read-only."""
+    words = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     words.flags.writeable = False
     return words
+
+
+@cache
+def _lehmer_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the pairs i < j of ``range(n)`` and the factorial-base
+    weights (n-1)!, ..., 0!, built once per degree and shared read-only."""
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    weights = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.intp)
+    later.flags.writeable = weights.flags.writeable = False
+    return later, weights
+
+
+def _permutation_index(perms: np.ndarray) -> np.ndarray:
+    """Position of each row, a permutation of ``range(n)``, in
+    ``itertools.permutations`` order, that is its column in an arrangement
+    matrix: its Lehmer code in the factorial base."""
+    later, weights = _lehmer_weights(perms.shape[1])
+    code = ((perms[:, None, :] < perms[:, :, None]) & later).sum(axis=2)
+    return code @ weights
 
 
 @dataclass(frozen=True)
@@ -57,8 +72,9 @@ class _Blocks:
     has a 1 at l * n + pi_r(l) for every letter l.  A block pattern (the
     block at each position) is coded by ``np.ravel_multi_index`` in radix
     n; ``codes`` holds every pattern's code, sorted, and row i of
-    ``columns`` the indices of the arrangements pi_r . w of pattern i, w
-    the one that puts the letters of each block in order."""
+    ``columns`` the indices (:func:`_permutation_index`) of the
+    arrangements pi_r . w of pattern i, w the one that puts the letters of
+    each block in order."""
 
     perms: np.ndarray
     moves: np.ndarray
@@ -77,19 +93,11 @@ def _blocks(counts: tuple[int, ...]) -> _Blocks:
     moves = np.zeros((n * n, len(perms)), dtype=np.int64)
     moves[np.arange(n) * n + perms, np.arange(len(perms)).reshape(-1, 1)] = 1
     # the patterns are the block sequences of all arrangements; w of a
-    # pattern is the inverse of its stable sort.  Arrangements come in
-    # lexicographic order, so their codes in radix n are sorted and an
-    # arrangement's index is the place of its code.
-    words = _arrangement_array(n)
-    radix = (n,) * n
-    patterns = np.arange(len(counts)).repeat(counts).take(words)
-    codes, first = np.unique(np.ravel_multi_index(tuple(patterns.T), radix), return_index=True)
+    # pattern is the inverse of its stable sort
+    patterns = np.arange(len(counts)).repeat(counts).take(_arrangement_array(n))
+    codes, first = np.unique(np.ravel_multi_index(tuple(patterns.T), (n,) * n), return_index=True)
     canonical = patterns.take(first, axis=0).argsort(axis=1, kind="stable").argsort(axis=1)
-    arranged = perms[:, canonical].reshape(-1, n)
-    columns = np.ravel_multi_index(tuple(words.T), radix).searchsorted(
-        np.ravel_multi_index(tuple(arranged.T), radix)
-    )
-    columns = columns.reshape(len(perms), -1).T
+    columns = _permutation_index(perms[:, canonical].reshape(-1, n)).reshape(len(perms), -1).T
     blocks = _Blocks(perms, moves, codes, np.ascontiguousarray(columns))
     for array in (perms, moves, codes, blocks.columns):
         array.flags.writeable = False

@@ -18,10 +18,10 @@ algebra:
   coefficients {0, 1, -1} for which  u1·v2 + a·v2·u1  is an identity, plus
   the same-grade mixed list  y1·z2 + b·z2·y1.  Both orders of a pair are
   read off one matrix, the degree-2 arrangement matrix [uv, vu] of their
-  two slots, which the degree-2 cocharacter table gives.  When
-  every list is satisfied all multiplicities are at most one; the report
-  re-checks that empirically on low-degree cocharacter tables and treats
-  any counterexample as an internal error.  Conversely a failing list
+  two slots, which the report's expansion gives whatever its
+  ``empirical_n``.  When every list is satisfied all multiplicities are
+  at most one; the report re-checks that empirically on low-degree
+  cocharacter tables and treats any counterexample as an internal error.  Conversely a failing list
   shows at degree 2: the involution maps an identity a·uv + b·vu to one
   with (a, b) swapped, so a pair u, v whose [uv, vu] matrix has rank at
   most 1 satisfies its list (alpha = 0 or ±1), and a failing list is a
@@ -34,8 +34,7 @@ algebra:
   recomputed and must hold.  Every hypothesis is a multilinear 0/±1
   combination of arrangements, so it is read off its composition's
   arrangement matrix, and one expansion gives both the hypotheses and the
-  conclusions' one-slot matrices up to degree 4, a second one those
-  above.
+  conclusions' one-slot matrices.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .errors import (
 from .evaluator import (
     _arrangement_array,
     _arrangement_matrices,
-    _arrangements,
+    _permutation_index,
     _slices_with_rows,
     _walk_tables,
     build_evaluation_matrix,
@@ -198,6 +197,7 @@ def bounded_multiplicity_report(
             n, g = sandwiches[comp]
             letter = 0 if g < one else n - 1  # letters are numbered by slot
             rows[g] = exact_product(matrix, (_arrangement_array(n) == letter).astype(np.int64))
+        return matrix
 
     observed = 0
     degrees = range(1, n_max + 1)
@@ -276,9 +276,12 @@ def star_multone_report(
     on two slots must have multiplicity 2, the report's ``witness``, or
     :class:`ConsistencyViolation` is raised.
 
-    The [uv, vu] matrix of u, v is the degree-2 table's arrangement matrix
-    of their two slots, lower slot first; with an empty slot it has no rows.
-    The tables of the degrees 1..max(2, ``empirical_n``) are one expansion."""
+    The [uv, vu] matrix of u, v is the degree-2 arrangement matrix of
+    their two slots, lower slot first; with an empty slot it has no rows.
+    The matrices of the degrees 1..max(2, ``empirical_n``) are one
+    expansion, and only those up to ``empirical_n`` are traced: at
+    ``empirical_n`` 1 the degree-2 table is built from none of their rows,
+    so its shapes are not built."""
     if algebra.mode != modes.STAR:
         raise ModeMismatch("commutation lists require a star-mode algebra")
     limits.check_degree(empirical_n)
@@ -286,8 +289,11 @@ def star_multone_report(
     scans = {}  # the lists of each pair of slots s < t
 
     def read(comp, matrix):
+        """The lists of ``comp``'s pair of slots if it has one, then its
+        matrix up to degree ``empirical_n``, else none of its rows."""
         if sum(comp) == 2 and max(comp) == 1:  # e_s + e_t
             scans[tuple(s for s, c in enumerate(comp) if c)] = _coefficient_scan(matrix)
+        return matrix if sum(comp) <= empirical_n else matrix[:0]
 
     tables = list(_walk_tables(algebra, range(1, max(2, empirical_n) + 1), read))
     unwalked = _coefficient_scan(np.zeros((0, 2), dtype=np.int64))
@@ -410,8 +416,10 @@ class LemmaReport:
 
 
 def _hypothesis(*terms: tuple[Word, int]) -> tuple[tuple[int, int], ...]:
-    """Signed arrangements as (column, sign) pairs of the arrangement matrix."""
-    return tuple((_arrangements(len(word)).index(word), sign) for word, sign in terms)
+    """Signed arrangements of one degree as (column, sign) pairs of the
+    arrangement matrix."""
+    words, signs = zip(*terms)
+    return tuple(zip(_permutation_index(np.array(words)).tolist(), signs))
 
 
 # a slot's hypothesis identities in u1, u2, u3, u4, letter i - 1 being u_i,
@@ -443,15 +451,16 @@ def verify_multone_lemmas(
     arrangement matrix: when that matrix times the hypothesis's 0/±1
     column over the arrangements is zero.  The bridges are read off the
     degree-2 matrix of the two slots, the other identities off the
-    one-slot matrices of degrees 3 and 4.  The compositions of degrees 2
-    to 4 are one expansion, read in order of degree, and each matrix gives
-    its hypotheses first; then, when a criterion that holds concludes on
-    it, the maximal multiplicity of its shapes, read off its character
-    (:func:`~gpw.evaluator.cocharacter_table`'s route).  The one-slot
-    compositions above degree 4 that a criterion that holds concludes on
-    are a second expansion, taken only when there are some.  The maximal
-    multiplicity of a matrix without rows is 0, and its shapes are not
-    built.
+    one-slot matrices of degrees 3 and 4.  The hypotheses' compositions
+    and the one-slot compositions that the criteria conclude on are one
+    expansion, read in order of degree, and each matrix gives its
+    hypotheses first; then, when a criterion that holds concludes on it,
+    the maximal multiplicity of its shapes, read off its character
+    (:func:`~gpw.evaluator.cocharacter_table`'s route).  Every hypothesis
+    is of degree 4 or less, so each conclusion is read after the
+    hypotheses it rests on.  The maximal multiplicity of a matrix without
+    rows, or of one that no criterion that holds concludes on, is 0, and
+    its shapes are not built.
     """
     if algebra.mode != modes.STAR:
         raise ModeMismatch("these criteria concern star-mode algebras")
@@ -501,29 +510,21 @@ def verify_multone_lemmas(
     def holds(hypothesis, combine):
         return combine(verdicts[h] for h in hypothesis)
 
-    def needed(comp):
-        return any(holds(*criterion) for criterion in concluding.get(comp, ()))
-
     def read(comp, matrix):
         """The hypotheses on ``comp``, then its matrix if a criterion that
         holds concludes on it, else none of its rows."""
         for columns in hypotheses.get(comp, ()):
             verdicts[comp, columns] = not sum(sign * matrix[:, col] for col, sign in columns).any()
-        return matrix if needed(comp) else matrix[:0]
+        needed = any(holds(*criterion) for criterion in concluding.get(comp, ()))
+        return matrix if needed else matrix[:0]
 
     slot_max = {}
-
-    def walk(comps):
-        if not comps:
-            return
+    comps = sorted({**hypotheses, **concluding}, key=sum)
+    if comps:
         comps, matrices = _arrangement_matrices(algebra, sorted(set(map(sum, comps))), comps)
         slices = _slices_with_rows(algebra, comps, map(read, comps, matrices))
         for comp, (_, counts) in zip(comps, slices):
             slot_max[comp] = max((m for _, m in counts), default=0)
-
-    listed = sorted({**hypotheses, **concluding}, key=sum)
-    walk([c for c in listed if sum(c) <= 4])
-    walk([c for c in listed if sum(c) > 4 and needed(c)])
 
     findings = []
     for name, g, kind, s, hypothesis, combine, degrees in criteria:

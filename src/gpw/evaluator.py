@@ -111,7 +111,12 @@ import numpy as np
 
 from . import limits, modes
 from .algebras import GradedStarAlgebra, Vector
-from .arrangements import _arrangement_array, _arrangements, _expand_positions, _SlotVectors
+from .arrangements import (
+    _arrangement_array,
+    _expand_positions,
+    _permutation_index,
+    _SlotVectors,
+)
 from .errors import (
     CapExceeded,
     ConsistencyViolation,
@@ -274,8 +279,9 @@ def _walk(table: np.ndarray, vectors: list[np.ndarray], words: Sequence[Word]) -
     values, a repeated one reads its choice back, and a position where no
     word meets a new letter repeats no pair.  Each position is one
     ``matmul``, charged to the work cap before it is built, as are the
-    branched pairs and the rows.  Letters may share one values array,
-    which is read once, in the table's dtype."""
+    branched pairs and the rows.  The letters' values are stacked in
+    letter order, in the table's dtype, so a letter's first value is the
+    sum of the sizes of the letters before it."""
     if len(set(map(len, words))) > 1:
         raise ValueError("the words of one walk must share one length")
     dim, sizes = table.shape[0], list(map(len, vectors))
@@ -283,17 +289,15 @@ def _walk(table: np.ndarray, vectors: list[np.ndarray], words: Sequence[Word]) -
         return np.zeros((0, len(words)), dtype=table.dtype)
     if any(len(set(word)) < len(sizes) for word in words):
         raise ValueError("every word of the walk must use every letter")
-    distinct = {id(v): v for v in vectors}
-    start = dict(zip(distinct, itertools.accumulate(map(len, distinct.values()), initial=0)))
     strides = list(itertools.accumulate(sizes[:0:-1], mul, initial=1))[::-1]
     itype = exact_dtype(prod(sizes) * dim)
-    candidates = np.concatenate(list(distinct.values())).astype(table.dtype, copy=False)
+    candidates = np.concatenate(vectors).astype(table.dtype, copy=False)
     # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
     # value v into its right-multiplication matrix [a, k] by one product
     right = (candidates @ table.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(-1, dim, dim)
     # [position, word] tables of each letter's size, stride and first value,
     # and of its branching: its size where it is new to its word, else 1
-    firsts = [start[id(v)] for v in vectors]
+    firsts = list(itertools.accumulate(sizes[:-1], initial=0))
     letters = np.array(words, dtype=np.intp).T
     size, stride, first = (
         np.array(column, dtype=dtype).take(letters)
@@ -620,25 +624,6 @@ def _class_representatives(classes: list[Multipartition]) -> np.ndarray:
     return np.array(rows, dtype=np.intp).reshape(len(classes), n)
 
 
-@cache
-def _lehmer_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of the pairs i < j of ``range(n)`` and the factorial-base
-    weights (n-1)!, ..., 0!, built once per degree and shared read-only."""
-    later = np.triu(np.ones((n, n), dtype=bool), 1)
-    weights = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.intp)
-    later.flags.writeable = weights.flags.writeable = False
-    return later, weights
-
-
-def _permutation_index(perms: np.ndarray) -> np.ndarray:
-    """Position of each row, a permutation of ``range(n)``, in
-    ``itertools.permutations`` order: its Lehmer code in the factorial
-    base."""
-    later, weights = _lehmer_weights(perms.shape[1])
-    code = ((perms[:, None, :] < perms[:, :, None]) & later).sum(axis=2)
-    return code @ weights
-
-
 def _class_traces(
     reduced: Echelon, words: np.ndarray, classes: list[Multipartition]
 ) -> list[int]:
@@ -829,27 +814,25 @@ def cocharacter_table(algebra: GradedStarAlgebra, n: int) -> CocharacterTable:
     multinomial.  A multiplicity that is not a nonnegative integer raises
     :class:`ConsistencyViolation`, since only a bug can produce it.
     """
-    (table,) = _walk_tables(algebra, [n], lambda comp, matrix: None)
+    (table,) = _walk_tables(algebra, [n], lambda comp, matrix: matrix)
     return table
 
 
 def _walk_tables(
     algebra: GradedStarAlgebra,
     degrees: Sequence[int],
-    read: Callable[[Composition, np.ndarray], None],
+    read: Callable[[Composition, np.ndarray], np.ndarray],
 ) -> Iterator[CocharacterTable]:
-    """The :func:`cocharacter_table` of each of ``degrees``, in order, all
-    from one expansion, which first hands each matrix, with its composition,
-    to ``read``.  Each table is yielded before the first matrix of the next
-    degree is read."""
-
-    def tap(comp: Composition, matrix: np.ndarray) -> np.ndarray:
-        read(comp, matrix)
-        return matrix
-
+    """The cocharacter tables of ``degrees``, in order, all from one
+    expansion, which first hands each matrix, with its composition, to
+    ``read``; a table traces the matrix that ``read`` returns.  With
+    ``read`` returning the matrix, each is :func:`cocharacter_table`'s, and
+    a composition whose matrix ``read`` returns without rows is listed with
+    slice codimension 0 and none of its shapes.  Each table is yielded
+    before the first matrix of the next degree is read."""
     slots = modes.slot_count(len(algebra.group), algebra.mode)
     comps, matrices = _arrangement_matrices(algebra, degrees)
-    slices = zip(comps, _slices_with_rows(algebra, comps, map(tap, comps, matrices)))
+    slices = zip(comps, _slices_with_rows(algebra, comps, map(read, comps, matrices)))
     listed = Counter(map(sum, comps))
     for n in degrees:
         live_codims: dict[Composition, int] = {}

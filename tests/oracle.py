@@ -293,9 +293,9 @@ def uses_empty_slot(algebra, comp):
 def arrangement_matrices_by_words(algebra, comps):
     """The arrangement matrix of each composition of ``comps``, of any
     degrees, by its own walk of the arrangements of its degree as words
-    (``evaluator._walk``), its letters taking their slot's basis, each in
-    the dtype that the largest entry of all the compositions' bases gives
-    its degree (``_exact_table``)."""
+    (``evaluator._walk``) in ``itertools.permutations`` order, its letters
+    taking their slot's basis, each in the dtype that the largest entry of
+    all the compositions' bases gives its degree (``_exact_table``)."""
     bases = evaluator._slot_bases(algebra)
     problems = [
         [bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps
@@ -304,7 +304,8 @@ def arrangement_matrices_by_words(algebra, comps):
     matrices = []
     for comp, vectors in zip(comps, problems):
         _, table = evaluator._exact_table(algebra, bound, sum(comp))
-        matrices.append(evaluator._walk(table, vectors, evaluator._arrangements(sum(comp))))
+        words = list(itertools.permutations(range(sum(comp))))
+        matrices.append(evaluator._walk(table, vectors, words))
     return matrices
 
 

@@ -547,26 +547,41 @@ def test_integer_bases_are_the_scaled_homogeneous_bases(case):
 
 
 def _involution_entry_at_the_int64_boundary():
-    """grassmann2 over C2xC2 with 1/256 added to its diagonal involution at
-    (0, 1), which the basis f_a = 2^(70 a + 70) e_a scales to exactly 2**62."""
+    """grassmann2 over C2xC2 with 2^-66 added to its diagonal involution at
+    (0, 1), which the basis f_a = 2^(128 (a + 3)) e_a scales to exactly
+    2**62."""
     algebra = gpw.builtin_grassmann2(gpw.product_of_cyclics((2, 2)), 1, 2)
     table, star = _dense(algebra)
-    star[0][1] += Fraction(1, 256)
+    star[0][1] += Fraction(1, 2**66)
+    return algebra.group, algebra.basis_labels, algebra.grades, table, star
+
+
+def _every_product_scaled_down():
+    """grassmann2 over C2xC2 in the basis e_a / 512, in which every product
+    is 1/512 times its value in the e basis; the table stays at 2**61 under
+    f_a = 2^(70 a + 70) e_a, which its products leave unchanged."""
+    algebra = gpw.builtin_grassmann2(gpw.product_of_cyclics((2, 2)), 1, 2)
+    table, star = _dense(algebra)
+    table = [[[c / 512 for c in vec] for vec in row] for row in table]
     return algebra.group, algebra.basis_labels, algebra.grades, table, star
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_law_cases())
 @example(_involution_entry_at_the_int64_boundary())
+@example(_every_product_scaled_down())
 def test_laws_past_int64_report_the_same_first_failure(case):
-    # the basis f_a = 2^(70 a + 70) e_a: every law holds or fails at the same
-    # triple or pair, on a table (and an involution with an off-diagonal
-    # entry) whose integer entries are far past 2**62, so every check runs
-    # in Python ints
+    # the basis f_a = 2^(128 (a + 3)) e_a: every law holds or fails at the
+    # same triple or pair, on a table (and an involution with an
+    # off-diagonal entry) whose integer entries are far past 2**62, so every
+    # check runs in Python ints.  A drawn rational has at most 2^64 in its
+    # denominator, so the factor of a product, at least 2^128 on up to
+    # three basis vectors, and that of an involution entry above the
+    # diagonal, at least 2^128, leave it past 2**62
     group, labels, grades, table, star = case
     assume(any(c for row in table for vec in row for c in vec))
     dim = len(labels)
-    d = [Fraction(2 ** (70 * a + 70)) for a in range(dim)]
+    d = [Fraction(2 ** (128 * (a + 3))) for a in range(dim)]
     table = [[[table[i][j][k] * d[i] * d[j] / d[k] for k in range(dim)] for j in range(dim)]
              for i in range(dim)]
     if star is not None:

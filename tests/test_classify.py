@@ -1,6 +1,7 @@
 """Sandwich witnesses, the bounded/multiplicity-one reports, and the
 single-grade criteria behind them."""
 
+import dataclasses
 import itertools
 import json
 import weakref
@@ -14,6 +15,7 @@ import oracle
 from gpw import classify, evaluator, limits, modes
 from gpw.algebras import GradedStarAlgebra
 from gpw.classify import (
+    FactorizationResult,
     _coefficient_scan,
     _sandwich_candidates,
     bounded_multiplicity_report,
@@ -351,9 +353,9 @@ def e2_c2xc2xc2():
 
 def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
     # the hypotheses of all 14 grade-and-kind slots and the one-slot
-    # multiplicities are read off two arrangement expansions, one for the
-    # hypotheses' degrees 2..4 and one for the conclusions at degree 5, with
-    # no polynomial identity test; at n_max 4 the first is the only one
+    # multiplicities are read off one arrangement expansion, up to the
+    # conclusions' degree 5, with no polynomial identity test; at n_max 4
+    # it stops at the hypotheses' degree 4
     walks = []
     original = evaluator._expand_positions
 
@@ -369,7 +371,7 @@ def test_lemma_report_takes_a_few_walks(e2_c2xc2xc2, monkeypatch):
     monkeypatch.setattr(classify, "is_identity", unused)
     report = verify_multone_lemmas(e2_c2xc2xc2, n_max=5)
     assert report.violations() == [] and any(f.hypothesis_holds for f in report.findings)
-    assert [n for *_, n in walks] == [4, 5]
+    assert [n for *_, n in walks] == [5]
     walks.clear()
     verify_multone_lemmas(e2_c2xc2xc2, n_max=4)
     assert [n for *_, n in walks] == [4]
@@ -551,6 +553,34 @@ def test_factorization_requires_the_lists(m2_transpose, c2):
     tab = gpw.standard_multitableaux(shape)[0]
     with pytest.raises(PreconditionViolation):
         hwv_factorization_check(m2_transpose, tab)
+
+
+def test_the_lists_alone_build_no_degree_2_shape(e2, c2xc2, monkeypatch):
+    # at empirical_n 1, and in the factorization check, which reads only the
+    # verdict, the degree-2 matrices give the lists and no shape is built
+    # from them; the reports are those the degree-2 table does not change
+    lists = star_multone_report(e2, empirical_n=2)
+    observed = evaluator.cocharacter_table(e2, 1).max_multiplicity()
+    shape = gpw.parse_shape("((2)@(0,0)+,(1)@(1,0)-)", c2xc2, "star")
+    tableaux = gpw.standard_multitableaux(shape)
+    built = []
+    original = evaluator.multipartitions
+
+    def counted(comp):
+        built.append(sum(comp))
+        return original(comp)
+
+    monkeypatch.setattr(evaluator, "multipartitions", counted)
+    report = star_multone_report(e2, empirical_n=1)
+    assert report == dataclasses.replace(
+        lists, empirical_n=1, empirical_max_multiplicity=observed
+    )
+    assert report.verdict == "SATISFIED" and observed == 1
+    assert built and 2 not in built
+    built.clear()
+    for tab in tableaux:
+        assert hwv_factorization_check(e2, tab) == FactorizationResult(True, 1)
+    assert built and 2 not in built
 
 
 def test_witness_polynomial_round_trips_through_parser(k_g, c2):

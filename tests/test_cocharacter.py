@@ -8,6 +8,7 @@ starting prime so small that the elimination must go on to further primes,
 and the runtime check on the multiplicities, are exercised by forcing them.
 """
 
+import itertools
 import weakref
 from math import prod
 
@@ -22,7 +23,6 @@ from gpw.classify import star_multone_report
 from gpw.errors import CapExceeded, ConsistencyViolation
 from gpw.evaluator import (
     _arrangement_matrix,
-    _arrangements,
     _character_sums,
     _class_representatives,
     _slot_bases,
@@ -175,7 +175,7 @@ def test_arrangement_matrix_skips_the_column_loop(k_g):
     # the arrangement matrix is the front end's matrix of the arrangements
     # with unit coefficients, built without the coefficient product
     bases = _slot_bases(k_g)
-    words = _arrangements(4)
+    words = list(itertools.permutations(range(4)))
     unit = np.eye(len(words), dtype=np.int64)
     for comp in compositions(4, 2):
         vectors = [bases[slot] for slot, count in enumerate(comp) for _ in range(count)]

@@ -25,6 +25,7 @@ import gpw
 import oracle
 from gpw import evaluator, limits, modes
 from gpw.algebras import GradedStarAlgebra
+from gpw.arrangements import _blocks, _permutation_index
 from gpw.errors import CapExceeded, InputError
 from gpw.evaluator import (
     _simplex,
@@ -776,6 +777,55 @@ def test_arrangement_expansion_matches_the_word_walk(data):
         matrices = list(evaluator._arrangement_matrices(algebra, degrees, comps)[1])
         _assert_same_matrices(matrices, expected)
     assert (len(expanded) > 1) == (max(charged, default=0) > cap)
+
+
+def test_permutation_index_is_the_position_in_permutations():
+    # every permutation of n <= 6 letters, and 500 of the 5040 at n = 7
+    for n in range(1, 7):
+        every = np.array(list(permutations(range(n))), dtype=np.intp)
+        assert _permutation_index(every).tolist() == list(range(factorial(n)))
+    every = list(permutations(range(7)))
+    picks = np.random.default_rng(7).choice(len(every), 500, replace=False)
+    sample = np.array([every[i] for i in picks.tolist()], dtype=np.intp)
+    assert _permutation_index(sample).tolist() == picks.tolist()
+
+
+def _positive_compositions(n):
+    """Every tuple of positive integers summing to n."""
+    if not n:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _positive_compositions(n - first):
+            yield (first, *rest)
+
+
+def test_block_columns_are_found_by_search():
+    # for blocks of consecutive letters, every block pattern's arrangement
+    # with each block's letters in order, renamed by every Young subgroup
+    # permutation, sits at the column the table gives, searched for among
+    # all arrangements in itertools.permutations order
+    for n in range(1, 6):
+        every = list(permutations(range(n)))
+        for counts in _positive_compositions(n):
+            blocks = _blocks(counts)
+            starts = [sum(counts[:b]) for b in range(len(counts))]
+            young = [
+                pi for pi in every
+                if all(starts[b] <= pi[l] < starts[b] + c
+                       for b, c in enumerate(counts) for l in range(starts[b], starts[b] + c))
+            ]
+            assert sorted(map(tuple, blocks.perms.tolist())) == young
+            block = np.arange(len(counts)).repeat(counts)
+            patterns = sorted({tuple(block[list(w)].tolist()) for w in every})
+            assert blocks.columns.shape == (len(patterns), len(young))
+            for pattern, row in zip(patterns, blocks.columns.tolist()):
+                taken = list(starts)
+                w = []
+                for b in pattern:
+                    w.append(taken[b])
+                    taken[b] += 1
+                expected = [every.index(tuple(pi[l] for l in w)) for pi in blocks.perms.tolist()]
+                assert row == expected
 
 
 def test_cocharacter_table_expands_once_per_degree(e2, monkeypatch):

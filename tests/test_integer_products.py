@@ -13,7 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gpw"
 OWNERS = {
     ("linalg.py", "exact_product"),
     ("evaluator.py", "_walk"),
-    ("evaluator.py", "_permutation_index"),
+    ("arrangements.py", "_permutation_index"),
     ("evaluator.py", "_character_sums"),
 }
 PRODUCTS = {"matmul", "dot", "tensordot"}
