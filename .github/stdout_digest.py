@@ -11,7 +11,7 @@ of this machine reaches the digest.  ``perfbench/`` is only read.
 
 Run from anywhere with gpw importable, e.g.
 ``PYTHONPATH=src python .github/stdout_digest.py``.  It only prints and
-exits 0.
+exits 0; ``tests/test_stdout_digest.py`` holds its output to a pin.
 """
 
 import contextlib

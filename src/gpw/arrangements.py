@@ -7,32 +7,38 @@ a nonzero entry: letter i takes a basis vector of its slot, the tuples in
 ``itertools.product`` order, and the entry is the coordinate of the
 product of the letters' vectors in the order sigma.
 
-:func:`_expand_positions` builds the matrices of a batch of compositions
-from the sequences of slot basis vectors whose product is nonzero, each
-kept once, where a walk of the n! arrangements as words
+:func:`_expand_positions` takes an algebra and a batch of compositions
+and works out the rest: the basis vectors of the slots the batch uses
+(:func:`_slot_bases`), their right-multiplication matrices and each
+degree's dtype (:func:`_exact_table`, which the word walk shares).  It
+builds the matrices from the sequences of those vectors whose product is
+nonzero, each kept once, where a walk of the n! arrangements as words
 (:func:`gpw.evaluator._walk`) holds a sequence of length l once for every
 word whose first l letters are of its slots.  A batch may hold
 compositions of several degrees, as a report asks for them: its levels
 run once, up to the highest degree, and the matrices of each degree are
 scattered from its own level (:func:`_scatter`), so one expansion serves
 a whole report.  Every matrix equals, entry for entry and row for row,
-and in its own degree's dtype, the one that walk gives
-(``tests/oracle.py``).  An arrangement's column is its place in
-``itertools.permutations`` order, its Lehmer code
+the one that walk gives (``tests/oracle.py``), in one dtype per algebra
+and degree, whatever batch it comes from.  An arrangement's column is
+its place in ``itertools.permutations`` order, its Lehmer code
 (:func:`_permutation_index`), wherever a column is looked up.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from math import factorial, prod
 
 import numpy as np
 
-from . import limits
-from .linalg import exact_dtype, exact_product
+from . import limits, modes
+from .algebras import GradedStarAlgebra
+from .linalg import exact_dtype, exact_product, max_abs
+from .shapes import Composition
 
 
 @cache
@@ -104,96 +110,107 @@ def _blocks(counts: tuple[int, ...]) -> _Blocks:
     return blocks
 
 
-@dataclass(frozen=True)
-class _SlotVectors:
-    """The basis vectors of the slots that a list of compositions uses,
-    stacked in slot order in one exact dtype, with each one's slot and
-    number in its slot's basis, each slot's basis size, and each vector's
-    right-multiplication matrix, ``right[a, v, k]`` coordinate k of e_a
-    times vector v; ``bound`` bounds the vectors' entries and
-    ``right_bound`` those of ``right``, and ``dtypes`` maps each degree of
-    the list's compositions to the exact dtype of its matrices."""
-
-    vectors: np.ndarray
-    slots: np.ndarray
-    local: np.ndarray
-    sizes: np.ndarray
-    right: np.ndarray
-    bound: int
-    right_bound: int
-    dtypes: dict[int, type]
+def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
+    """Each slot's integer component basis, in slot order."""
+    mode = algebra.mode
+    return [
+        algebra.integer_basis(*modes.slot_grade_kind(slot, mode))
+        for slot in range(modes.slot_count(len(algebra.group), mode))
+    ]
 
 
-def _expand_positions(slots: _SlotVectors, comps: np.ndarray, n: int) -> list[np.ndarray]:
-    """The arrangement matrices of ``comps``, compositions of degrees up to
-    n as the rows of an array, in one expansion over the positions 1..n.
+def _exact_table(algebra: GradedStarAlgebra, b: int, n: int) -> tuple[type, np.ndarray]:
+    """The dtype of every product of n values whose entries are at most b,
+    and of their right-multiplication matrices, and the algebra's structure
+    table in it: with structure constants up to t, a product has entries
+    at most b^n * (dim^2 * t)^(n - 1) and a right-multiplication matrix at
+    most dim * b * t."""
+    dim, t = algebra.dim, algebra.integer_bound
+    dtype = exact_dtype(max(b, t, dim * b * t, b**n * (dim * dim * t) ** (n - 1)))
+    return dtype, algebra.exact_table if dtype is np.int64 else algebra.integer_table
 
-    Level l holds the sequences (u_1..u_l) of slot basis vectors whose
-    product is nonzero, with no slot used more often than in some
-    composition of ``comps`` of degree l or more.  Right after level l the
-    matrices of the compositions of degree l are scattered from it
-    (:func:`_scatter`), and the room of each slot is taken again from the
-    compositions of higher degree: a sequence that uses a slot more often
-    than they do is dropped.  One product of the values of the sequences
-    with the stacked right-multiplication matrices of every vector of the
-    slots with room, charged to the work cap before it is built, extends
-    them all to level l + 1.  So the levels run once, up to the highest
-    degree, and no sequence is extended that no later degree can use."""
-    table = np.asarray(comps).reshape(len(comps), len(slots.sizes))
-    degrees = table.sum(axis=1).tolist()
-    empty = {d: np.zeros((0, factorial(d)), dtype=slots.dtypes[d]) for d in set(degrees)}
-    matrices = [empty[d] for d in degrees]
-    if not len(comps):
+
+def _expand_positions(
+    algebra: GradedStarAlgebra, comps: Sequence[Composition]
+) -> list[np.ndarray]:
+    """The arrangement matrices of ``comps``, compositions of any degrees
+    on the algebra's slots, in one expansion over the positions 1..n, n
+    the highest degree.  The expansion takes the basis vectors of the
+    slots that ``comps`` use, and nothing else.  Each degree's matrices
+    take the dtype that :func:`_exact_table` gives that degree with b the
+    largest entry of every slot basis of the algebra, so a composition's
+    matrix has one dtype in every batch.
+
+    Level l holds the sequences (u_1..u_l) of those vectors whose product
+    is nonzero, with no slot used more often than in some composition of
+    degree l or more.  Right after level l the matrices of the
+    compositions of degree l are scattered from it (:func:`_scatter`).
+    At level 1 and after each scatter the room of each slot is taken from
+    the compositions of higher degree: a sequence that uses a slot more
+    often than they do is dropped.  One product of the values of the
+    sequences with the stacked right-multiplication matrices of every
+    vector of the slots with room, charged to the work cap before it is
+    built, extends them all to level l + 1.  So the levels run once, up to
+    the highest degree, and no sequence is extended that no later degree
+    can use."""
+    bases = _slot_bases(algebra)
+    table = np.array(comps, dtype=np.intp).reshape(len(comps), len(bases))
+    degrees = table.sum(axis=1)
+    b = max(map(max_abs, bases))
+    dtypes = {d: _exact_table(algebra, b, d)[0] for d in set(degrees.tolist())}
+    empty = {d: np.zeros((0, factorial(d)), dtype=dtype) for d, dtype in dtypes.items()}
+    matrices = [empty[d] for d in degrees.tolist()]
+    # the slots that comps use and that have vectors, numbered 0.. in
+    # order; ``number`` maps every other slot to len(live)
+    sizes = np.array(list(map(len, bases)))
+    live = np.flatnonzero((table > 0).any(axis=0) & (sizes > 0))
+    if not len(live):
         return matrices
     # the places in comps of each degree
-    at = {d: [i for i, e in enumerate(degrees) if e == d] for d in empty}
+    at = {d: np.flatnonzero(degrees == d) for d in empty}
     top = max(at)
-    caps = table.max(axis=0)
-    use = np.flatnonzero(caps.take(slots.slots) > 0)
-    if not len(use):
-        return matrices
-    # the slots with vectors in use, renumbered 0.. in order; ``number``
-    # maps every other slot to len(live)
-    live = np.flatnonzero((caps > 0) & (slots.sizes > 0))
-    number = np.full(len(caps), len(live))
+    number = np.full(len(bases), len(live))
     number[live] = np.arange(len(live))
-    label = number.take(slots.slots.take(use))
-    local = slots.local.take(use)
-    sizes = slots.sizes.take(live)
-    dim = slots.right.shape[0]
-    value = slots.vectors.take(use, axis=0)
-    seq = np.zeros((len(use), n), dtype=np.intp)
-    seq[:, 0] = np.arange(len(use))
-    count = np.zeros((len(use), len(live)), dtype=np.intp)
-    count[seq[:, 0], label] = 1
-    # the vectors that extend a sequence, their numbered slots, the room of
-    # each numbered slot and that of each vector's slot
-    vectors = np.arange(len(use))
-    right = slots.right[:, use].reshape(dim, -1)
-    slot, room = label, caps.take(live)
-    limit = room.take(slot)
-    bound = slots.bound
+    sizes = sizes.take(live)
+    dtype, structure = _exact_table(algebra, b, top)
+    value = np.concatenate([bases[slot] for slot in live.tolist()]).astype(dtype)
+    # each vector's numbered slot and number in its slot's basis
+    label = np.arange(len(live)).repeat(sizes)
+    local = np.arange(len(value)) - (sizes.cumsum() - sizes).repeat(sizes)
+    # structure[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it
+    # turns a vector into its right-multiplication matrix [a, k] by one
+    # product, stacked as [a, vector, k]
+    dim, t = algebra.dim, algebra.integer_bound
+    stacked = exact_product(value, structure.transpose(1, 0, 2).reshape(dim, dim * dim), b * t)
+    stacked = stacked.reshape(-1, dim, dim).transpose(1, 0, 2)
+    right_bound = dim * b * t
+    seq = np.zeros((len(value), top), dtype=np.intp)
+    seq[:, 0] = np.arange(len(value))
+    count = np.eye(len(live), dtype=np.intp).take(label, axis=0)
+    bound = b
     for level in range(1, top + 1):
         if level in at:
             part = seq[:, :level]
             scattered = _scatter(
                 label.take(part), local.take(part), value, count, table.take(at[level], axis=0),
-                number, sizes, slots.dtypes[level],
+                number, sizes, dtypes[level],
             )
-            for i, matrix in zip(at[level], scattered):
+            for i, matrix in zip(at[level].tolist(), scattered):
                 matrices[i] = matrix
             if level == top:
                 return matrices
-            higher = [i for d, places in at.items() if d > level for i in places]
-            room = table.take(higher, axis=0).max(axis=0).take(live)
+        if level == 1 or level in at:
+            # the room of each numbered slot, the vectors that extend a
+            # sequence, their numbered slots and the room of each one's slot
+            room = table.compress(degrees > level, axis=0).max(axis=0).take(live)
             fits = (count <= room).all(axis=1)
             seq, value, count = seq[fits], value[fits], count[fits]
             (vectors,) = (room.take(label) > 0).nonzero()
-            right = slots.right[:, use.take(vectors)].reshape(dim, -1)
+            right = stacked[:, vectors].reshape(dim, -1)
             slot = label.take(vectors)
             limit = room.take(slot)
         limits.charge(len(value) * len(vectors) * dim)
-        product = exact_product(value, right, bound * slots.right_bound)
+        product = exact_product(value, right, bound * right_bound)
         product = product.reshape(len(value), len(vectors), dim)
         keep = product.any(axis=2) & (count.take(slot, axis=1) < limit)
         parent, chosen = keep.nonzero()
@@ -204,7 +221,7 @@ def _expand_positions(slots: _SlotVectors, comps: np.ndarray, n: int) -> list[np
         seq[:, level] = vectors.take(chosen)
         count = count.take(parent, axis=0)
         count[np.arange(len(chosen)), slot.take(chosen)] += 1
-        bound *= dim * slots.right_bound
+        bound *= dim * right_bound
     return matrices
 
 

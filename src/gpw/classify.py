@@ -52,10 +52,9 @@ from .errors import (
     ModeMismatch,
     PreconditionViolation,
 )
+from .arrangements import _arrangement_array, _permutation_index
 from .evaluator import (
-    _arrangement_array,
     _arrangement_matrices,
-    _permutation_index,
     _slices_with_rows,
     _walk_tables,
     build_evaluation_matrix,

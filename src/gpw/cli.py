@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and positive verdicts), 1 negative verdicts
 (not an identity / unwitnessed / lists unsatisfied), 2 input errors,
-3 internal consistency violations.
+an ``--out`` or ``--cache`` that cannot be written included, 3 internal
+consistency violations.
 
 Reports are byte-deterministic for fixed input and flags; timing goes to
 stderr only.  Heavy commands can replay from a results cache given via
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     except ConsistencyViolation as exc:
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: an --out or --cache it cannot write
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -25,7 +25,8 @@ vectors with a nonzero product once, where a walk of the n! words holds
 it once for every word whose first l letters are of its slots.  One
 expansion serves a whole report: the compositions of all its degrees
 (:func:`_arrangement_matrices`), whose tables :func:`_walk_tables` gives
-in turn, each degree's matrices in the dtype of that degree.  A matrix
+in turn.  The expansion takes only the algebra and the compositions, and
+each degree's matrices have one dtype per algebra, in any batch.  A matrix
 keeps only the nonzero rows of the dense one, in its order, without their
 row numbers, which changes no rank, nullspace or zero test.  The entries
 of both are int64 only when an a-priori bound on every entry stays below
@@ -89,9 +90,10 @@ The two limits of :mod:`gpw.limits` bound the work.  Each position of a
 walk or level of an expansion, its scattered entries, the assembled rows
 and the lattice or grid points are counted exactly and charged to the
 work cap before they are allocated.  A batch of compositions that the cap refuses
-is expanded in halves, one after the other (:func:`_in_halves`), so only
-a single composition above it is refused and the matrices of one
-expansion are dropped before the next is built.  Every arrangement matrix
+is expanded in halves, one after the other (:func:`_in_halves`), each on
+the vectors of its own compositions' slots, so only a single composition
+above it is refused and the matrices of one expansion are dropped before
+the next is built.  Every arrangement matrix
 passes the degree check first, which bounds the n! arrangements; a listing of
 compositions is charged where it is built (:func:`~gpw.shapes.compositions`).
 """
@@ -113,9 +115,10 @@ from . import limits, modes
 from .algebras import GradedStarAlgebra, Vector
 from .arrangements import (
     _arrangement_array,
+    _exact_table,
     _expand_positions,
     _permutation_index,
-    _SlotVectors,
+    _slot_bases,
 )
 from .errors import (
     CapExceeded,
@@ -246,20 +249,21 @@ def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
     return exact_product(points, basis)
 
 
-def _in_halves(slots: _SlotVectors, comps: np.ndarray, n: int) -> Iterator[np.ndarray]:
+def _in_halves(algebra: GradedStarAlgebra, comps: Sequence[Composition]) -> Iterator[np.ndarray]:
     """The arrangement matrices of ``comps`` (:func:`_expand_positions`),
     taken one by one.  A batch that the cap refuses is expanded in halves,
     the second after the first's matrices are all taken, so no more than
     one expansion's matrices are held at once and only one composition
-    alone raises :class:`CapExceeded`."""
+    alone raises :class:`CapExceeded`.  Each half is expanded from its own
+    compositions, on the vectors of the slots they use."""
     try:
-        expanded = _expand_positions(slots, comps, n)
+        expanded = _expand_positions(algebra, comps)
     except CapExceeded:
         if len(comps) < 2:
             raise
         half = len(comps) // 2
-        yield from _in_halves(slots, comps[:half], n)
-        yield from _in_halves(slots, comps[half:], n)
+        yield from _in_halves(algebra, comps[:half])
+        yield from _in_halves(algebra, comps[half:])
         return
     yield from expanded
 
@@ -372,17 +376,6 @@ def _letter_values(
     """Each variable's values ``points(basis, multiplicity)``, in the order
     of ``variables``."""
     return [points(algebra.integer_basis(v.grade, v.kind), degree[v]) for v in variables]
-
-
-def _exact_table(algebra: GradedStarAlgebra, b: int, n: int) -> tuple[type, np.ndarray]:
-    """The dtype of every product of n values whose entries are at most b,
-    and of their right-multiplication matrices, and the algebra's structure
-    table in it: with structure constants up to t, a product has entries
-    at most b^n * (dim^2 * t)^(n - 1) and a right-multiplication matrix at
-    most dim * b * t."""
-    dim, t = algebra.dim, algebra.integer_bound
-    dtype = exact_dtype(max(b, t, dim * b * t, b**n * (dim * dim * t) ** (n - 1)))
-    return dtype, algebra.exact_table if dtype is np.int64 else algebra.integer_table
 
 
 def _word_combinations(
@@ -511,44 +504,6 @@ def _check_composition(algebra: GradedStarAlgebra, comp: Composition) -> None:
         raise InputError("composition parts must be nonnegative")
 
 
-def _slot_bases(algebra: GradedStarAlgebra) -> list[np.ndarray]:
-    """Each slot's integer component basis, in slot order."""
-    mode = algebra.mode
-    return [
-        algebra.integer_basis(*modes.slot_grade_kind(slot, mode))
-        for slot in range(modes.slot_count(len(algebra.group), mode))
-    ]
-
-
-def _slot_vectors(
-    algebra: GradedStarAlgebra, bases: list[np.ndarray], comps: np.ndarray, degrees: Sequence[int]
-) -> _SlotVectors:
-    """The :class:`_SlotVectors` of ``comps``, compositions of ``degrees`` as
-    the rows of an array, in the dtype that :func:`_exact_table` gives the
-    highest degree, with the one it gives each degree."""
-    used = np.flatnonzero(comps.any(axis=0))
-    sizes = np.array([len(basis) for basis in bases])
-    vectors = np.concatenate([bases[slot] for slot in used.tolist()] or [bases[0][:0]])
-    dim, b, t = algebra.dim, max_abs(vectors), algebra.integer_bound
-    dtypes = {d: _exact_table(algebra, b, d)[0] for d in degrees}
-    dtype, table = _exact_table(algebra, b, max(degrees))
-    vectors = vectors.astype(dtype)
-    # table[a, i, k] is coordinate k of e_a * e_i; as [i, (a, k)] it turns a
-    # vector into its right-multiplication matrix [a, k] by one product
-    right = exact_product(vectors, table.transpose(1, 0, 2).reshape(dim, dim * dim), b * t)
-    counts = sizes.take(used)
-    return _SlotVectors(
-        vectors,
-        used.repeat(counts),
-        np.arange(len(vectors)) - (counts.cumsum() - counts).repeat(counts),
-        sizes,
-        right.reshape(-1, dim, dim).transpose(1, 0, 2),
-        b,
-        dim * b * t,
-        dtypes,
-    )
-
-
 def _arrangement_matrices(
     algebra: GradedStarAlgebra, degrees: Sequence[int], comps: list[Composition] | None = None
 ) -> tuple[list[Composition], Iterator[np.ndarray]]:
@@ -561,8 +516,8 @@ def _arrangement_matrices(
     are checked first."""
     for n in degrees:
         limits.check_degree(n)
-    bases = _slot_bases(algebra)
     if comps is None:
+        bases = _slot_bases(algebra)
         live = [slot for slot, basis in enumerate(bases) if len(basis)]
         comps = [comp for n in degrees for comp in compositions(n, len(live))]
         if 0 < len(live) < len(bases):
@@ -572,8 +527,7 @@ def _arrangement_matrices(
             part = {slot: i for i, slot in enumerate(live)}
             spread = itemgetter(*(part.get(slot, len(live)) for slot in range(len(bases))))
             comps = [spread(comp + (0,)) for comp in comps]
-    table = np.array(comps, dtype=np.intp).reshape(len(comps), len(bases))
-    return comps, _in_halves(_slot_vectors(algebra, bases, table, degrees), table, max(degrees))
+    return comps, _in_halves(algebra, comps)
 
 
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:

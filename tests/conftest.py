@@ -7,9 +7,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpw
+from gpw.algebras import GradedStarAlgebra
 from gpw.cli import main
 
 
@@ -22,6 +24,25 @@ def peak_bytes(call) -> int:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return peak
+
+
+def direct_sum(a, b) -> GradedStarAlgebra:
+    """A ⊕ B over their one group and mode: B's basis follows A's, a
+    product of a vector of A with one of B is 0, and the involution, if
+    any, is blockwise.  Its identities are those that A and B share."""
+    assert a.mode == b.mode and np.array_equal(a.group.cayley, b.group.cayley)
+    left, right = (0,) * a.dim, (0,) * b.dim
+    structure = {(i, j): (*vec, *right) for (i, j), vec in a.structure}
+    structure.update({(a.dim + i, a.dim + j): (*left, *vec) for (i, j), vec in b.structure})
+    involution = None
+    if a.involution is not None:
+        involution = tuple((*row, *right) for row in a.involution)
+        involution += tuple((*left, *row) for row in b.involution)
+    labels = tuple(f"a.{label}" for label in a.basis_labels)
+    labels += tuple(f"b.{label}" for label in b.basis_labels)
+    return GradedStarAlgebra(
+        f"{a.name}+{b.name}", a.group, labels, a.grades + b.grades, structure, involution
+    )
 
 
 def run_under_c_locale(*argv) -> subprocess.CompletedProcess:

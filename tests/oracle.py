@@ -10,11 +10,13 @@ same ranks, nullspaces and identity verdicts.  The package reads every
 multiplicity from characters of its arrangement matrices; the references
 here rank highest weight vectors instead: the tableau route
 (``tableau_multiplicities``) ranks the polarized vectors of a shape's
-tableaux, built as words and evaluated by the engine, and the grid route
+tableaux, built as words and evaluated by the engine, the grid route
 (``grid_multiplicity``) evaluates the unpolarized vectors on substitution
-grids by the Fraction loops.  ``bareiss_rank`` and the ``Fraction`` RREF
-(``rref``, ``nullspace``) are the references for the package's certified
-modular elimination.  ``parse_poly_by_factor`` is the factor-by-factor
+grids by the Fraction loops, and the classical route
+(``hwv_multiplicities``) ranks the unpolarized vectors of a shape's
+standard tableaux by ``build_evaluation_matrix``.  ``bareiss_rank`` and
+the ``Fraction`` RREF (``rref``, ``nullspace``) are the references for
+the package's certified modular elimination.  ``parse_poly_by_factor`` is the factor-by-factor
 parser, the reference for the package's parser, which gathers each run of
 numbers and variables into one monomial.  ``character_sums_by_tensordot``
 is the character route's per-slot contraction by ``tensordot``, and
@@ -295,12 +297,12 @@ def arrangement_matrices_by_words(algebra, comps):
     degrees, by its own walk of the arrangements of its degree as words
     (``evaluator._walk``) in ``itertools.permutations`` order, its letters
     taking their slot's basis, each in the dtype that the largest entry of
-    all the compositions' bases gives its degree (``_exact_table``)."""
+    every slot basis of the algebra gives its degree (``_exact_table``)."""
     bases = evaluator._slot_bases(algebra)
     problems = [
         [bases[slot] for slot, count in enumerate(comp) for _ in range(count)] for comp in comps
     ]
-    bound = max((max_abs(v) for vectors in problems for v in vectors), default=0)
+    bound = max(map(max_abs, bases))
     matrices = []
     for comp, vectors in zip(comps, problems):
         _, table = evaluator._exact_table(algebra, bound, sum(comp))
@@ -355,6 +357,22 @@ def grid_multiplicity(algebra, shape):
         return 0
     polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
     return len(rref(grid_rows(algebra, polys))[0])
+
+
+def hwv_multiplicities(algebra, shape):
+    """The classical route to a shape's multiplicity: the rank of
+    ``build_evaluation_matrix`` over the highest weight vectors of its
+    standard multitableaux, evaluated unpolarized on the engine's simplex
+    lattices.  A slot whose first column is taller than its component's
+    dimension gives 0: each vector alternates in more of that slot's
+    variables than the component spans.  It shares only the identity walk
+    and the elimination with the arrangement matrices and traces of
+    ``cocharacter_table``."""
+    bases = evaluator._slot_bases(algebra)
+    if any(len(lam) > len(basis) for lam, basis in zip(shape.components, bases)):
+        return 0
+    polys = [highest_weight_vector(t, algebra.mode) for t in standard_multitableaux(shape)]
+    return evaluator.build_evaluation_matrix(algebra, polys).rank()
 
 
 # -- the multiplicity-one criteria by their polynomials ---------------------------

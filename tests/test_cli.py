@@ -2,6 +2,7 @@
 caps, and the results cache."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -422,3 +423,41 @@ def test_cache_key_separates_formats(capsys, tmp_path, docs):
     run(capsys, *argv)
     run(capsys, *argv, "--json")
     assert len(list(cache_dir.glob("*.json"))) == 2
+
+
+IDENTITY = ["identity", "{doc}", "--poly", "[x{1,1},x{2,1}]"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([*IDENTITY, "--out", "{missing}"], "FileNotFoundError"),
+        ([*IDENTITY, "--cache", "{file}"], "FileExistsError"),
+        (["builtin", "k_g", "--out", "{missing}"], "FileNotFoundError"),
+    ],
+)
+def test_an_unwritable_out_or_cache_exits_two(argv, error, capsys, tmp_path, docs):
+    # an input error, not the negative verdict that identity's 1 means:
+    # one error line and an empty stdout
+    (tmp_path / "file").write_text("")
+    paths = {
+        "{doc}": docs["ut2_trivial"],
+        "{missing}": str(tmp_path / "missing" / "report.txt"),
+        "{file}": str(tmp_path / "file"),
+    }
+    rc, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    (line, elapsed) = err.splitlines()
+    assert (rc, out) == (2, "")
+    assert line.startswith(f"error: {error}: ")
+    assert elapsed.startswith("# elapsed")
+
+
+def test_a_cache_that_refuses_an_entry_exits_two(capsys, tmp_path, docs, monkeypatch):
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refused)
+    argv = [docs["ut2_trivial"] if a == "{doc}" else a for a in IDENTITY]
+    rc, out, err = run(capsys, *argv, "--cache", str(tmp_path / "cache"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: PermissionError: [Errno 13] Permission denied\n")

@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import gpw
 from gpw import evaluator, limits, linalg, modes, shapes
@@ -42,7 +42,7 @@ from gpw.shapes import (
 )
 
 import oracle
-from conftest import ut3_document
+from conftest import direct_sum, matrix_unit_document, ut3_document
 from test_engine import algebras
 
 
@@ -87,11 +87,69 @@ def test_the_opposite_algebra_has_the_same_cocharacter(algebra, n):
     assert cocharacter_table(opposite(algebra), n) == cocharacter_table(algebra, n)
 
 
+def assert_direct_sum_bounds(a, b, n):
+    """Id(A ⊕ B) = Id(A) ∩ Id(B), so P_n modulo it embeds in the sum of
+    P_n modulo each and maps onto each: max(m_A, m_B) <= m_(A⊕B) <= m_A +
+    m_B shape by shape, and A ⊕ A has A's cocharacter."""
+    tables = [dict(cocharacter_table(x, n).entries) for x in (a, b, direct_sum(a, b))]
+    for shape in set().union(*tables):
+        m_a, m_b, m = (table.get(shape, 0) for table in tables)
+        assert max(m_a, m_b) <= m <= m_a + m_b
+    for x in (a, b):
+        twice = cocharacter_table(direct_sum(x, x), n)
+        once = cocharacter_table(x, n)
+        assert (twice.support(), twice.total_codim) == (once.support(), once.total_codim)
+
+
+@pytest.mark.parametrize("names", [("ut2_g", "k_g"), ("k_g", "k_g"), ("e2", "e2")])
+def test_a_direct_sum_has_its_summands_multiplicities_as_bounds(names, request):
+    a, b = map(request.getfixturevalue, names)
+    for n in range(1, 5):
+        assert_direct_sum_bounds(a, b, n)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_direct_sum_of_random_algebras_has_their_bounds(data):
+    # two draws of one mode over one cyclic group, in random bases
+    star = data.draw(st.booleans())
+    a, b = data.draw(algebras(star)), data.draw(algebras(star))
+    assume(len(a.group) == len(b.group))
+    assert_direct_sum_bounds(a, b, data.draw(st.integers(1, 4)))
+
+
 @pytest.mark.parametrize("name", ["ut2_g", "ut2_trivial", "k_g", "e2"])
 def test_character_route_matches_tableau_route_on_builtins(name, request):
     algebra = request.getfixturevalue(name)
     for n in range(1, 7):
         assert_routes_agree(algebra, n)
+
+
+def _builtin_or_document(name, request):
+    """A stock algebra by fixture name, or ut3 and M_2 from their documents."""
+    documents = {
+        "ut3_trivial": lambda: ut3_document("trivial"),
+        "ut3_c2": lambda: ut3_document("c2"),
+        "m2": lambda: matrix_unit_document("m2", 2, False),
+    }
+    if name in documents:
+        return gpw.loads_algebra(documents[name]())
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["ut2_g", "k_g", "e2", "ut3_trivial", "ut3_c2", "m2", "m2_transpose"]
+)
+def test_highest_weight_vectors_give_every_multiplicity(name, request):
+    # the classical route, the rank of the highest weight vectors of the
+    # standard tableaux, shape by shape for every shape of degree n <= 5
+    algebra = _builtin_or_document(name, request)
+    slots = modes.slot_count(len(algebra.group), algebra.mode)
+    for n in range(1, 6):
+        table = cocharacter_table(algebra, n)
+        for comp in compositions(n, slots):
+            for shape in multipartitions(comp):
+                assert table.multiplicity_of(shape) == oracle.hwv_multiplicities(algebra, shape)
 
 
 @pytest.mark.parametrize("star", [False, True])

@@ -734,7 +734,8 @@ def _assert_same_matrices(matrices, expected):
 @given(data=st.data())
 def test_arrangement_expansion_matches_the_word_walk(data):
     # the expansion over positions gives the word walk's matrices: shape,
-    # its own degree's dtype, entries and row order, for every composition
+    # its own degree's dtype, the same alone as in a batch, entries and row
+    # order, for every composition
     # of one or more degrees 1..4, for lists of chosen ones of those degrees
     # in any order (some with an empty slot, as verify-lemmas asks for one-
     # and two-slot compositions), on int64 tables, on tables only Python
@@ -757,9 +758,10 @@ def test_arrangement_expansion_matches_the_word_walk(data):
     with unittest.mock.patch.object(limits, "charge", lambda e: charged.append(e) or charge(e)):
         comps, matrices = evaluator._arrangement_matrices(algebra, degrees, chosen)
         matrices = list(matrices)
-        for comp in comps:
+        for comp, matrix in zip(comps, matrices):
             mark = len(charged)
-            list(evaluator._arrangement_matrices(algebra, [sum(comp)], [comp])[1])
+            (single,) = evaluator._arrangement_matrices(algebra, [sum(comp)], [comp])[1]
+            assert single.dtype == matrix.dtype
             alone.extend(charged[mark:])
             del charged[mark:]
     if chosen is None:
@@ -832,9 +834,9 @@ def test_cocharacter_table_expands_once_per_degree(e2, monkeypatch):
     expanded = []
     original = evaluator._expand_positions
 
-    def counted(slots, comps, n):
-        expanded.append(n)
-        return original(slots, comps, n)
+    def counted(algebra, comps):
+        expanded.append(max(map(sum, comps)))
+        return original(algebra, comps)
 
     monkeypatch.setattr(evaluator, "_expand_positions", counted)
     for n in range(1, 5):
@@ -856,9 +858,9 @@ def test_total_codimension_expands_once_per_degree(name, request, monkeypatch):
     expanded = []
     original = evaluator._expand_positions
 
-    def counted(slots, comps, n):
-        expanded.append(n)
-        return original(slots, comps, n)
+    def counted(algebra, comps):
+        expanded.append(max(map(sum, comps)))
+        return original(algebra, comps)
 
     monkeypatch.setattr(evaluator, "_expand_positions", counted)
     for n in range(1, 5):
