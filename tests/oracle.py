@@ -4,7 +4,8 @@ tableau and grid routes to a multiplicity, and fraction-free Bareiss
 elimination.
 
 Every monomial is multiplied out in exact ``Fraction`` tuples by
-``GradedStarAlgebra.multiply``, once per substitution tuple.  The package's
+``GradedStarAlgebra.multiply``, each run of letter values once per
+call.  The package's
 integer engine must give a positive multiple of these matrices, and the
 same ranks, nullspaces and identity verdicts.  The package reads every
 multiplicity from characters of its arrangement matrices; the references
@@ -131,26 +132,36 @@ def parse_poly_by_factor(text, mode, group):
 
 
 def _mono_value(mono, algebra, assignment, memo):
-    cached = memo.get(mono)
+    """The monomial's product; ``assignment`` maps each variable to a
+    (token, value) pair, whose token names its candidate list and its place
+    there.  ``memo`` keeps every product by its letters' tokens, so that a
+    run of values is multiplied out once, whichever letters carry it."""
+    key = tuple(assignment[v][0] for v in mono)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     if len(mono) == 1:
-        value = assignment[mono[0]]
+        value = assignment[mono[0]][1]
     else:
         value = algebra.multiply(
-            _mono_value(mono[:-1], algebra, assignment, memo), assignment[mono[-1]]
+            _mono_value(mono[:-1], algebra, assignment, memo), assignment[mono[-1]][1]
         )
-    memo[mono] = value
+    memo[key] = value
     return value
 
 
 def _rows(algebra, polys, variables, candidates):
     """The polynomials on every tuple of the variables' candidate values:
     one row per (tuple, coordinate), one column per polynomial."""
+    lists = {}
+    tokened = []
+    for values in map(tuple, candidates):
+        number = lists.setdefault(values, len(lists))
+        tokened.append([((number, i), value) for i, value in enumerate(values)])
     rows = []
-    for combo in itertools.product(*candidates):
+    memo = {}
+    for combo in itertools.product(*tokened):
         assignment = dict(zip(variables, combo))
-        memo = {}
         values = []
         for p in polys:
             acc = [Fraction(0)] * algebra.dim
@@ -451,8 +462,10 @@ def _product(table, u, v):
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
             if ui and vj:
+                c = ui * vj
                 for k, s in enumerate(table[i][j]):
-                    acc[k] += ui * vj * s
+                    if s:
+                        acc[k] += c * s
     return acc
 
 

@@ -409,7 +409,8 @@ def _dense(algebra):
 
 
 def _matmul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Fraction(0)) for col in zip(*b)]
+            for row in a]
 
 
 def _inverse(m):
@@ -457,10 +458,13 @@ def _law_cases(draw, changed=None):
               else Fraction(0) for j in range(dim)] for i in range(dim)]
     p = _matmul(lower, upper)
     q = _inverse(p)
-    # f_a = sum_i p[i][a] e_i; coordinates in the f basis are q times e-coordinates
-    new = [[[sum((q[c][k] * sum((p[i][a] * p[j][b] * table[i][j][k]
-                                 for i in range(dim) for j in range(dim)), Fraction(0))
-                  for k in range(dim)), Fraction(0)) for c in range(dim)]
+    # f_a = sum_i p[i][a] e_i, so coordinate k of f_a f_b is entry (a, b) of
+    # P^T T_k P, with T_k slice k of the table; coordinates in the f basis
+    # are q times e-coordinates
+    pt = [list(col) for col in zip(*p)]
+    slices = [_matmul(_matmul(pt, [[table[i][j][k] for j in range(dim)] for i in range(dim)]), p)
+              for k in range(dim)]
+    new = [[[sum((q[c][k] * slices[k][a][b] for k in range(dim)), Fraction(0)) for c in range(dim)]
             for b in range(dim)] for a in range(dim)]
     if star is not None:
         star = _matmul(_matmul(q, star), p)
