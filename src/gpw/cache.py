@@ -61,10 +61,14 @@ class ResultCache:
         if not path.exists():
             return None
         try:
-            # only a line feed ends the header line (newline="\n" translates
-            # nothing); the payload is then read whole, not split off a copy
-            with open(path, encoding="utf-8", newline="\n") as fh:
-                line, payload = fh.readline(), fh.read()
+            # the entry is read once, as bytes; only a line feed ends the
+            # header, and the payload is decoded from a view of the rest,
+            # not from a copy of it
+            with open(path, "rb") as fh:
+                data = fh.read()
+            end = data.find(b"\n")
+            end = len(data) if end < 0 else end
+            line, payload = data[:end].decode("utf-8"), str(memoryview(data)[end + 1 :], "utf-8")
             header = json.loads(line)
             if not isinstance(header, dict):
                 raise ValueError("header is not an object")

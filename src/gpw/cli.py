@@ -19,7 +19,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, limits
+from . import __version__, limits, modes
 from .algebras import (
     GradedStarAlgebra,
     builtin_grassmann2,
@@ -38,7 +38,7 @@ from .evaluator import cocharacter_table, is_identity, total_codimension
 from .groups import parse_group_shorthand
 from .polynomials import parse_poly
 from .reports import Records, format_composition, format_shape, render, slot_legend
-from .shapes import multinomial
+from .shapes import composition_array, multinomials
 
 
 def _meta(command: str, algebra: GradedStarAlgebra, **extra) -> dict:
@@ -102,10 +102,13 @@ def cmd_validate(args) -> int:
 
 def _codim(args, algebra):
     total, breakdown = total_codimension(algebra, args.n)
-    comps, codims = list(breakdown), list(breakdown.values())
-    weights = list(map(multinomial, comps))
+    comps = composition_array(args.n, modes.slot_count(len(algebra.group), algebra.mode))
+    codims, weights = list(breakdown.values()), multinomials(comps)
     table = [["composition", "slice_codim", "weight", "contribution"]]
-    table += ([format_composition(comp), c, w, w * c] for comp, c, w in zip(comps, codims, weights))
+    table += (
+        [format_composition(comp), c, w, w * c]
+        for comp, c, w in zip(breakdown, codims, weights.tolist())
+    )
     table.append(["TOTAL", "", "", total])
     meta = {"n": args.n, "slots": slot_legend(algebra.group, algebra.mode), "total": total}
     entries = Records(("composition", "slice_codim", "weight"), (comps, codims, weights))
@@ -125,11 +128,11 @@ def _cochar(args, algebra):
         "total_codim": table_obj.total_codim,
         "max_multiplicity": table_obj.max_multiplicity(),
     }
+    if not args.json:
+        return meta, table, {}, 0
     extras = {
         "support": Records(tuple(table[0]), tuple(zip(*table[1:]))),
-        "slice_codims": Records(
-            ("composition", "slice_codim"), tuple(zip(*table_obj.slice_codims))
-        ),
+        "slice_codims": Records(("composition", "slice_codim"), table_obj.slice_codim_columns()),
         "total": table_obj.total_codim,
     }
     return meta, table, extras, 0

@@ -95,7 +95,10 @@ the vectors of its own compositions' slots, so only a single composition
 above it is refused and the matrices of one expansion are dropped before
 the next is built.  Every arrangement matrix
 passes the degree check first, which bounds the n! arrangements; a listing of
-compositions is charged where it is built (:func:`~gpw.shapes.compositions`).
+compositions is charged where it is built
+(:func:`~gpw.shapes.composition_array`).  A table lists every composition
+of its degree, as that one array with their slice codimensions, only when
+a report reads them (:meth:`CocharacterTable.slice_codim_columns`).
 """
 
 from __future__ import annotations
@@ -144,8 +147,10 @@ from .shapes import (
     Multipartition,
     character,
     class_size,
+    composition_array,
     compositions,
     multinomial,
+    multinomials,
     multipartitions,
     partitions,
 )
@@ -235,9 +240,7 @@ def _simplex(basis: np.ndarray, degree: int) -> np.ndarray:
     if degree == 1:
         return basis
     limits.charge(comb(degree + len(basis) - 1, degree) * basis.shape[1])
-    weights = compositions(degree, len(basis))
-    points = np.array(weights, dtype=np.int64).reshape(len(weights), len(basis))
-    return exact_product(points, basis)
+    return exact_product(composition_array(degree, len(basis)), basis)
 
 
 def _grid(basis: np.ndarray, degree: int) -> np.ndarray:
@@ -517,17 +520,36 @@ def _arrangement_matrices(
     for n in degrees:
         limits.check_degree(n)
     if comps is None:
-        bases = _slot_bases(algebra)
-        live = [slot for slot, basis in enumerate(bases) if len(basis)]
+        slots = modes.slot_count(len(algebra.group), algebra.mode)
+        live = _live_slots(algebra)
         comps = [comp for n in degrees for comp in compositions(n, len(live))]
-        if 0 < len(live) < len(bases):
+        if 0 < len(live) < slots:
             # each slot reads its part of a live composition padded with one
             # 0, which every empty slot reads; two or more slots, so the
             # getter returns tuples
             part = {slot: i for i, slot in enumerate(live)}
-            spread = itemgetter(*(part.get(slot, len(live)) for slot in range(len(bases))))
+            spread = itemgetter(*(part.get(slot, len(live)) for slot in range(slots)))
             comps = [spread(comp + (0,)) for comp in comps]
     return comps, _in_halves(algebra, comps)
+
+
+def _live_slots(algebra: GradedStarAlgebra) -> tuple[int, ...]:
+    """The slots whose component is not zero, ascending."""
+    return tuple(slot for slot, basis in enumerate(_slot_bases(algebra)) if len(basis))
+
+
+def _placed_codims(
+    n: int, slots: int, live_slots: tuple[int, ...], live_codims: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The compositions of n into ``slots`` parts as one array
+    (:func:`~gpw.shapes.composition_array`) and an int64 array of their
+    slice codimensions: ``live_codims`` in order at the rows that leave
+    every slot outside ``live_slots`` empty, whose live parts sum to n,
+    and 0 at the others."""
+    comps = composition_array(n, slots)
+    codims = np.zeros(len(comps), dtype=np.int64)
+    codims[comps[:, list(live_slots)].sum(axis=1) == n] = live_codims
+    return comps, codims
 
 
 def _arrangement_matrix(algebra: GradedStarAlgebra, comp: Composition) -> np.ndarray:
@@ -554,10 +576,11 @@ def total_codimension(algebra: GradedStarAlgebra, n: int) -> tuple[int, dict[Com
     :func:`slice_codimension`, all of them from one expansion.
     """
     slots = modes.slot_count(len(algebra.group), algebra.mode)
-    comps, matrices = _arrangement_matrices(algebra, [n])
-    ranks = dict(zip(comps, map(_slice_rank, matrices)))
-    breakdown = {comp: ranks.get(comp, 0) for comp in compositions(n, slots)}
-    return sum(multinomial(comp) * c for comp, c in breakdown.items()), breakdown
+    _, matrices = _arrangement_matrices(algebra, [n])
+    ranks = list(map(_slice_rank, matrices))
+    comps, codims = _placed_codims(n, slots, _live_slots(algebra), ranks)
+    breakdown = dict(zip(compositions(n, slots), codims.tolist()))
+    return int((multinomials(comps) * codims).sum()), breakdown
 
 
 def _class_representatives(classes: list[Multipartition]) -> np.ndarray:
@@ -717,26 +740,36 @@ def multiplicity(algebra: GradedStarAlgebra, shape: Multipartition) -> int:
 @dataclass
 class CocharacterTable:
     """Degree-n cocharacter data.  ``live_codims`` holds the slice
-    codimension of each composition that leaves every empty slot empty, in
-    the order of :func:`compositions`, and ``entries`` the shapes of those
-    whose arrangement matrix has rows, in the same order.  Every other
-    shape has multiplicity 0 and is left out, and every other composition
-    has slice codimension 0: ``slice_codims`` lists all ``slots``
-    compositions only when it is read, and :meth:`multiplicity_of` answers
-    0 for a shape of weight n on ``slots`` slots that is not listed."""
+    codimension of each composition that leaves every empty slot empty
+    (every slot outside ``live_slots``), in the order of
+    :func:`compositions`, and ``entries`` the shapes of those whose
+    arrangement matrix has rows, in the same order.  Every other shape has
+    multiplicity 0 and is left out, and every other composition has slice
+    codimension 0: all ``slots`` compositions are listed only when
+    :meth:`slice_codim_columns` or ``slice_codims`` is read, and
+    :meth:`multiplicity_of` answers 0 for a shape of weight n on ``slots``
+    slots that is not listed."""
 
     algebra_name: str
     mode: str
     n: int
     slots: int
+    live_slots: tuple[int, ...]
     live_codims: dict[Composition, int]
     entries: list[tuple[Multipartition, int]]
     total_codim: int
 
+    def slice_codim_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every composition of n into ``slots`` parts, as the rows of the
+        read-only array :func:`~gpw.shapes.composition_array`, and an int64
+        array of their slice codimensions."""
+        codims = list(self.live_codims.values())
+        return _placed_codims(self.n, self.slots, self.live_slots, codims)
+
     @property
     def slice_codims(self) -> list[tuple[Composition, int]]:
-        live = self.live_codims
-        return [(comp, live.get(comp, 0)) for comp in compositions(self.n, self.slots)]
+        _, codims = self.slice_codim_columns()
+        return list(zip(compositions(self.n, self.slots), codims.tolist()))
 
     def support(self) -> list[tuple[Multipartition, int]]:
         return [(shape, m) for shape, m in self.entries if m > 0]
@@ -785,6 +818,7 @@ def _walk_tables(
     slice codimension 0 and none of its shapes.  Each table is yielded
     before the first matrix of the next degree is read."""
     slots = modes.slot_count(len(algebra.group), algebra.mode)
+    live_slots = _live_slots(algebra)
     comps, matrices = _arrangement_matrices(algebra, degrees)
     slices = zip(comps, _slices_with_rows(algebra, comps, map(read, comps, matrices)))
     listed = Counter(map(sum, comps))
@@ -797,4 +831,6 @@ def _walk_tables(
             if slice_c:
                 entries.extend(counts)
                 total += multinomial(comp) * slice_c
-        yield CocharacterTable(algebra.name, algebra.mode, n, slots, live_codims, entries, total)
+        yield CocharacterTable(
+            algebra.name, algebra.mode, n, slots, live_slots, live_codims, entries, total
+        )

@@ -24,8 +24,14 @@ through a table of their distinct values' texts), so no string is built per
 element; any other value gives one text of its own.  :class:`Records`, a
 list of records held as columns (the ``slice_codims`` of a ``cochar``
 report, thousands of them in star mode), lays out one skeleton for all its
-records the same way, a column per key.  A list of dicts renders element by
-element, as ``json.dumps`` does.
+records the same way, a column per key.  A column of a :class:`Records`
+may be an integer numpy array: of one axis, an int per record, or of two,
+a list of one length per record (the listing of compositions,
+:func:`~gpw.shapes.composition_array`).  Its texts come from
+``tolist()``, one position at a time, through the int text table, with no
+pass over the values' types; any other array (bools, floats) renders as
+its ``tolist()``.  A list of dicts renders element by element, as
+``json.dumps`` does.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import modes
 from .errors import ParseError, UnknownGradeLabel
@@ -162,7 +170,7 @@ _quote = json.encoder.encode_basestring_ascii
 class Records:
     """A list of records held as columns: it renders as
     ``[dict(zip(keys, row)) for row in zip(*columns)]`` does, without a dict
-    per record."""
+    per record, with each numpy array column read as its ``tolist()``."""
 
     keys: tuple
     columns: tuple
@@ -237,13 +245,29 @@ def _column(values, pad: str) -> tuple[list[str], list[list[str]]]:
     its fixed pieces and, per gap between them, the texts of every value
     there, so value i renders as ``fixed[0] + slots[0][i] + fixed[1] + ...
     + fixed[-1]``.  Non-empty lists of one length have a gap per
-    position; any other values share one gap."""
+    position; any other values share one gap.  An integer array of one or
+    two axes is an int, or a list of ints, per row: its texts come from
+    ``tolist()``, one position at a time, with no pass over the types;
+    any other array is its ``tolist()``."""
+    if isinstance(values, np.ndarray):
+        texts = _IntTexts().__getitem__
+        if values.dtype.kind in "iu" and values.ndim == 1:
+            return ["", ""], [list(map(texts, values.tolist()))]
+        if values.dtype.kind in "iu" and values.ndim == 2 and values.shape[1]:
+            columns = values.T.tolist()
+            return _positions(len(columns), pad), [list(map(texts, c)) for c in columns]
+        values = values.tolist()
     if set(map(type, values)) <= {list, tuple} and len(set(map(len, values))) == 1 and values[0]:
-        inner = pad + "  "
         columns = list(zip(*values))
-        fixed = ["[\n" + inner] + [",\n" + inner] * (len(columns) - 1) + ["\n" + pad + "]"]
-        return fixed, [_texts(column, inner) for column in columns]
+        return _positions(len(columns), pad), [_texts(column, pad + "  ") for column in columns]
     return ["", ""], [_texts(values, pad)]
+
+
+def _positions(width: int, pad: str) -> list[str]:
+    """The fixed pieces of a list of ``width`` values at indent ``pad``,
+    one gap per position."""
+    inner = pad + "  "
+    return ["[\n" + inner] + [",\n" + inner] * (width - 1) + ["\n" + pad + "]"]
 
 
 def _lay_out(fixed: list[str], slots: list[list[str]], rows: int, pad: str, out: list[str]) -> None:
@@ -270,7 +294,8 @@ def _write_records(records: Records, pad: str, out: list[str]) -> None:
     named = dict(zip(records.keys, records.columns))
     rows = min(map(len, records.columns), default=0)
     if not rows or not named or not all(type(k) is str for k in named):
-        _write([dict(zip(records.keys, row)) for row in zip(*records.columns)], pad, out)
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in records.columns]
+        _write([dict(zip(records.keys, row)) for row in zip(*columns)], pad, out)
         return
     inner = pad + "  "
     value_pad = inner + "  "

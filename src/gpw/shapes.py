@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial, prod
 
+import numpy as np
+
 from . import limits
 
 Partition = tuple[int, ...]
@@ -34,22 +36,44 @@ Composition = tuple[int, ...]
 def compositions(n: int, slots: int) -> list[Composition]:
     """All compositions of n into ``slots`` parts, first part descending
     (so e.g. compositions(2, 2) == [(2, 0), (1, 1), (0, 2)]); a fresh list
-    of the ones computed once per (n, slots), charged to the work cap."""
+    of the rows of :func:`composition_array` as tuples, made once per
+    (n, slots)."""
     return list(_compositions(n, slots))
 
 
 @cache
 def _compositions(n: int, slots: int) -> tuple[Composition, ...]:
-    # stars and bars: the slots - 1 bars among n + slots - 1 places, in
-    # reverse lexicographic order, so that the first part descends
-    if slots == 0:
-        return ((),) if n == 0 else ()
-    places = n + slots - 1
-    limits.charge(comb(places, slots - 1) * slots)
-    bar_sets = reversed(list(itertools.combinations(range(places), slots - 1)))
-    return tuple(
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places))) for bars in bar_sets
-    )
+    return tuple(map(tuple, composition_array(n, slots).tolist()))
+
+
+@cache
+def composition_array(n: int, slots: int) -> np.ndarray:
+    """The compositions of n into ``slots`` parts as the rows of one
+    read-only int64 array, in :func:`compositions` order: descending
+    lexicographic, so the first part descends.  Built once per
+    (n, slots), charged to the work cap before it is allocated.
+
+    The listing grows one part at a time: each prefix, with what it leaves
+    for the later parts, takes every next part from that remainder down to
+    0, so the prefixes stay in order, and a part is written to every row
+    below its prefix at once, repeated by the number of compositions of
+    what is left into the parts after it."""
+    count = comb(n + slots - 1, slots - 1) if slots else int(n == 0)
+    limits.charge(count * slots)
+    listing = np.empty((count, slots), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)  # what each prefix leaves
+    for k in range(slots - 1):
+        branch = left + 1
+        ends = branch.cumsum()
+        rest = np.arange(ends[-1]) - (ends - branch).repeat(branch)
+        later = slots - k - 1
+        tails = np.array([comb(m + later - 1, later - 1) for m in range(n + 1)], dtype=np.int64)
+        listing[:, k] = (left.repeat(branch) - rest).repeat(tails.take(rest))
+        left = rest
+    if slots:
+        listing[:, -1] = left
+    listing.flags.writeable = False
+    return listing
 
 
 def multinomial(comp: Composition) -> int:
@@ -59,6 +83,15 @@ def multinomial(comp: Composition) -> int:
     for part in comp:
         total //= factorial(part)
     return total
+
+
+def multinomials(comps: np.ndarray) -> np.ndarray:
+    """:func:`multinomial` of each row of an int64 array of compositions of
+    one n, from a table of factorials: exact while n! fits int64, which it
+    does far above the hard degree cap."""
+    n = int(comps[0].sum()) if len(comps) else 0
+    factorials = np.array([factorial(m) for m in range(n + 1)], dtype=np.int64)
+    return factorials[n] // factorials.take(comps).prod(axis=1)
 
 
 @cache

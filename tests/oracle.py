@@ -25,7 +25,9 @@ is the character route's per-slot contraction by ``tensordot``, and
 the nullspace route, for involutions that are diagonal on a component too.
 ``arrangement_matrices_by_words`` builds arrangement matrices by the word
 engine's walk of all n! arrangements as a word list, the reference for
-the package's expansion over positions.
+the package's expansion over positions.  ``compositions_by_bars`` lists
+compositions by stars and bars, the reference for the package's listing,
+which grows an array one part at a time.
 """
 
 import itertools
@@ -294,6 +296,17 @@ def _polarized_slot_words(lam, offset):
                     word[p] = letter
             terms.append((tuple(word), sign))
     return terms
+
+
+def compositions_by_bars(n, slots):
+    """The compositions of n into ``slots`` parts, first part descending:
+    the slots - 1 bars among n + slots - 1 places, in reverse
+    lexicographic order."""
+    if slots == 0:
+        return [()] if n == 0 else []
+    places = n + slots - 1
+    bar_sets = reversed(list(itertools.combinations(range(places), slots - 1)))
+    return [tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, places))) for bars in bar_sets]
 
 
 def uses_empty_slot(algebra, comp):

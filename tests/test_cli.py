@@ -198,9 +198,10 @@ OVERSIZED_DOCUMENTS = {
 )
 def test_oversized_inputs_exit_two_within_the_work_cap(capsys, tmp_path, command, size):
     # each asks for far more than the work cap: the 10,424,128 compositions
-    # of 5 into the 64 slots of ut2 over C64, the 80^4-entry associativity
-    # arrays of an 80-dimensional algebra, or the associativity loop over a
-    # group of order 10^5 or 400^2; each is refused before it is allocated
+    # of 5 into the 64 slots of ut2 over C64 (listed by codim, and by cochar
+    # as JSON only), the 80^4-entry associativity arrays of an
+    # 80-dimensional algebra, or the associativity loop over a group of
+    # order 10^5 or 400^2; each is refused before it is allocated
     path = tmp_path / f"{size}.json"
     if size == "c64":
         assert main(["builtin", "ut2", "--group", "c64", "--g", "g", "--out", str(path)]) == 0
@@ -212,6 +213,7 @@ def test_oversized_inputs_exit_two_within_the_work_cap(capsys, tmp_path, command
                     "basis": basis, "grading": [grade] * dim, "structure": []}
         path.write_text(json.dumps(document))
     argv = [command, str(path), *(["--n", "5"] if command != "validate" else [])]
+    argv += ["--json"] if command == "cochar" else []
 
     def refused():
         rc, out, err = run(capsys, *argv)
@@ -220,6 +222,21 @@ def test_oversized_inputs_exit_two_within_the_work_cap(capsys, tmp_path, command
 
     # an eighth of one int64 array at the work cap
     assert peak_bytes(refused) < gpw.limits.WORK_CAP
+
+
+def test_tsv_cochar_lists_only_the_compositions_it_prints(capsys, tmp_path):
+    # the TSV report prints the support and the totals, not the 10,424,128
+    # compositions of 5 into 64 slots that the JSON report lists: ut2 over
+    # C64 has two nonzero slots, so it reads the 6 compositions of 5 into
+    # them
+    path = tmp_path / "c64.json"
+    assert main(["builtin", "ut2", "--group", "c64", "--g", "g", "--out", str(path)]) == 0
+    capsys.readouterr()
+    reports = []
+    assert peak_bytes(lambda: reports.append(run(capsys, "cochar", str(path), "--n", "5"))) < 2**22
+    ((rc, out, err),) = reports
+    assert (rc, err.startswith("# elapsed")) == (0, True)
+    assert "# total_codim: 81\n" in out
 
 
 @pytest.mark.parametrize("command", ["codim", "cochar"])
@@ -414,6 +431,24 @@ def test_header_without_newline_warns_and_recomputes(capsys, tmp_path, docs):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (0, fresh)
     assert f"warning: ignoring corrupt cache entry {entry.name}: payload has 0" in err
+    assert entry.read_bytes() == whole
+
+
+@pytest.mark.parametrize("part", ["header", "payload"])
+def test_a_cache_entry_that_is_not_utf8_warns_and_recomputes(capsys, tmp_path, docs, part):
+    cache_dir = tmp_path / "cache"
+    argv = ["cochar", docs["grassmann2"], "--n", "3", "--json", "--cache", str(cache_dir)]
+    _, fresh, _ = run(capsys, *argv)
+    (entry,) = cache_dir.glob("*.json")
+    whole = entry.read_bytes()
+    header, payload = whole.split(b"\n", 1)
+    if part == "header":
+        entry.write_bytes(header[:-1] + b"\xff}\n" + payload)
+    else:
+        entry.write_bytes(header + b"\n" + payload[:-1] + b"\xff")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (0, fresh)
+    assert f"warning: ignoring corrupt cache entry {entry.name}: 'utf-8' codec" in err
     assert entry.read_bytes() == whole
 
 

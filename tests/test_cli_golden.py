@@ -1,7 +1,7 @@
 """Byte-for-byte pins of the report commands: for each run on the builtin
 algebras and on ut3, the sha256 of stdout and the exit code, as TSV and as
 JSON.  The star runs cover grassmann2 over C2xC2, C4 and C2xC2xC2 and
-ut2 with the reflection involution.  Most runs stay at n <= 4; two cocharacter tables go to n=5 and n=6,
+ut2 with the reflection involution.  Most runs stay at n <= 4; three cocharacter tables go to n=5 and n=6,
 two identity runs test an 8-fold and a 7-fold power, and one sandwich
 search on ut2 certifies full rank at every degree up to 6.  The ut3 runs at
 n=5 and n=6 have rank-deficient arrangement matrices, whose ranks need more
@@ -192,6 +192,20 @@ GOLDEN = [
         0,
         "fa89279b564b417dea4c0fe4e6966f68c9bc204135b190a42f42c315cf91372d",
         "8a1472cb8214123b79aae995cf3d3bf298aacd9448f482872165cc282f62f9d2",
+    ),
+    # the widest listings: 15504 compositions of 5 and 3876 of 4 into the 16
+    # slots, more than any benchmark job lists
+    (
+        "cochar grassmann2_c2xc2xc2 --n 5",
+        0,
+        "d8cd14e5a600188cb65e6b835712a7cf83956d7a523d579fd536798a8993fbb5",
+        "64ffb3001bc2e29143c67986980f821eea755c80bab7850b1db735f23dfa49d5",
+    ),
+    (
+        "codim grassmann2_c2xc2xc2 --n 4",
+        0,
+        "b12e6c6214576cacdca7b809c77c508545549a5814e1e0a390d9b4ca0cb5319c",
+        "4bb4e10e3940ee3b5b5d954ea6e7fb412c1edf4b6a4c0a6d87c587af5ee7497b",
     ),
     (
         "cochar grassmann2_c4 --n 4",

@@ -9,6 +9,7 @@ and the runtime check on the multiplicities, are exercised by forcing them.
 """
 
 import itertools
+import json
 import weakref
 from math import prod
 
@@ -20,6 +21,7 @@ import gpw
 from gpw import evaluator, limits, linalg, modes, shapes
 from gpw.algebras import GradedStarAlgebra, builtin_grassmann2
 from gpw.classify import star_multone_report
+from gpw.cli import main
 from gpw.errors import CapExceeded, ConsistencyViolation
 from gpw.evaluator import (
     _arrangement_matrix,
@@ -192,21 +194,42 @@ def e2_c2xc2xc2():
     return builtin_grassmann2(group, group.element("(0,0,1)"), group.element("(0,1,0)"))
 
 
-def test_empty_slot_compositions_are_listed_only_when_read(e2_c2xc2xc2, monkeypatch):
-    # 16 slots: 3876 compositions of 4, of which 35 leave every empty slot empty
-    listed = []
-    original = shapes._compositions
+def test_empty_slot_compositions_are_listed_only_when_read(
+    e2_c2xc2xc2, docs, capsys, monkeypatch
+):
+    # 16 slots: 3876 compositions of 4, of which 35 leave every empty slot
+    # empty.  The table lists them all only when its columns are read, as
+    # one array; the tuples only when slice_codims is read.  The cochar
+    # report lists the array as JSON, and nothing more as TSV.
+    monkeypatch.delenv("GPW_CACHE", raising=False)
+    tuples, arrays = [], []
 
-    def counted(n, slots):
-        listed.append((n, slots))
-        return original(n, slots)
+    def counted(listed, listing):
+        def spy(n, slots):
+            listed.append((n, slots))
+            return listing(n, slots)
 
-    monkeypatch.setattr(shapes, "_compositions", counted)
+        return spy
+
+    monkeypatch.setattr(shapes, "_compositions", counted(tuples, shapes._compositions))
+    monkeypatch.setattr(
+        evaluator, "composition_array", counted(arrays, evaluator.composition_array)
+    )
     table = cocharacter_table(e2_c2xc2xc2, 4)
     assert len(table.live_codims) == 35 and table.max_multiplicity() == 1
-    assert (4, 16) not in listed
+    assert (4, 16) not in tuples + arrays
+    comps, codims = table.slice_codim_columns()
+    assert comps.shape == (3876, 16) and np.count_nonzero(codims) == 5
+    assert (arrays.count((4, 16)), (4, 16) in tuples) == (1, False)
     assert len(table.slice_codims) == 3876
-    assert listed.count((4, 16)) == 1
+    assert (arrays.count((4, 16)), tuples.count((4, 16))) == (2, 1)
+    tuples.clear(), arrays.clear()
+    assert main(["cochar", docs["grassmann2_c2xc2xc2"], "--n", "4"]) == 0
+    assert (4, 16) not in tuples + arrays
+    capsys.readouterr()
+    assert main(["cochar", docs["grassmann2_c2xc2xc2"], "--n", "4", "--json"]) == 0
+    assert ((4, 16) in tuples, arrays.count((4, 16))) == (False, 1)
+    assert len(json.loads(capsys.readouterr().out)["slice_codims"]) == 3876
 
 
 @pytest.mark.parametrize("name, n", [("ut2_g", 4), ("k_g", 4), ("e2", 4), ("e2_c2xc2xc2", 4)])

@@ -3,8 +3,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gpw.reports import Records, _json, render
 
@@ -85,6 +87,20 @@ def _records_as_columns(draw):
     return Records(tuple(keys), tuple(columns))
 
 
+@st.composite
+def _records_of_int_arrays(draw):
+    """Records whose columns are int64 arrays: one int per record, or a
+    list of 0 to 3 ints per record."""
+    keys = draw(st.lists(_keys, max_size=4, unique=True))
+    rows = draw(st.integers(0, 4))
+    ints = _table_ints.filter(lambda v: -(2**63) <= v < 2**63) | st.sampled_from(
+        [-(2**63), 2**63 - 1, -1, 0]
+    )
+    shapes = [draw(st.sampled_from([(rows,), (rows, 0), (rows, 1), (rows, 3)])) for _ in keys]
+    columns = tuple(draw(arrays(np.int64, shape, elements=ints)) for shape in shapes)
+    return Records(tuple(keys), columns)
+
+
 def _reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
@@ -119,6 +135,30 @@ def test_records_render_as_the_list_of_their_rows(records):
         assert _json(records, pad) == _reference(rows).replace("\n", "\n" + pad)
     if not rows:
         assert _json(records, "") == "[]"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records_of_int_arrays())
+@example(Records(("a", "b"), (np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64))))
+@example(Records(("w",), (np.array([[-(2**63)], [2**63 - 1]]),)))
+@example(Records((1,), (np.array([5]),)))  # a key that is not a str: rendered as rows
+def test_int_array_columns_render_as_their_lists(records):
+    as_lists = Records(records.keys, tuple(column.tolist() for column in records.columns))
+    rows = [dict(zip(records.keys, row)) for row in zip(*as_lists.columns)]
+    for pad in ("", "    "):
+        expected = _reference(rows).replace("\n", "\n" + pad)
+        assert _json(records, pad) == _json(as_lists, pad) == expected
+
+
+def test_other_array_columns_render_as_their_lists():
+    # bools stay out of the int path; floats go to json.dumps
+    records = Records(
+        ("b", "x", "u"),
+        (np.array([True, False]), np.array([[0.5], [2.0]]), np.array([2**64 - 1, 0], np.uint64)),
+    )
+    rows = [{"b": True, "x": [0.5], "u": 2**64 - 1}, {"b": False, "x": [2.0], "u": 0}]
+    assert _json(records, "") == _reference(rows)
+    assert '"b": true' in _json(records, "") and '"b": false' in _json(records, "")
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,13 @@ formula and the generator corroborate each other.
 import itertools
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpw
+import oracle
+from conftest import peak_bytes
 from gpw.errors import CapExceeded
 from gpw.limits import HARD_N_CAP
 from gpw.shapes import (
@@ -20,10 +23,13 @@ from gpw.shapes import (
     all_multitableaux,
     character,
     class_size,
+    composition_array,
     compositions,
     conjugate,
     hook_dimension,
     is_partition,
+    multinomial,
+    multinomials,
     multipartitions,
     partitions,
     permutation_to_tableau,
@@ -74,6 +80,47 @@ def test_composition_count_is_stars_and_bars():
             assert len(cs) == comb(n + k - 1, k - 1)
             assert all(sum(c) == n for c in cs)
             assert len(set(cs)) == len(cs)
+
+
+@pytest.mark.parametrize(
+    "n, slots", [*itertools.product(range(8), range(7)), (4, 16), (5, 16)]
+)
+def test_the_composition_array_lists_the_stars_and_bars_order(n, slots):
+    expected = oracle.compositions_by_bars(n, slots)
+    listing = composition_array(n, slots)
+    assert listing.dtype == np.int64 and listing.shape == (len(expected), slots)
+    assert not listing.flags.writeable
+    assert composition_array(n, slots) is listing
+    assert list(map(tuple, listing.tolist())) == expected
+    assert compositions(n, slots) == expected
+
+
+def test_the_composition_array_is_charged_before_it_is_allocated(monkeypatch):
+    # 10,424,128 rows of 64 parts: the charge refuses them, and no array of
+    # them was allocated first
+    charged = []
+
+    def spy(entries):
+        charged.append(entries)
+        real_charge(entries)
+
+    real_charge = gpw.limits.charge
+    monkeypatch.setattr(gpw.limits, "charge", spy)
+    assert composition_array.__wrapped__(5, 4).shape == (56, 4)
+    assert charged == [56 * 4]
+
+    def refused():
+        with pytest.raises(CapExceeded):
+            composition_array.__wrapped__(5, 64)
+
+    assert peak_bytes(refused) < 2**20
+    assert charged[1:] == [comb(68, 5) * 64]
+
+
+def test_multinomials_are_the_multinomial_of_each_row():
+    for n, slots in [(0, 3), (1, 1), (5, 4), (7, 3), (4, 16)]:
+        listing = composition_array(n, slots)
+        assert multinomials(listing).tolist() == [multinomial(c) for c in compositions(n, slots)]
 
 
 def test_partitions_are_memoized_tuples():
